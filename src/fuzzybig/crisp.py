@@ -223,16 +223,34 @@ def is_hypergraph(vertices: Iterable, edge_family: Iterable[Iterable]) -> bool:
     return union == vs
 
 
-def _walk_to_root(prnt: Mapping, start, nodes: frozenset, limit: int):
-    """Follow a functional parent map from a node; None means a cycle/dead end."""
-    current = start
-    for _ in range(limit + 1):
-        if current not in prnt:
-            return None
-        current = prnt[current]
-        if not isinstance(current, str) or current not in nodes:
-            return current
-    return None
+def _rooted_nodes(prnt: Mapping, nodes: frozenset) -> dict:
+    """For each node reached from the parent map, whether following its
+    parents leaves the node set.
+
+    A chain that cycles, or that stops at a node with no parent entry or at
+    a ``None`` parent, is not rooted.  Each node is resolved once, so the
+    pass is linear in the number of nodes.
+    """
+    rooted: dict = {}
+    for start in nodes:
+        path = []
+        v = start
+        while v not in rooted:
+            if v not in prnt:
+                verdict = False
+                break
+            rooted[v] = False  # provisional: meeting it again closes a cycle
+            path.append(v)
+            parent = prnt[v]
+            if not isinstance(parent, str) or parent not in nodes:
+                verdict = parent is not None
+                break
+            v = parent
+        else:
+            verdict = rooted[v]
+        for u in path:
+            rooted[u] = verdict
+    return rooted
 
 
 def validate_place_graph(p: PlaceGraph, subject: str = "place graph") -> ValidationReport:
@@ -263,8 +281,9 @@ def validate_place_graph(p: PlaceGraph, subject: str = "place graph") -> Validat
                 report.add(f"parent of {child!r} is an out-of-range root {parent}")
         else:
             report.add(f"parent of {child!r} has unsupported sort: {parent!r}")
+    rooted = _rooted_nodes(p.prnt, p.nodes)
     for v in sorted(p.nodes):
-        if v in p.prnt and _walk_to_root(p.prnt, v, p.nodes, len(p.nodes)) is None:
+        if v in p.prnt and not rooted[v]:
             report.add(f"parent map is cyclic at node {v!r}")
     return report
 

@@ -49,9 +49,26 @@ def derive_ports(signature: Signature, ctrl: FuzzyRelation) -> frozenset[Port]:
 
 
 def _as_relation(frame: Frame, entries, domain, codomain) -> FuzzyRelation:
+    """The checked relation for a graph component.
+
+    A relation already over this very frame and exactly this domain and
+    codomain was checked when it was built and is returned unchanged.
+    """
     if isinstance(entries, FuzzyRelation):
+        if (
+            entries.frame is frame
+            and entries.domain == domain
+            and entries.codomain == codomain
+        ):
+            return entries
         entries = entries.entry_dict()
     return FuzzyRelation(frame, domain, codomain, entries)
+
+
+def _prnt_domain(inner: int, outer: int, carrier: frozenset) -> tuple[frozenset, frozenset]:
+    """Children (sites and nodes) and parents (nodes and roots) of a
+    parent relation."""
+    return frozenset(range(inner)) | carrier, carrier | frozenset(range(outer))
 
 
 def _check_ids(ids, what: str) -> frozenset[str]:
@@ -78,10 +95,7 @@ class FuzzyPlaceGraph:
         self.nodes = _check_ids(nodes, "node")
         self.ctrl = _as_relation(frame, ctrl, self.nodes, signature.controls)
         self.prnt = _as_relation(
-            frame,
-            prnt,
-            frozenset(range(self.inner)) | self.nodes,
-            self.nodes | frozenset(range(self.outer)),
+            frame, prnt, *_prnt_domain(self.inner, self.outer, self.nodes)
         )
 
     def __eq__(self, other) -> bool:
@@ -278,14 +292,10 @@ def compose_fuzzy_place(g: FuzzyPlaceGraph, f: FuzzyPlaceGraph) -> FuzzyPlaceGra
     for (child, parent), degree in g.prnt.items():
         if child in g.nodes:
             entries[(child, parent)] = degree
+    nodes = f.nodes | g.nodes
+    prnt = FuzzyRelation._trusted(f.frame, *_prnt_domain(f.inner, g.outer, nodes), entries)
     return FuzzyPlaceGraph(
-        f.frame,
-        f.signature,
-        f.inner,
-        g.outer,
-        f.nodes | g.nodes,
-        f.ctrl.union(g.ctrl),
-        entries,
+        f.frame, f.signature, f.inner, g.outer, nodes, f.ctrl.union(g.ctrl), prnt
     )
 
 
@@ -312,15 +322,20 @@ def compose_fuzzy_link(g: FuzzyLinkGraph, f: FuzzyLinkGraph) -> FuzzyLinkGraph:
     for (point, target), degree in g.link.items():
         if point in g.ports:
             entries[(point, target)] = degree
+    edges = f.edges | g.edges
+    # The composite's ports are f's and g's: their node sets are disjoint.
+    link = FuzzyRelation._trusted(
+        f.frame, f.inner | f.ports | g.ports, edges | g.outer, entries
+    )
     return FuzzyLinkGraph(
         f.frame,
         f.signature,
         f.inner,
         g.outer,
         f.nodes | g.nodes,
-        f.edges | g.edges,
+        edges,
         f.ctrl.union(g.ctrl),
-        entries,
+        link,
     )
 
 
@@ -726,24 +741,34 @@ def skeleton_pairs(prnt: FuzzyRelation, nodes: frozenset[str]) -> set[tuple[str,
 
 
 def skeleton_is_acyclic(prnt: FuzzyRelation, nodes: frozenset[str]) -> bool:
-    """Depth-first cycle check of the positive node-to-node parent pairs."""
+    """Depth-first cycle check of the positive node-to-node parent pairs.
+
+    The search keeps an explicit stack, so nesting depth is not bounded by
+    the interpreter's recursion limit.
+    """
     succ: dict[str, list[str]] = {}
     for c, p in skeleton_pairs(prnt, nodes):
         succ.setdefault(c, []).append(p)
     state: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-    def visit(v: str) -> bool:
-        state[v] = 1
-        for w in succ.get(v, ()):
-            mark = state.get(w)
-            if mark == 1:
-                return False
-            if mark is None and not visit(w):
-                return False
-        state[v] = 2
-        return True
-
-    return all(state.get(v) == 2 or visit(v) for v in sorted(succ))
+    for start in sorted(succ):
+        if state.get(start) == 2:
+            continue
+        state[start] = 1
+        stack = [(start, iter(succ[start]))]
+        while stack:
+            v, pending = stack[-1]
+            for w in pending:
+                mark = state.get(w)
+                if mark == 1:
+                    return False
+                if mark is None:
+                    state[w] = 1
+                    stack.append((w, iter(succ.get(w, ()))))
+                    break
+            else:
+                state[v] = 2
+                stack.pop()
+    return True
 
 
 def validate_fuzzy_place(

@@ -37,15 +37,30 @@ class FrameValue:
     def __setattr__(self, name, value):
         raise AttributeError("FrameValue is immutable")
 
+    # On a chain every meet and join is one of its two operands, so the
+    # operand itself is returned; only a genuinely new raw value goes back
+    # through the checked ``Frame.value``.
     def meet(self, other: "FrameValue") -> "FrameValue":
         """Greatest lower bound of ``self`` and ``other``."""
-        self.frame.check_value(other)
-        return self.frame.value(self.frame._meet(self.raw, other.raw))
+        frame = self.frame
+        frame.check_value(other)
+        raw = frame._meet(self.raw, other.raw)
+        if raw is self.raw:
+            return self
+        if raw is other.raw:
+            return other
+        return frame.value(raw)
 
     def join(self, other: "FrameValue") -> "FrameValue":
         """Least upper bound of ``self`` and ``other``."""
-        self.frame.check_value(other)
-        return self.frame.value(self.frame._join(self.raw, other.raw))
+        frame = self.frame
+        frame.check_value(other)
+        raw = frame._join(self.raw, other.raw)
+        if raw is self.raw:
+            return self
+        if raw is other.raw:
+            return other
+        return frame.value(raw)
 
     def leq(self, other: "FrameValue") -> bool:
         """Lattice order: true iff ``self`` lies below ``other``."""
@@ -61,7 +76,7 @@ class FrameValue:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FrameValue)
-            and self.frame == other.frame
+            and (self.frame is other.frame or self.frame == other.frame)
             and self.raw == other.raw
         )
 
@@ -127,6 +142,8 @@ class Frame:
         return FrameValue(self, self._top_raw())
 
     def check_value(self, v: FrameValue) -> None:
+        if type(v) is FrameValue and v.frame is self:
+            return
         if not isinstance(v, FrameValue) or v.frame != self:
             got = getattr(getattr(v, "frame", None), "name", type(v).__name__)
             raise FrameMismatchError(
@@ -172,6 +189,10 @@ class Frame:
         return f"Frame({self.name})"
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 class UnitIntervalFrame(Frame):
     """Exact rationals in [0, 1] under the usual order."""
 
@@ -196,10 +217,10 @@ class UnitIntervalFrame(Frame):
         return a <= b
 
     def _bottom_raw(self):
-        return Fraction(0)
+        return _ZERO
 
     def _top_raw(self):
-        return Fraction(1)
+        return _ONE
 
     def _parse(self, text: str):
         try:

@@ -64,6 +64,21 @@ class FuzzyRelation:
             store[(a, b)] = degree
         self._entries = store
 
+    @classmethod
+    def _trusted(cls, frame: Frame, domain, codomain, store: dict) -> "FuzzyRelation":
+        """Wrap an entry dict that is already in normal form.
+
+        For results built from validated relations of ``frame``: every
+        degree belongs to the frame and lies strictly above bottom, and
+        every key lies in ``domain x codomain``.  Nothing is re-checked.
+        """
+        rel = cls.__new__(cls)
+        rel.frame = frame
+        rel.domain = frozenset(domain)
+        rel.codomain = frozenset(codomain)
+        rel._entries = store
+        return rel
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -101,11 +116,13 @@ class FuzzyRelation:
         for (a, b), d1 in self._entries.items():
             for c, d2 in by_mid.get(b, ()):
                 deg = d1.meet(d2)
-                if deg.is_bottom():
+                # A meet that returns an operand is positive; only a new
+                # degree (possible off a chain) can fall to bottom.
+                if deg is not d1 and deg is not d2 and deg.is_bottom():
                     continue
                 prev = out.get((a, c))
                 out[(a, c)] = deg if prev is None else prev.join(deg)
-        return FuzzyRelation(self.frame, self.domain, other.codomain, out)
+        return FuzzyRelation._trusted(self.frame, self.domain, other.codomain, out)
 
     def union(self, other: "FuzzyRelation") -> "FuzzyRelation":
         """Disjoint union: domains must not overlap, entries are merged."""
@@ -116,7 +133,7 @@ class FuzzyRelation:
             raise ValueError(f"relation domains overlap on {sorted(map(repr, shared))}")
         merged = dict(self._entries)
         merged.update(other._entries)
-        return FuzzyRelation(
+        return FuzzyRelation._trusted(
             self.frame,
             self.domain | other.domain,
             self.codomain | other.codomain,
@@ -178,18 +195,14 @@ def identity_relation(frame: Frame, elements) -> FuzzyRelation:
     return FuzzyRelation(frame, elements, elements, {(e, e): top for e in elements})
 
 
-def relation_from_function(frame: Frame, mapping: Mapping, domain, codomain) -> FuzzyRelation:
-    """The crisp graph of a function, at degree top."""
-    top = frame.top
-    return FuzzyRelation(
-        frame, domain, codomain, {(a, b): top for a, b in mapping.items()}
-    )
-
-
 class FuzzySet:
-    """A degree-valued set with finite support (absent elements at bottom)."""
+    """A degree-valued set with finite support (absent elements at bottom).
 
-    __slots__ = ("frame", "_entries")
+    ``support``, the frozenset of stored elements, is computed once at
+    construction.
+    """
+
+    __slots__ = ("frame", "_entries", "support")
 
     def __init__(self, frame: Frame, entries=()):
         self.frame = frame
@@ -205,16 +218,13 @@ class FuzzySet:
                 raise ValueError(f"duplicate fuzzy-set entry for {element!r}")
             store[element] = degree
         self._entries = store
+        self.support = frozenset(store)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def membership(self, element) -> FrameValue:
         return self._entries.get(element, self.frame.bottom)
-
-    @property
-    def support(self) -> frozenset:
-        return frozenset(self._entries)
 
     def items(self):
         return iter(self._entries.items())

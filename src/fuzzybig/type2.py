@@ -32,6 +32,7 @@ from .fuzzy import (
     TranslationCheck,
     TranslationReport,
     _as_relation,
+    _prnt_domain,
     skeleton_is_acyclic,
 )
 from .lattice import Frame, FrameValue
@@ -53,7 +54,9 @@ def type2_ports(signature: Signature, nodes: FuzzySet, ctrl: FuzzyRelation) -> f
         row = rows.get(v)
         if not row:
             continue
-        best = ctrl.frame.join_all(d for _k, d in row)
+        best = row[0][1]
+        for _k, d in row[1:]:
+            best = best.join(d)
         chosen = min(k for k, d in row if d == best)
         ports.update((v, i) for i in range(signature.arity_of(chosen)))
     return frozenset(ports)
@@ -77,13 +80,9 @@ class Type2FuzzyPlaceGraph:
         frame.check_value(degree)
         self.nodes = nodes
         self.degree = degree
-        carrier = nodes.support
-        self.ctrl = _as_relation(frame, ctrl, carrier, signature.controls)
+        self.ctrl = _as_relation(frame, ctrl, nodes.support, signature.controls)
         self.prnt = _as_relation(
-            frame,
-            prnt,
-            frozenset(range(self.inner)) | carrier,
-            carrier | frozenset(range(self.outer)),
+            frame, prnt, *_prnt_domain(self.inner, self.outer, nodes.support)
         )
 
     @property
@@ -384,6 +383,8 @@ def compose_type2_place(
                 if not kappa.leq(leg):
                     continue
                 routed = degree.meet(leg)
+                if routed is not degree and routed is not leg and routed.is_bottom():
+                    continue  # two positive legs meet at bottom only off a chain
                 prev = entries.get((child, target))
                 entries[(child, target)] = routed if prev is None else prev.join(routed)
 
@@ -391,15 +392,12 @@ def compose_type2_place(
         if child in g.node_support and kappa.leq(g.nodes.membership(child)):
             entries[(child, parent)] = degree
 
+    nodes = f.nodes.union(g.nodes)
+    prnt = FuzzyRelation._trusted(
+        frame, *_prnt_domain(f.inner, g.outer, nodes.support), entries
+    )
     return Type2FuzzyPlaceGraph(
-        frame,
-        f.signature,
-        f.inner,
-        g.outer,
-        f.nodes.union(g.nodes),
-        f.ctrl.union(g.ctrl),
-        entries,
-        kappa,
+        frame, f.signature, f.inner, g.outer, nodes, f.ctrl.union(g.ctrl), prnt, kappa
     )
 
 
@@ -443,6 +441,8 @@ def compose_type2_link(
                 if not kappa.leq(leg):
                     continue
                 routed = degree.meet(leg)
+                if routed is not degree and routed is not leg and routed.is_bottom():
+                    continue  # two positive legs meet at bottom only off a chain
                 prev = entries.get((point, link_target))
                 entries[(point, link_target)] = (
                     routed if prev is None else prev.join(routed)
@@ -452,15 +452,20 @@ def compose_type2_link(
         if point in g.ports:
             entries[(point, target)] = degree
 
+    edges = f.edges.union(g.edges)
+    # The composite's ports are f's and g's: their node sets are disjoint.
+    link = FuzzyRelation._trusted(
+        frame, f.inner | f.ports | g.ports, edges.support | g.outer, entries
+    )
     return Type2FuzzyLinkGraph(
         frame,
         f.signature,
         f.inner,
         g.outer,
         f.nodes.union(g.nodes),
-        f.edges.union(g.edges),
+        edges,
         f.ctrl.union(g.ctrl),
-        entries,
+        link,
         kappa,
     )
 

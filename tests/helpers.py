@@ -6,14 +6,53 @@ import random
 
 from fuzzybig import (
     Bigraph,
+    FuzzyRelation,
     Interface,
     LinkGraph,
     PlaceGraph,
     Signature,
+    TWO_POINT,
     UNIT_INTERVAL,
+    chain,
 )
+from fuzzybig.lattice import Frame
 
 H_SIGNATURE = Signature({"K": 2, "L": 1, "M": 0})
+
+ALL_FRAMES = (UNIT_INTERVAL, chain(5), TWO_POINT)
+
+
+class DiamondFrame(Frame):
+    """The four-element Boolean lattice: ``{a}`` and ``{b}`` are both above
+    bottom, and their meet is bottom, a degree neither operand holds."""
+
+    name = "diamond"
+
+    def _contains(self, raw) -> bool:
+        return isinstance(raw, frozenset) and raw <= {"a", "b"}
+
+    def _leq(self, a, b) -> bool:
+        return a <= b
+
+    def _meet(self, a, b):
+        return a & b
+
+    def _join(self, a, b):
+        return a | b
+
+    def _bottom_raw(self):
+        return frozenset()
+
+    def _top_raw(self):
+        return frozenset("ab")
+
+
+def assert_checked_rebuild(*relations: FuzzyRelation) -> None:
+    """Each relation survives a rebuild through the public checked
+    constructor, and the rebuild compares equal to it."""
+    for rel in relations:
+        rebuilt = FuzzyRelation(rel.frame, rel.domain, rel.codomain, rel.entry_dict())
+        assert rebuilt == rel
 
 
 def d(text: str):

@@ -20,6 +20,7 @@ from fuzzybig import (
     rename_crisp,
     tensor_crisp,
     validate_bigraph,
+    validate_place_graph,
 )
 from fuzzybig.errors import (
     InterfaceMismatchError,
@@ -225,3 +226,34 @@ def test_randomized_compositions_stay_valid_and_associative():
                   or set(a.outer.names) & set(b.outer.names)) else None
         if ab is not None:
             assert validate_bigraph(ab).ok
+
+
+# --- cyclicity ----------------------------------------------------------------
+
+
+def test_cyclic_parent_chains_are_reported_per_node_in_sorted_order():
+    prnt = {
+        "c1": "c2", "c2": "c3", "c3": "c1",  # a pure cycle
+        "t1": "t2", "t2": "k1", "k1": "k2", "k2": "k1",  # a tail into a cycle
+        "d1": "d2",  # a dead end: d2 has no parent entry
+        "f1": "f2", "f2": 0, "f3": 1, "f4": "f1",  # a valid forest
+    }
+    nodes = set(prnt) | {"d2"}
+    sig = Signature({"K": 0})
+    p = PlaceGraph(sig, 0, 2, nodes, {v: "K" for v in nodes}, prnt)
+    report = validate_place_graph(p)
+    cyclic = [m for m in report.problems if "cyclic" in m]
+    assert cyclic == [
+        f"parent map is cyclic at node {v!r}"
+        for v in ("c1", "c2", "c3", "d1", "k1", "k2", "t1", "t2")
+    ]
+    assert "parent map is not total: 'd2' has no parent" in report.problems
+
+
+def test_deep_crisp_nesting_validates():
+    depth = 10_000
+    names = [f"n{i}" for i in range(depth)]
+    prnt = {names[i]: names[i + 1] for i in range(depth - 1)}
+    prnt[names[-1]] = 0
+    p = PlaceGraph(Signature({"K": 0}), 0, 1, names, {v: "K" for v in names}, prnt)
+    assert validate_place_graph(p).ok

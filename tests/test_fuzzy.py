@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzybig import (
     FuzzyBigraph,
     FuzzyLinkGraph,
     FuzzyPlaceGraph,
+    FuzzyRelation,
     Interface,
     Signature,
     TWO_POINT,
@@ -38,9 +41,10 @@ from fuzzybig.errors import (
     SupportOverlapError,
 )
 from fuzzybig.fuzzy import SupportTranslation, skeleton_is_acyclic
-from fuzzybig.generators import random_fuzzy_chain
+from fuzzybig.generators import random_fuzzy_bigraph, random_fuzzy_chain
+from fuzzybig.lattice import FiniteChainFrame, chain
 
-from helpers import H_SIGNATURE, d, make_h
+from helpers import ALL_FRAMES, H_SIGNATURE, assert_checked_rebuild, d, make_h
 
 U = UNIT_INTERVAL
 SIG = Signature({"K": 2, "L": 1, "M": 3})
@@ -451,3 +455,79 @@ def test_middle_case_matches_grid_rederivation_and_is_monotone():
                 ]
                 assert any(degree == x for x in bounds) or degree == U.join_all(bounds)
                 assert degree.leq(U.join_all(bounds))
+
+
+# --- composites built without re-checking --------------------------------------------
+
+
+def assert_fuzzy_rebuilds(b: FuzzyBigraph) -> None:
+    """Every relation of ``b``, and ``b`` itself, rebuild through the public
+    checked constructors from plain entry dicts and compare equal."""
+    assert_checked_rebuild(b.ctrl, b.prnt, b.link.ctrl, b.link.link)
+    place = FuzzyPlaceGraph(
+        b.frame, b.signature, b.place.inner, b.place.outer, b.nodes,
+        b.ctrl.entry_dict(), b.prnt.entry_dict(),
+    )
+    link = FuzzyLinkGraph(
+        b.frame, b.signature, b.link.inner, b.link.outer, b.nodes, b.edges,
+        b.link.ctrl.entry_dict(), b.link.link.entry_dict(),
+    )
+    assert FuzzyBigraph(place, link) == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_FRAMES), st.integers(min_value=0, max_value=2**32 - 1))
+def test_composites_and_tensors_pass_the_checked_constructors(frame, seed):
+    rng = random.Random(seed)
+    f, g, h = random_fuzzy_chain(rng, frame, H_SIGNATURE, 3)
+    assert_fuzzy_rebuilds(compose_fuzzy(g, f))
+    assert_fuzzy_rebuilds(compose_fuzzy(h, compose_fuzzy(g, f)))
+    assert_fuzzy_rebuilds(compose_fuzzy(identity_bigraph(f.outer, frame, H_SIGNATURE), f))
+    left = random_fuzzy_bigraph(
+        rng, frame, H_SIGNATURE, Interface(1, {"a"}), Interface(2, {"b"}), prefix="l"
+    )
+    right = random_fuzzy_bigraph(
+        rng, frame, H_SIGNATURE, Interface(2, {"c"}), Interface(1, {"d"}), prefix="r"
+    )
+    assert_fuzzy_rebuilds(tensor_fuzzy(left, right))
+
+
+def test_relation_over_another_domain_is_still_checked():
+    wide_prnt = FuzzyRelation(U, {"a", "x"}, {"a", 0}, {("a", 0): U.top, ("x", 0): d("1/2")})
+    with pytest.raises(ValueError):
+        place(0, 1, ("a",), {("a", "K"): U.top}, wide_prnt)
+    wide_ctrl = FuzzyRelation(U, {"a", "x"}, SIG.controls, {("x", "K"): U.top})
+    with pytest.raises(ValueError):
+        place(0, 1, ("a",), wide_ctrl, {("a", 0): U.top})
+    wide_link = FuzzyRelation(U, {("v", 0), ("v", 5)}, {"y"}, {(("v", 5), "y"): U.top})
+    with pytest.raises(ValueError):
+        link_graph((), ("y",), ("v",), (), {("v", "L"): U.top}, wide_link)
+    # in-range entries over a wider domain are accepted and re-homed
+    ok = FuzzyRelation(U, {"a", "x"}, {"a", 0}, {("a", 0): U.top})
+    p = place(0, 1, ("a",), {("a", "K"): U.top}, ok)
+    assert p.prnt == FuzzyRelation(U, {"a"}, {"a", 0}, {("a", 0): U.top})
+
+
+def test_relation_over_an_equal_but_separate_frame_is_rebuilt():
+    other = FiniteChainFrame(5)
+    prnt = FuzzyRelation(other, {"a"}, {"a", 0}, {("a", 0): other.value(3)})
+    p = place(0, 1, ("a",), {("a", "K"): chain(5).top}, prnt, frame=chain(5))
+    assert p.prnt.frame is chain(5)
+    assert p.prnt.degree("a", 0) == chain(5).value(3)
+
+
+def _deep_chain_place(depth: int, frame=U) -> FuzzyPlaceGraph:
+    nodes = [f"n{i}" for i in range(depth)]
+    prnt = {(nodes[i], nodes[i + 1]): frame.top for i in range(depth - 1)}
+    prnt[(nodes[-1], 0)] = frame.top
+    return place(0, 1, nodes, {(v, "K"): frame.top for v in nodes}, prnt, frame=frame)
+
+
+def test_deep_nesting_validates_without_recursion():
+    deep = _deep_chain_place(10_000)
+    assert skeleton_is_acyclic(deep.prnt, deep.nodes)
+    assert validate_fuzzy_place(deep).ok
+    looped = FuzzyPlaceGraph(
+        U, SIG, 0, 1, deep.nodes, deep.ctrl, deep.prnt.with_entry("n9999", "n0", U.top)
+    )
+    assert not skeleton_is_acyclic(looped.prnt, looped.nodes)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fuzzybig import TWO_POINT, UNIT_INTERVAL, chain, frame_from_name, join_all, meet
 from fuzzybig.errors import FrameMismatchError
+from fuzzybig.lattice import FiniteChainFrame
 
 CHAIN5 = chain(5)
 
@@ -135,3 +136,33 @@ def test_frame_names_round_trip():
         frame_from_name("lattice:oops")
     with pytest.raises(ValueError):
         frame_from_name("chain:x")
+
+
+def test_meet_and_join_on_a_chain_return_an_operand():
+    for frame, low, high in (
+        (UNIT_INTERVAL, d("1/3"), d("2/3")),
+        (CHAIN5, CHAIN5.value(1), CHAIN5.value(3)),
+        (TWO_POINT, TWO_POINT.bottom, TWO_POINT.top),
+    ):
+        assert low.meet(high) is low and high.meet(low) is low
+        assert low.join(high) is high and high.join(low) is high
+
+
+def test_separately_built_chain_degrees_still_combine():
+    other = FiniteChainFrame(5)
+    assert other is not CHAIN5 and other == CHAIN5
+    high, low = other.value(3), CHAIN5.value(1)
+    assert high.meet(low) == CHAIN5.value(1) and low.meet(high) == CHAIN5.value(1)
+    assert high.join(low) == CHAIN5.value(3) and low.join(high) == CHAIN5.value(3)
+    assert low.leq(high) and not high.leq(low)
+    assert CHAIN5.join_all([high, low]) == CHAIN5.value(3)
+    assert other.value(2) == CHAIN5.value(2)
+    CHAIN5.check_value(high)
+    with pytest.raises(FrameMismatchError):
+        high.meet(chain(4).value(1))
+    with pytest.raises(FrameMismatchError):
+        CHAIN5.value(1).join(chain(4).value(1))
+    with pytest.raises(FrameMismatchError):
+        UNIT_INTERVAL.top.meet(TWO_POINT.top)
+    with pytest.raises(FrameMismatchError):
+        CHAIN5.check_value(UNIT_INTERVAL.top)

@@ -1,12 +1,17 @@
 """Fuzzy relation and fuzzy set behaviour: normal form, composition, union."""
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzybig import FuzzyRelation, FuzzySet, UNIT_INTERVAL, identity_relation
 from fuzzybig.errors import FrameMismatchError
+from fuzzybig.generators import random_degree
 from fuzzybig.lattice import TWO_POINT
+
+from helpers import ALL_FRAMES, DiamondFrame, assert_checked_rebuild
 
 U = UNIT_INTERVAL
 
@@ -119,3 +124,52 @@ def test_fuzzy_set_normal_form_and_union():
 def test_fuzzy_set_translate():
     s = FuzzySet(U, {"a": d("1/2")})
     assert s.translate({"a": "z"}).membership("z") == d("1/2")
+
+
+# --- results built without re-checking ------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_FRAMES), st.integers(min_value=0, max_value=2**32 - 1))
+def test_then_and_union_results_pass_the_checked_constructor(frame, seed):
+    rng = random.Random(seed)
+
+    def random_relation(domain, codomain):
+        return FuzzyRelation(
+            frame,
+            domain,
+            codomain,
+            {(a, b): random_degree(rng, frame) for a in domain for b in codomain},
+        )
+
+    r = random_relation({"a", "b", 0}, {"x", "y", 1})
+    s = random_relation({"x", "y", 1}, {"p", 2, ("v", 0)})
+    t = random_relation({"c", 3}, {"x", "q"})
+    ident = identity_relation(frame, {"x", "y", 1})
+    assert_checked_rebuild(
+        r.then(s),
+        r.then(ident),
+        r.union(t),
+        r.union(t).then(s.union(identity_relation(frame, {"q"}))),
+        identity_relation(frame, {"c", 3}).union(r).then(t.union(s)),
+    )
+
+
+def test_then_drops_meets_that_fall_to_bottom_off_a_chain():
+    frame = DiamondFrame()
+    a, b = frame.value(frozenset("a")), frame.value(frozenset("b"))
+    r = FuzzyRelation(frame, {"x"}, {"m1", "m2"}, {("x", "m1"): a, ("x", "m2"): a})
+    s = FuzzyRelation(frame, {"m1", "m2"}, {"z"}, {("m1", "z"): b, ("m2", "z"): frame.top})
+    out = r.then(s)
+    assert out.entry_dict() == {("x", "z"): a}
+    assert_checked_rebuild(out)
+    clash = FuzzyRelation(frame, {"m1"}, {"z"}, {("m1", "z"): b})
+    assert len(r.then(clash)) == 0
+    assert_checked_rebuild(r.then(clash))
+
+
+def test_fuzzy_set_support_is_fixed_at_construction():
+    s = FuzzySet(U, {"a": d("1/2"), "b": d("0")})
+    assert s.support == frozenset({"a"})
+    assert s.support is s.support
+    assert s.with_membership("c", d("1/3")).support == {"a", "c"}

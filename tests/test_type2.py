@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzybig import (
     FuzzySet,
@@ -29,8 +31,9 @@ from fuzzybig import (
 from fuzzybig.errors import InterfaceMismatchError, SupportOverlapError
 from fuzzybig.fuzzy import SupportTranslation
 from fuzzybig.generators import random_interface, random_type2_bigraph, random_type2_chain
+from fuzzybig.type2 import validate_type2_place
 
-from helpers import d, make_h
+from helpers import ALL_FRAMES, DiamondFrame, assert_checked_rebuild, d, make_h
 from type2_oracle import refilter_link, refilter_place
 
 U = UNIT_INTERVAL
@@ -393,3 +396,77 @@ def test_support_equivalence_is_symmetric_and_transitive_on_examples():
         assert find_support_equivalence(f, g) is not None
         assert find_support_equivalence(g, f) is not None   # symmetric
         assert find_support_equivalence(f, h) is not None   # transitive chain
+
+
+# --- composites built without re-checking --------------------------------------------
+
+
+def assert_type2_rebuilds(b: Type2FuzzyBigraph) -> None:
+    """Every relation of ``b``, and ``b`` itself, rebuild through the public
+    checked constructors from plain entries and compare equal."""
+    assert_checked_rebuild(b.ctrl, b.place.prnt, b.link.ctrl, b.link.link)
+    nodes = FuzzySet(b.frame, dict(b.nodes.items()))
+    place = Type2FuzzyPlaceGraph(
+        b.frame, b.signature, b.place.inner, b.place.outer, nodes,
+        b.ctrl.entry_dict(), b.place.prnt.entry_dict(), b.place.degree,
+    )
+    link = Type2FuzzyLinkGraph(
+        b.frame, b.signature, b.link.inner, b.link.outer, nodes,
+        FuzzySet(b.frame, dict(b.edges.items())),
+        b.link.ctrl.entry_dict(), b.link.link.entry_dict(), b.link.degree,
+    )
+    assert Type2FuzzyBigraph(place, link) == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ALL_FRAMES),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_type2_composites_pass_the_checked_constructors(frame, coherent, seed):
+    rng = random.Random(seed)
+    f, g, h = random_type2_chain(rng, frame, SIG, 3, coherent=coherent)
+    assert_type2_rebuilds(compose_type2(g, f))
+    assert_type2_rebuilds(compose_type2(h, compose_type2(g, f)))
+    assert_type2_rebuilds(compose_type2(identity_type2_bigraph(f.outer, frame, SIG), f))
+
+
+def test_type2_routes_meeting_at_bottom_are_dropped_off_a_chain():
+    frame = DiamondFrame()
+    a, b, top = frame.value(frozenset("a")), frame.value(frozenset("b")), frame.top
+    members = FuzzySet(frame, {"u": top})
+    f = Type2FuzzyPlaceGraph(
+        frame, SIG, 0, 1, members, {("u", "K"): top}, {("u", 0): a}, frame.bottom
+    )
+    g = Type2FuzzyPlaceGraph(frame, SIG, 1, 1, FuzzySet(frame), {}, {(0, 0): b}, top)
+    place = compose_type2_place(g, f)
+    assert len(place.prnt) == 0
+    assert_checked_rebuild(place.prnt)
+    f = Type2FuzzyLinkGraph(
+        frame, SIG, (), ("x",), members, FuzzySet(frame),
+        {("u", "L"): top}, {(("u", 0), "x"): a}, frame.bottom,
+    )
+    g = Type2FuzzyLinkGraph(
+        frame, SIG, ("x",), ("y",), FuzzySet(frame), FuzzySet(frame), {}, {("x", "y"): b}, top
+    )
+    link = compose_type2_link(g, f)
+    assert len(link.link) == 0
+    assert_checked_rebuild(link.link)
+
+
+def test_deep_type2_nesting_validates_without_recursion():
+    depth = 10_000
+    names = [f"n{i}" for i in range(depth)]
+    prnt = {(names[i], names[i + 1]): U.top for i in range(depth - 1)}
+    prnt[(names[-1], 0)] = U.top
+    deep = Type2FuzzyPlaceGraph(
+        U, SIG, 0, 1, FuzzySet(U, {v: U.top for v in names}),
+        {(v, "K"): U.top for v in names}, prnt, U.top,
+    )
+    assert validate_type2_place(deep).ok
+    prnt[(names[-1], names[0])] = d("1/2")
+    looped = Type2FuzzyPlaceGraph(
+        U, SIG, 0, 1, deep.nodes, deep.ctrl, prnt, U.top,
+    )
+    assert not validate_type2_place(looped).ok
