@@ -37,6 +37,7 @@ from .fuzzy import (
     tensor_fuzzy_place,
 )
 from .generators import random_arrow_system
+from .relations import FuzzyRelation
 from .type2 import (
     Type2FuzzyBigraph,
     Type2FuzzyLinkGraph,
@@ -274,17 +275,22 @@ def _cmd_translate_check(args) -> int:
     if isinstance(g, Bigraph):
         g = fuzzify(g)
     if isinstance(f, FuzzyBigraph) and isinstance(g, FuzzyBigraph):
-        translation = SupportTranslation(rho.get("nodes", {}), rho.get("edges", {}))
+        maps = [
+            {a: b for a, b in _rho_entries(rho, part, dom, cod, f.frame, rows=False)}
+            for part, dom, cod in (("nodes", f.nodes, g.nodes), ("edges", f.edges, g.edges))
+        ]
+        translation = SupportTranslation(*maps)
         report = check_support_translation(translation, f, g)
     elif isinstance(f, Type2FuzzyBigraph) and isinstance(g, Type2FuzzyBigraph):
         frame = left_doc.frame
-        node_rel = _decode_rho_relation(
-            frame, rho.get("nodes", []), f.nodes.support, g.nodes.support
-        )
-        edge_rel = _decode_rho_relation(
-            frame, rho.get("edges", []), f.link.edge_support, g.link.edge_support
-        )
-        report = check_type2_support_translation(node_rel, edge_rel, f, g)
+        relations = [
+            FuzzyRelation(frame, dom, cod, _rho_entries(rho, part, dom, cod, frame, rows=True))
+            for part, dom, cod in (
+                ("nodes", f.nodes.support, g.nodes.support),
+                ("edges", f.link.edge_support, g.link.edge_support),
+            )
+        ]
+        report = check_type2_support_translation(*relations, f, g)
     else:
         raise ModelError(
             "translate-check needs two bigraphs of matching flavour "
@@ -305,24 +311,40 @@ def _cmd_translate_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def _decode_rho_relation(frame, rows, domain, codomain):
-    from .relations import FuzzyRelation
+def _rho_entries(rho: dict, part: str, domain, codomain, frame, rows: bool) -> dict:
+    """One part ("nodes" or "edges") of a renaming file, as a map from
+    (source, target) pairs to degrees.
 
-    if isinstance(rows, dict):
-        # bijection shorthand: lift to the canonical fuzzy relation
-        entries = {}
-        for a, b in rows.items():
-            entries[(a, b)] = frame.top
-        return FuzzyRelation(frame, domain, codomain, entries)
+    The object form ``{source: target}`` gives each pair degree top; with
+    ``rows`` (type-2 files) a list of ``[source, target, degree]`` rows is
+    accepted too.  Every fault, including an identifier the graphs do not
+    have, is a parse error.
+    """
+    value = rho.get(part, {})
+    if isinstance(value, dict):
+        listed = [[a, b, None] for a, b in value.items()]
+    elif rows and isinstance(value, list):
+        listed = value
+    else:
+        raise ParseError(
+            f"renaming {part} must be an object" + (" or a list of rows" if rows else "")
+        )
+    what = part[:-1]
     entries = {}
-    for i, row in enumerate(rows):
+    for i, row in enumerate(listed):
         if not (isinstance(row, list) and len(row) == 3):
             raise ParseError(f"renaming row {i} must be [from, to, degree]")
-        entries[(row[0], row[1])] = frame.parse_degree(row[2])
-    try:
-        return FuzzyRelation(frame, domain, codomain, entries)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        a, b, text = row
+        for ident, pool, side in ((a, domain, "source"), (b, codomain, "target")):
+            if not isinstance(ident, str):
+                raise ParseError(f"renaming {what} identifiers are strings, got {ident!r}")
+            if ident not in pool:
+                raise ParseError(f"renaming mentions unknown {side} {what} {ident!r}")
+        try:
+            entries[(a, b)] = frame.top if text is None else frame.parse_degree(text)
+        except ValueError as exc:
+            raise ParseError(f"renaming row {i}: {exc}") from None
+    return entries
 
 
 def _cmd_laws(args) -> int:

@@ -363,24 +363,10 @@ def tensor_crisp(f: Bigraph, g: Bigraph) -> Bigraph:
 
 def identity_crisp(interface: Interface, signature: Signature) -> Bigraph:
     """The crisp identity bigraph at an interface."""
-    place = PlaceGraph(
-        signature,
-        interface.width,
-        interface.width,
-        frozenset(),
-        {},
-        {i: i for i in range(interface.width)},
-    )
-    link = LinkGraph(
-        signature,
-        interface.names,
-        interface.names,
-        frozenset(),
-        frozenset(),
-        {},
-        {x: x for x in interface.names},
-    )
-    return Bigraph(place, link)
+    from .fuzzy import defuzzify, identity_bigraph
+    from .lattice import TWO_POINT
+
+    return defuzzify(identity_bigraph(interface, TWO_POINT, signature))
 
 
 def _check_renaming(mapping: Mapping[str, str], domain: frozenset[str], what: str):
@@ -390,6 +376,27 @@ def _check_renaming(mapping: Mapping[str, str], domain: frozenset[str], what: st
     images = [mapping.get(x, x) for x in domain]
     if len(set(images)) != len(images):
         raise ValueError(f"renaming is not injective on {what}s")
+
+
+def _element_renaming(node_map: Mapping[str, str], edge_map: Mapping[str, str]):
+    """The renamings a node and an edge renaming induce on each sort of
+    element: nodes, place elements (sites, nodes, roots), points (inner
+    names, ports) and link targets (edges, outer names).  Identifiers the
+    maps leave out keep their names."""
+
+    def node(v):
+        return node_map.get(v, v)
+
+    def place_elem(e):
+        return node_map.get(e, e) if isinstance(e, str) else e
+
+    def point(q):
+        return (node_map.get(q[0], q[0]), q[1]) if isinstance(q, tuple) else q
+
+    def target(t):
+        return edge_map.get(t, t)
+
+    return node, place_elem, point, target
 
 
 def rename_crisp(
@@ -402,35 +409,23 @@ def rename_crisp(
     edge_map = dict(edge_map or {})
     _check_renaming(node_map, b.nodes, "node")
     _check_renaming(edge_map, b.edges, "edge")
-
-    def nm(v):
-        return node_map.get(v, v)
-
-    def place_elem(e):
-        return nm(e) if isinstance(e, str) else e
-
+    node, place_elem, point, target = _element_renaming(node_map, edge_map)
+    nodes = {node(v) for v in b.nodes}
     place = PlaceGraph(
         b.signature,
         b.place.inner,
         b.place.outer,
-        {nm(v) for v in b.nodes},
-        {nm(v): k for v, k in b.place.ctrl.items()},
+        nodes,
+        {node(v): k for v, k in b.place.ctrl.items()},
         {place_elem(c): place_elem(p) for c, p in b.place.prnt.items()},
     )
-
-    def point_elem(q):
-        return (nm(q[0]), q[1]) if isinstance(q, tuple) else q
-
-    def target_elem(t):
-        return edge_map.get(t, t) if t in b.edges else t
-
     link = LinkGraph(
         b.signature,
         b.link.inner,
         b.link.outer,
-        {nm(v) for v in b.nodes},
-        {edge_map.get(e, e) for e in b.edges},
-        {nm(v): k for v, k in b.link.ctrl.items()},
-        {point_elem(q): target_elem(t) for q, t in b.link.link.items()},
+        nodes,
+        {target(e) for e in b.edges},
+        {node(v): k for v, k in b.link.ctrl.items()},
+        {point(q): target(t) for q, t in b.link.link.items()},
     )
     return Bigraph(place, link)

@@ -17,7 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .crisp import Bigraph, Interface, LinkGraph, PlaceGraph, Port, Signature
+from .crisp import (
+    Bigraph,
+    Interface,
+    LinkGraph,
+    PlaceGraph,
+    Port,
+    Signature,
+    _element_renaming,
+    _freeze_ids,
+)
 from .errors import (
     InterfaceMismatchError,
     NameClashError,
@@ -27,7 +36,7 @@ from .errors import (
     ValidationReport,
 )
 from .lattice import TWO_POINT, Frame
-from .relations import FuzzyRelation, identity_relation
+from .relations import FuzzyRelation, _route, identity_relation
 
 
 def derive_ports(signature: Signature, ctrl: FuzzyRelation) -> frozenset[Port]:
@@ -71,12 +80,15 @@ def _prnt_domain(inner: int, outer: int, carrier: frozenset) -> tuple[frozenset,
     return frozenset(range(inner)) | carrier, carrier | frozenset(range(outer))
 
 
-def _check_ids(ids, what: str) -> frozenset[str]:
-    out = frozenset(ids)
-    for ident in out:
-        if not isinstance(ident, str):
-            raise TypeError(f"{what} identifiers are strings, got {ident!r}")
-    return out
+def _require_apart(nodes, edges, outer) -> None:
+    """A link graph's edges share no identifier with its nodes or its outer
+    names."""
+    shared = nodes & edges
+    if shared:
+        raise ValueError(f"node and edge identifiers overlap: {sorted(shared)}")
+    shared = edges & outer
+    if shared:
+        raise ValueError(f"edge identifiers collide with outer names: {sorted(shared)}")
 
 
 class FuzzyPlaceGraph:
@@ -92,7 +104,7 @@ class FuzzyPlaceGraph:
         self.outer = int(outer)
         if self.inner < 0 or self.outer < 0:
             raise ValueError("interface widths must be natural numbers")
-        self.nodes = _check_ids(nodes, "node")
+        self.nodes = _freeze_ids(nodes, "node")
         self.ctrl = _as_relation(frame, ctrl, self.nodes, signature.controls)
         self.prnt = _as_relation(
             frame, prnt, *_prnt_domain(self.inner, self.outer, self.nodes)
@@ -137,18 +149,11 @@ class FuzzyLinkGraph:
     def __init__(self, frame, signature, inner, outer, nodes, edges, ctrl, link):
         self.frame = frame
         self.signature = signature
-        self.inner = _check_ids(inner, "inner name")
-        self.outer = _check_ids(outer, "outer name")
-        self.nodes = _check_ids(nodes, "node")
-        self.edges = _check_ids(edges, "edge")
-        shared = self.nodes & self.edges
-        if shared:
-            raise ValueError(f"node and edge identifiers overlap: {sorted(shared)}")
-        shared = self.edges & self.outer
-        if shared:
-            raise ValueError(
-                f"edge identifiers collide with outer names: {sorted(shared)}"
-            )
+        self.inner = _freeze_ids(inner, "inner name")
+        self.outer = _freeze_ids(outer, "outer name")
+        self.nodes = _freeze_ids(nodes, "node")
+        self.edges = _freeze_ids(edges, "edge")
+        _require_apart(self.nodes, self.edges, self.outer)
         self.ctrl = _as_relation(frame, ctrl, self.nodes, signature.controls)
         self.ports = derive_ports(signature, self.ctrl)
         self.link = _as_relation(
@@ -267,6 +272,40 @@ def _require_disjoint_support(f_sup, g_sup) -> None:
         raise SupportOverlapError(f"supports overlap on {sorted(shared)}")
 
 
+def _require_place_composable(g, f, f_nodes, g_nodes) -> None:
+    """Preconditions of ``g . f`` on place graphs of either fuzzy kind."""
+    _require_compatible(g, f)
+    if f.outer != g.inner:
+        raise InterfaceMismatchError(
+            f"place interface mismatch: expected inner width {f.outer}, got {g.inner}"
+        )
+    _require_disjoint_nodes(f_nodes, g_nodes)
+
+
+def _require_link_composable(g, f, f_support, g_support, f_edges) -> None:
+    """Preconditions of ``g . f`` on link graphs of either fuzzy kind."""
+    _require_compatible(g, f)
+    if f.outer != g.inner:
+        raise InterfaceMismatchError(
+            "link interface mismatch: expected inner names "
+            f"{{{','.join(sorted(f.outer))}}}, got {{{','.join(sorted(g.inner))}}}"
+        )
+    _require_disjoint_support(f_support, g_support)
+    clash = f_edges & g.outer
+    if clash:
+        raise NameClashError(
+            f"edge identifiers collide with outer names: {sorted(clash)}"
+        )
+
+
+def _require_bigraph_composable(g, f, f_support, g_support) -> None:
+    if f.outer != g.inner:
+        raise InterfaceMismatchError(
+            f"interface mismatch: expected {f.outer}, got {g.inner}"
+        )
+    _require_disjoint_support(f_support, g_support)
+
+
 # --- composition ------------------------------------------------------------
 
 
@@ -277,22 +316,9 @@ def compose_fuzzy_place(g: FuzzyPlaceGraph, f: FuzzyPlaceGraph) -> FuzzyPlaceGra
     parent mass sits on a root j of f is routed into g through site j, at
     the join over j of the meet of the two legs.
     """
-    _require_compatible(g, f)
-    if f.outer != g.inner:
-        raise InterfaceMismatchError(
-            f"place interface mismatch: expected inner width {f.outer}, got {g.inner}"
-        )
-    _require_disjoint_nodes(f.nodes, g.nodes)
-    entries: dict = {}
-    for (child, parent), degree in f.prnt.items():
-        if parent in f.nodes:
-            entries[(child, parent)] = degree
-    for pair, degree in f.prnt.then(g.prnt).items():
-        entries[pair] = degree
-    for (child, parent), degree in g.prnt.items():
-        if child in g.nodes:
-            entries[(child, parent)] = degree
+    _require_place_composable(g, f, f.nodes, g.nodes)
     nodes = f.nodes | g.nodes
+    entries = _route(f.prnt, g.prnt, f.nodes, g.nodes, f.frame.bottom, (), ())
     prnt = FuzzyRelation._trusted(f.frame, *_prnt_domain(f.inner, g.outer, nodes), entries)
     return FuzzyPlaceGraph(
         f.frame, f.signature, f.inner, g.outer, nodes, f.ctrl.union(g.ctrl), prnt
@@ -301,28 +327,9 @@ def compose_fuzzy_place(g: FuzzyPlaceGraph, f: FuzzyPlaceGraph) -> FuzzyPlaceGra
 
 def compose_fuzzy_link(g: FuzzyLinkGraph, f: FuzzyLinkGraph) -> FuzzyLinkGraph:
     """Composite ``g . f`` of fuzzy link graphs f: X->Y and g: Y->Z."""
-    _require_compatible(g, f)
-    if f.outer != g.inner:
-        raise InterfaceMismatchError(
-            "link interface mismatch: expected inner names "
-            f"{{{','.join(sorted(f.outer))}}}, got {{{','.join(sorted(g.inner))}}}"
-        )
-    _require_disjoint_support(f.nodes | f.edges, g.nodes | g.edges)
-    clash = f.edges & g.outer
-    if clash:
-        raise NameClashError(
-            f"edge identifiers collide with outer names: {sorted(clash)}"
-        )
-    entries: dict = {}
-    for (point, target), degree in f.link.items():
-        if target in f.edges:
-            entries[(point, target)] = degree
-    for pair, degree in f.link.then(g.link).items():
-        entries[pair] = degree
-    for (point, target), degree in g.link.items():
-        if point in g.ports:
-            entries[(point, target)] = degree
+    _require_link_composable(g, f, f.nodes | f.edges, g.nodes | g.edges, f.edges)
     edges = f.edges | g.edges
+    entries = _route(f.link, g.link, f.edges, g.ports, f.frame.bottom, (), ())
     # The composite's ports are f's and g's: their node sets are disjoint.
     link = FuzzyRelation._trusted(
         f.frame, f.inner | f.ports | g.ports, edges | g.outer, entries
@@ -341,11 +348,7 @@ def compose_fuzzy_link(g: FuzzyLinkGraph, f: FuzzyLinkGraph) -> FuzzyLinkGraph:
 
 def compose_fuzzy(g: FuzzyBigraph, f: FuzzyBigraph) -> FuzzyBigraph:
     """Componentwise composite of fuzzy bigraphs f: I->J and g: J->K."""
-    if f.outer != g.inner:
-        raise InterfaceMismatchError(
-            f"interface mismatch: expected {f.outer}, got {g.inner}"
-        )
-    _require_disjoint_support(f.nodes | f.edges, g.nodes | g.edges)
+    _require_bigraph_composable(g, f, f.nodes | f.edges, g.nodes | g.edges)
     return FuzzyBigraph(
         compose_fuzzy_place(g.place, f.place),
         compose_fuzzy_link(g.link, f.link),
@@ -498,36 +501,27 @@ def translate_fuzzy(f: FuzzyBigraph, rho: SupportTranslation) -> FuzzyBigraph:
         raise ValueError("node renaming does not cover exactly the node set")
     if set(rho.edge_map) != set(f.edges):
         raise ValueError("edge renaming does not cover exactly the edge set")
-    nm = rho.node_map
-
-    def place_elem(e):
-        return nm[e] if isinstance(e, str) else e
-
+    node, place_elem, point, target = _element_renaming(rho.node_map, rho.edge_map)
+    nodes = rho.node_map.values()
+    ctrl = f.ctrl.translate(node)
     place = FuzzyPlaceGraph(
         f.frame,
         f.signature,
         f.place.inner,
         f.place.outer,
-        {nm[v] for v in f.nodes},
-        {(nm[v], k): d for (v, k), d in f.ctrl.items()},
-        {(place_elem(c), place_elem(p)): d for (c, p), d in f.prnt.items()},
+        nodes,
+        ctrl,
+        f.prnt.translate(place_elem, place_elem),
     )
-
-    def point_elem(q):
-        return (nm[q[0]], q[1]) if isinstance(q, tuple) else q
-
-    def target_elem(t):
-        return rho.edge_map[t] if t in f.edges else t
-
     link = FuzzyLinkGraph(
         f.frame,
         f.signature,
         f.link.inner,
         f.link.outer,
-        {nm[v] for v in f.nodes},
-        {rho.edge_map[e] for e in f.edges},
-        {(nm[v], k): d for (v, k), d in f.ctrl.items()},
-        {(point_elem(q), target_elem(t)): d for (q, t), d in f.link.link.items()},
+        nodes,
+        rho.edge_map.values(),
+        ctrl,
+        f.link.link.translate(point, target),
     )
     return FuzzyBigraph(place, link)
 
@@ -560,6 +554,17 @@ class TranslationReport:
     def __str__(self) -> str:
         head = "support translation: " + ("pass" if self.ok else "FAIL")
         return "\n".join([head] + [f"  {c}" for c in self.checks])
+
+
+def _translated_sides(f_rel, g_rel, rho_sources, rho_targets, inner, outer):
+    """The two sides of a translation inequality: g's relation pulled back
+    along the renaming of its sources, and f's relation pushed forward
+    along the renaming of its targets (interface positions map to
+    themselves)."""
+    frame = f_rel.frame
+    pulled = identity_relation(frame, inner).union(rho_sources).then(g_rel)
+    pushed = f_rel.then(rho_targets.union(identity_relation(frame, outer)))
+    return pulled, pushed
 
 
 def check_support_translation(
@@ -630,10 +635,9 @@ def check_support_translation(
     )
 
     # 3a. parent inequality: g's parents, pulled back along rho, dominate f's.
-    id_sites = identity_relation(frame, range(f.place.inner))
-    id_roots = identity_relation(frame, range(f.place.outer))
-    lhs = id_sites.union(rho_nodes).then(g.prnt)
-    rhs = f.prnt.then(rho_nodes.union(id_roots))
+    lhs, rhs = _translated_sides(
+        f.prnt, g.prnt, rho_nodes, rho_nodes, range(f.place.inner), range(f.place.outer)
+    )
     ok_prnt = rhs.leq(lhs)
     checks.append(
         TranslationCheck(
@@ -644,10 +648,9 @@ def check_support_translation(
     )
 
     # 3b. link inequality, same shape on points and links.
-    id_inner = identity_relation(frame, f.link.inner)
-    id_outer = identity_relation(frame, f.link.outer)
-    lhs = id_inner.union(rho_ports).then(g.link.link)
-    rhs = f.link.link.then(rho_edges.union(id_outer))
+    lhs, rhs = _translated_sides(
+        f.link.link, g.link.link, rho_ports, rho_edges, f.link.inner, f.link.outer
+    )
     ok_link = rhs.leq(lhs)
     checks.append(
         TranslationCheck(

@@ -192,6 +192,13 @@ class Frame:
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Unit-interval degree text is bounded before ``Fraction`` expands it: an
+# exponent of ``"1e-999999999"`` alone would build a billion-digit power.
+# Accepted degrees have at most this many digits above and below the bar,
+# so every one of them formats back to text.
+_MAX_DEGREE_DIGITS = 1000
+_DEGREE_LIMIT = 10**_MAX_DEGREE_DIGITS
+
 
 class UnitIntervalFrame(Frame):
     """Exact rationals in [0, 1] under the usual order."""
@@ -206,7 +213,9 @@ class UnitIntervalFrame(Frame):
             )
         if isinstance(raw, bool):
             raise TypeError("unit-interval degrees are rationals, not booleans")
-        if isinstance(raw, (int, str)):
+        if isinstance(raw, str):
+            return self._parse(raw)
+        if isinstance(raw, int):
             raw = Fraction(raw)
         return raw
 
@@ -223,10 +232,29 @@ class UnitIntervalFrame(Frame):
         return _ONE
 
     def _parse(self, text: str):
+        has_exponent = "e" in text or "E" in text
+        if has_exponent:
+            try:
+                too_far = abs(int(text.lower().rpartition("e")[2])) > _MAX_DEGREE_DIGITS
+            except ValueError:
+                too_far = False  # not an exponent: Fraction rejects the text
+            if too_far:
+                raise ValueError(
+                    f"{text!r} has an exponent beyond ±{_MAX_DEGREE_DIGITS}"
+                )
         try:
-            return Fraction(text)
+            raw = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{text!r} is not an exact rational: {exc}") from exc
+        # Without an exponent, a text shorter than the bound stays within it.
+        if (has_exponent or len(text) >= _MAX_DEGREE_DIGITS) and (
+            abs(raw.numerator) >= _DEGREE_LIMIT or raw.denominator >= _DEGREE_LIMIT
+        ):
+            raise ValueError(
+                f"{text!r} has more than {_MAX_DEGREE_DIGITS} digits "
+                "in its numerator or denominator"
+            )
+        return raw
 
     def _format(self, raw) -> str:
         return str(raw)

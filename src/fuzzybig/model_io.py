@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .crisp import (
     Bigraph,
@@ -162,14 +163,18 @@ def _encode_elem(element):
     return element
 
 
-def _decode_names(value, path: str) -> frozenset[str]:
+def _decode_names(value, path: str, what: str = "name") -> frozenset[str]:
     names = _expect_array(value, path)
     out = []
     for i, name in enumerate(names):
         out.append(_expect_string(name, f"{path}[{i}]"))
     if len(set(out)) != len(out):
-        raise ParseError("duplicate name", path)
+        raise ParseError(f"duplicate {what}", path)
     return frozenset(out)
+
+
+def _decode_ids(value, frame: Frame, path: str) -> frozenset[str]:
+    return _decode_names(value, path, "identifier")
 
 
 def _decode_interface(value, path: str) -> Interface:
@@ -181,7 +186,7 @@ def _decode_interface(value, path: str) -> Interface:
     )
 
 
-def _decode_crisp_nodes(value, signature: Signature, path: str):
+def _decode_crisp_nodes(value, frame: Frame, signature: Signature, path: str):
     rows = _expect_array(value, path)
     nodes, ctrl = [], {}
     for i, row in enumerate(rows):
@@ -200,16 +205,6 @@ def _decode_crisp_nodes(value, signature: Signature, path: str):
     return frozenset(nodes), ctrl
 
 
-def _decode_id_list(value, path: str) -> frozenset[str]:
-    rows = _expect_array(value, path)
-    out = []
-    for i, ident in enumerate(rows):
-        out.append(_expect_string(ident, f"{path}[{i}]"))
-    if len(set(out)) != len(out):
-        raise ParseError("duplicate identifier", path)
-    return frozenset(out)
-
-
 def _decode_graded_ids(value, frame: Frame, path: str) -> FuzzySet:
     rows = _expect_array(value, path)
     entries = {}
@@ -225,7 +220,7 @@ def _decode_graded_ids(value, frame: Frame, path: str) -> FuzzySet:
     return FuzzySet(frame, entries)
 
 
-def _decode_pairs(value, decode_a, decode_b, path: str):
+def _decode_pairs(value, frame, decode_a, decode_b, path: str):
     rows = _expect_array(value, path)
     out = {}
     for i, row in enumerate(rows):
@@ -264,32 +259,6 @@ def _build(constructor, path: str, *args, **kwargs):
         raise ParseError(str(exc), path) from None
 
 
-def _decode_string_target(value, path: str) -> str:
-    return _expect_string(value, path)
-
-
-# --- graph record decoders -----------------------------------------------------
-
-
-def _decode_crisp_place(obj, frame, signature, path):
-    _expect_keys(obj, path, ("kind", "inner", "outer", "nodes", "prnt"))
-    nodes, ctrl = _decode_crisp_nodes(obj["nodes"], signature, f"{path}.nodes")
-    prnt = _decode_pairs(
-        obj["prnt"], _decode_place_elem, _decode_place_elem, f"{path}.prnt"
-    )
-    _check_place_refs(prnt, nodes, f"{path}.prnt")
-    return _build(
-        PlaceGraph,
-        path,
-        signature,
-        _expect_nat(obj["inner"], f"{path}.inner"),
-        _expect_nat(obj["outer"], f"{path}.outer"),
-        nodes,
-        ctrl,
-        prnt,
-    )
-
-
 def _check_place_refs(prnt: dict, nodes: frozenset, path: str) -> None:
     for child, parent in prnt.items():
         for elem in (child, parent):
@@ -310,262 +279,168 @@ def _check_link_refs(link: dict, nodes, edges, inner, outer, path: str) -> None:
             )
 
 
-def _decode_crisp_link(obj, frame, signature, path):
-    _expect_keys(obj, path, ("kind", "inner", "outer", "nodes", "edges", "link"))
-    nodes, ctrl = _decode_crisp_nodes(obj["nodes"], signature, f"{path}.nodes")
-    inner = _decode_names(obj["inner"], f"{path}.inner")
-    outer = _decode_names(obj["outer"], f"{path}.outer")
-    edges = _decode_id_list(obj["edges"], f"{path}.edges")
-    link = _decode_pairs(
-        obj["link"], _decode_point, _decode_string_target, f"{path}.link"
-    )
-    _check_link_refs(link, nodes, edges, inner, outer, f"{path}.link")
-    return _build(
-        LinkGraph, path, signature, inner, outer, nodes, edges, ctrl, link
-    )
+def _check_crisp_refs(fields: dict, path: str) -> None:
+    """Crisp constructors accept dangling identifiers; a file may not."""
+    if "prnt" in fields:
+        _check_place_refs(fields["prnt"], fields["nodes"], f"{path}.prnt")
+    if "link" in fields:
+        _check_link_refs(
+            fields["link"],
+            fields["nodes"],
+            fields["edges"],
+            fields["inner"].names,
+            fields["outer"].names,
+            f"{path}.link",
+        )
 
 
-def _decode_crisp_bigraph(obj, frame, signature, path):
-    _expect_keys(
-        obj, path, ("kind", "inner", "outer", "nodes", "edges", "prnt", "link")
-    )
-    inner = _decode_interface(obj["inner"], f"{path}.inner")
-    outer = _decode_interface(obj["outer"], f"{path}.outer")
-    nodes, ctrl = _decode_crisp_nodes(obj["nodes"], signature, f"{path}.nodes")
-    edges = _decode_id_list(obj["edges"], f"{path}.edges")
-    prnt = _decode_pairs(
-        obj["prnt"], _decode_place_elem, _decode_place_elem, f"{path}.prnt"
-    )
-    _check_place_refs(prnt, nodes, f"{path}.prnt")
-    link = _decode_pairs(
-        obj["link"], _decode_point, _decode_string_target, f"{path}.link"
-    )
-    _check_link_refs(link, nodes, edges, inner.names, outer.names, f"{path}.link")
-    place = _build(
-        PlaceGraph, path, signature, inner.width, outer.width, nodes, ctrl, prnt
-    )
-    link_graph = _build(
-        LinkGraph, path, signature, inner.names, outer.names, nodes, edges, ctrl, link
-    )
-    return Bigraph(place, link_graph)
-
-
-def _check_relation_node_refs(entries, nodes, path):
-    for (v, _k) in entries:
+def _check_ctrl_refs(ctrl: dict, nodes: frozenset, path: str) -> None:
+    for (v, _k) in ctrl:
         if v not in nodes:
-            raise ParseError(f"undeclared node {v!r}", path)
+            raise ParseError(f"undeclared node {v!r}", f"{path}.ctrl")
 
 
-def _decode_fuzzy_place(obj, frame, signature, path):
-    _expect_keys(obj, path, ("kind", "inner", "outer", "nodes", "ctrl", "prnt"))
-    nodes = _decode_id_list(obj["nodes"], f"{path}.nodes")
-    ctrl = _decode_triples(
-        obj["ctrl"], frame, _decode_string_target, _decode_string_target, f"{path}.ctrl"
-    )
-    _check_relation_node_refs(ctrl, nodes, f"{path}.ctrl")
-    prnt = _decode_triples(
-        obj["prnt"], frame, _decode_place_elem, _decode_place_elem, f"{path}.prnt"
-    )
-    return _build(
-        FuzzyPlaceGraph,
-        path,
-        frame,
-        signature,
-        _expect_nat(obj["inner"], f"{path}.inner"),
-        _expect_nat(obj["outer"], f"{path}.outer"),
-        nodes,
-        ctrl,
-        prnt,
-    )
+# --- graph records --------------------------------------------------------------
 
 
-def _decode_fuzzy_link(obj, frame, signature, path):
-    _expect_keys(obj, path, ("kind", "inner", "outer", "nodes", "edges", "ctrl", "link"))
-    nodes = _decode_id_list(obj["nodes"], f"{path}.nodes")
-    edges = _decode_id_list(obj["edges"], f"{path}.edges")
-    ctrl = _decode_triples(
-        obj["ctrl"], frame, _decode_string_target, _decode_string_target, f"{path}.ctrl"
-    )
-    _check_relation_node_refs(ctrl, nodes, f"{path}.ctrl")
-    link = _decode_triples(
-        obj["link"], frame, _decode_point, _decode_string_target, f"{path}.link"
-    )
-    return _build(
-        FuzzyLinkGraph,
-        path,
-        frame,
-        signature,
-        _decode_names(obj["inner"], f"{path}.inner"),
-        _decode_names(obj["outer"], f"{path}.outer"),
-        nodes,
-        edges,
-        ctrl,
-        link,
-    )
+@dataclass(frozen=True)
+class _Flavour:
+    """How one flavour writes its graph records.
+
+    ``nodes`` decodes the node list into the node set and, for crisp
+    records, the control map; graded flavours keep controls in a ``ctrl``
+    relation.  ``entries`` decodes a relation field (crisp maps or graded
+    triples), ``check_refs`` rejects identifiers the record never declared,
+    ``lead`` gives the constructors' leading arguments, and the degree
+    fields are the interface degrees of the place and link parts.
+    """
+
+    nodes: Callable
+    edges: Callable
+    entries: Callable
+    check_refs: Callable
+    place: type
+    link: type
+    bigraph: type
+    lead: Callable
+    ctrl: tuple = ()
+    place_degree: tuple = ()
+    link_degree: tuple = ()
+    meet_degree: tuple = ()
 
 
-def _decode_fuzzy_bigraph(obj, frame, signature, path):
-    _expect_keys(
-        obj,
-        path,
-        ("kind", "inner", "outer", "nodes", "edges", "ctrl", "prnt", "link"),
-    )
-    inner = _decode_interface(obj["inner"], f"{path}.inner")
-    outer = _decode_interface(obj["outer"], f"{path}.outer")
-    nodes = _decode_id_list(obj["nodes"], f"{path}.nodes")
-    edges = _decode_id_list(obj["edges"], f"{path}.edges")
-    ctrl = _decode_triples(
-        obj["ctrl"], frame, _decode_string_target, _decode_string_target, f"{path}.ctrl"
-    )
-    _check_relation_node_refs(ctrl, nodes, f"{path}.ctrl")
-    prnt = _decode_triples(
-        obj["prnt"], frame, _decode_place_elem, _decode_place_elem, f"{path}.prnt"
-    )
-    link = _decode_triples(
-        obj["link"], frame, _decode_point, _decode_string_target, f"{path}.link"
-    )
-    place = _build(
-        FuzzyPlaceGraph,
-        path,
-        frame,
-        signature,
-        inner.width,
-        outer.width,
-        nodes,
-        ctrl,
-        prnt,
-    )
-    link_graph = _build(
-        FuzzyLinkGraph,
-        path,
-        frame,
-        signature,
-        inner.names,
-        outer.names,
-        nodes,
-        edges,
-        ctrl,
-        link,
-    )
-    return _build(FuzzyBigraph, path, place, link_graph)
-
-
-def _decode_type2_place(obj, frame, signature, path):
-    _expect_keys(obj, path, ("kind", "inner", "outer", "nodes", "ctrl", "prnt", "beta"))
-    nodes = _decode_graded_ids(obj["nodes"], frame, f"{path}.nodes")
-    ctrl = _decode_triples(
-        obj["ctrl"], frame, _decode_string_target, _decode_string_target, f"{path}.ctrl"
-    )
-    prnt = _decode_triples(
-        obj["prnt"], frame, _decode_place_elem, _decode_place_elem, f"{path}.prnt"
-    )
-    return _build(
-        Type2FuzzyPlaceGraph,
-        path,
-        frame,
-        signature,
-        _expect_nat(obj["inner"], f"{path}.inner"),
-        _expect_nat(obj["outer"], f"{path}.outer"),
-        nodes,
-        ctrl,
-        prnt,
-        _decode_degree(frame, obj["beta"], f"{path}.beta"),
-    )
-
-
-def _decode_type2_link(obj, frame, signature, path):
-    _expect_keys(
-        obj, path, ("kind", "inner", "outer", "nodes", "edges", "ctrl", "link", "delta")
-    )
-    return _build(
-        Type2FuzzyLinkGraph,
-        path,
-        frame,
-        signature,
-        _decode_names(obj["inner"], f"{path}.inner"),
-        _decode_names(obj["outer"], f"{path}.outer"),
-        _decode_graded_ids(obj["nodes"], frame, f"{path}.nodes"),
-        _decode_graded_ids(obj["edges"], frame, f"{path}.edges"),
-        _decode_triples(
-            obj["ctrl"], frame, _decode_string_target, _decode_string_target,
-            f"{path}.ctrl",
+_FLAVOURS = {
+    "crisp": _Flavour(
+        nodes=_decode_crisp_nodes,
+        edges=_decode_ids,
+        entries=_decode_pairs,
+        check_refs=_check_crisp_refs,
+        place=PlaceGraph,
+        link=LinkGraph,
+        bigraph=Bigraph,
+        lead=lambda frame, signature: (signature,),
+    ),
+    "fuzzy": _Flavour(
+        nodes=lambda value, frame, signature, path: (_decode_ids(value, frame, path), None),
+        edges=_decode_ids,
+        entries=_decode_triples,
+        check_refs=lambda f, path: _check_ctrl_refs(f["ctrl"], f["nodes"], path),
+        place=FuzzyPlaceGraph,
+        link=FuzzyLinkGraph,
+        bigraph=FuzzyBigraph,
+        lead=lambda frame, signature: (frame, signature),
+        ctrl=("ctrl",),
+    ),
+    "type2": _Flavour(
+        nodes=lambda value, frame, signature, path: (
+            _decode_graded_ids(value, frame, path),
+            None,
         ),
-        _decode_triples(
-            obj["link"], frame, _decode_point, _decode_string_target, f"{path}.link"
-        ),
-        _decode_degree(frame, obj["delta"], f"{path}.delta"),
-    )
-
-
-def _decode_type2_bigraph(obj, frame, signature, path):
-    _expect_keys(
-        obj,
-        path,
-        ("kind", "inner", "outer", "nodes", "edges", "ctrl", "prnt", "link",
-         "beta", "delta"),
-        optional=("gamma",),
-    )
-    inner = _decode_interface(obj["inner"], f"{path}.inner")
-    outer = _decode_interface(obj["outer"], f"{path}.outer")
-    nodes = _decode_graded_ids(obj["nodes"], frame, f"{path}.nodes")
-    edges = _decode_graded_ids(obj["edges"], frame, f"{path}.edges")
-    ctrl = _decode_triples(
-        obj["ctrl"], frame, _decode_string_target, _decode_string_target, f"{path}.ctrl"
-    )
-    prnt = _decode_triples(
-        obj["prnt"], frame, _decode_place_elem, _decode_place_elem, f"{path}.prnt"
-    )
-    link = _decode_triples(
-        obj["link"], frame, _decode_point, _decode_string_target, f"{path}.link"
-    )
-    beta = _decode_degree(frame, obj["beta"], f"{path}.beta")
-    delta = _decode_degree(frame, obj["delta"], f"{path}.delta")
-    place = _build(
-        Type2FuzzyPlaceGraph,
-        path,
-        frame,
-        signature,
-        inner.width,
-        outer.width,
-        nodes,
-        ctrl,
-        prnt,
-        beta,
-    )
-    link_graph = _build(
-        Type2FuzzyLinkGraph,
-        path,
-        frame,
-        signature,
-        inner.names,
-        outer.names,
-        nodes,
-        edges,
-        ctrl,
-        link,
-        delta,
-    )
-    bigraph = _build(Type2FuzzyBigraph, path, place, link_graph)
-    if "gamma" in obj:
-        gamma = _decode_degree(frame, obj["gamma"], f"{path}.gamma")
-        if gamma != bigraph.degree:
-            raise ParseError(
-                "gamma must be the meet of beta and delta", f"{path}.gamma"
-            )
-    return bigraph
-
-
-_DECODERS = {
-    "crisp-place": _decode_crisp_place,
-    "crisp-link": _decode_crisp_link,
-    "crisp-bigraph": _decode_crisp_bigraph,
-    "fuzzy-place": _decode_fuzzy_place,
-    "fuzzy-link": _decode_fuzzy_link,
-    "fuzzy-bigraph": _decode_fuzzy_bigraph,
-    "type2-place": _decode_type2_place,
-    "type2-link": _decode_type2_link,
-    "type2-bigraph": _decode_type2_bigraph,
+        edges=_decode_graded_ids,
+        entries=_decode_triples,
+        check_refs=lambda f, path: _check_ctrl_refs(f["ctrl"], f["nodes"].support, path),
+        place=Type2FuzzyPlaceGraph,
+        link=Type2FuzzyLinkGraph,
+        bigraph=Type2FuzzyBigraph,
+        lead=lambda frame, signature: (frame, signature),
+        ctrl=("ctrl",),
+        place_degree=("beta",),
+        link_degree=("delta",),
+        meet_degree=("gamma",),
+    ),
 }
+
+# Per part: its relation fields and how its interfaces are written.
+_PARTS = {
+    "place": (("prnt",), lambda value, path: Interface(_expect_nat(value, path))),
+    "link": (("link",), lambda value, path: Interface(0, _decode_names(value, path))),
+    "bigraph": (("prnt", "link"), _decode_interface),
+}
+
+_ENDPOINTS = {
+    "ctrl": (_expect_string, _expect_string),
+    "prnt": (_decode_place_elem, _decode_place_elem),
+    "link": (_decode_point, _expect_string),
+}
+
+
+def _decode_record(kind: str, obj: dict, frame: Frame, signature: Signature, path: str):
+    """Decode one graph record: the part table says which fields it has,
+    the flavour table how each of them is written and what it builds."""
+    flavour, _, part = kind.partition("-")
+    fl = _FLAVOURS[flavour]
+    relations, decode_interface = _PARTS[part]
+    has_place, has_link = "prnt" in relations, "link" in relations
+    place_degree = fl.place_degree if has_place else ()
+    link_degree = fl.link_degree if has_link else ()
+    edges = ("edges",) if has_link else ()
+    _expect_keys(
+        obj,
+        path,
+        ("kind", "inner", "outer", "nodes", *edges, *fl.ctrl, *relations,
+         *place_degree, *link_degree),
+        fl.meet_degree if has_place and has_link else (),
+    )
+
+    def at(key: str) -> str:
+        return f"{path}.{key}"
+
+    fields = {
+        "inner": decode_interface(obj["inner"], at("inner")),
+        "outer": decode_interface(obj["outer"], at("outer")),
+    }
+    fields["nodes"], fields["ctrl"] = fl.nodes(obj["nodes"], frame, signature, at("nodes"))
+    for key in edges:
+        fields[key] = fl.edges(obj[key], frame, at(key))
+    for key in fl.ctrl + relations:
+        fields[key] = fl.entries(obj[key], frame, *_ENDPOINTS[key], at(key))
+    fl.check_refs(fields, path)
+    for key in place_degree + link_degree:
+        fields[key] = _decode_degree(frame, obj[key], at(key))
+
+    lead = fl.lead(frame, signature)
+    inner, outer = fields["inner"], fields["outer"]
+    nodes, ctrl = fields["nodes"], fields["ctrl"]
+    parts = []
+    if has_place:
+        degrees = [fields[key] for key in place_degree]
+        parts.append(_build(
+            fl.place, path, *lead, inner.width, outer.width, nodes, ctrl,
+            fields["prnt"], *degrees,
+        ))
+    if has_link:
+        degrees = [fields[key] for key in link_degree]
+        parts.append(_build(
+            fl.link, path, *lead, inner.names, outer.names, nodes, fields["edges"],
+            ctrl, fields["link"], *degrees,
+        ))
+    if len(parts) == 1:
+        return parts[0]
+    bigraph = _build(fl.bigraph, path, *parts)
+    for key in fl.meet_degree:
+        if key in obj and _decode_degree(frame, obj[key], at(key)) != bigraph.degree:
+            raise ParseError(f"{key} must be the meet of beta and delta", at(key))
+    return bigraph
 
 
 def parse(text: str) -> ModelDocument:
@@ -596,10 +471,9 @@ def parse(text: str) -> ModelDocument:
         path = f"$.graphs.{name}"
         record = _expect_object(record, path)
         kind = _expect_string(record.get("kind", ""), f"{path}.kind")
-        decoder = _DECODERS.get(kind)
-        if decoder is None:
+        if kind not in KINDS:
             raise ParseError(f"unknown graph kind {kind!r}", f"{path}.kind")
-        graphs[name] = decoder(record, frame, signature, path)
+        graphs[name] = _decode_record(kind, record, frame, signature, path)
     return ModelDocument(frame, signature, graphs)
 
 
@@ -789,13 +663,9 @@ def _q(text: str) -> str:
 
 def _place_parts(graph):
     """The place part of any graph kind that has one, else None."""
-    if isinstance(graph, Bigraph):
+    if isinstance(graph, (Bigraph, FuzzyBigraph, Type2FuzzyBigraph)):
         graph = graph.place
-    if isinstance(graph, (FuzzyBigraph, Type2FuzzyBigraph)):
-        graph = graph.place
-    if isinstance(graph, PlaceGraph):
-        return graph
-    if isinstance(graph, (FuzzyPlaceGraph, Type2FuzzyPlaceGraph)):
+    if isinstance(graph, (PlaceGraph, FuzzyPlaceGraph, Type2FuzzyPlaceGraph)):
         return graph
     return None
 

@@ -109,19 +109,7 @@ class FuzzyRelation:
             raise FrameMismatchError(
                 f"cannot compose relations over {self.frame.name} and {other.frame.name}"
             )
-        by_mid: dict = {}
-        for (b, c), d in other._entries.items():
-            by_mid.setdefault(b, []).append((c, d))
-        out: dict = {}
-        for (a, b), d1 in self._entries.items():
-            for c, d2 in by_mid.get(b, ()):
-                deg = d1.meet(d2)
-                # A meet that returns an operand is positive; only a new
-                # degree (possible off a chain) can fall to bottom.
-                if deg is not d1 and deg is not d2 and deg.is_bottom():
-                    continue
-                prev = out.get((a, c))
-                out[(a, c)] = deg if prev is None else prev.join(deg)
+        out = _route(self, other, (), (), self.frame.bottom, (), ())
         return FuzzyRelation._trusted(self.frame, self.domain, other.codomain, out)
 
     def union(self, other: "FuzzyRelation") -> "FuzzyRelation":
@@ -151,13 +139,17 @@ class FuzzyRelation:
         dom_map: Callable | None = None,
         cod_map: Callable | None = None,
     ) -> "FuzzyRelation":
-        """Rename elements through the given callables (identity if None)."""
+        """Rename elements through the given callables (identity if None).
+
+        Every renamed entry keeps its checked degree and lands inside the
+        renamed domain and codomain, so the result is not re-checked.
+        """
         dm = dom_map or (lambda e: e)
         cm = cod_map or (lambda e: e)
-        return FuzzyRelation(
+        return FuzzyRelation._trusted(
             self.frame,
-            {dm(e) for e in self.domain},
-            {cm(e) for e in self.codomain},
+            map(dm, self.domain),
+            map(cm, self.codomain),
             {(dm(a), cm(b)): d for (a, b), d in self._entries.items()},
         )
 
@@ -188,6 +180,48 @@ class FuzzyRelation:
         )
 
 
+def _route(f_rel, g_rel, f_internal, g_internal, kappa, f_drop, g_drop) -> dict:
+    """Entries of the composite of ``f_rel`` then ``g_rel`` through their
+    shared interface, by the sup-min rule.
+
+    An entry ``(a, b)`` of f whose target lies in ``f_internal`` is copied;
+    any other target is an interface position, and the entry is routed
+    through every entry of g leaving that position, at the meet of the two
+    legs, parallel routes joining.  Entries of g whose source lies in
+    ``g_internal`` are copied last.  Above bottom, ``kappa`` guards the
+    type-2 composite: f's entries and g's routed legs must reach it.  The
+    sources in ``f_drop`` and ``g_drop`` (type-2 nodes whose membership
+    falls below kappa) lose their entries.  Operand entries are already
+    normal, so the result is too.
+    """
+    guarded = not kappa.is_bottom()
+    legs: dict = {}
+    kept = []
+    for (b, c), d in g_rel._entries.items():
+        if b in g_internal:
+            if b not in g_drop:
+                kept.append(((b, c), d))
+        elif not guarded or kappa.leq(d):
+            legs.setdefault(b, []).append((c, d))
+    out: dict = {}
+    for (a, b), d1 in f_rel._entries.items():
+        if a in f_drop or (guarded and not kappa.leq(d1)):
+            continue
+        if b in f_internal:
+            out[(a, b)] = d1
+            continue
+        for c, d2 in legs.get(b, ()):
+            deg = d1.meet(d2)
+            # A meet that returns an operand is positive; only a new
+            # degree (possible off a chain) can fall to bottom.
+            if deg is not d1 and deg is not d2 and deg.is_bottom():
+                continue
+            prev = out.get((a, c))
+            out[(a, c)] = deg if prev is None else prev.join(deg)
+    out.update(kept)
+    return out
+
+
 def identity_relation(frame: Frame, elements) -> FuzzyRelation:
     """The fuzzy identity: degree top on equal pairs, bottom elsewhere."""
     elements = frozenset(elements)
@@ -207,10 +241,7 @@ class FuzzySet:
     def __init__(self, frame: Frame, entries=()):
         self.frame = frame
         store: dict = {}
-        seen_pairs = (
-            entries.items() if isinstance(entries, Mapping) else entries
-        )
-        for element, degree in seen_pairs:
+        for element, degree in _as_entries(entries):
             frame.check_value(degree)
             if degree.is_bottom():
                 continue

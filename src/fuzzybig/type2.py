@@ -16,14 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crisp import Interface, Port, Signature
-from .errors import (
-    InterfaceMismatchError,
-    NameClashError,
-    SignatureMismatchError,
-    SupportOverlapError,
-    ValidationReport,
-)
+from .crisp import Interface, Port, Signature, _element_renaming
+from .errors import InterfaceMismatchError, ValidationReport
 from .fuzzy import (
     FuzzyBigraph,
     FuzzyLinkGraph,
@@ -33,10 +27,16 @@ from .fuzzy import (
     TranslationReport,
     _as_relation,
     _prnt_domain,
+    _require_apart,
+    _require_bigraph_composable,
+    _require_link_composable,
+    _require_place_composable,
+    _translated_sides,
+    identity_bigraph,
     skeleton_is_acyclic,
 )
 from .lattice import Frame, FrameValue
-from .relations import FuzzyRelation, FuzzySet, identity_relation
+from .relations import FuzzyRelation, FuzzySet, _route
 
 
 def type2_ports(signature: Signature, nodes: FuzzySet, ctrl: FuzzyRelation) -> frozenset[Port]:
@@ -141,14 +141,7 @@ class Type2FuzzyLinkGraph:
         self.nodes = nodes
         self.edges = edges
         self.degree = degree
-        shared = nodes.support & edges.support
-        if shared:
-            raise ValueError(f"node and edge identifiers overlap: {sorted(shared)}")
-        shared = edges.support & self.outer
-        if shared:
-            raise ValueError(
-                f"edge identifiers collide with outer names: {sorted(shared)}"
-            )
+        _require_apart(nodes.support, edges.support, self.outer)
         self.ctrl = _as_relation(frame, ctrl, nodes.support, signature.controls)
         self.ports = type2_ports(signature, nodes, self.ctrl)
         self.link = _as_relation(
@@ -331,11 +324,9 @@ def embed_bigraph(
 # --- composition ----------------------------------------------------------------
 
 
-def _require_compatible(g, f) -> None:
-    if f.frame != g.frame:
-        raise SignatureMismatchError(f"frames differ: {f.frame.name} vs {g.frame.name}")
-    if f.signature != g.signature:
-        raise SignatureMismatchError("signatures differ")
+def _below(kappa: FrameValue, fset: FuzzySet) -> set:
+    """Elements of ``fset`` whose membership falls below ``kappa``."""
+    return {x for x, d in fset.items() if not kappa.leq(d)}
 
 
 def compose_type2_place(
@@ -349,50 +340,19 @@ def compose_type2_place(
     kappa; g-internal entries need only the child's membership (the
     defining case places no degree threshold there).
     """
-    _require_compatible(g, f)
-    if f.outer != g.inner:
-        raise InterfaceMismatchError(
-            f"place interface mismatch: expected inner width {f.outer}, got {g.inner}"
-        )
-    shared = f.node_support & g.node_support
-    if shared:
-        raise SupportOverlapError(f"supports overlap on nodes {sorted(shared)}")
+    _require_place_composable(g, f, f.node_support, g.node_support)
     frame = f.frame
     kappa = f.degree.meet(g.degree)
-    top = frame.top
-
-    def memb_f(w):
-        return top if isinstance(w, int) else f.nodes.membership(w)
-
-    entries: dict = {}
-    g_rows: dict[int, list] = {}
-    for (child, parent), degree in g.prnt.items():
-        if isinstance(child, int):
-            g_rows.setdefault(child, []).append((parent, degree))
-
-    for (child, parent), degree in f.prnt.items():
-        if not kappa.leq(memb_f(child)):
-            continue
-        if parent in f.node_support:
-            if kappa.leq(degree):
-                entries[(child, parent)] = degree
-        else:  # parent is a root j of f: route through site j of g
-            if not kappa.leq(degree):
-                continue
-            for target, leg in g_rows.get(parent, ()):
-                if not kappa.leq(leg):
-                    continue
-                routed = degree.meet(leg)
-                if routed is not degree and routed is not leg and routed.is_bottom():
-                    continue  # two positive legs meet at bottom only off a chain
-                prev = entries.get((child, target))
-                entries[(child, target)] = routed if prev is None else prev.join(routed)
-
-    for (child, parent), degree in g.prnt.items():
-        if child in g.node_support and kappa.leq(g.nodes.membership(child)):
-            entries[(child, parent)] = degree
-
     nodes = f.nodes.union(g.nodes)
+    entries = _route(
+        f.prnt,
+        g.prnt,
+        f.node_support,
+        g.node_support,
+        kappa,
+        _below(kappa, f.nodes),
+        _below(kappa, g.nodes),
+    )
     prnt = FuzzyRelation._trusted(
         frame, *_prnt_domain(f.inner, g.outer, nodes.support), entries
     )
@@ -404,55 +364,23 @@ def compose_type2_place(
 def compose_type2_link(
     g: Type2FuzzyLinkGraph, f: Type2FuzzyLinkGraph
 ) -> Type2FuzzyLinkGraph:
-    """Threshold-guarded composite of type-2 fuzzy link graphs."""
-    _require_compatible(g, f)
-    if f.outer != g.inner:
-        raise InterfaceMismatchError(
-            "link interface mismatch: expected inner names "
-            f"{{{','.join(sorted(f.outer))}}}, got {{{','.join(sorted(g.inner))}}}"
-        )
-    f_support = f.node_support | f.edge_support
-    g_support = g.node_support | g.edge_support
-    shared = f_support & g_support
-    if shared:
-        raise SupportOverlapError(f"supports overlap on {sorted(shared)}")
-    clash = f.edge_support & g.outer
-    if clash:
-        raise NameClashError(
-            f"edge identifiers collide with outer names: {sorted(clash)}"
-        )
+    """Threshold-guarded composite of type-2 fuzzy link graphs.
+
+    f-internal entries and both legs of routed entries need their degree
+    at or above kappa; g-internal entries are copied unguarded, and no
+    entry is guarded by membership.
+    """
+    _require_link_composable(
+        g,
+        f,
+        f.node_support | f.edge_support,
+        g.node_support | g.edge_support,
+        f.edge_support,
+    )
     frame = f.frame
     kappa = f.degree.meet(g.degree)
-
-    entries: dict = {}
-    g_rows: dict[str, list] = {}
-    for (point, target), degree in g.link.items():
-        if isinstance(point, str):
-            g_rows.setdefault(point, []).append((target, degree))
-
-    for (point, target), degree in f.link.items():
-        if target in f.edge_support:
-            if kappa.leq(degree):
-                entries[(point, target)] = degree
-        else:  # target is an outer name of f: route into g
-            if not kappa.leq(degree):
-                continue
-            for link_target, leg in g_rows.get(target, ()):
-                if not kappa.leq(leg):
-                    continue
-                routed = degree.meet(leg)
-                if routed is not degree and routed is not leg and routed.is_bottom():
-                    continue  # two positive legs meet at bottom only off a chain
-                prev = entries.get((point, link_target))
-                entries[(point, link_target)] = (
-                    routed if prev is None else prev.join(routed)
-                )
-
-    for (point, target), degree in g.link.items():
-        if point in g.ports:
-            entries[(point, target)] = degree
-
     edges = f.edges.union(g.edges)
+    entries = _route(f.link, g.link, f.edge_support, g.ports, kappa, (), ())
     # The composite's ports are f's and g's: their node sets are disjoint.
     link = FuzzyRelation._trusted(
         frame, f.inner | f.ports | g.ports, edges.support | g.outer, entries
@@ -472,46 +400,15 @@ def compose_type2_link(
 
 def compose_type2(g: Type2FuzzyBigraph, f: Type2FuzzyBigraph) -> Type2FuzzyBigraph:
     """Pairwise composite; the result's degree is the meet of the inputs'."""
-    if f.outer != g.inner:
-        raise InterfaceMismatchError(
-            f"interface mismatch: expected {f.outer}, got {g.inner}"
-        )
-    f_support = f.nodes.support | f.link.edge_support
-    g_support = g.nodes.support | g.link.edge_support
-    shared = f_support & g_support
-    if shared:
-        raise SupportOverlapError(f"supports overlap on {sorted(shared)}")
+    _require_bigraph_composable(
+        g,
+        f,
+        f.nodes.support | f.link.edge_support,
+        g.nodes.support | g.link.edge_support,
+    )
     return Type2FuzzyBigraph(
         compose_type2_place(g.place, f.place),
         compose_type2_link(g.link, f.link),
-    )
-
-
-def identity_type2_place(width: int, frame: Frame, signature: Signature) -> Type2FuzzyPlaceGraph:
-    return Type2FuzzyPlaceGraph(
-        frame,
-        signature,
-        width,
-        width,
-        FuzzySet(frame),
-        {},
-        identity_relation(frame, range(width)),
-        frame.top,
-    )
-
-
-def identity_type2_link(names, frame: Frame, signature: Signature) -> Type2FuzzyLinkGraph:
-    names = frozenset(names)
-    return Type2FuzzyLinkGraph(
-        frame,
-        signature,
-        names,
-        names,
-        FuzzySet(frame),
-        FuzzySet(frame),
-        {},
-        identity_relation(frame, names),
-        frame.top,
     )
 
 
@@ -519,10 +416,7 @@ def identity_type2_bigraph(
     interface: Interface, frame: Frame, signature: Signature
 ) -> Type2FuzzyBigraph:
     """The type-2 identity: the fuzzy identity with plausibility degree top."""
-    return Type2FuzzyBigraph(
-        identity_type2_place(interface.width, frame, signature),
-        identity_type2_link(interface.names, frame, signature),
-    )
+    return embed_bigraph(identity_bigraph(interface, frame, signature))
 
 
 # --- support translation and equivalence ----------------------------------------
@@ -534,37 +428,28 @@ def translate_type2(f: Type2FuzzyBigraph, rho: SupportTranslation) -> Type2Fuzzy
         raise ValueError("node renaming does not cover exactly the node support")
     if set(rho.edge_map) != set(f.link.edge_support):
         raise ValueError("edge renaming does not cover exactly the edge support")
-    nm = rho.node_map
-
-    def place_elem(e):
-        return nm[e] if isinstance(e, str) else e
-
+    node, place_elem, point, target = _element_renaming(rho.node_map, rho.edge_map)
+    nodes = f.nodes.translate(rho.node_map)
+    ctrl = f.ctrl.translate(node)
     place = Type2FuzzyPlaceGraph(
         f.frame,
         f.signature,
         f.place.inner,
         f.place.outer,
-        f.nodes.translate(nm),
-        {(nm[v], k): d for (v, k), d in f.ctrl.items()},
-        {(place_elem(c), place_elem(p)): d for (c, p), d in f.place.prnt.items()},
+        nodes,
+        ctrl,
+        f.place.prnt.translate(place_elem, place_elem),
         f.place.degree,
     )
-
-    def point_elem(q):
-        return (nm[q[0]], q[1]) if isinstance(q, tuple) else q
-
-    def target_elem(t):
-        return rho.edge_map[t] if t in f.link.edge_support else t
-
     link = Type2FuzzyLinkGraph(
         f.frame,
         f.signature,
         f.link.inner,
         f.link.outer,
-        f.nodes.translate(nm),
+        nodes,
         f.edges.translate(rho.edge_map),
-        {(nm[v], k): d for (v, k), d in f.ctrl.items()},
-        {(point_elem(q), target_elem(t)): d for (q, t), d in f.link.link.items()},
+        ctrl,
+        f.link.link.translate(point, target),
         f.link.degree,
     )
     return Type2FuzzyBigraph(place, link)
@@ -578,28 +463,12 @@ def make_type2_translation(
     Following the published constraint, the relations depend only on the
     target's memberships: every pair (x, x') holds the membership of x'.
     """
-    frame = f.frame
-    node_rel = FuzzyRelation(
-        frame,
-        f.nodes.support,
-        g.nodes.support,
-        {
-            (v, w): g.nodes.membership(w)
-            for v in f.nodes.support
-            for w in g.nodes.support
-        },
-    )
-    edge_rel = FuzzyRelation(
-        frame,
-        f.link.edge_support,
-        g.link.edge_support,
-        {
-            (e, d): g.edges.membership(d)
-            for e in f.link.edge_support
-            for d in g.link.edge_support
-        },
-    )
-    return node_rel, edge_rel
+
+    def canonical(a: FuzzySet, b: FuzzySet) -> FuzzyRelation:
+        entries = {(x, y): d for x in a.support for y, d in b.items()}
+        return FuzzyRelation(f.frame, a.support, b.support, entries)
+
+    return canonical(f.nodes, g.nodes), canonical(f.edges, g.edges)
 
 
 def find_support_equivalence(
@@ -678,17 +547,13 @@ def check_type2_support_translation(
     rho_edges: FuzzyRelation,
     f: Type2FuzzyBigraph,
     g: Type2FuzzyBigraph,
-    *,
-    literal_link_inequality: bool = False,
 ) -> Type2TranslationReport:
     """Check the type-2 support-translation constraints from f to g.
 
     The membership constraints and both inequalities are evaluated exactly
-    as displayed (the link inequality is normalised to act on ports and
-    links unless ``literal_link_inequality`` asks for the published form,
-    which reuses the node relation and the parent relation).  Support
-    equivalence is reported when some bijective renaming of f reproduces g
-    degree for degree.
+    as displayed, with the link inequality normalised to act on ports and
+    links.  Support equivalence is reported when some bijective renaming of
+    f reproduces g degree for degree.
     """
     if f.inner != g.inner or f.outer != g.outer:
         raise InterfaceMismatchError(
@@ -707,32 +572,23 @@ def check_type2_support_translation(
 
     checks: list[TranslationCheck] = []
 
-    bad = [
-        (v, w)
-        for v in sorted(f.nodes.support)
-        for w in sorted(g.nodes.support)
-        if rho_nodes.degree(v, w) != g.nodes.membership(w)
-    ]
-    checks.append(
-        TranslationCheck(
-            "node relation matches target memberships",
-            not bad,
-            "" if not bad else f"first mismatch at {bad[0]}",
+    for what, rel, a, b in (
+        ("node", rho_nodes, f.nodes, g.nodes),
+        ("edge", rho_edges, f.edges, g.edges),
+    ):
+        bad = [
+            (x, y)
+            for x in sorted(a.support)
+            for y in sorted(b.support)
+            if rel.degree(x, y) != b.membership(y)
+        ]
+        checks.append(
+            TranslationCheck(
+                f"{what} relation matches target memberships",
+                not bad,
+                "" if not bad else f"first mismatch at {bad[0]}",
+            )
         )
-    )
-    bad = [
-        (e, d)
-        for e in sorted(f.link.edge_support)
-        for d in sorted(g.link.edge_support)
-        if rho_edges.degree(e, d) != g.edges.membership(d)
-    ]
-    checks.append(
-        TranslationCheck(
-            "edge relation matches target memberships",
-            not bad,
-            "" if not bad else f"first mismatch at {bad[0]}",
-        )
-    )
 
     # control preservation: g's controls pulled along the node relation stay
     # below f's.
@@ -771,10 +627,10 @@ def check_type2_support_translation(
         )
     )
 
-    id_sites = identity_relation(frame, range(f.place.inner))
-    id_roots = identity_relation(frame, range(f.place.outer))
-    lhs = id_sites.union(rho_nodes).then(g.place.prnt)
-    rhs = f.place.prnt.then(rho_nodes.union(id_roots))
+    lhs, rhs = _translated_sides(
+        f.place.prnt, g.place.prnt, rho_nodes, rho_nodes, range(f.place.inner),
+        range(f.place.outer),
+    )
     ok_prnt = lhs.leq(rhs)
     checks.append(
         TranslationCheck(
@@ -784,20 +640,13 @@ def check_type2_support_translation(
         )
     )
 
-    id_inner = identity_relation(frame, f.link.inner)
-    id_outer = identity_relation(frame, f.link.outer)
-    if literal_link_inequality:
-        lhs = id_inner.union(rho_nodes).then(g.link.link)
-        rhs = f.place.prnt.then(rho_nodes.union(id_roots))
-        label = "link inequality (literal form)"
-    else:
-        lhs = id_inner.union(rho_ports).then(g.link.link)
-        rhs = f.link.link.then(rho_edges.union(id_outer))
-        label = "link inequality"
+    lhs, rhs = _translated_sides(
+        f.link.link, g.link.link, rho_ports, rho_edges, f.link.inner, f.link.outer
+    )
     ok_link = lhs.leq(rhs)
     checks.append(
         TranslationCheck(
-            label,
+            "link inequality",
             ok_link,
             "" if ok_link else "translated link degrees exceed the bound",
         )

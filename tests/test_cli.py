@@ -194,3 +194,75 @@ def test_identical_invocations_print_identical_bytes(capsys):
     first = invoke(capsys, "support", H_PATH)
     second = invoke(capsys, "support", H_PATH)
     assert first == second
+
+
+# --- renaming-file faults are parse errors -----------------------------------
+
+
+def _type2_pair(tmp_path):
+    from fuzzybig import embed_bigraph
+
+    f = embed_bigraph(fuzzify(make_h(), U))
+    pf = tmp_path / "f.fbg.json"
+    save_document(ModelDocument(U, H_SIGNATURE, {"f": f}), pf)
+    return f, str(pf)
+
+
+def _check_rho(capsys, tmp_path, rho, left, right):
+    rho_path = tmp_path / "rho.json"
+    rho_path.write_text(json.dumps(rho))
+    return invoke(capsys, "translate-check", "--rho", str(rho_path), left, right)
+
+
+def test_type2_renaming_to_an_unknown_node_is_a_parse_error(tmp_path, capsys):
+    f, pf = _type2_pair(tmp_path)
+    identity = {v: v for v in f.nodes.support}
+    status, _out, err = _check_rho(
+        capsys, tmp_path, {"nodes": {**identity, "v0": "ghost"}}, pf, pf
+    )
+    assert status == 3
+    assert err.startswith("parse error:") and "'ghost'" in err
+    # the row form reports the same fault the same way
+    rows = [[v, w, "1"] for v, w in identity.items()] + [["v0", "ghost", "1"]]
+    status, _out, err = _check_rho(capsys, tmp_path, {"nodes": rows}, pf, pf)
+    assert status == 3
+    assert err.startswith("parse error:") and "'ghost'" in err
+
+
+def test_type2_renaming_row_with_a_numeric_degree_is_a_parse_error(tmp_path, capsys):
+    _f, pf = _type2_pair(tmp_path)
+    status, _out, err = _check_rho(capsys, tmp_path, {"nodes": [["v0", "v0", 1]]}, pf, pf)
+    assert status == 3
+    assert err.startswith("parse error:") and "row 0" in err
+
+
+def test_type2_renaming_row_with_a_list_element_is_a_parse_error(tmp_path, capsys):
+    _f, pf = _type2_pair(tmp_path)
+    status, _out, err = _check_rho(
+        capsys, tmp_path, {"nodes": [[["v0"], "v0", "1"]]}, pf, pf
+    )
+    assert status == 3
+    assert err.startswith("parse error:") and "unhashable" not in err
+
+
+def test_fuzzy_renaming_with_non_object_nodes_is_a_parse_error(tmp_path, capsys):
+    f = fuzzify(make_h(), U)
+    pf = tmp_path / "f.fbg.json"
+    save_document(ModelDocument(U, H_SIGNATURE, {"f": f}), pf)
+    for nodes in ([["v0", "v0"]], "v0", 7):
+        status, _out, err = _check_rho(
+            capsys, tmp_path, {"nodes": nodes}, str(pf), str(pf)
+        )
+        assert status == 3
+        assert err.startswith("parse error:") and "must be an object" in err
+
+
+def test_fuzzy_renaming_to_an_unknown_node_is_a_parse_error(tmp_path, capsys):
+    f = fuzzify(make_h(), U)
+    pf = tmp_path / "f.fbg.json"
+    save_document(ModelDocument(U, H_SIGNATURE, {"f": f}), pf)
+    rho = {"nodes": {**{v: v for v in f.nodes}, "v0": "ghost"},
+           "edges": {e: e for e in f.edges}}
+    status, _out, err = _check_rho(capsys, tmp_path, rho, str(pf), str(pf))
+    assert status == 3
+    assert err.startswith("parse error:") and "'ghost'" in err

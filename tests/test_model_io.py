@@ -1,8 +1,12 @@
 """Serialization: canonical bytes, round trips, parse errors, DOT export."""
 
+import json
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzybig import (
     ModelDocument,
@@ -241,3 +245,95 @@ def test_unknown_graph_name_is_an_error():
         export_dot(h_document(), "nope", "place")
     with pytest.raises(ModelError):
         export_dot(h_document(), "h", "sideways")
+
+
+# --- type-2 control references and degree text bounds ------------------------
+
+
+TYPE2_RECORDS = {
+    "type2-place": {
+        "inner": 0, "outer": 1, "prnt": [["v", 0, "1"]], "beta": "1",
+    },
+    "type2-link": {
+        "inner": [], "outer": ["y"], "edges": [], "link": [], "delta": "1",
+    },
+    "type2-bigraph": {
+        "inner": {"width": 0, "names": []}, "outer": {"width": 1, "names": ["y"]},
+        "edges": [], "prnt": [["v", 0, "1"]], "link": [], "beta": "1", "delta": "1",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TYPE2_RECORDS))
+def test_type2_control_of_an_undeclared_node_names_it(kind):
+    record = {
+        "kind": kind,
+        "nodes": [["v", "1"]],
+        "ctrl": [["v", "M", "1"], ["x", "M", "1"]],
+        **TYPE2_RECORDS[kind],
+    }
+    doc = {"frame": "unit-interval", "signature": {"controls": {"M": 0}},
+           "graphs": {"g": record}}
+    with pytest.raises(ParseError) as err:
+        parse(json.dumps(doc))
+    assert err.value.message == "undeclared node 'x'"
+    assert err.value.path == "$.graphs.g.ctrl"
+    # without the stray entry the record decodes
+    record["ctrl"] = record["ctrl"][:1]
+    assert parse(json.dumps(doc)).graph("g").ctrl.degree("v", "M") == U.top
+
+
+def _one_degree_document(degree: str) -> str:
+    return json.dumps({
+        "frame": "unit-interval",
+        "signature": {"controls": {"K": 0}},
+        "graphs": {"g": {
+            "kind": "fuzzy-place", "inner": 0, "outer": 1, "nodes": ["v"],
+            "ctrl": [["v", "K", degree]], "prnt": [["v", 0, "1"]],
+        }},
+    })
+
+
+@pytest.mark.parametrize("degree", ["1e-999999999", "0e999999999", "1e-5000", "1e-1000"])
+def test_huge_degree_exponents_are_rejected_promptly(degree):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse(_one_degree_document(degree))
+    assert time.perf_counter() - start < 1.0
+    assert err.value.path == "$.graphs.g.ctrl[0]"
+
+
+DEGREE_TEXT = st.one_of(
+    st.fractions(min_value=0, max_value=1).map(str),
+    st.builds(
+        lambda sign, digits, point, exp: f"{sign}{digits[:point]}.{digits[point:]}e{exp}",
+        st.sampled_from(["", "+", "-"]),
+        st.text("0123456789", min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=-6000, max_value=6000),
+    ),
+    st.builds(
+        lambda num, den: f"{num}/{den}",
+        st.integers(min_value=0, max_value=10**1100),
+        st.integers(min_value=1, max_value=10**1100),
+    ),
+    st.builds(lambda zeros: "0." + "0" * zeros + "1", st.integers(0, 4400)),
+    # either side of the digit bound and of the interpreter's 4,300-digit
+    # limit on int/str conversion
+    st.sampled_from(
+        [f"1e-{n}" for n in (999, 1000, 1001, 4299, 4300, 5000)]
+        + ["0." + "0" * n + "1" for n in (998, 999, 4298, 4299)]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DEGREE_TEXT)
+def test_every_accepted_degree_round_trips(text):
+    try:
+        doc = parse(_one_degree_document(text))
+    except ParseError:
+        return
+    again = parse(serialize(doc))
+    assert again == doc
+    assert serialize(again) == serialize(doc)
