@@ -216,7 +216,13 @@ def _decode_graded_ids(value, frame: Frame, path: str) -> FuzzySet:
         ident = _expect_string(row[0], rp)
         if ident in entries:
             raise ParseError(f"duplicate identifier {ident!r}", rp)
-        entries[ident] = _decode_degree(frame, row[1], rp)
+        degree = _decode_degree(frame, row[1], rp)
+        if degree.is_bottom():
+            raise ParseError(
+                f"graded identifier {ident!r} has membership bottom; list only positive ones",
+                rp,
+            )
+        entries[ident] = degree
     return FuzzySet(frame, entries)
 
 

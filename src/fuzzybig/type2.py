@@ -14,9 +14,11 @@ The serialization layer exposes the degrees under the field names
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
-from .crisp import Interface, Port, Signature, _element_renaming
+from .crisp import Interface, Port, Signature, _element_renaming, _freeze_ids
 from .errors import InterfaceMismatchError, ValidationReport
 from .fuzzy import (
     FuzzyBigraph,
@@ -131,8 +133,8 @@ class Type2FuzzyLinkGraph:
     def __init__(self, frame, signature, inner, outer, nodes, edges, ctrl, link, degree):
         self.frame = frame
         self.signature = signature
-        self.inner = frozenset(inner)
-        self.outer = frozenset(outer)
+        self.inner = _freeze_ids(inner, "inner name")
+        self.outer = _freeze_ids(outer, "outer name")
         if not isinstance(nodes, FuzzySet) or nodes.frame != frame:
             raise TypeError("nodes must be a FuzzySet over the same frame")
         if not isinstance(edges, FuzzySet) or edges.frame != frame:
@@ -471,61 +473,195 @@ def make_type2_translation(
     return canonical(f.nodes, g.nodes), canonical(f.edges, g.edges)
 
 
+def _support_structure(b: Type2FuzzyBigraph, codes: dict):
+    """``b`` as a vertex-coloured, arc-labelled digraph, for the
+    equivalence search.
+
+    Vertices are tagged by sort, so an inner name never meets a node of the
+    same spelling: ``("node", v)`` and ``("edge", e)`` are seeded with their
+    membership (and, for a node, its control row), while the interface
+    elements ``("site", i)``, ``("root", j)``, ``("inner", x)`` and
+    ``("outer", y)`` keep one fixed colour each.  Every parent and link entry
+    is an arc labelled by its degree (and a port's index).  Seeds and labels
+    are numbered through ``codes``, which both graphs share, so refinement
+    compares small integers only.  Returns the seed colours, keyed in
+    sorted vertex order, and per vertex a table from each neighbour to the
+    codes of the arcs between them; a code is twice the label's number,
+    plus one on the outgoing side.
+    """
+    rows: dict = {}
+    for (v, control), degree in b.ctrl.items():
+        rows.setdefault(v, set()).add((control, degree))
+    seed = {("node", v): ("node", d, frozenset(rows.get(v, ()))) for v, d in b.nodes.items()}
+    seed.update((("edge", e), ("edge", d)) for e, d in b.edges.items())
+    for sort, elements in (
+        ("site", range(b.place.inner)),
+        ("root", range(b.place.outer)),
+        ("inner", b.link.inner),
+        ("outer", b.link.outer),
+    ):
+        seed.update(((sort, x), (sort, x)) for x in elements)
+    colours = {v: codes.setdefault(seed[v], len(codes)) for v in sorted(seed)}
+    adjacency: dict = {v: {} for v in colours}
+
+    def arc(source, target, label):
+        code = 2 * codes.setdefault(label, len(codes))
+        adjacency[source].setdefault(target, set()).add(code + 1)
+        adjacency[target].setdefault(source, set()).add(code)
+
+    for (child, parent), d in b.place.prnt.items():
+        arc(
+            ("node", child) if isinstance(child, str) else ("site", child),
+            ("node", parent) if isinstance(parent, str) else ("root", parent),
+            ("prnt", d),
+        )
+    edges = b.edges.support
+    for (point, target), d in b.link.link.items():
+        if isinstance(point, tuple):
+            source, index = ("node", point[0]), point[1]
+        else:
+            source, index = ("inner", point), None
+        arc(source, ("edge" if target in edges else "outer", target), ("link", index, d))
+    return colours, adjacency
+
+
+def _refined_colours(f: Type2FuzzyBigraph, g: Type2FuzzyBigraph):
+    """Colour refinement of f and g against one shared palette.
+
+    Each round a vertex's new colour is its old one together with the
+    multiset of (arc code, neighbour colour) over its arcs; rounds stop when
+    the number of colours stops growing.  Returns both colourings and both
+    adjacency tables, or ``None`` as soon as f and g hold different numbers
+    of vertices of some colour.
+    """
+    codes: dict = {}
+    (f_col, f_adj), (g_col, g_adj) = _support_structure(f, codes), _support_structure(g, codes)
+    count = -1
+    while True:
+        histogram = Counter(f_col.values())
+        if histogram != Counter(g_col.values()):
+            return None
+        if len(histogram) in (count, len(f_col)):
+            return f_col, g_col, f_adj, g_adj
+        count = len(histogram)
+        palette: dict = {}
+        f_col, g_col = (
+            {
+                v: palette.setdefault((c, _arc_colours(adj[v], col)), len(palette))
+                for v, c in col.items()
+            }
+            for col, adj in ((f_col, f_adj), (g_col, g_adj))
+        )
+
+
+def _arc_colours(table: dict, colours: dict) -> tuple:
+    """The multiset of (arc code, neighbour colour) of one vertex, sorted."""
+    return tuple(sorted([(code, colours[w]) for w, codes in table.items() for code in codes]))
+
+
+def _search_order(colours: dict, adjacency: dict, cells: dict) -> list:
+    """f's vertices in the order the search maps them: the smallest colour
+    class first, among the vertices next to one already placed if there
+    are any, so that each new pair meets a mapped neighbour early."""
+
+    def rank(v):
+        return (len(cells[colours[v]]), colours[v], v)
+
+    order: list = []
+    placed: set = set()
+    rest = iter(sorted(colours, key=rank))
+    frontier: list = []
+    while len(order) < len(colours):
+        v = heappop(frontier)[1] if frontier else next(rest)
+        if v in placed:
+            continue
+        placed.add(v)
+        order.append(v)
+        for w in adjacency[v]:
+            if w not in placed:
+                heappush(frontier, (rank(w), w))
+    return order
+
+
 def find_support_equivalence(
     f: Type2FuzzyBigraph, g: Type2FuzzyBigraph
 ) -> SupportTranslation | None:
     """Search for a bijective renaming under which g is exactly the image of f.
 
-    Nodes (and edges) are grouped by membership degree and only
-    degree-compatible pairings are tried; the first renaming (in sorted
-    order) whose translate reproduces g is returned.
+    Colour refinement (:func:`_refined_colours`) first splits nodes and
+    edges into classes that any such renaming must preserve; if f and g
+    disagree on the size of a class, there is none.  Backtracking then
+    maps f's elements (smallest class first, preferring those next to an
+    element already mapped) to g's elements of the same colour in sorted
+    order, checking each new pair's parent and link entries against the
+    pairs already made.  A complete map is returned only if
+    ``translate_type2`` takes f to g under it.  The witness is the first
+    map in this search order to pass that check, so it does not depend on
+    the hash seed.  Returns ``None`` when no renaming exists.
     """
-    from itertools import permutations
-
-    if f.inner != g.inner or f.outer != g.outer:
+    if (f.frame, f.signature, f.inner, f.outer, f.place.degree, f.link.degree) != (
+        g.frame, g.signature, g.inner, g.outer, g.place.degree, g.link.degree
+    ):
         return None
-
-    def groups(a: FuzzySet, b: FuzzySet):
-        by_degree_a: dict = {}
-        by_degree_b: dict = {}
-        for x, d in a.items():
-            by_degree_a.setdefault(d, []).append(x)
-        for x, d in b.items():
-            by_degree_b.setdefault(d, []).append(x)
-        if set(by_degree_a) != set(by_degree_b):
-            return None
-        out = []
-        for d in by_degree_a:
-            xs, ys = sorted(by_degree_a[d]), sorted(by_degree_b[d])
-            if len(xs) != len(ys):
-                return None
-            out.append((xs, ys))
-        return out
-
-    node_groups = groups(f.nodes, g.nodes)
-    edge_groups = groups(f.edges, g.edges)
-    if node_groups is None or edge_groups is None:
+    refined = _refined_colours(f, g)
+    if refined is None:
         return None
+    f_col, g_col, f_adj, g_adj = refined
+    cells: dict = {}
+    for w, c in g_col.items():
+        cells.setdefault(c, []).append(w)
+    order = _search_order(f_col, f_adj, cells)
+    phi: dict = {}
+    used: set = set()
 
-    def pairings(group_list):
-        if not group_list:
-            yield {}
-            return
-        (xs, ys), rest = group_list[0], group_list[1:]
-        for tail in pairings(rest):
-            for perm in permutations(ys):
-                table = dict(tail)
-                table.update(zip(xs, perm))
-                yield table
+    def consistent(v, w) -> bool:
+        # every arc between v and a mapped vertex has its image at w, and
+        # w has no arc to a mapped vertex beyond those images
+        w_adj = g_adj[w]
+        matched = 0
+        for other, arcs in f_adj[v].items():
+            image = phi.get(other)
+            if image is not None:
+                if w_adj.get(image) != arcs:
+                    return False
+                matched += 1
+        return matched == sum(1 for other in w_adj if other in used)
 
-    for node_map in pairings(node_groups):
-        for edge_map in pairings(edge_groups):
-            rho = SupportTranslation(node_map, edge_map)
-            try:
-                if translate_type2(f, rho) == g:
-                    return rho
-            except ValueError:
+    picks = [0] * len(order)
+    depth = 0
+    while depth >= 0:
+        if depth == len(order):
+            maps = {"node": {}, "edge": {}}
+            for (sort, v), (_sort, w) in phi.items():
+                if sort in maps:
+                    maps[sort][v] = w
+            rho = SupportTranslation(maps["node"], maps["edge"])
+            if translate_type2(f, rho) == g:
+                return rho
+            depth -= 1
+            continue
+        v = order[depth]
+        if v in phi:
+            used.discard(phi.pop(v))
+        candidates = cells[f_col[v]]
+        i = picks[depth]
+        while i < len(candidates):
+            w = candidates[i]
+            i += 1
+            if w in used:
                 continue
+            phi[v] = w
+            used.add(w)
+            if consistent(v, w):
+                break
+            del phi[v]
+            used.discard(w)
+        else:
+            picks[depth] = 0
+            depth -= 1
+            continue
+        picks[depth] = i
+        depth += 1
     return None
 
 

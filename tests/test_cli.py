@@ -266,3 +266,30 @@ def test_fuzzy_renaming_to_an_unknown_node_is_a_parse_error(tmp_path, capsys):
     status, _out, err = _check_rho(capsys, tmp_path, rho, str(pf), str(pf))
     assert status == 3
     assert err.startswith("parse error:") and "'ghost'" in err
+
+
+# --- a well-formed renaming that is no bijection is a verdict, exit 1 ---------
+
+
+def test_fuzzy_renaming_merging_two_nodes_exits_one(tmp_path, capsys):
+    f = fuzzify(make_h(), U)
+    pf = tmp_path / "f.fbg.json"
+    save_document(ModelDocument(U, H_SIGNATURE, {"f": f}), pf)
+    rho = {"nodes": {**{v: v for v in f.nodes}, "v0": "v1"},
+           "edges": {e: e for e in f.edges}}
+    status, out, err = _check_rho(capsys, tmp_path, rho, str(pf), str(pf))
+    assert status == 1
+    assert out == ""
+    assert err == "error: the node renaming is not a bijection\n"
+
+
+def test_fuzzy_renaming_leaving_a_node_out_exits_one(tmp_path, capsys):
+    f = fuzzify(make_h(), U)
+    pf = tmp_path / "f.fbg.json"
+    save_document(ModelDocument(U, H_SIGNATURE, {"f": f}), pf)
+    rho = {"nodes": {v: v for v in f.nodes if v != "v0"},
+           "edges": {e: e for e in f.edges}}
+    status, out, err = _check_rho(capsys, tmp_path, rho, str(pf), str(pf))
+    assert status == 1
+    assert out == ""
+    assert err == "error: node renaming is not a bijection from f's nodes to g's\n"

@@ -283,6 +283,42 @@ def test_type2_control_of_an_undeclared_node_names_it(kind):
     assert parse(json.dumps(doc)).graph("g").ctrl.degree("v", "M") == U.top
 
 
+@pytest.mark.parametrize("kind", sorted(TYPE2_RECORDS))
+def test_type2_node_at_membership_zero_is_rejected_at_its_row(kind):
+    record = {
+        "kind": kind,
+        "nodes": [["v", "1"], ["w", "0"]],
+        "ctrl": [["v", "M", "1"], ["w", "M", "1"]],
+        **TYPE2_RECORDS[kind],
+    }
+    doc = {"frame": "unit-interval", "signature": {"controls": {"M": 0}},
+           "graphs": {"g": record}}
+    with pytest.raises(ParseError) as err:
+        parse(json.dumps(doc))
+    assert "'w'" in err.value.message and "bottom" in err.value.message
+    assert err.value.path == "$.graphs.g.nodes[1]"
+
+
+@pytest.mark.parametrize("kind", ["type2-link", "type2-bigraph"])
+def test_type2_edge_at_membership_zero_is_rejected_at_its_row(kind):
+    record = {
+        "kind": kind,
+        "nodes": [["v", "1"]],
+        "ctrl": [["v", "M", "1"]],
+        **TYPE2_RECORDS[kind],
+        "edges": [["e", "2"], ["f", "0"]],
+    }
+    doc = {"frame": "chain:5", "signature": {"controls": {"M": 0}},
+           "graphs": {"g": record}}
+    with pytest.raises(ParseError) as err:
+        parse(json.dumps(doc))
+    assert "'f'" in err.value.message and "bottom" in err.value.message
+    assert err.value.path == "$.graphs.g.edges[1]"
+    # without the zero row the record decodes
+    record["edges"] = record["edges"][:1]
+    assert parse(json.dumps(doc)).graph("g").edges.support == {"e"}
+
+
 def _one_degree_document(degree: str) -> str:
     return json.dumps({
         "frame": "unit-interval",

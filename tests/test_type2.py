@@ -1,6 +1,10 @@
 """Type-2 fuzzy bigraphs: graded ports, support, thresholds, translations."""
 
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +38,7 @@ from fuzzybig.generators import random_interface, random_type2_bigraph, random_t
 from fuzzybig.type2 import validate_type2_place
 
 from helpers import ALL_FRAMES, DiamondFrame, assert_checked_rebuild, d, make_h
-from type2_oracle import refilter_link, refilter_place
+from type2_oracle import brute_force_equivalence, refilter_link, refilter_place
 
 U = UNIT_INTERVAL
 SIG = Signature({"K": 2, "L": 1, "M": 3, "Z": 0})
@@ -470,3 +474,246 @@ def test_deep_type2_nesting_validates_without_recursion():
         U, SIG, 0, 1, deep.nodes, deep.ctrl, prnt, U.top,
     )
     assert not validate_type2_place(looped).ok
+
+
+def test_type2_link_graph_rejects_non_string_names():
+    with pytest.raises(TypeError, match="inner name identifiers are strings"):
+        Type2FuzzyLinkGraph(U, SIG, [1, 2], ["y"], FuzzySet(U), FuzzySet(U), {}, {}, U.top)
+    with pytest.raises(TypeError, match="outer name identifiers are strings"):
+        Type2FuzzyLinkGraph(U, SIG, ["x"], [3], FuzzySet(U), FuzzySet(U), {}, {}, U.top)
+
+
+# --- the support-equivalence search against the brute-force oracle ----------------
+
+# Two positive levels per frame, so membership classes hold several nodes
+# and the structure repeats itself.
+LEVELS = {U.name: ("1/2", "1"), "chain:5": ("2", "4"), "two-point": ("1",)}
+
+
+def _levelled_bigraph(rng, frame, n_nodes, n_edges):
+    """A type-2 bigraph whose degrees all come from the frame's levels."""
+    levels = [frame.parse_degree(t) for t in LEVELS[frame.name]]
+    inner = Interface(rng.randint(0, 2), rng.sample(["x0", "x1"], rng.randint(0, 2)))
+    outer = Interface(rng.randint(1, 2), rng.sample(["y0", "y1"], rng.randint(0, 2)))
+    nodes = [f"v{i}" for i in range(n_nodes)]
+    members = {v: rng.choice(levels) for v in nodes}
+    ctrl = {(v, rng.choice(sorted(SIG.controls))): rng.choice(levels) for v in nodes}
+    prnt = {}
+    for i, v in enumerate(nodes):
+        parents = nodes[i + 1:] + list(range(outer.width))
+        for p in rng.sample(parents, min(len(parents), rng.choice((1, 1, 2)))):
+            prnt[(v, p)] = rng.choice(levels)
+    for site in range(inner.width):
+        prnt[(site, rng.choice(nodes + list(range(outer.width))))] = rng.choice(levels)
+    edges = {f"e{i}": rng.choice(levels) for i in range(n_edges)}
+    targets = sorted(edges) + sorted(outer.names)
+    points = sorted(inner.names) + [
+        (v, i) for (v, k) in sorted(ctrl) for i in range(SIG.arity_of(k))
+    ]
+    link = {q: rng.choice(levels) for q in points if targets and rng.random() < 0.8}
+    link = {(q, rng.choice(targets)): deg for q, deg in link.items()}
+    return _rebuilt_type2(
+        frame, inner, outer, members, edges, ctrl, prnt, link, levels[0], levels[-1]
+    )
+
+
+def _rebuilt_type2(frame, inner, outer, members, edges, ctrl, prnt, link, beta, delta):
+    nodes = FuzzySet(frame, members)
+    place = Type2FuzzyPlaceGraph(frame, SIG, inner.width, outer.width, nodes, ctrl, prnt, beta)
+    link_part = Type2FuzzyLinkGraph(
+        frame, SIG, inner.names, outer.names, nodes, FuzzySet(frame, edges), ctrl, link, delta
+    )
+    return Type2FuzzyBigraph(place, link_part)
+
+
+def _shuffled_copy(rng, f):
+    nodes, edges = sorted(f.nodes.support), sorted(f.edges.support)
+    node_images = [f"w{i}" for i in range(len(nodes))]
+    edge_images = [f"d{i}" for i in range(len(edges))]
+    rng.shuffle(node_images)
+    rng.shuffle(edge_images)
+    return translate_type2(
+        f, SupportTranslation(dict(zip(nodes, node_images)), dict(zip(edges, edge_images)))
+    )
+
+
+def _parts(b):
+    return dict(
+        frame=b.frame, inner=b.inner, outer=b.outer, members=dict(b.nodes.items()),
+        edges=dict(b.edges.items()), ctrl=b.ctrl.entry_dict(), prnt=b.place.prnt.entry_dict(),
+        link=b.link.link.entry_dict(), beta=b.place.degree, delta=b.link.degree,
+    )
+
+
+def _mutated(rng, b):
+    """One membership, control or entry degree moved to another level; off
+    a second level, one parent or link entry dropped instead."""
+    parts = _parts(b)
+    levels = [b.frame.parse_degree(t) for t in LEVELS[b.frame.name]]
+    names = ("members", "edges", "ctrl", "prnt", "link") if len(levels) > 1 else ("prnt", "link")
+    fields = [name for name in names if parts[name]]
+    if not fields:
+        return b
+    table = parts[rng.choice(fields)]
+    key = rng.choice(sorted(table, key=repr))
+    others = [level for level in levels if level != table[key]]
+    if others:
+        table[key] = rng.choice(others)
+    else:
+        del table[key]
+    return _rebuilt_type2(**parts)
+
+
+def _rewired(rng, b):
+    """Two parent (or link) entries swap targets: every degree multiset
+    stays, the structure may not."""
+    parts = _parts(b)
+    name = rng.choice(("prnt", "link"))
+    table = parts[name]
+    entries = sorted(table.items(), key=repr)
+    swaps = [
+        (i, j)
+        for i in range(len(entries))
+        for j in range(i + 1, len(entries))
+        if (entries[i][0][0], entries[j][0][1]) not in table
+        and (entries[j][0][0], entries[i][0][1]) not in table
+    ]
+    if not swaps:
+        return b
+    i, j = rng.choice(swaps)
+    ((a, p), da), ((c, q), dc) = entries[i], entries[j]
+    del table[(a, p)], table[(c, q)]
+    table[(a, q)], table[(c, p)] = da, dc
+    return _rebuilt_type2(**parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(ALL_FRAMES),
+    st.sampled_from(("renamed", "mutated", "rewired")),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_support_equivalence_agrees_with_the_brute_force_oracle(
+    frame, kind, n_nodes, n_edges, seed
+):
+    rng = random.Random(seed)
+    f = _levelled_bigraph(rng, frame, n_nodes, n_edges)
+    g = _shuffled_copy(rng, f)
+    if kind == "mutated":
+        g = _mutated(rng, g)
+    elif kind == "rewired":
+        g = _rewired(rng, g)
+    expected = brute_force_equivalence(f, g)
+    for a, b in ((f, g), (g, f)):
+        found = find_support_equivalence(a, b)
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert translate_type2(a, found) == b
+
+
+def test_an_inner_name_spelled_like_a_node_stays_an_inner_name():
+    # inner name "x" and node "x" share a spelling; the only witness swaps
+    # the nodes x and y and leaves the inner name where it is
+    ctrl = {("x", "L"): U.top, ("y", "L"): U.top}
+    f = _rebuilt_type2(
+        U, Interface(0, {"x"}), Interface(1, {"o"}), {"x": U.top, "y": U.top},
+        {"e": U.top}, ctrl, {("x", 0): U.top, ("y", "x"): U.top},
+        {("x", "e"): U.top, (("x", 0), "e"): d("1/2"), (("y", 0), "o"): d("1/2")},
+        U.top, U.top,
+    )
+    g = translate_type2(f, SupportTranslation({"x": "y", "y": "x"}, {"e": "e"}))
+    found = find_support_equivalence(f, g)
+    assert found is not None and found.node_map == {"x": "y", "y": "x"}
+    assert translate_type2(f, found) == g
+    # move the inner name's link to the outer name: no renaming of nodes
+    # can follow it
+    link = {**g.link.link.entry_dict(), ("x", "o"): U.top}
+    del link[("x", "e")]
+    moved = _rebuilt_type2(**{**_parts(g), "link": link})
+    assert find_support_equivalence(f, moved) is None
+    assert brute_force_equivalence(f, moved) is None
+
+
+def _symmetric(n, degree="1/2"):
+    """n nodes alike in every respect: same membership and control, each a
+    child of root 0 with its one port on the edge e."""
+    names = [f"v{i}" for i in range(n)]
+    return _rebuilt_type2(
+        U, Interface(0), Interface(1), {v: d("1/2") for v in names}, {"e": U.top},
+        {(v, "L"): U.top for v in names}, {(v, 0): d(degree) for v in names},
+        {((v, 0), "e"): d("1/2") for v in names}, d("1/2"), d("1/2"),
+    )
+
+
+@pytest.mark.parametrize("field, key", [("prnt", ("w3", 0)), ("link", (("w3", 0), "d0"))])
+def test_eight_symmetric_nodes_with_one_degree_changed_are_told_apart_promptly(field, key):
+    f = _symmetric(8)
+    parts = _parts(_shuffled_copy(random.Random(8), f))
+    parts[field][key] = d("3/4")
+    g = _rebuilt_type2(**parts)
+    start = time.perf_counter()
+    assert find_support_equivalence(f, g) is None
+    assert time.perf_counter() - start < 1.0
+
+
+def test_fifty_symmetric_nodes_resolve_promptly():
+    f = _symmetric(50)
+    g = _shuffled_copy(random.Random(50), f)
+    start = time.perf_counter()
+    found = find_support_equivalence(f, g)
+    assert time.perf_counter() - start < 1.0
+    assert found is not None and translate_type2(f, found) == g
+
+
+def _rings(sizes):
+    """Parent rings of the given sizes over nodes alike in every respect."""
+    names, prnt = [], {}
+    for size in sizes:
+        ring = [f"v{len(names) + i}" for i in range(size)]
+        names += ring
+        prnt.update({(v, ring[(i + 1) % size]): U.top for i, v in enumerate(ring)})
+    return _rebuilt_type2(
+        U, Interface(0), Interface(1), {v: U.top for v in names}, {},
+        {(v, "Z"): U.top for v in names}, prnt, {}, U.top, U.top,
+    )
+
+
+def test_rings_that_refinement_cannot_split_are_settled_promptly():
+    # every node has one parent and one child at the same degree, so
+    # refinement leaves a single class; twelve 3-rings are no 36-ring
+    rng = random.Random(12)
+    f = _rings([3] * 12)
+    start = time.perf_counter()
+    assert find_support_equivalence(f, _shuffled_copy(rng, _rings([36]))) is None
+    found = find_support_equivalence(f, g := _shuffled_copy(rng, f))
+    assert time.perf_counter() - start < 1.0
+    assert found is not None and translate_type2(f, found) == g
+
+
+WITNESS_SCRIPT = """
+import random
+from fuzzybig import find_support_equivalence
+from test_type2 import _parts, _rebuilt_type2, _shuffled_copy, _symmetric
+f = _symmetric(6)
+parts = _parts(_shuffled_copy(random.Random(6), f))
+for name in ("members", "ctrl", "prnt", "link"):
+    parts[name] = {key: parts[name][key] for key in frozenset(parts[name])}
+g = _rebuilt_type2(**parts)
+print(sorted(find_support_equivalence(f, g).node_map.items()))
+"""
+
+
+def test_the_witness_does_not_depend_on_the_hash_seed():
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", WITNESS_SCRIPT],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for hash_seed in ("1", "2", "3")
+    }
+    assert len(outputs) == 1

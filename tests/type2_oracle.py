@@ -1,11 +1,18 @@
-"""Independent re-derivation of type-2 threshold composition.
+"""Independent re-derivations of type-2 threshold composition and of
+support equivalence.
 
-Walks the full child/target grid and applies the threshold rules from
-scratch, sharing no code with the library's entry-driven composition; the
-test suite compares the two on sampled composites.
+The composition oracles walk the full child/target grid and apply the
+threshold rules from scratch, sharing no code with the library's
+entry-driven composition.  The equivalence oracle tries every renaming
+that keeps memberships.  The test suite compares both with the library on
+sampled inputs.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
+
+from fuzzybig import SupportTranslation, translate_type2
 
 
 def refilter_place(g, f) -> dict:
@@ -72,3 +79,54 @@ def refilter_link(g, f) -> dict:
             if not deg.is_bottom():
                 out[(point, target)] = deg
     return out
+
+
+def brute_force_equivalence(f, g):
+    """A renaming under which g is exactly the image of f, or ``None``.
+
+    Tries every pairing of f's nodes (and edges) with g's nodes (and edges)
+    of equal membership, and keeps the first whose translate reproduces g.
+    The cost is the product of the class sizes' factorials.
+    """
+    if f.inner != g.inner or f.outer != g.outer:
+        return None
+
+    def groups(a, b):
+        by_degree_a: dict = {}
+        by_degree_b: dict = {}
+        for x, d in a.items():
+            by_degree_a.setdefault(d, []).append(x)
+        for x, d in b.items():
+            by_degree_b.setdefault(d, []).append(x)
+        if set(by_degree_a) != set(by_degree_b):
+            return None
+        out = []
+        for d in by_degree_a:
+            xs, ys = sorted(by_degree_a[d]), sorted(by_degree_b[d])
+            if len(xs) != len(ys):
+                return None
+            out.append((xs, ys))
+        return out
+
+    node_groups = groups(f.nodes, g.nodes)
+    edge_groups = groups(f.edges, g.edges)
+    if node_groups is None or edge_groups is None:
+        return None
+
+    def pairings(group_list):
+        if not group_list:
+            yield {}
+            return
+        (xs, ys), rest = group_list[0], group_list[1:]
+        for tail in pairings(rest):
+            for perm in permutations(ys):
+                table = dict(tail)
+                table.update(zip(xs, perm))
+                yield table
+
+    for node_map in pairings(node_groups):
+        for edge_map in pairings(edge_groups):
+            rho = SupportTranslation(node_map, edge_map)
+            if translate_type2(f, rho) == g:
+                return rho
+    return None
