@@ -91,37 +91,52 @@ def _require_apart(nodes, edges, outer) -> None:
         raise ValueError(f"edge identifiers collide with outer names: {sorted(shared)}")
 
 
-class FuzzyPlaceGraph:
+class _Graph:
+    """Fields and equality shared by the fuzzy and type-2 graph classes.
+
+    ``__slots__`` lists a class's fields, and ``_store`` is the only code
+    that sets them: ``__init__`` calls it once every check has passed, and
+    ``_trusted`` calls it for a composite assembled from operands that
+    passed those checks already.  Two graphs are equal when every field is.
+    """
+
+    __slots__ = ()
+
+    def _store(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            setattr(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """A graph from fields, in slot order, that already satisfy every
+        check of ``__init__``; nothing is re-checked or re-derived."""
+        graph = cls.__new__(cls)
+        graph._store(*fields)
+        return graph
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            type(other) is type(self)
+            and all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class FuzzyPlaceGraph(_Graph):
     """A fuzzy forest: ``ctrl`` grades node/control pairs, ``prnt`` grades
     child/parent pairs over sites, nodes and roots."""
 
     __slots__ = ("frame", "signature", "inner", "outer", "nodes", "ctrl", "prnt")
 
     def __init__(self, frame, signature, inner, outer, nodes, ctrl, prnt):
-        self.frame = frame
-        self.signature = signature
-        self.inner = int(inner)
-        self.outer = int(outer)
-        if self.inner < 0 or self.outer < 0:
+        inner, outer = int(inner), int(outer)
+        if inner < 0 or outer < 0:
             raise ValueError("interface widths must be natural numbers")
-        self.nodes = _freeze_ids(nodes, "node")
-        self.ctrl = _as_relation(frame, ctrl, self.nodes, signature.controls)
-        self.prnt = _as_relation(
-            frame, prnt, *_prnt_domain(self.inner, self.outer, self.nodes)
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FuzzyPlaceGraph)
-            and self.frame == other.frame
-            and self.signature == other.signature
-            and (self.inner, self.outer) == (other.inner, other.outer)
-            and self.nodes == other.nodes
-            and self.ctrl == other.ctrl
-            and self.prnt == other.prnt
-        )
-
-    __hash__ = None  # type: ignore[assignment]
+        nodes = _freeze_ids(nodes, "node")
+        ctrl = _as_relation(frame, ctrl, nodes, signature.controls)
+        prnt = _as_relation(frame, prnt, *_prnt_domain(inner, outer, nodes))
+        self._store(frame, signature, inner, outer, nodes, ctrl, prnt)
 
     def __repr__(self) -> str:
         return (
@@ -130,7 +145,7 @@ class FuzzyPlaceGraph:
         )
 
 
-class FuzzyLinkGraph:
+class FuzzyLinkGraph(_Graph):
     """A fuzzy hypergraph: ``link`` grades point/link pairs, where points
     are inner names and ports, and links are edges and outer names."""
 
@@ -147,37 +162,19 @@ class FuzzyLinkGraph:
     )
 
     def __init__(self, frame, signature, inner, outer, nodes, edges, ctrl, link):
-        self.frame = frame
-        self.signature = signature
-        self.inner = _freeze_ids(inner, "inner name")
-        self.outer = _freeze_ids(outer, "outer name")
-        self.nodes = _freeze_ids(nodes, "node")
-        self.edges = _freeze_ids(edges, "edge")
-        _require_apart(self.nodes, self.edges, self.outer)
-        self.ctrl = _as_relation(frame, ctrl, self.nodes, signature.controls)
-        self.ports = derive_ports(signature, self.ctrl)
-        self.link = _as_relation(
-            frame, link, self.inner | self.ports, self.edges | self.outer
-        )
+        inner = _freeze_ids(inner, "inner name")
+        outer = _freeze_ids(outer, "outer name")
+        nodes = _freeze_ids(nodes, "node")
+        edges = _freeze_ids(edges, "edge")
+        _require_apart(nodes, edges, outer)
+        ctrl = _as_relation(frame, ctrl, nodes, signature.controls)
+        ports = derive_ports(signature, ctrl)
+        link = _as_relation(frame, link, inner | ports, edges | outer)
+        self._store(frame, signature, inner, outer, nodes, edges, ctrl, link, ports)
 
     @property
     def points(self) -> frozenset:
         return self.inner | self.ports
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FuzzyLinkGraph)
-            and self.frame == other.frame
-            and self.signature == other.signature
-            and self.inner == other.inner
-            and self.outer == other.outer
-            and self.nodes == other.nodes
-            and self.edges == other.edges
-            and self.ctrl == other.ctrl
-            and self.link == other.link
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return (
@@ -186,7 +183,7 @@ class FuzzyLinkGraph:
         )
 
 
-class FuzzyBigraph:
+class FuzzyBigraph(_Graph):
     """A fuzzy place graph and a fuzzy link graph sharing nodes and controls."""
 
     __slots__ = ("place", "link")
@@ -200,8 +197,7 @@ class FuzzyBigraph:
             raise ValueError("place and link parts disagree on the node set")
         if place.ctrl != link.ctrl:
             raise ValueError("place and link parts disagree on the control relation")
-        self.place = place
-        self.link = link
+        self._store(place, link)
 
     @property
     def frame(self) -> Frame:
@@ -234,15 +230,6 @@ class FuzzyBigraph:
     @property
     def outer(self) -> Interface:
         return Interface(self.place.outer, self.link.outer)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FuzzyBigraph)
-            and self.place == other.place
-            and self.link == other.link
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return f"FuzzyBigraph({self.inner}->{self.outer}, {self.frame.name})"
@@ -320,7 +307,7 @@ def compose_fuzzy_place(g: FuzzyPlaceGraph, f: FuzzyPlaceGraph) -> FuzzyPlaceGra
     nodes = f.nodes | g.nodes
     entries = _route(f.prnt, g.prnt, f.nodes, g.nodes, f.frame.bottom, (), ())
     prnt = FuzzyRelation._trusted(f.frame, *_prnt_domain(f.inner, g.outer, nodes), entries)
-    return FuzzyPlaceGraph(
+    return FuzzyPlaceGraph._trusted(
         f.frame, f.signature, f.inner, g.outer, nodes, f.ctrl.union(g.ctrl), prnt
     )
 
@@ -329,12 +316,12 @@ def compose_fuzzy_link(g: FuzzyLinkGraph, f: FuzzyLinkGraph) -> FuzzyLinkGraph:
     """Composite ``g . f`` of fuzzy link graphs f: X->Y and g: Y->Z."""
     _require_link_composable(g, f, f.nodes | f.edges, g.nodes | g.edges, f.edges)
     edges = f.edges | g.edges
+    # A node's ports follow from its own control row, and the node sets are
+    # disjoint, so the composite's ports are f's and g's.
+    ports = f.ports | g.ports
     entries = _route(f.link, g.link, f.edges, g.ports, f.frame.bottom, (), ())
-    # The composite's ports are f's and g's: their node sets are disjoint.
-    link = FuzzyRelation._trusted(
-        f.frame, f.inner | f.ports | g.ports, edges | g.outer, entries
-    )
-    return FuzzyLinkGraph(
+    link = FuzzyRelation._trusted(f.frame, f.inner | ports, edges | g.outer, entries)
+    return FuzzyLinkGraph._trusted(
         f.frame,
         f.signature,
         f.inner,
@@ -343,13 +330,14 @@ def compose_fuzzy_link(g: FuzzyLinkGraph, f: FuzzyLinkGraph) -> FuzzyLinkGraph:
         edges,
         f.ctrl.union(g.ctrl),
         link,
+        ports,
     )
 
 
 def compose_fuzzy(g: FuzzyBigraph, f: FuzzyBigraph) -> FuzzyBigraph:
     """Componentwise composite of fuzzy bigraphs f: I->J and g: J->K."""
     _require_bigraph_composable(g, f, f.nodes | f.edges, g.nodes | g.edges)
-    return FuzzyBigraph(
+    return FuzzyBigraph._trusted(
         compose_fuzzy_place(g.place, f.place),
         compose_fuzzy_link(g.link, f.link),
     )
@@ -369,14 +357,10 @@ def tensor_fuzzy_place(f: FuzzyPlaceGraph, g: FuzzyPlaceGraph) -> FuzzyPlaceGrap
         child2 = child + k if isinstance(child, int) else child
         parent2 = parent + l if isinstance(parent, int) else parent
         entries[(child2, parent2)] = degree
-    return FuzzyPlaceGraph(
-        f.frame,
-        f.signature,
-        k + g.inner,
-        l + g.outer,
-        f.nodes | g.nodes,
-        f.ctrl.union(g.ctrl),
-        entries,
+    inner, outer, nodes = k + g.inner, l + g.outer, f.nodes | g.nodes
+    prnt = FuzzyRelation._trusted(f.frame, *_prnt_domain(inner, outer, nodes), entries)
+    return FuzzyPlaceGraph._trusted(
+        f.frame, f.signature, inner, outer, nodes, f.ctrl.union(g.ctrl), prnt
     )
 
 
@@ -395,9 +379,7 @@ def tensor_fuzzy_link(f: FuzzyLinkGraph, g: FuzzyLinkGraph) -> FuzzyLinkGraph:
         raise NameClashError(
             f"edge identifiers collide with outer names: {sorted(clash)}"
         )
-    entries = f.link.entry_dict()
-    entries.update(g.link.entry_dict())
-    return FuzzyLinkGraph(
+    return FuzzyLinkGraph._trusted(
         f.frame,
         f.signature,
         f.inner | g.inner,
@@ -405,13 +387,14 @@ def tensor_fuzzy_link(f: FuzzyLinkGraph, g: FuzzyLinkGraph) -> FuzzyLinkGraph:
         f.nodes | g.nodes,
         f.edges | g.edges,
         f.ctrl.union(g.ctrl),
-        entries,
+        f.link.union(g.link),
+        f.ports | g.ports,
     )
 
 
 def tensor_fuzzy(f: FuzzyBigraph, g: FuzzyBigraph) -> FuzzyBigraph:
     """Tensor product of fuzzy bigraphs; its unit is the empty interface ⟨0,∅⟩."""
-    return FuzzyBigraph(
+    return FuzzyBigraph._trusted(
         tensor_fuzzy_place(f.place, g.place),
         tensor_fuzzy_link(f.link, g.link),
     )

@@ -163,7 +163,7 @@ class FuzzyRelation:
         return FuzzyRelation(self.frame, self.domain, self.codomain, entries)
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FuzzyRelation)
             and self.frame == other.frame
             and self.domain == other.domain
@@ -251,6 +251,16 @@ class FuzzySet:
         self._entries = store
         self.support = frozenset(store)
 
+    @classmethod
+    def _trusted(cls, frame: Frame, store: dict) -> "FuzzySet":
+        """Wrap a membership dict that is already in normal form: every
+        degree belongs to ``frame`` and lies strictly above bottom."""
+        fset = cls.__new__(cls)
+        fset.frame = frame
+        fset._entries = store
+        fset.support = frozenset(store)
+        return fset
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -264,6 +274,8 @@ class FuzzySet:
         return sorted(self._entries.items(), key=lambda kv: element_sort_key(kv[0]))
 
     def union(self, other: "FuzzySet") -> "FuzzySet":
+        """Disjoint union: supports must not overlap.  Both operands were
+        checked when they were built, so the merged memberships are not."""
         if self.frame != other.frame:
             raise FrameMismatchError("cannot union fuzzy sets over different frames")
         shared = self.support & other.support
@@ -271,7 +283,7 @@ class FuzzySet:
             raise ValueError(f"fuzzy-set supports overlap on {sorted(map(repr, shared))}")
         merged = dict(self._entries)
         merged.update(other._entries)
-        return FuzzySet(self.frame, merged)
+        return FuzzySet._trusted(self.frame, merged)
 
     def translate(self, mapping: Mapping) -> "FuzzySet":
         return FuzzySet(
@@ -287,7 +299,7 @@ class FuzzySet:
         return FuzzySet(self.frame, entries)
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FuzzySet)
             and self.frame == other.frame
             and self._entries == other._entries

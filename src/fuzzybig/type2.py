@@ -27,6 +27,7 @@ from .fuzzy import (
     SupportTranslation,
     TranslationCheck,
     TranslationReport,
+    _Graph,
     _as_relation,
     _prnt_domain,
     _require_apart,
@@ -64,46 +65,33 @@ def type2_ports(signature: Signature, nodes: FuzzySet, ctrl: FuzzyRelation) -> f
     return frozenset(ports)
 
 
-class Type2FuzzyPlaceGraph:
+def _require_fuzzy_set(frame: Frame, fset, what: str) -> None:
+    """``fset`` is a fuzzy set over ``frame`` whose elements are identifier
+    strings."""
+    if not isinstance(fset, FuzzySet) or fset.frame != frame:
+        raise TypeError(f"{what}s must be a FuzzySet over the same frame")
+    _freeze_ids(fset.support, what)
+
+
+class Type2FuzzyPlaceGraph(_Graph):
     """A fuzzy place graph whose node set is itself fuzzy, with an
     interface plausibility degree."""
 
     __slots__ = ("frame", "signature", "inner", "outer", "nodes", "ctrl", "prnt", "degree")
 
     def __init__(self, frame, signature, inner, outer, nodes: FuzzySet, ctrl, prnt, degree):
-        self.frame = frame
-        self.signature = signature
-        self.inner = int(inner)
-        self.outer = int(outer)
-        if self.inner < 0 or self.outer < 0:
+        inner, outer = int(inner), int(outer)
+        if inner < 0 or outer < 0:
             raise ValueError("interface widths must be natural numbers")
-        if not isinstance(nodes, FuzzySet) or nodes.frame != frame:
-            raise TypeError("nodes must be a FuzzySet over the same frame")
+        _require_fuzzy_set(frame, nodes, "node")
         frame.check_value(degree)
-        self.nodes = nodes
-        self.degree = degree
-        self.ctrl = _as_relation(frame, ctrl, nodes.support, signature.controls)
-        self.prnt = _as_relation(
-            frame, prnt, *_prnt_domain(self.inner, self.outer, nodes.support)
-        )
+        ctrl = _as_relation(frame, ctrl, nodes.support, signature.controls)
+        prnt = _as_relation(frame, prnt, *_prnt_domain(inner, outer, nodes.support))
+        self._store(frame, signature, inner, outer, nodes, ctrl, prnt, degree)
 
     @property
     def node_support(self) -> frozenset[str]:
         return self.nodes.support
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Type2FuzzyPlaceGraph)
-            and self.frame == other.frame
-            and self.signature == other.signature
-            and (self.inner, self.outer) == (other.inner, other.outer)
-            and self.nodes == other.nodes
-            and self.ctrl == other.ctrl
-            and self.prnt == other.prnt
-            and self.degree == other.degree
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return (
@@ -113,7 +101,7 @@ class Type2FuzzyPlaceGraph:
         )
 
 
-class Type2FuzzyLinkGraph:
+class Type2FuzzyLinkGraph(_Graph):
     """A fuzzy link graph with fuzzy node and edge sets and an interface
     plausibility degree."""
 
@@ -131,24 +119,16 @@ class Type2FuzzyLinkGraph:
     )
 
     def __init__(self, frame, signature, inner, outer, nodes, edges, ctrl, link, degree):
-        self.frame = frame
-        self.signature = signature
-        self.inner = _freeze_ids(inner, "inner name")
-        self.outer = _freeze_ids(outer, "outer name")
-        if not isinstance(nodes, FuzzySet) or nodes.frame != frame:
-            raise TypeError("nodes must be a FuzzySet over the same frame")
-        if not isinstance(edges, FuzzySet) or edges.frame != frame:
-            raise TypeError("edges must be a FuzzySet over the same frame")
+        inner = _freeze_ids(inner, "inner name")
+        outer = _freeze_ids(outer, "outer name")
+        _require_fuzzy_set(frame, nodes, "node")
+        _require_fuzzy_set(frame, edges, "edge")
         frame.check_value(degree)
-        self.nodes = nodes
-        self.edges = edges
-        self.degree = degree
-        _require_apart(nodes.support, edges.support, self.outer)
-        self.ctrl = _as_relation(frame, ctrl, nodes.support, signature.controls)
-        self.ports = type2_ports(signature, nodes, self.ctrl)
-        self.link = _as_relation(
-            frame, link, self.inner | self.ports, edges.support | self.outer
-        )
+        _require_apart(nodes.support, edges.support, outer)
+        ctrl = _as_relation(frame, ctrl, nodes.support, signature.controls)
+        ports = type2_ports(signature, nodes, ctrl)
+        link = _as_relation(frame, link, inner | ports, edges.support | outer)
+        self._store(frame, signature, inner, outer, nodes, edges, ctrl, link, ports, degree)
 
     @property
     def node_support(self) -> frozenset[str]:
@@ -162,22 +142,6 @@ class Type2FuzzyLinkGraph:
     def points(self) -> frozenset:
         return self.inner | self.ports
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Type2FuzzyLinkGraph)
-            and self.frame == other.frame
-            and self.signature == other.signature
-            and self.inner == other.inner
-            and self.outer == other.outer
-            and self.nodes == other.nodes
-            and self.edges == other.edges
-            and self.ctrl == other.ctrl
-            and self.link == other.link
-            and self.degree == other.degree
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
         return (
             f"Type2FuzzyLinkGraph({sorted(self.inner)}->{sorted(self.outer)}, "
@@ -185,7 +149,7 @@ class Type2FuzzyLinkGraph:
         )
 
 
-class Type2FuzzyBigraph:
+class Type2FuzzyBigraph(_Graph):
     """Type-2 place and link parts sharing nodes and controls.
 
     The bigraph's plausibility degree is the meet of its parts' degrees.
@@ -202,8 +166,7 @@ class Type2FuzzyBigraph:
             raise ValueError("place and link parts disagree on the fuzzy node set")
         if place.ctrl != link.ctrl:
             raise ValueError("place and link parts disagree on the control relation")
-        self.place = place
-        self.link = link
+        self._store(place, link)
 
     @property
     def frame(self) -> Frame:
@@ -237,15 +200,6 @@ class Type2FuzzyBigraph:
     @property
     def outer(self) -> Interface:
         return Interface(self.place.outer, self.link.outer)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Type2FuzzyBigraph)
-            and self.place == other.place
-            and self.link == other.link
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return (
@@ -358,7 +312,7 @@ def compose_type2_place(
     prnt = FuzzyRelation._trusted(
         frame, *_prnt_domain(f.inner, g.outer, nodes.support), entries
     )
-    return Type2FuzzyPlaceGraph(
+    return Type2FuzzyPlaceGraph._trusted(
         frame, f.signature, f.inner, g.outer, nodes, f.ctrl.union(g.ctrl), prnt, kappa
     )
 
@@ -382,12 +336,12 @@ def compose_type2_link(
     frame = f.frame
     kappa = f.degree.meet(g.degree)
     edges = f.edges.union(g.edges)
+    # A node's ports follow from its own control row and membership, and
+    # the node sets are disjoint, so the composite's ports are f's and g's.
+    ports = f.ports | g.ports
     entries = _route(f.link, g.link, f.edge_support, g.ports, kappa, (), ())
-    # The composite's ports are f's and g's: their node sets are disjoint.
-    link = FuzzyRelation._trusted(
-        frame, f.inner | f.ports | g.ports, edges.support | g.outer, entries
-    )
-    return Type2FuzzyLinkGraph(
+    link = FuzzyRelation._trusted(frame, f.inner | ports, edges.support | g.outer, entries)
+    return Type2FuzzyLinkGraph._trusted(
         frame,
         f.signature,
         f.inner,
@@ -396,6 +350,7 @@ def compose_type2_link(
         edges,
         f.ctrl.union(g.ctrl),
         link,
+        ports,
         kappa,
     )
 
@@ -408,7 +363,7 @@ def compose_type2(g: Type2FuzzyBigraph, f: Type2FuzzyBigraph) -> Type2FuzzyBigra
         f.nodes.support | f.link.edge_support,
         g.nodes.support | g.link.edge_support,
     )
-    return Type2FuzzyBigraph(
+    return Type2FuzzyBigraph._trusted(
         compose_type2_place(g.place, f.place),
         compose_type2_link(g.link, f.link),
     )

@@ -380,7 +380,8 @@ def test_criterion_8_worked_example_reconstruction():
     doc = load_document("models/h_bigraph.fbg.json")
     reports = validate_document(doc)
     assert all(r.ok for r in reports)
-    original_text = open("models/h_bigraph.fbg.json", encoding="utf-8").read()
+    with open("models/h_bigraph.fbg.json", encoding="utf-8") as handle:
+        original_text = handle.read()
     assert serialize(doc) == original_text
     h = doc.graph("h")
     assert h.place.inner == 3 and h.place.outer == 2

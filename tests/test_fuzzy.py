@@ -462,7 +462,8 @@ def test_middle_case_matches_grid_rederivation_and_is_monotone():
 
 def assert_fuzzy_rebuilds(b: FuzzyBigraph) -> None:
     """Every relation of ``b``, and ``b`` itself, rebuild through the public
-    checked constructors from plain entry dicts and compare equal."""
+    checked constructors from plain entry dicts and compare equal, and the
+    ports of ``b`` are the ones the checked rebuild derives."""
     assert_checked_rebuild(b.ctrl, b.prnt, b.link.ctrl, b.link.link)
     place = FuzzyPlaceGraph(
         b.frame, b.signature, b.place.inner, b.place.outer, b.nodes,
@@ -472,6 +473,7 @@ def assert_fuzzy_rebuilds(b: FuzzyBigraph) -> None:
         b.frame, b.signature, b.link.inner, b.link.outer, b.nodes, b.edges,
         b.link.ctrl.entry_dict(), b.link.link.entry_dict(),
     )
+    assert b.link.ports == derive_ports(b.signature, link.ctrl)
     assert FuzzyBigraph(place, link) == b
 
 
@@ -490,6 +492,33 @@ def test_composites_and_tensors_pass_the_checked_constructors(frame, seed):
         rng, frame, H_SIGNATURE, Interface(2, {"c"}), Interface(1, {"d"}), prefix="r"
     )
     assert_fuzzy_rebuilds(tensor_fuzzy(left, right))
+
+
+def _named_chain(rng, frame, names, prefix):
+    """Two composable random fuzzy bigraphs through interfaces named by
+    ``names``, so that chains over different names can be tensored."""
+    faces = [Interface(rng.randint(1, 2), {name}) for name in names]
+    return [
+        random_fuzzy_bigraph(
+            rng, frame, H_SIGNATURE, faces[i], faces[i + 1], prefix=f"{prefix}{i}_"
+        )
+        for i in range(len(faces) - 1)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ALL_FRAMES), st.integers(min_value=0, max_value=2**32 - 1))
+def test_tensors_of_composites_and_composites_of_tensors_pass_the_checked_constructors(
+    frame, seed
+):
+    rng = random.Random(seed)
+    f1, g1 = _named_chain(rng, frame, ("a0", "a1", "a2"), "l")
+    f2, g2 = _named_chain(rng, frame, ("b0", "b1", "b2"), "r")
+    tensor_of_composites = tensor_fuzzy(compose_fuzzy(g1, f1), compose_fuzzy(g2, f2))
+    composite_of_tensors = compose_fuzzy(tensor_fuzzy(g1, g2), tensor_fuzzy(f1, f2))
+    assert_fuzzy_rebuilds(tensor_of_composites)
+    assert_fuzzy_rebuilds(composite_of_tensors)
+    assert tensor_of_composites == composite_of_tensors
 
 
 def test_relation_over_another_domain_is_still_checked():

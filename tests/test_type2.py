@@ -407,7 +407,8 @@ def test_support_equivalence_is_symmetric_and_transitive_on_examples():
 
 def assert_type2_rebuilds(b: Type2FuzzyBigraph) -> None:
     """Every relation of ``b``, and ``b`` itself, rebuild through the public
-    checked constructors from plain entries and compare equal."""
+    checked constructors from plain entries and compare equal, and the
+    ports of ``b`` are the ones the checked rebuild derives."""
     assert_checked_rebuild(b.ctrl, b.place.prnt, b.link.ctrl, b.link.link)
     nodes = FuzzySet(b.frame, dict(b.nodes.items()))
     place = Type2FuzzyPlaceGraph(
@@ -419,6 +420,7 @@ def assert_type2_rebuilds(b: Type2FuzzyBigraph) -> None:
         FuzzySet(b.frame, dict(b.edges.items())),
         b.link.ctrl.entry_dict(), b.link.link.entry_dict(), b.link.degree,
     )
+    assert b.link.ports == type2_ports(b.signature, nodes, link.ctrl)
     assert Type2FuzzyBigraph(place, link) == b
 
 
@@ -434,6 +436,62 @@ def test_type2_composites_pass_the_checked_constructors(frame, coherent, seed):
     assert_type2_rebuilds(compose_type2(g, f))
     assert_type2_rebuilds(compose_type2(h, compose_type2(g, f)))
     assert_type2_rebuilds(compose_type2(identity_type2_bigraph(f.outer, frame, SIG), f))
+
+
+def test_type2_composite_keeps_ports_of_multi_control_and_sub_kappa_nodes():
+    top, half, quarter = U.top, d("1/2"), d("1/4")
+    # u holds K (two ports) at 1/2 and L (one port) at top: L attains the
+    # join.  w's membership 1/4 falls below kappa = 1/2.  v holds K and L
+    # at one degree, and the tie goes to K.
+    f_nodes = FuzzySet(U, {"u": top, "w": quarter})
+    f_ctrl = {("u", "K"): half, ("u", "L"): top, ("w", "K"): top}
+    f = Type2FuzzyBigraph(
+        Type2FuzzyPlaceGraph(
+            U, SIG, 0, 1, f_nodes, f_ctrl, {("u", 0): top, ("w", "u"): top}, half
+        ),
+        Type2FuzzyLinkGraph(
+            U, SIG, (), ("x",), f_nodes, FuzzySet(U, {"e": top}), f_ctrl,
+            {(("u", 0), "x"): top, (("w", 0), "e"): top, (("w", 1), "x"): half},
+            half,
+        ),
+    )
+    g_nodes = FuzzySet(U, {"v": top})
+    g_ctrl = {("v", "K"): quarter, ("v", "L"): quarter}
+    g = Type2FuzzyBigraph(
+        Type2FuzzyPlaceGraph(
+            U, SIG, 1, 1, g_nodes, g_ctrl, {(0, "v"): top, ("v", 0): top}, top
+        ),
+        Type2FuzzyLinkGraph(
+            U, SIG, ("x",), ("y",), g_nodes, FuzzySet(U), g_ctrl,
+            {("x", "y"): top, (("v", 0), "y"): top, (("v", 1), "y"): top},
+            top,
+        ),
+    )
+    composite = compose_type2(g, f)
+    assert_type2_rebuilds(composite)
+    assert composite.link.ports == {("u", 0), ("w", 0), ("w", 1), ("v", 0), ("v", 1)}
+    assert composite.place.prnt.degree("w", "u").is_bottom()
+    assert composite.nodes.membership("w") == quarter
+
+
+def test_type2_place_graph_rejects_non_string_node_identifiers():
+    sig = Signature({"K": 0})
+    with pytest.raises(TypeError, match="node identifiers are strings, got 0"):
+        Type2FuzzyPlaceGraph(
+            U, sig, 1, 1, FuzzySet(U, {0: U.top}), {(0, "K"): U.top}, {(0, 0): U.top}, U.top
+        )
+
+
+def test_type2_link_graph_rejects_non_string_node_and_edge_identifiers():
+    sig = Signature({"K": 0})
+    with pytest.raises(TypeError, match="node identifiers are strings, got 0"):
+        Type2FuzzyLinkGraph(
+            U, sig, (), (), FuzzySet(U, {0: U.top}), FuzzySet(U), {(0, "K"): U.top}, {}, U.top
+        )
+    with pytest.raises(TypeError, match="edge identifiers are strings, got 1"):
+        Type2FuzzyLinkGraph(
+            U, sig, ("x",), (), FuzzySet(U), FuzzySet(U, {1: U.top}), {}, {("x", 1): U.top}, U.top
+        )
 
 
 def test_type2_routes_meeting_at_bottom_are_dropped_off_a_chain():
