@@ -41,10 +41,8 @@ class Signature:
             if not isinstance(ar, int) or isinstance(ar, bool) or ar < 0:
                 raise ValueError(f"arity of {control!r} must be a natural number")
         object.__setattr__(self, "arity", MappingProxyType(table))
-
-    @property
-    def controls(self) -> frozenset[str]:
-        return frozenset(self.arity)
+        # The control names, as a set: the codomain of every control relation.
+        object.__setattr__(self, "controls", frozenset(table))
 
     def arity_of(self, control: str) -> int:
         try:
@@ -53,7 +51,9 @@ class Signature:
             raise ValueError(f"unknown control {control!r}") from None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Signature) and dict(self.arity) == dict(other.arity)
+        return self is other or (
+            isinstance(other, Signature) and dict(self.arity) == dict(other.arity)
+        )
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -36,7 +36,7 @@ from .errors import (
     ValidationReport,
 )
 from .lattice import TWO_POINT, Frame
-from .relations import FuzzyRelation, _route, identity_relation
+from .relations import FuzzyRelation, _outside, _route, identity_relation
 
 
 def derive_ports(signature: Signature, ctrl: FuzzyRelation) -> frozenset[Port]:
@@ -74,6 +74,14 @@ def _as_relation(frame: Frame, entries, domain, codomain) -> FuzzyRelation:
     return FuzzyRelation(frame, domain, codomain, entries)
 
 
+def _widths(inner, outer) -> tuple[int, int]:
+    """A place graph's interface widths, as natural numbers."""
+    inner, outer = int(inner), int(outer)
+    if inner < 0 or outer < 0:
+        raise ValueError("interface widths must be natural numbers")
+    return inner, outer
+
+
 def _prnt_domain(inner: int, outer: int, carrier: frozenset) -> tuple[frozenset, frozenset]:
     """Children (sites and nodes) and parents (nodes and roots) of a
     parent relation."""
@@ -102,9 +110,18 @@ class _Graph:
 
     __slots__ = ()
 
-    def _store(self, *fields) -> None:
-        for name, value in zip(self.__slots__, fields, strict=True):
-            setattr(self, name, value)
+    def __init_subclass__(cls, **kwargs):
+        # ``_store`` takes the fields in slot order.  It is generated once
+        # per class, as plain attribute stores: a loop of ``setattr`` calls
+        # costs about ten times as much, and graphs are built on every
+        # composition.
+        super().__init_subclass__(**kwargs)
+        fields = ", ".join(cls.__slots__)
+        body = "".join(f"    self.{name} = {name}\n" for name in cls.__slots__)
+        namespace: dict = {"__name__": cls.__module__}
+        exec(f"def _store(self, {fields}):\n{body}", namespace)
+        cls._store = namespace["_store"]
+        cls._store.__qualname__ = f"{cls.__qualname__}._store"
 
     @classmethod
     def _trusted(cls, *fields):
@@ -130,9 +147,7 @@ class FuzzyPlaceGraph(_Graph):
     __slots__ = ("frame", "signature", "inner", "outer", "nodes", "ctrl", "prnt")
 
     def __init__(self, frame, signature, inner, outer, nodes, ctrl, prnt):
-        inner, outer = int(inner), int(outer)
-        if inner < 0 or outer < 0:
-            raise ValueError("interface widths must be natural numbers")
+        inner, outer = _widths(inner, outer)
         nodes = _freeze_ids(nodes, "node")
         ctrl = _as_relation(frame, ctrl, nodes, signature.controls)
         prnt = _as_relation(frame, prnt, *_prnt_domain(inner, outer, nodes))
@@ -403,21 +418,35 @@ def tensor_fuzzy(f: FuzzyBigraph, g: FuzzyBigraph) -> FuzzyBigraph:
 # --- identities --------------------------------------------------------------
 
 
+# An identity holds no node and no control, and its relation is the
+# diagonal at top, so only its width and its names are checked.
+
+
+def _no_controls(frame: Frame, signature: Signature) -> FuzzyRelation:
+    return FuzzyRelation._trusted(frame, frozenset(), signature.controls, {})
+
+
 def identity_place(width: int, frame: Frame, signature: Signature) -> FuzzyPlaceGraph:
     ident = identity_relation(frame, range(width))
-    return FuzzyPlaceGraph(frame, signature, width, width, (), {}, ident)
+    width, _ = _widths(width, width)
+    return FuzzyPlaceGraph._trusted(
+        frame, signature, width, width, frozenset(), _no_controls(frame, signature), ident
+    )
 
 
 def identity_link(names, frame: Frame, signature: Signature) -> FuzzyLinkGraph:
-    names = frozenset(names)
+    names = _freeze_ids(names, "inner name")
     ident = identity_relation(frame, names)
-    return FuzzyLinkGraph(frame, signature, names, names, (), (), {}, ident)
+    ctrl, none = _no_controls(frame, signature), frozenset()
+    return FuzzyLinkGraph._trusted(
+        frame, signature, names, names, none, none, ctrl, ident, none
+    )
 
 
 def identity_bigraph(
     interface: Interface, frame: Frame, signature: Signature
 ) -> FuzzyBigraph:
-    return FuzzyBigraph(
+    return FuzzyBigraph._trusted(
         identity_place(interface.width, frame, signature),
         identity_link(interface.names, frame, signature),
     )
@@ -463,12 +492,6 @@ class SupportTranslation:
                 raise ValueError(f"the {name} renaming is not a bijection")
         object.__setattr__(self, "node_map", node_map)
         object.__setattr__(self, "edge_map", edge_map)
-
-    def node_image(self, v: str) -> str:
-        return self.node_map[v]
-
-    def edge_image(self, e: str) -> str:
-        return self.edge_map[e]
 
     def port_image(self, port: Port) -> Port:
         return (self.node_map[port[0]], port[1])
@@ -646,74 +669,116 @@ def check_support_translation(
 
 
 # --- the crisp bridge ---------------------------------------------------------
+#
+# Crisp graphs are not checked when they are built, so the bridge is where a
+# map key off its domain is caught.  Their identifier sets are already
+# frozen sets of strings (the crisp constructors freeze and check them), so
+# each map is read once: its keys and targets are checked against the
+# domain and codomain, and its pairs are stored at top as they stand.
+
+
+def _at_top(frame: Frame, domain: frozenset, codomain: frozenset, pairs) -> FuzzyRelation:
+    """The relation holding every ``a -> b`` of the crisp map ``pairs`` at top.
+
+    A pair off ``domain x codomain`` raises the checked constructor's
+    message; the first such pair in map order is the one named.
+    """
+    if not (pairs.keys() <= domain and codomain.issuperset(pairs.values())):
+        for a, b in pairs.items():
+            if a not in domain or b not in codomain:
+                raise _outside(a, b)
+    store = dict.fromkeys(pairs.items(), frame.top)
+    return FuzzyRelation._trusted(frame, domain, codomain, store)
 
 
 def fuzzify_place(p: PlaceGraph, frame: Frame = TWO_POINT) -> FuzzyPlaceGraph:
-    top = frame.top
-    return FuzzyPlaceGraph(
-        frame,
-        p.signature,
-        p.inner,
-        p.outer,
-        p.nodes,
-        {(v, k): top for v, k in p.ctrl.items()},
-        {(c, t): top for c, t in p.prnt.items()},
+    inner, outer = _widths(p.inner, p.outer)
+    ctrl = _at_top(frame, p.nodes, p.signature.controls, p.ctrl)
+    prnt = _at_top(frame, *_prnt_domain(inner, outer, p.nodes), p.prnt)
+    return FuzzyPlaceGraph._trusted(frame, p.signature, inner, outer, p.nodes, ctrl, prnt)
+
+
+def _fuzzify_link(l: LinkGraph, frame: Frame, ctrl: FuzzyRelation | None) -> FuzzyLinkGraph:
+    """``fuzzify_link``, reusing ``ctrl`` when the place part already built
+    this very control relation."""
+    _require_apart(l.nodes, l.edges, l.outer)
+    if ctrl is None:
+        ctrl = _at_top(frame, l.nodes, l.signature.controls, l.ctrl)
+    # One control per node, so its arity is the widest.
+    arity = l.signature.arity
+    ports = frozenset([(v, i) for v, k in l.ctrl.items() for i in range(arity[k])])
+    link = _at_top(frame, l.inner | ports, l.edges | l.outer, l.link)
+    return FuzzyLinkGraph._trusted(
+        frame, l.signature, l.inner, l.outer, l.nodes, l.edges, ctrl, link, ports
     )
 
 
 def fuzzify_link(l: LinkGraph, frame: Frame = TWO_POINT) -> FuzzyLinkGraph:
-    top = frame.top
-    return FuzzyLinkGraph(
-        frame,
-        l.signature,
-        l.inner,
-        l.outer,
-        l.nodes,
-        l.edges,
-        {(v, k): top for v, k in l.ctrl.items()},
-        {(q, t): top for q, t in l.link.items()},
-    )
+    return _fuzzify_link(l, frame, None)
 
 
 def fuzzify(b: Bigraph, frame: Frame = TWO_POINT) -> FuzzyBigraph:
-    """Embed a crisp bigraph: every map entry becomes a top-degree pair."""
-    return FuzzyBigraph(fuzzify_place(b.place, frame), fuzzify_link(b.link, frame))
+    """Embed a crisp bigraph: every map entry becomes a top-degree pair.
+
+    Parts that agree on signature, nodes and controls share one control
+    relation.  Parts that disagree are checked one by one, and
+    :class:`FuzzyBigraph` names the disagreement.
+    """
+    p, l = b.place, b.link
+    place = fuzzify_place(p, frame)
+    if l.signature == p.signature and l.nodes == p.nodes and l.ctrl == p.ctrl:
+        return FuzzyBigraph._trusted(place, _fuzzify_link(l, frame, place.ctrl))
+    return FuzzyBigraph(place, fuzzify_link(l, frame))
 
 
-def _functional_at_top(rel: FuzzyRelation, domain, what: str) -> dict:
+def _functional_at_top(rel: FuzzyRelation, what: str) -> dict:
+    """``rel`` as a map, when it sends each element of its domain to exactly
+    one target, at top."""
+    frame = rel.frame
+    top = frame.top
+    top_raw = top.raw
     out: dict = {}
     for (a, b), degree in rel.items():
-        if not degree.is_top():
+        if degree is not top and degree.raw != top_raw:
             raise NotCrispError(
                 f"{what} entry ({a!r}, {b!r}) has degree "
-                f"{rel.frame.format_degree(degree)}, not top"
+                f"{frame.format_degree(degree)}, not top"
             )
         if a in out:
             raise NotCrispError(f"{what} has two top-degree targets for {a!r}")
         out[a] = b
-    missing = set(domain) - set(out)
-    if missing:
+    # Every source lies in the domain, so only a map as large is total.
+    if len(out) != len(rel.domain):
+        missing = rel.domain - out.keys()
         raise NotCrispError(f"{what} is not total at top: {sorted(map(repr, missing))}")
     return out
 
 
-def defuzzify_place(p: FuzzyPlaceGraph) -> PlaceGraph:
-    ctrl = _functional_at_top(p.ctrl, p.nodes, "control relation")
-    prnt = _functional_at_top(
-        p.prnt, set(range(p.inner)) | set(p.nodes), "parent relation"
-    )
+def _place_at_top(p: FuzzyPlaceGraph, ctrl: dict) -> PlaceGraph:
+    prnt = _functional_at_top(p.prnt, "parent relation")
     return PlaceGraph(p.signature, p.inner, p.outer, p.nodes, ctrl, prnt)
 
 
-def defuzzify_link(l: FuzzyLinkGraph) -> LinkGraph:
-    ctrl = _functional_at_top(l.ctrl, l.nodes, "control relation")
-    link = _functional_at_top(l.link, l.points, "link relation")
+def _link_at_top(l: FuzzyLinkGraph, ctrl: dict) -> LinkGraph:
+    link = _functional_at_top(l.link, "link relation")
     return LinkGraph(l.signature, l.inner, l.outer, l.nodes, l.edges, ctrl, link)
 
 
+def defuzzify_place(p: FuzzyPlaceGraph) -> PlaceGraph:
+    return _place_at_top(p, _functional_at_top(p.ctrl, "control relation"))
+
+
+def defuzzify_link(l: FuzzyLinkGraph) -> LinkGraph:
+    return _link_at_top(l, _functional_at_top(l.ctrl, "control relation"))
+
+
 def defuzzify(f: FuzzyBigraph) -> Bigraph:
-    """Lower a fuzzy bigraph whose relations are functional at degree top."""
-    return Bigraph(defuzzify_place(f.place), defuzzify_link(f.link))
+    """Lower a fuzzy bigraph whose relations are functional at degree top.
+
+    Both parts hold one control relation, so it is lowered once.
+    """
+    ctrl = _functional_at_top(f.ctrl, "control relation")
+    return Bigraph(_place_at_top(f.place, ctrl), _link_at_top(f.link, ctrl))
 
 
 # --- validation ----------------------------------------------------------------

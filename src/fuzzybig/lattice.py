@@ -16,6 +16,7 @@ every lattice law checked by the test suite is an exact equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .errors import FrameMismatchError
@@ -133,11 +134,12 @@ class Frame:
             raise ValueError(f"{raw!r} is not a degree of frame {self.name}")
         return FrameValue(self, raw)
 
-    @property
+    # Degrees are immutable, so each frame keeps one bottom and one top.
+    @cached_property
     def bottom(self) -> FrameValue:
         return FrameValue(self, self._bottom_raw())
 
-    @property
+    @cached_property
     def top(self) -> FrameValue:
         return FrameValue(self, self._top_raw())
 
@@ -180,7 +182,7 @@ class Frame:
         return self._format(v.raw)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Frame) and self.name == other.name
+        return self is other or (isinstance(other, Frame) and self.name == other.name)
 
     def __hash__(self) -> int:
         return hash(self.name)

@@ -486,11 +486,6 @@ def parse(text: str) -> ModelDocument:
 # --- encoding -------------------------------------------------------------------
 
 
-def _pair_key(entry):
-    (a, b) = entry[0]
-    return (element_sort_key(a), element_sort_key(b))
-
-
 def _encode_crisp_nodes(nodes, ctrl):
     return [[v, ctrl[v]] for v in sorted(nodes)]
 

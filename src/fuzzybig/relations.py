@@ -32,9 +32,15 @@ def element_sort_key(element):
 
 
 def _as_entries(entries) -> Iterable[tuple]:
-    if isinstance(entries, Mapping):
+    # A plain dict is by far the common case; the ABC check is slow.
+    if type(entries) is dict or isinstance(entries, Mapping):
         return entries.items()
     return entries
+
+
+def _outside(a, b) -> ValueError:
+    """The error for an entry ``(a, b)`` off a relation's domain/codomain."""
+    return ValueError(f"relation entry ({a!r}, {b!r}) lies outside its domain/codomain")
 
 
 class FuzzyRelation:
@@ -54,9 +60,7 @@ class FuzzyRelation:
         for (a, b), degree in _as_entries(entries):
             frame.check_value(degree)
             if a not in self.domain or b not in self.codomain:
-                raise ValueError(
-                    f"relation entry ({a!r}, {b!r}) lies outside its domain/codomain"
-                )
+                raise _outside(a, b)
             if degree.is_bottom():
                 continue
             if (a, b) in store:
@@ -223,10 +227,14 @@ def _route(f_rel, g_rel, f_internal, g_internal, kappa, f_drop, g_drop) -> dict:
 
 
 def identity_relation(frame: Frame, elements) -> FuzzyRelation:
-    """The fuzzy identity: degree top on equal pairs, bottom elsewhere."""
+    """The fuzzy identity: degree top on equal pairs, bottom elsewhere.
+
+    Every pair lies on the diagonal at the frame's own top, so there is
+    nothing to check.
+    """
     elements = frozenset(elements)
-    top = frame.top
-    return FuzzyRelation(frame, elements, elements, {(e, e): top for e in elements})
+    store = dict.fromkeys(zip(elements, elements), frame.top)
+    return FuzzyRelation._trusted(frame, elements, elements, store)
 
 
 class FuzzySet:

@@ -35,6 +35,7 @@ from .fuzzy import (
     _require_link_composable,
     _require_place_composable,
     _translated_sides,
+    _widths,
     identity_bigraph,
     skeleton_is_acyclic,
 )
@@ -80,9 +81,7 @@ class Type2FuzzyPlaceGraph(_Graph):
     __slots__ = ("frame", "signature", "inner", "outer", "nodes", "ctrl", "prnt", "degree")
 
     def __init__(self, frame, signature, inner, outer, nodes: FuzzySet, ctrl, prnt, degree):
-        inner, outer = int(inner), int(outer)
-        if inner < 0 or outer < 0:
-            raise ValueError("interface widths must be natural numbers")
+        inner, outer = _widths(inner, outer)
         _require_fuzzy_set(frame, nodes, "node")
         frame.check_value(degree)
         ctrl = _as_relation(frame, ctrl, nodes.support, signature.controls)
@@ -230,35 +229,62 @@ def type2_support(g, *, literal_off_sort_top: bool = False) -> FuzzySet:
 
 
 # --- embeddings of plain fuzzy structures --------------------------------------
+#
+# A fuzzy graph passed every check its type-2 embedding makes, save the
+# interface degree, which the caller may give, and the ports, which the
+# type-2 rule may count differently; so those two are checked and the rest
+# is carried over as it stands.
+
+
+def _full_set(frame: Frame, elements: frozenset) -> FuzzySet:
+    """Every element at membership top."""
+    return FuzzySet._trusted(frame, dict.fromkeys(elements, frame.top))
+
+
+def _embedding_degree(frame: Frame, degree: FrameValue | None) -> FrameValue:
+    if degree is None:
+        return frame.top
+    frame.check_value(degree)
+    return degree
 
 
 def embed_place(f: FuzzyPlaceGraph, degree: FrameValue | None = None) -> Type2FuzzyPlaceGraph:
-    top = f.frame.top
-    return Type2FuzzyPlaceGraph(
-        f.frame,
-        f.signature,
-        f.inner,
-        f.outer,
-        FuzzySet(f.frame, {v: top for v in f.nodes}),
-        f.ctrl,
-        f.prnt,
-        degree if degree is not None else top,
+    frame = f.frame
+    nodes, degree = _full_set(frame, f.nodes), _embedding_degree(frame, degree)
+    return Type2FuzzyPlaceGraph._trusted(
+        frame, f.signature, f.inner, f.outer, nodes, f.ctrl, f.prnt, degree
     )
 
 
 def embed_link(f: FuzzyLinkGraph, degree: FrameValue | None = None) -> Type2FuzzyLinkGraph:
-    top = f.frame.top
-    return Type2FuzzyLinkGraph(
-        f.frame,
-        f.signature,
-        f.inner,
-        f.outer,
-        FuzzySet(f.frame, {v: top for v in f.nodes}),
-        FuzzySet(f.frame, {e: top for e in f.edges}),
-        f.ctrl,
-        f.link,
-        degree if degree is not None else top,
+    frame = f.frame
+    nodes, degree = _full_set(frame, f.nodes), _embedding_degree(frame, degree)
+    ports = type2_ports(f.signature, nodes, f.ctrl)
+    link = f.link
+    # The type-2 rule never counts more ports than the widest control has.
+    if len(ports) != len(f.ports):
+        _require_linked_ports_kept(f, ports)
+        link = FuzzyRelation._trusted(frame, f.inner | ports, link.codomain, link.entry_dict())
+    edges = _full_set(frame, f.edges)
+    return Type2FuzzyLinkGraph._trusted(
+        frame, f.signature, f.inner, f.outer, nodes, edges, f.ctrl, link, ports, degree
     )
+
+
+def _require_linked_ports_kept(f: FuzzyLinkGraph, ports: frozenset) -> None:
+    """Every port ``f`` links is among the type-2 ``ports``; the first one in
+    entry order that is not names its node and the node's controls."""
+    for (point, _target), _degree in f.link.items():
+        if isinstance(point, tuple) and point not in ports:
+            v = point[0]
+            row = sorted((k, d) for (u, k), d in f.ctrl.items() if u == v)
+            degrees = ", ".join(f"{k} at {f.frame.format_degree(d)}" for k, d in row)
+            kept = sum(1 for port in ports if port[0] == v)
+            raise ValueError(
+                f"cannot embed node {v!r} with controls {degrees}: the type-2 "
+                f"port rule gives it the {kept} port(s) of its control at the join "
+                f"of those degrees, but its port {point!r} is linked"
+            )
 
 
 def embed_bigraph(
@@ -268,11 +294,13 @@ def embed_bigraph(
 ) -> Type2FuzzyBigraph:
     """Embed a fuzzy bigraph with full memberships and the given degrees.
 
-    Note: the embedded link part derives its ports by the type-2
-    join-attaining rule, so nodes holding several positive controls should
-    have their widest control on top for the embedding to preserve ports.
+    The embedded link part derives its ports by the type-2 join-attaining
+    rule.  A node holding several positive controls keeps only the ports of
+    the one at the join of their degrees, so if its widest control is not
+    that one and one of the ports it loses is linked, the embedding raises
+    ``ValueError`` naming the node.
     """
-    return Type2FuzzyBigraph(
+    return Type2FuzzyBigraph._trusted(
         embed_place(f.place, place_degree), embed_link(f.link, link_degree)
     )
 
