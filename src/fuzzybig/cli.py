@@ -254,11 +254,16 @@ def _cmd_support(args) -> int:
 def _load_rho(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise _IOFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in renaming file: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # nested too deeply for the decoder, or an integer too long to convert
+        raise ParseError(f"invalid JSON in renaming file: {exc}") from None
     if not isinstance(data, dict) or set(data) - {"nodes", "edges"}:
         raise ParseError("renaming file must be an object with nodes/edges")
     return data

@@ -103,6 +103,18 @@ class PlaceGraph:
         object.__setattr__(self, "ctrl", MappingProxyType(dict(self.ctrl)))
         object.__setattr__(self, "prnt", MappingProxyType(dict(self.prnt)))
 
+    @classmethod
+    def _trusted(cls, signature, inner, outer, nodes, ctrl: dict, prnt: dict) -> "PlaceGraph":
+        """A place graph whose ``nodes`` are already a frozenset of strings and
+        whose maps are dicts that nothing else will change: they are wrapped
+        read-only as they stand, not frozen or copied again."""
+        graph = cls.__new__(cls)
+        vars(graph).update(
+            signature=signature, inner=inner, outer=outer, nodes=nodes,
+            ctrl=MappingProxyType(ctrl), prnt=MappingProxyType(prnt),
+        )
+        return graph
+
     @property
     def sites(self) -> range:
         return range(self.inner)
@@ -144,6 +156,17 @@ class LinkGraph:
         object.__setattr__(self, "edges", _freeze_ids(self.edges, "edge"))
         object.__setattr__(self, "ctrl", MappingProxyType(dict(self.ctrl)))
         object.__setattr__(self, "link", MappingProxyType(dict(self.link)))
+
+    @classmethod
+    def _trusted(cls, signature, inner, outer, nodes, edges, ctrl: dict, link: dict) -> "LinkGraph":
+        """A link graph whose identifier sets are already frozensets of
+        strings and whose maps are dicts that nothing else will change."""
+        graph = cls.__new__(cls)
+        vars(graph).update(
+            signature=signature, inner=inner, outer=outer, nodes=nodes, edges=edges,
+            ctrl=MappingProxyType(ctrl), link=MappingProxyType(link),
+        )
+        return graph
 
     @property
     def ports(self) -> frozenset[Port]:

@@ -754,14 +754,19 @@ def _functional_at_top(rel: FuzzyRelation, what: str) -> dict:
     return out
 
 
+# The maps are built here and held by nothing else, and the identifier sets
+# are the fuzzy graph's frozen strings, so the crisp graphs take them as
+# they stand.
+
+
 def _place_at_top(p: FuzzyPlaceGraph, ctrl: dict) -> PlaceGraph:
     prnt = _functional_at_top(p.prnt, "parent relation")
-    return PlaceGraph(p.signature, p.inner, p.outer, p.nodes, ctrl, prnt)
+    return PlaceGraph._trusted(p.signature, p.inner, p.outer, p.nodes, ctrl, prnt)
 
 
 def _link_at_top(l: FuzzyLinkGraph, ctrl: dict) -> LinkGraph:
     link = _functional_at_top(l.link, "link relation")
-    return LinkGraph(l.signature, l.inner, l.outer, l.nodes, l.edges, ctrl, link)
+    return LinkGraph._trusted(l.signature, l.inner, l.outer, l.nodes, l.edges, ctrl, link)
 
 
 def defuzzify_place(p: FuzzyPlaceGraph) -> PlaceGraph:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable
 
@@ -35,16 +36,20 @@ from .fuzzy import (
     FuzzyBigraph,
     FuzzyLinkGraph,
     FuzzyPlaceGraph,
+    _prnt_domain,
+    _require_apart,
+    derive_ports,
     validate_fuzzy_bigraph,
     validate_fuzzy_link,
     validate_fuzzy_place,
 )
 from .lattice import Frame, frame_from_name
-from .relations import FuzzySet, element_sort_key
+from .relations import FuzzyRelation, FuzzySet, _outside, element_sort_key
 from .type2 import (
     Type2FuzzyBigraph,
     Type2FuzzyLinkGraph,
     Type2FuzzyPlaceGraph,
+    type2_ports,
     validate_type2_bigraph,
     validate_type2_link,
     validate_type2_place,
@@ -91,6 +96,16 @@ class ModelDocument:
 # --- decoding helpers ---------------------------------------------------------
 
 
+class _Fault(Exception):
+    """A fault in one item of a list field.  The loop over the list adds the
+    item's path, so no path text is built for the items that are fine."""
+
+
+def _shape(row, message: str) -> str:
+    """The fault of a row that is not a list of the expected length."""
+    return message if isinstance(row, list) else "expected an array"
+
+
 def _expect_object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ParseError("expected an object", path)
@@ -124,24 +139,66 @@ def _expect_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) ->
         raise ParseError(f"unknown field {sorted(unknown)[0]!r}", path)
 
 
-def _decode_degree(frame: Frame, value, path: str):
-    if not isinstance(value, str):
-        raise ParseError("degrees are written as strings, e.g. \"3/10\"", path)
+class _Degrees:
+    """The degrees of one ``parse`` call, by their text.
+
+    A model file repeats a handful of degree texts thousands of times, so
+    each distinct text goes through the frame's parser once per call.  Only
+    texts that parsed are kept: a bad text fails, with the same message, at
+    every occurrence.  The table lives for one call only, because the input
+    is untrusted and a table kept across calls would grow with every file
+    read.  Bottom is stored as the frame's own bottom, so that rows at
+    bottom are found by identity.
+    """
+
+    __slots__ = ("frame", "known")
+
+    def __init__(self, frame: Frame):
+        self.frame = frame
+        self.known: dict = {}
+
+    def parse(self, text):
+        degree = self.known.get(text) if type(text) is str else None
+        if degree is not None:
+            return degree
+        if not isinstance(text, str):
+            raise _Fault("degrees are written as strings, e.g. \"3/10\"")
+        try:
+            degree = self.frame.parse_degree(text)
+        except ValueError as exc:
+            raise _Fault(str(exc)) from None
+        if degree.is_bottom():
+            degree = self.frame.bottom
+        self.known[text] = degree
+        return degree
+
+
+def _decode_degree(degrees: _Degrees, value, path: str):
     try:
-        return frame.parse_degree(value)
-    except ValueError as exc:
-        raise ParseError(str(exc), path) from None
+        return degrees.parse(value)
+    except _Fault as fault:
+        raise ParseError(str(fault), path) from None
 
 
-def _decode_place_elem(value, path: str):
+# Row endpoints.  Every endpoint sort accepts a plain string as it stands,
+# so the row loops call these only for other values.
+
+
+def _string(value):
+    if not isinstance(value, str):
+        raise _Fault("expected a string")
+    return value
+
+
+def _place_elem(value):
     if isinstance(value, bool):
-        raise ParseError("booleans are not model elements", path)
+        raise _Fault("booleans are not model elements")
     if isinstance(value, (int, str)):
         return value
-    raise ParseError("expected a site/root number or a node identifier", path)
+    raise _Fault("expected a site/root number or a node identifier")
 
 
-def _decode_point(value, path: str):
+def _point(value):
     if isinstance(value, str):
         return value
     if isinstance(value, list):
@@ -153,27 +210,22 @@ def _decode_point(value, path: str):
             and value[1] >= 0
         ):
             return (value[0], value[1])
-        raise ParseError("a port is written [node, index]", path)
-    raise ParseError("expected an inner name or a port [node, index]", path)
-
-
-def _encode_elem(element):
-    if isinstance(element, tuple):
-        return [element[0], element[1]]
-    return element
+        raise _Fault("a port is written [node, index]")
+    raise _Fault("expected an inner name or a port [node, index]")
 
 
 def _decode_names(value, path: str, what: str = "name") -> frozenset[str]:
     names = _expect_array(value, path)
-    out = []
     for i, name in enumerate(names):
-        out.append(_expect_string(name, f"{path}[{i}]"))
-    if len(set(out)) != len(out):
+        if not isinstance(name, str):
+            raise ParseError("expected a string", f"{path}[{i}]")
+    out = frozenset(names)
+    if len(out) != len(names):
         raise ParseError(f"duplicate {what}", path)
-    return frozenset(out)
+    return out
 
 
-def _decode_ids(value, frame: Frame, path: str) -> frozenset[str]:
+def _decode_ids(value, degrees: _Degrees, path: str) -> frozenset[str]:
     return _decode_names(value, path, "identifier")
 
 
@@ -186,83 +238,104 @@ def _decode_interface(value, path: str) -> Interface:
     )
 
 
-def _decode_crisp_nodes(value, frame: Frame, signature: Signature, path: str):
+def _decode_crisp_nodes(value, degrees: _Degrees, signature: Signature, path: str):
     rows = _expect_array(value, path)
-    nodes, ctrl = [], {}
-    for i, row in enumerate(rows):
-        rp = f"{path}[{i}]"
-        row = _expect_array(row, rp)
-        if len(row) != 2:
-            raise ParseError("a crisp node is written [id, control]", rp)
-        ident = _expect_string(row[0], rp)
-        control = _expect_string(row[1], rp)
-        if ident in ctrl:
-            raise ParseError(f"duplicate node {ident!r}", rp)
-        if control not in signature.arity:
-            raise ParseError(f"unknown control {control!r}", rp)
-        nodes.append(ident)
-        ctrl[ident] = control
-    return frozenset(nodes), ctrl
-
-
-def _decode_graded_ids(value, frame: Frame, path: str) -> FuzzySet:
-    rows = _expect_array(value, path)
-    entries = {}
-    for i, row in enumerate(rows):
-        rp = f"{path}[{i}]"
-        row = _expect_array(row, rp)
-        if len(row) != 2:
-            raise ParseError("a graded identifier is written [id, degree]", rp)
-        ident = _expect_string(row[0], rp)
-        if ident in entries:
-            raise ParseError(f"duplicate identifier {ident!r}", rp)
-        degree = _decode_degree(frame, row[1], rp)
-        if degree.is_bottom():
-            raise ParseError(
-                f"graded identifier {ident!r} has membership bottom; list only positive ones",
-                rp,
-            )
-        entries[ident] = degree
-    return FuzzySet(frame, entries)
-
-
-def _decode_pairs(value, frame, decode_a, decode_b, path: str):
-    rows = _expect_array(value, path)
-    out = {}
-    for i, row in enumerate(rows):
-        rp = f"{path}[{i}]"
-        row = _expect_array(row, rp)
-        if len(row) != 2:
-            raise ParseError("expected [from, to]", rp)
-        a = decode_a(row[0], rp)
-        if a in out:
-            raise ParseError(f"duplicate entry for {a!r}", rp)
-        out[a] = decode_b(row[1], rp)
-    return out
-
-
-def _decode_triples(value, frame: Frame, decode_a, decode_b, path: str):
-    rows = _expect_array(value, path)
-    out = {}
-    for i, row in enumerate(rows):
-        rp = f"{path}[{i}]"
-        row = _expect_array(row, rp)
-        if len(row) != 3:
-            raise ParseError("expected [from, to, degree]", rp)
-        key = (decode_a(row[0], rp), decode_b(row[1], rp))
-        if key in out:
-            raise ParseError(f"duplicate entry for {key!r}", rp)
-        out[key] = _decode_degree(frame, row[2], rp)
-    return out
-
-
-def _build(constructor, path: str, *args, **kwargs):
-    """Constructor errors (dangling identifiers, off-carrier ports) become
-    parse errors at the record's path."""
+    ctrl: dict = {}
     try:
-        return constructor(*args, **kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ParseError(str(exc), path) from None
+        for i, row in enumerate(rows):
+            if type(row) is not list or len(row) != 2:
+                raise _Fault(_shape(row, "a crisp node is written [id, control]"))
+            ident, control = _string(row[0]), _string(row[1])
+            if ident in ctrl:
+                raise _Fault(f"duplicate node {ident!r}")
+            if control not in signature.arity:
+                raise _Fault(f"unknown control {control!r}")
+            ctrl[ident] = control
+    except _Fault as fault:
+        raise ParseError(str(fault), f"{path}[{i}]") from None
+    return frozenset(ctrl), ctrl
+
+
+def _decode_graded_ids(value, degrees: _Degrees, path: str) -> FuzzySet:
+    rows = _expect_array(value, path)
+    bottom = degrees.frame.bottom
+    entries: dict = {}
+    try:
+        for i, row in enumerate(rows):
+            if type(row) is not list or len(row) != 2:
+                raise _Fault(_shape(row, "a graded identifier is written [id, degree]"))
+            ident = _string(row[0])
+            if ident in entries:
+                raise _Fault(f"duplicate identifier {ident!r}")
+            degree = degrees.parse(row[1])
+            if degree is bottom:
+                raise _Fault(
+                    f"graded identifier {ident!r} has membership bottom; "
+                    "list only positive ones"
+                )
+            entries[ident] = degree
+    except _Fault as fault:
+        raise ParseError(str(fault), f"{path}[{i}]") from None
+    return FuzzySet._trusted(degrees.frame, entries)
+
+
+def _decode_pairs(value, degrees: _Degrees, decode_a, decode_b, path: str) -> dict:
+    rows = _expect_array(value, path)
+    out: dict = {}
+    try:
+        for i, row in enumerate(rows):
+            if type(row) is not list or len(row) != 2:
+                raise _Fault(_shape(row, "expected [from, to]"))
+            a, b = row
+            if type(a) is not str:
+                a = decode_a(a)
+            if a in out:
+                raise _Fault(f"duplicate entry for {a!r}")
+            out[a] = b if type(b) is str else decode_b(b)
+    except _Fault as fault:
+        raise ParseError(str(fault), f"{path}[{i}]") from None
+    return out
+
+
+def _decode_triples(value, degrees: _Degrees, decode_a, decode_b, path: str) -> dict:
+    """Graded rows by their pair, rows at bottom included: the pairs still
+    count as duplicates and are checked against the relation's domain."""
+    rows = _expect_array(value, path)
+    parse_degree = degrees.parse
+    out: dict = {}
+    try:
+        for i, row in enumerate(rows):
+            if type(row) is not list or len(row) != 3:
+                raise _Fault(_shape(row, "expected [from, to, degree]"))
+            a, b, text = row
+            key = (
+                a if type(a) is str else decode_a(a),
+                b if type(b) is str else decode_b(b),
+            )
+            if key in out:
+                raise _Fault(f"duplicate entry for {key!r}")
+            out[key] = parse_degree(text)
+    except _Fault as fault:
+        raise ParseError(str(fault), f"{path}[{i}]") from None
+    return out
+
+
+def _relation(frame: Frame, domain, codomain, entries: dict, path: str) -> FuzzyRelation:
+    """The relation of decoded graded rows.
+
+    Rows are checked against the domain and codomain in row order, with the
+    message :class:`FuzzyRelation` gives, and rows at bottom are dropped.
+    """
+    bottom = frame.bottom
+    at_bottom = False
+    for (a, b), degree in entries.items():
+        if a not in domain or b not in codomain:
+            raise ParseError(str(_outside(a, b)), path)
+        if degree is bottom:
+            at_bottom = True
+    if at_bottom:
+        entries = {key: d for key, d in entries.items() if d is not bottom}
+    return FuzzyRelation._trusted(frame, domain, codomain, entries)
 
 
 def _check_place_refs(prnt: dict, nodes: frozenset, path: str) -> None:
@@ -307,6 +380,64 @@ def _check_ctrl_refs(ctrl: dict, nodes: frozenset, path: str) -> None:
 
 
 # --- graph records --------------------------------------------------------------
+#
+# The decoder checks every field a record's constructors would check, with
+# their messages and in their order, so the graphs are stored through the
+# private constructors: nothing is checked twice, and a bigraph's parts share
+# one control relation.
+
+
+def _build_crisp(fl, fields: dict, signature: Signature, frame: Frame, path: str) -> list:
+    """Crisp parts from checked fields; their maps are the decoder's own."""
+    inner, outer, nodes, ctrl = fields["inner"], fields["outer"], fields["nodes"], fields["ctrl"]
+    parts = []
+    if "prnt" in fields:
+        parts.append(fl.place._trusted(
+            signature, inner.width, outer.width, nodes, ctrl, fields["prnt"]
+        ))
+    if "link" in fields:
+        parts.append(fl.link._trusted(
+            signature, inner.names, outer.names, nodes, fields["edges"], ctrl, fields["link"]
+        ))
+    return parts
+
+
+def _build_graded(fl, fields: dict, signature: Signature, frame: Frame, path: str) -> list:
+    """Fuzzy or type-2 parts from decoded fields.  What the constructors
+    would still check here -- the relations' domains and the link part's
+    disjoint identifiers -- is checked in their order."""
+    inner, outer, nodes = fields["inner"], fields["outer"], fields["nodes"]
+    node_ids = fl.support(nodes)
+    parts = []
+    ctrl = None
+    if "prnt" in fields:
+        ctrl = _relation(frame, node_ids, signature.controls, fields["ctrl"], path)
+        prnt = _relation(
+            frame, *_prnt_domain(inner.width, outer.width, node_ids), fields["prnt"], path
+        )
+        degree = [fields[key] for key in fl.place_degree]
+        parts.append(fl.place._trusted(
+            frame, signature, inner.width, outer.width, nodes, ctrl, prnt, *degree
+        ))
+    if "link" in fields:
+        edges = fields["edges"]
+        edge_ids = fl.support(edges)
+        try:
+            _require_apart(node_ids, edge_ids, outer.names)
+        except ValueError as exc:
+            raise ParseError(str(exc), path) from None
+        if ctrl is None:
+            ctrl = _relation(frame, node_ids, signature.controls, fields["ctrl"], path)
+        ports = fl.ports(signature, nodes, ctrl)
+        link = _relation(
+            frame, inner.names | ports, edge_ids | outer.names, fields["link"], path
+        )
+        degree = [fields[key] for key in fl.link_degree]
+        parts.append(fl.link._trusted(
+            frame, signature, inner.names, outer.names, nodes, edges, ctrl, link, ports,
+            *degree,
+        ))
+    return parts
 
 
 @dataclass(frozen=True)
@@ -317,18 +448,21 @@ class _Flavour:
     records, the control map; graded flavours keep controls in a ``ctrl``
     relation.  ``entries`` decodes a relation field (crisp maps or graded
     triples), ``check_refs`` rejects identifiers the record never declared,
-    ``lead`` gives the constructors' leading arguments, and the degree
-    fields are the interface degrees of the place and link parts.
+    and ``build`` makes the parts from the decoded fields.  ``support`` and
+    ``ports`` give a graded record's identifier sets and ports, and the
+    degree fields are the interface degrees of the place and link parts.
     """
 
     nodes: Callable
     edges: Callable
     entries: Callable
     check_refs: Callable
+    build: Callable
     place: type
     link: type
-    bigraph: type
-    lead: Callable
+    pair: Callable
+    support: Callable | None = None
+    ports: Callable | None = None
     ctrl: tuple = ()
     place_degree: tuple = ()
     link_degree: tuple = ()
@@ -341,34 +475,38 @@ _FLAVOURS = {
         edges=_decode_ids,
         entries=_decode_pairs,
         check_refs=_check_crisp_refs,
+        build=_build_crisp,
         place=PlaceGraph,
         link=LinkGraph,
-        bigraph=Bigraph,
-        lead=lambda frame, signature: (signature,),
+        pair=Bigraph,
     ),
     "fuzzy": _Flavour(
-        nodes=lambda value, frame, signature, path: (_decode_ids(value, frame, path), None),
+        nodes=lambda value, degrees, signature, path: (_decode_ids(value, degrees, path), None),
         edges=_decode_ids,
         entries=_decode_triples,
         check_refs=lambda f, path: _check_ctrl_refs(f["ctrl"], f["nodes"], path),
+        build=_build_graded,
         place=FuzzyPlaceGraph,
         link=FuzzyLinkGraph,
-        bigraph=FuzzyBigraph,
-        lead=lambda frame, signature: (frame, signature),
+        pair=FuzzyBigraph._trusted,
+        support=lambda ids: ids,
+        ports=lambda signature, nodes, ctrl: derive_ports(signature, ctrl),
         ctrl=("ctrl",),
     ),
     "type2": _Flavour(
-        nodes=lambda value, frame, signature, path: (
-            _decode_graded_ids(value, frame, path),
+        nodes=lambda value, degrees, signature, path: (
+            _decode_graded_ids(value, degrees, path),
             None,
         ),
         edges=_decode_graded_ids,
         entries=_decode_triples,
         check_refs=lambda f, path: _check_ctrl_refs(f["ctrl"], f["nodes"].support, path),
+        build=_build_graded,
         place=Type2FuzzyPlaceGraph,
         link=Type2FuzzyLinkGraph,
-        bigraph=Type2FuzzyBigraph,
-        lead=lambda frame, signature: (frame, signature),
+        pair=Type2FuzzyBigraph._trusted,
+        support=lambda fset: fset.support,
+        ports=lambda signature, nodes, ctrl: type2_ports(signature, nodes, ctrl),
         ctrl=("ctrl",),
         place_degree=("beta",),
         link_degree=("delta",),
@@ -384,13 +522,13 @@ _PARTS = {
 }
 
 _ENDPOINTS = {
-    "ctrl": (_expect_string, _expect_string),
-    "prnt": (_decode_place_elem, _decode_place_elem),
-    "link": (_decode_point, _expect_string),
+    "ctrl": (_string, _string),
+    "prnt": (_place_elem, _place_elem),
+    "link": (_point, _string),
 }
 
 
-def _decode_record(kind: str, obj: dict, frame: Frame, signature: Signature, path: str):
+def _decode_record(kind: str, obj: dict, degrees: _Degrees, signature: Signature, path: str):
     """Decode one graph record: the part table says which fields it has,
     the flavour table how each of them is written and what it builds."""
     flavour, _, part = kind.partition("-")
@@ -415,48 +553,39 @@ def _decode_record(kind: str, obj: dict, frame: Frame, signature: Signature, pat
         "inner": decode_interface(obj["inner"], at("inner")),
         "outer": decode_interface(obj["outer"], at("outer")),
     }
-    fields["nodes"], fields["ctrl"] = fl.nodes(obj["nodes"], frame, signature, at("nodes"))
+    fields["nodes"], fields["ctrl"] = fl.nodes(obj["nodes"], degrees, signature, at("nodes"))
     for key in edges:
-        fields[key] = fl.edges(obj[key], frame, at(key))
+        fields[key] = fl.edges(obj[key], degrees, at(key))
     for key in fl.ctrl + relations:
-        fields[key] = fl.entries(obj[key], frame, *_ENDPOINTS[key], at(key))
+        fields[key] = fl.entries(obj[key], degrees, *_ENDPOINTS[key], at(key))
     fl.check_refs(fields, path)
     for key in place_degree + link_degree:
-        fields[key] = _decode_degree(frame, obj[key], at(key))
+        fields[key] = _decode_degree(degrees, obj[key], at(key))
 
-    lead = fl.lead(frame, signature)
-    inner, outer = fields["inner"], fields["outer"]
-    nodes, ctrl = fields["nodes"], fields["ctrl"]
-    parts = []
-    if has_place:
-        degrees = [fields[key] for key in place_degree]
-        parts.append(_build(
-            fl.place, path, *lead, inner.width, outer.width, nodes, ctrl,
-            fields["prnt"], *degrees,
-        ))
-    if has_link:
-        degrees = [fields[key] for key in link_degree]
-        parts.append(_build(
-            fl.link, path, *lead, inner.names, outer.names, nodes, fields["edges"],
-            ctrl, fields["link"], *degrees,
-        ))
+    parts = fl.build(fl, fields, signature, degrees.frame, path)
     if len(parts) == 1:
         return parts[0]
-    bigraph = _build(fl.bigraph, path, *parts)
+    bigraph = fl.pair(*parts)
     for key in fl.meet_degree:
-        if key in obj and _decode_degree(frame, obj[key], at(key)) != bigraph.degree:
+        if key in obj and _decode_degree(degrees, obj[key], at(key)) != bigraph.degree:
             raise ParseError(f"{key} must be the meet of beta and delta", at(key))
     return bigraph
 
 
 def parse(text: str) -> ModelDocument:
-    """Parse a model document; errors carry the path of the offending field."""
+    """Parse a model document; errors carry the path of the offending field.
+
+    Text that ``json`` cannot read -- malformed, nested too deeply for the
+    decoder, or holding an integer too long to convert -- is a parse error.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
         ) from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
     root = _expect_object(data, "$")
     _expect_keys(root, "$", ("frame", "signature", "graphs"))
     frame_name = _expect_string(root["frame"], "$.frame")
@@ -471,6 +600,7 @@ def parse(text: str) -> ModelDocument:
     for control, ar in controls.items():
         table[control] = _expect_nat(ar, f"$.signature.controls.{control}")
     signature = Signature(table)
+    degrees = _Degrees(frame)
     graphs = {}
     graphs_obj = _expect_object(root["graphs"], "$.graphs")
     for name, record in graphs_obj.items():
@@ -479,145 +609,211 @@ def parse(text: str) -> ModelDocument:
         kind = _expect_string(record.get("kind", ""), f"{path}.kind")
         if kind not in KINDS:
             raise ParseError(f"unknown graph kind {kind!r}", f"{path}.kind")
-        graphs[name] = _decode_record(kind, record, frame, signature, path)
+        graphs[name] = _decode_record(kind, record, degrees, signature, path)
     return ModelDocument(frame, signature, graphs)
 
 
 # --- encoding -------------------------------------------------------------------
+#
+# The canonical text is exactly what ``json.dumps(payload, sort_keys=True,
+# indent=2, ensure_ascii=False)`` prints for the record layout below.  With
+# ``indent`` set, ``json`` runs its pure-Python encoder (``Lib/json/encoder.py``
+# uses the C encoder only when ``indent is None``), so the fixed layout is
+# written here directly: records sit two levels deep, their fields three, the
+# rows of a field four, and a row's items five.
 
 
-def _encode_crisp_nodes(nodes, ctrl):
-    return [[v, ctrl[v]] for v in sorted(nodes)]
+def _indent(depth: int) -> str:
+    return "\n" + "  " * depth
 
 
-def _encode_map(mapping):
-    rows = sorted(mapping.items(), key=lambda kv: element_sort_key(kv[0]))
-    return [[_encode_elem(a), _encode_elem(b)] for a, b in rows]
+def _array(items: list, depth: int) -> str:
+    """Encoded items as a JSON array whose brackets sit ``depth`` levels deep."""
+    if not items:
+        return "[]"
+    step = _indent(depth + 1)
+    return "[" + step + ("," + step).join(items) + _indent(depth) + "]"
 
 
-def _encode_relation(relation):
-    frame = relation.frame
-    return [
-        [_encode_elem(a), _encode_elem(b), frame.format_degree(d)]
-        for (a, b), d in relation.sorted_items()
-    ]
+def _object(fields: dict, depth: int) -> str:
+    """Encoded values under their keys, in key order, as a JSON object whose
+    braces sit ``depth`` levels deep."""
+    if not fields:
+        return "{}"
+    step = _indent(depth + 1)
+    members = [f"{encode_basestring(key)}: {value}" for key, value in sorted(fields.items())]
+    return "{" + step + ("," + step).join(members) + _indent(depth) + "}"
 
 
-def _encode_fuzzy_set(fset: FuzzySet):
-    return [
-        [element, fset.frame.format_degree(d)] for element, d in fset.sorted_items()
-    ]
+def _in_key_order(rows: list) -> str:
+    """The texts of ``(sort key, ..., row text)`` rows as a field's array,
+    in the order ``sorted_items`` gives.  No two rows share their keys, so
+    their texts are never compared."""
+    rows.sort()
+    return _array([row[-1] for row in rows], 3)
 
 
-def _encode_interface(interface: Interface):
-    return {"width": interface.width, "names": sorted(interface.names)}
+_ROW_OPEN, _ROW_SEP, _ROW_CLOSE = "[" + _indent(5), "," + _indent(5), _indent(4) + "]"
+_PORT_OPEN, _PORT_SEP, _PORT_CLOSE = "[" + _indent(6), "," + _indent(6), _indent(5) + "]"
 
 
-def _encode_graph(graph) -> dict:
-    if isinstance(graph, PlaceGraph):
-        return {
-            "kind": "crisp-place",
-            "inner": graph.inner,
-            "outer": graph.outer,
-            "nodes": _encode_crisp_nodes(graph.nodes, graph.ctrl),
-            "prnt": _encode_map(graph.prnt),
-        }
-    if isinstance(graph, LinkGraph):
-        return {
-            "kind": "crisp-link",
-            "inner": sorted(graph.inner),
-            "outer": sorted(graph.outer),
-            "nodes": _encode_crisp_nodes(graph.nodes, graph.ctrl),
-            "edges": sorted(graph.edges),
-            "link": _encode_map(graph.link),
-        }
-    if isinstance(graph, Bigraph):
-        return {
-            "kind": "crisp-bigraph",
-            "inner": _encode_interface(graph.inner),
-            "outer": _encode_interface(graph.outer),
-            "nodes": _encode_crisp_nodes(graph.nodes, graph.place.ctrl),
-            "edges": sorted(graph.edges),
-            "prnt": _encode_map(graph.place.prnt),
-            "link": _encode_map(graph.link.link),
-        }
-    if isinstance(graph, FuzzyPlaceGraph):
-        return {
-            "kind": "fuzzy-place",
-            "inner": graph.inner,
-            "outer": graph.outer,
-            "nodes": sorted(graph.nodes),
-            "ctrl": _encode_relation(graph.ctrl),
-            "prnt": _encode_relation(graph.prnt),
-        }
-    if isinstance(graph, FuzzyLinkGraph):
-        return {
-            "kind": "fuzzy-link",
-            "inner": sorted(graph.inner),
-            "outer": sorted(graph.outer),
-            "nodes": sorted(graph.nodes),
-            "edges": sorted(graph.edges),
-            "ctrl": _encode_relation(graph.ctrl),
-            "link": _encode_relation(graph.link),
-        }
-    if isinstance(graph, FuzzyBigraph):
-        return {
-            "kind": "fuzzy-bigraph",
-            "inner": _encode_interface(graph.inner),
-            "outer": _encode_interface(graph.outer),
-            "nodes": sorted(graph.nodes),
-            "edges": sorted(graph.edges),
-            "ctrl": _encode_relation(graph.ctrl),
-            "prnt": _encode_relation(graph.prnt),
-            "link": _encode_relation(graph.link.link),
-        }
-    if isinstance(graph, Type2FuzzyPlaceGraph):
-        return {
-            "kind": "type2-place",
-            "inner": graph.inner,
-            "outer": graph.outer,
-            "nodes": _encode_fuzzy_set(graph.nodes),
-            "ctrl": _encode_relation(graph.ctrl),
-            "prnt": _encode_relation(graph.prnt),
-            "beta": graph.frame.format_degree(graph.degree),
-        }
-    if isinstance(graph, Type2FuzzyLinkGraph):
-        return {
-            "kind": "type2-link",
-            "inner": sorted(graph.inner),
-            "outer": sorted(graph.outer),
-            "nodes": _encode_fuzzy_set(graph.nodes),
-            "edges": _encode_fuzzy_set(graph.edges),
-            "ctrl": _encode_relation(graph.ctrl),
-            "link": _encode_relation(graph.link),
-            "delta": graph.frame.format_degree(graph.degree),
-        }
-    if isinstance(graph, Type2FuzzyBigraph):
-        frame = graph.frame
-        return {
-            "kind": "type2-bigraph",
-            "inner": _encode_interface(graph.inner),
-            "outer": _encode_interface(graph.outer),
-            "nodes": _encode_fuzzy_set(graph.nodes),
-            "edges": _encode_fuzzy_set(graph.edges),
-            "ctrl": _encode_relation(graph.ctrl),
-            "prnt": _encode_relation(graph.place.prnt),
-            "link": _encode_relation(graph.link.link),
-            "beta": frame.format_degree(graph.place.degree),
-            "delta": frame.format_degree(graph.link.degree),
-            "gamma": frame.format_degree(graph.degree),
-        }
-    raise TypeError(f"cannot serialize {type(graph).__name__}")
+class _Writer:
+    """Encoded identifiers and degrees for one ``serialize`` call.
+
+    Identifiers recur across a record's fields, and a few degrees across
+    all its rows, so each is encoded once per call.  Degrees are looked up
+    by identity, because hashing a degree costs more than formatting it;
+    each one seen is kept alive with its text, so no identity is reused
+    while the call runs.  Only strings are looked up by value: ``1`` and
+    ``True`` are equal keys but different JSON.
+    """
+
+    def __init__(self):
+        self.strings: dict = {}
+        self.degrees: dict = {}
+
+    def encode(self, value) -> str:
+        """A string, number or ``(node, index)`` port, as JSON in a row."""
+        if type(value) is str:
+            seen = self.strings.get(value)
+            if seen is None:
+                seen = self.strings[value] = (
+                    element_sort_key(value), encode_basestring(value)
+                )
+            return seen[1]
+        if type(value) is int:
+            return int.__repr__(value)
+        if type(value) is tuple:
+            node, index = self.encode(value[0]), self.encode(value[1])
+            return f"{_PORT_OPEN}{node}{_PORT_SEP}{index}{_PORT_CLOSE}"
+        return json.dumps(value, ensure_ascii=False)
+
+    def element(self, element) -> tuple:
+        """An element's sort key and its JSON text in a row."""
+        if type(element) is str:
+            seen = self.strings.get(element)
+            if seen is not None:
+                return seen
+        return element_sort_key(element), self.encode(element)
+
+    def degree(self, degree) -> str:
+        seen = self.degrees.get(id(degree))
+        if seen is None:
+            text = self.encode(degree.frame.format_degree(degree))
+            seen = self.degrees[id(degree)] = (degree, text)
+        return seen[1]
+
+    def names(self, names, depth: int = 3) -> str:
+        return _array([self.encode(name) for name in sorted(names)], depth)
+
+    def interface(self, interface: Interface) -> str:
+        return _object(
+            {"names": self.names(interface.names, 4), "width": self.encode(interface.width)}, 3
+        )
+
+    def crisp_nodes(self, nodes, ctrl) -> str:
+        encode = self.encode
+        return _array(
+            [f"{_ROW_OPEN}{encode(v)}{_ROW_SEP}{encode(ctrl[v])}{_ROW_CLOSE}" for v in sorted(nodes)],
+            3,
+        )
+
+    def crisp_map(self, mapping) -> str:
+        element, encode = self.element, self.encode
+        rows = []
+        for a, b in mapping.items():
+            key, text = element(a)
+            rows.append((key, f"{_ROW_OPEN}{text}{_ROW_SEP}{encode(b)}{_ROW_CLOSE}"))
+        return _in_key_order(rows)
+
+    def graded_set(self, fset: FuzzySet) -> str:
+        element, degree = self.element, self.degree
+        rows = []
+        for x, d in fset.items():
+            key, text = element(x)
+            rows.append((key, f"{_ROW_OPEN}{text}{_ROW_SEP}{degree(d)}{_ROW_CLOSE}"))
+        return _in_key_order(rows)
+
+    def relation(self, relation: FuzzyRelation) -> str:
+        element, degree = self.element, self.degree
+        rows = []
+        for (a, b), d in relation.items():
+            key_a, text_a = element(a)
+            key_b, text_b = element(b)
+            rows.append((
+                key_a, key_b,
+                f"{_ROW_OPEN}{text_a}{_ROW_SEP}{text_b}{_ROW_SEP}{degree(d)}{_ROW_CLOSE}",
+            ))
+        return _in_key_order(rows)
+
+    def record(self, graph) -> str:
+        """One graph record, two levels deep."""
+        for cls, kind in zip(_GRAPH_TYPES, KINDS):
+            if isinstance(graph, cls):
+                break
+        else:
+            raise TypeError(f"cannot serialize {type(graph).__name__}")
+        flavour, _, part = kind.partition("-")
+        place = graph if part == "place" else graph.place if part == "bigraph" else None
+        link = graph if part == "link" else graph.link if part == "bigraph" else None
+        fields = {"kind": self.encode(kind)}
+        if part == "bigraph":
+            fields["inner"], fields["outer"] = self.interface(graph.inner), self.interface(graph.outer)
+        elif place is not None:
+            fields["inner"], fields["outer"] = self.encode(place.inner), self.encode(place.outer)
+        else:
+            fields["inner"], fields["outer"] = self.names(link.inner), self.names(link.outer)
+        if flavour == "crisp":
+            fields["nodes"] = self.crisp_nodes(graph.nodes, (place or link).ctrl)
+            if place is not None:
+                fields["prnt"] = self.crisp_map(place.prnt)
+            if link is not None:
+                fields["edges"] = self.names(link.edges)
+                fields["link"] = self.crisp_map(link.link)
+            return _object(fields, 2)
+        ids = self.graded_set if flavour == "type2" else self.names
+        fields["nodes"] = ids(graph.nodes)
+        fields["ctrl"] = self.relation(graph.ctrl)
+        if place is not None:
+            fields["prnt"] = self.relation(place.prnt)
+        if link is not None:
+            fields["edges"] = ids(link.edges)
+            fields["link"] = self.relation(link.link)
+        if flavour == "type2":
+            frame = graph.frame
+            if place is not None:
+                fields["beta"] = self.encode(frame.format_degree(place.degree))
+            if link is not None:
+                fields["delta"] = self.encode(frame.format_degree(link.degree))
+            if part == "bigraph":
+                fields["gamma"] = self.encode(frame.format_degree(graph.degree))
+        return _object(fields, 2)
+
+
+# The graph class of each kind, in the order of ``KINDS``.
+_GRAPH_TYPES = (
+    PlaceGraph,
+    LinkGraph,
+    Bigraph,
+    FuzzyPlaceGraph,
+    FuzzyLinkGraph,
+    FuzzyBigraph,
+    Type2FuzzyPlaceGraph,
+    Type2FuzzyLinkGraph,
+    Type2FuzzyBigraph,
+)
 
 
 def serialize(doc: ModelDocument) -> str:
     """Canonical text: sorted keys, sorted entries, LF endings."""
-    payload = {
-        "frame": doc.frame.name,
-        "signature": {"controls": dict(doc.signature.arity)},
-        "graphs": {name: _encode_graph(g) for name, g in doc.graphs.items()},
+    writer = _Writer()
+    controls = {name: writer.encode(ar) for name, ar in doc.signature.arity.items()}
+    root = {
+        "frame": writer.encode(doc.frame.name),
+        "graphs": _object({name: writer.record(g) for name, g in doc.graphs.items()}, 1),
+        "signature": _object({"controls": _object(controls, 2)}, 1),
     }
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return _object(root, 0) + "\n"
 
 
 def load_document(path) -> ModelDocument:

@@ -1,6 +1,9 @@
 """The command-line surface: subcommands, exit codes, deterministic output."""
 
 import json
+import sys
+
+import pytest
 
 from fuzzybig import ModelDocument, Signature, UNIT_INTERVAL, save_document
 from fuzzybig.cli import run
@@ -188,6 +191,37 @@ def test_parse_error_exits_three(tmp_path, capsys):
     status, _out, err = invoke(capsys, "validate", str(path))
     assert status == 3
     assert "parse error" in err
+
+
+# Nested past the JSON decoder's depth, and an integer past the
+# interpreter's limit on digits: both are unreadable input.
+UNREADABLE = {"nesting": "[" * 200_000, "integer": '{"nodes": ' + "9" * 5000 + "}"}
+
+
+def _says_invalid_json(text: str) -> bool:
+    return text is UNREADABLE["nesting"] or hasattr(sys, "get_int_max_str_digits")
+
+
+@pytest.mark.parametrize("text", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_json_exits_three(tmp_path, capsys, text):
+    path = tmp_path / "unreadable.fbg.json"
+    path.write_text(text)
+    status, out, err = invoke(capsys, "validate", str(path))
+    assert (status, out) == (3, "")
+    assert err.startswith("parse error: ")
+    if _says_invalid_json(text):
+        assert err.startswith("parse error: $: invalid JSON: ")
+
+
+@pytest.mark.parametrize("text", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_renaming_file_exits_three(tmp_path, capsys, text):
+    rho = tmp_path / "rho.json"
+    rho.write_text(text)
+    status, out, err = invoke(capsys, "translate-check", "--rho", str(rho), H_PATH, H_PATH)
+    assert (status, out) == (3, "")
+    assert err.startswith("parse error: ")
+    if _says_invalid_json(text):
+        assert err.startswith("parse error: $: invalid JSON in renaming file: ")
 
 
 def test_identical_invocations_print_identical_bytes(capsys):

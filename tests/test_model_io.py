@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -165,6 +166,58 @@ def test_syntax_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse("{\n  broken\n}")
     assert "line 2" in str(err.value)
+
+
+# Text ``json`` cannot read: nested past the decoder's depth, and an integer
+# past the interpreter's limit on digits.
+DEEP_NESTING = "[" * 200_000
+LONG_INTEGER = '{"frame": ' + "9" * 5000 + "}"
+
+
+@pytest.mark.parametrize("text", [DEEP_NESTING, LONG_INTEGER], ids=["nesting", "integer"])
+def test_unreadable_json_is_a_parse_error(text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    if text is DEEP_NESTING or hasattr(sys, "get_int_max_str_digits"):
+        assert err.value.message.startswith("invalid JSON: ")
+        assert err.value.path == "$"
+
+
+def test_a_degree_text_is_checked_where_it_stands():
+    """"0" is a good relation degree (the row is dropped) but no membership;
+    the record that repeats it as one still fails, at its row."""
+    doc = {
+        "frame": "unit-interval",
+        "signature": {"controls": {"M": 0}},
+        "graphs": {
+            "f": {"kind": "fuzzy-place", "inner": 0, "outer": 1, "nodes": ["v"],
+                  "ctrl": [["v", "M", "0"]], "prnt": [["v", 0, "1"]]},
+            "t": {"kind": "type2-place", "inner": 0, "outer": 1, "nodes": [["w", "0"]],
+                  "ctrl": [], "prnt": [["w", 0, "1"]], "beta": "0"},
+        },
+    }
+    with pytest.raises(ParseError) as err:
+        parse(json.dumps(doc))
+    assert err.value.path == "$.graphs.t.nodes[0]"
+    assert "bottom" in err.value.message
+    doc["graphs"]["t"]["nodes"] = [["w", "1"]]
+    parsed = parse(json.dumps(doc))
+    assert len(parsed.graph("f").ctrl) == 0
+    assert parsed.graph("t").degree == U.bottom
+
+
+def test_degree_texts_are_not_remembered_across_calls():
+    def document(frame):
+        return json.dumps({
+            "frame": frame, "signature": {"controls": {"M": 0}},
+            "graphs": {"g": {"kind": "fuzzy-place", "inner": 0, "outer": 1, "nodes": ["v"],
+                             "ctrl": [["v", "M", "3"]], "prnt": [["v", 0, "1"]]}},
+        })
+
+    assert parse(document("chain:5")).graph("g").ctrl.degree("v", "M") == chain(5).value(3)
+    with pytest.raises(ParseError) as err:
+        parse(document("two-point"))
+    assert err.value.path == "$.graphs.g.ctrl[0]"
 
 
 def test_numeric_degrees_are_rejected():
