@@ -257,6 +257,8 @@ def _load_rho(path: str) -> dict:
             text = handle.read()
     except OSError as exc:
         raise _IOFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"renaming file is not UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -102,22 +102,27 @@ def _require_apart(nodes, edges, outer) -> None:
 class _Graph:
     """Fields and equality shared by the fuzzy and type-2 graph classes.
 
-    ``__slots__`` lists a class's fields, and ``_store`` is the only code
-    that sets them: ``__init__`` calls it once every check has passed, and
-    ``_trusted`` calls it for a composite assembled from operands that
-    passed those checks already.  Two graphs are equal when every field is.
+    A class's fields are the ``__slots__`` of its bases and then its own,
+    listed in ``_fields``, and ``_store`` is the only code that sets them:
+    ``__init__`` calls it once every check has passed, and ``_trusted``
+    calls it for a composite assembled from operands that passed those
+    checks already.  Two graphs are equal when every field is.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
-        # ``_store`` takes the fields in slot order.  It is generated once
-        # per class, as plain attribute stores: a loop of ``setattr`` calls
-        # costs about ten times as much, and graphs are built on every
-        # composition.
+        # ``_store`` takes the fields in ``_fields`` order.  It is generated
+        # once per class, as plain attribute stores: a loop of ``setattr``
+        # calls costs about ten times as much, and graphs are built on every
+        # composition.  A class that adds no slot of its own still stores
+        # and compares the fields of its bases.
         super().__init_subclass__(**kwargs)
-        fields = ", ".join(cls.__slots__)
-        body = "".join(f"    self.{name} = {name}\n" for name in cls.__slots__)
+        cls._fields = tuple(
+            name for base in reversed(cls.__mro__) for name in vars(base).get("__slots__", ())
+        )
+        fields = ", ".join(cls._fields)
+        body = "".join(f"    self.{name} = {name}\n" for name in cls._fields)
         namespace: dict = {"__name__": cls.__module__}
         exec(f"def _store(self, {fields}):\n{body}", namespace)
         cls._store = namespace["_store"]
@@ -125,7 +130,7 @@ class _Graph:
 
     @classmethod
     def _trusted(cls, *fields):
-        """A graph from fields, in slot order, that already satisfy every
+        """A graph from fields, in ``_fields`` order, that already satisfy every
         check of ``__init__``; nothing is re-checked or re-derived."""
         graph = cls.__new__(cls)
         graph._store(*fields)
@@ -134,7 +139,7 @@ class _Graph:
     def __eq__(self, other) -> bool:
         return self is other or (
             type(other) is type(self)
-            and all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+            and all(getattr(self, n) == getattr(other, n) for n in self._fields)
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -198,21 +203,22 @@ class FuzzyLinkGraph(_Graph):
         )
 
 
-class FuzzyBigraph(_Graph):
-    """A fuzzy place graph and a fuzzy link graph sharing nodes and controls."""
+class _Bigraph(_Graph):
+    """A place part and a link part sharing frame, signature, nodes and
+    controls: the fields, checks and accessors of the graded bigraphs."""
 
     __slots__ = ("place", "link")
 
-    def __init__(self, place: FuzzyPlaceGraph, link: FuzzyLinkGraph):
+    @staticmethod
+    def _require_agreement(place, link, node_set: str) -> None:
         if place.frame != link.frame:
             raise ValueError("place and link parts use different frames")
         if place.signature != link.signature:
             raise ValueError("place and link parts use different signatures")
         if place.nodes != link.nodes:
-            raise ValueError("place and link parts disagree on the node set")
+            raise ValueError(f"place and link parts disagree on the {node_set}")
         if place.ctrl != link.ctrl:
             raise ValueError("place and link parts disagree on the control relation")
-        self._store(place, link)
 
     @property
     def frame(self) -> Frame:
@@ -223,20 +229,16 @@ class FuzzyBigraph(_Graph):
         return self.place.signature
 
     @property
-    def nodes(self) -> frozenset[str]:
+    def nodes(self):
         return self.place.nodes
 
     @property
-    def edges(self) -> frozenset[str]:
+    def edges(self):
         return self.link.edges
 
     @property
     def ctrl(self) -> FuzzyRelation:
         return self.place.ctrl
-
-    @property
-    def prnt(self) -> FuzzyRelation:
-        return self.place.prnt
 
     @property
     def inner(self) -> Interface:
@@ -245,6 +247,20 @@ class FuzzyBigraph(_Graph):
     @property
     def outer(self) -> Interface:
         return Interface(self.place.outer, self.link.outer)
+
+
+class FuzzyBigraph(_Bigraph):
+    """A fuzzy place graph and a fuzzy link graph sharing nodes and controls."""
+
+    __slots__ = ()
+
+    def __init__(self, place: FuzzyPlaceGraph, link: FuzzyLinkGraph):
+        self._require_agreement(place, link, "node set")
+        self._store(place, link)
+
+    @property
+    def prnt(self) -> FuzzyRelation:
+        return self.place.prnt
 
     def __repr__(self) -> str:
         return f"FuzzyBigraph({self.inner}->{self.outer}, {self.frame.name})"

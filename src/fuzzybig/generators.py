@@ -191,10 +191,10 @@ def random_type2_bigraph(
         rng, frame, signature, inner, outer, prefix, max_nodes, max_edges
     )
     memberships = FuzzySet(
-        frame, {v: random_degree(rng, frame, positive=True) for v in base.nodes}
+        frame, {v: random_degree(rng, frame, positive=True) for v in sorted(base.nodes)}
     )
     edge_memberships = FuzzySet(
-        frame, {e: random_degree(rng, frame, positive=True) for e in base.edges}
+        frame, {e: random_degree(rng, frame, positive=True) for e in sorted(base.edges)}
     )
     place_degree = random_degree(rng, frame, positive=True)
     link_degree = random_degree(rng, frame, positive=True)

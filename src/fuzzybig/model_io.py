@@ -57,17 +57,30 @@ from .type2 import (
 
 FILE_EXTENSION = ".fbg.json"
 
-KINDS = (
-    "crisp-place",
-    "crisp-link",
-    "crisp-bigraph",
-    "fuzzy-place",
-    "fuzzy-link",
-    "fuzzy-bigraph",
-    "type2-place",
-    "type2-link",
-    "type2-bigraph",
+# The record kind of each graph class, with its validator.  Serialization,
+# validation and DOT export find a graph's row by ``isinstance``; ``KINDS``
+# lists the kinds in this order.
+_KIND_OF = (
+    (PlaceGraph, "crisp-place", validate_place_graph),
+    (LinkGraph, "crisp-link", validate_link_graph),
+    (Bigraph, "crisp-bigraph", validate_bigraph),
+    (FuzzyPlaceGraph, "fuzzy-place", validate_fuzzy_place),
+    (FuzzyLinkGraph, "fuzzy-link", validate_fuzzy_link),
+    (FuzzyBigraph, "fuzzy-bigraph", validate_fuzzy_bigraph),
+    (Type2FuzzyPlaceGraph, "type2-place", validate_type2_place),
+    (Type2FuzzyLinkGraph, "type2-link", validate_type2_link),
+    (Type2FuzzyBigraph, "type2-bigraph", validate_type2_bigraph),
 )
+
+KINDS = tuple(kind for _cls, kind, _validator in _KIND_OF)
+
+
+def _kind_of(graph) -> tuple:
+    """A graph's record kind and validator, or ``(None, None)``."""
+    for cls, kind, validator in _KIND_OF:
+        if isinstance(graph, cls):
+            return kind, validator
+    return None, None
 
 
 @dataclass
@@ -83,14 +96,6 @@ class ModelDocument:
             return self.graphs[name]
         except KeyError:
             raise ModelError(f"unknown graph {name!r}") from None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModelDocument)
-            and self.frame == other.frame
-            and self.signature == other.signature
-            and self.graphs == other.graphs
-        )
 
 
 # --- decoding helpers ---------------------------------------------------------
@@ -440,179 +445,6 @@ def _build_graded(fl, fields: dict, signature: Signature, frame: Frame, path: st
     return parts
 
 
-@dataclass(frozen=True)
-class _Flavour:
-    """How one flavour writes its graph records.
-
-    ``nodes`` decodes the node list into the node set and, for crisp
-    records, the control map; graded flavours keep controls in a ``ctrl``
-    relation.  ``entries`` decodes a relation field (crisp maps or graded
-    triples), ``check_refs`` rejects identifiers the record never declared,
-    and ``build`` makes the parts from the decoded fields.  ``support`` and
-    ``ports`` give a graded record's identifier sets and ports, and the
-    degree fields are the interface degrees of the place and link parts.
-    """
-
-    nodes: Callable
-    edges: Callable
-    entries: Callable
-    check_refs: Callable
-    build: Callable
-    place: type
-    link: type
-    pair: Callable
-    support: Callable | None = None
-    ports: Callable | None = None
-    ctrl: tuple = ()
-    place_degree: tuple = ()
-    link_degree: tuple = ()
-    meet_degree: tuple = ()
-
-
-_FLAVOURS = {
-    "crisp": _Flavour(
-        nodes=_decode_crisp_nodes,
-        edges=_decode_ids,
-        entries=_decode_pairs,
-        check_refs=_check_crisp_refs,
-        build=_build_crisp,
-        place=PlaceGraph,
-        link=LinkGraph,
-        pair=Bigraph,
-    ),
-    "fuzzy": _Flavour(
-        nodes=lambda value, degrees, signature, path: (_decode_ids(value, degrees, path), None),
-        edges=_decode_ids,
-        entries=_decode_triples,
-        check_refs=lambda f, path: _check_ctrl_refs(f["ctrl"], f["nodes"], path),
-        build=_build_graded,
-        place=FuzzyPlaceGraph,
-        link=FuzzyLinkGraph,
-        pair=FuzzyBigraph._trusted,
-        support=lambda ids: ids,
-        ports=lambda signature, nodes, ctrl: derive_ports(signature, ctrl),
-        ctrl=("ctrl",),
-    ),
-    "type2": _Flavour(
-        nodes=lambda value, degrees, signature, path: (
-            _decode_graded_ids(value, degrees, path),
-            None,
-        ),
-        edges=_decode_graded_ids,
-        entries=_decode_triples,
-        check_refs=lambda f, path: _check_ctrl_refs(f["ctrl"], f["nodes"].support, path),
-        build=_build_graded,
-        place=Type2FuzzyPlaceGraph,
-        link=Type2FuzzyLinkGraph,
-        pair=Type2FuzzyBigraph._trusted,
-        support=lambda fset: fset.support,
-        ports=lambda signature, nodes, ctrl: type2_ports(signature, nodes, ctrl),
-        ctrl=("ctrl",),
-        place_degree=("beta",),
-        link_degree=("delta",),
-        meet_degree=("gamma",),
-    ),
-}
-
-# Per part: its relation fields and how its interfaces are written.
-_PARTS = {
-    "place": (("prnt",), lambda value, path: Interface(_expect_nat(value, path))),
-    "link": (("link",), lambda value, path: Interface(0, _decode_names(value, path))),
-    "bigraph": (("prnt", "link"), _decode_interface),
-}
-
-_ENDPOINTS = {
-    "ctrl": (_string, _string),
-    "prnt": (_place_elem, _place_elem),
-    "link": (_point, _string),
-}
-
-
-def _decode_record(kind: str, obj: dict, degrees: _Degrees, signature: Signature, path: str):
-    """Decode one graph record: the part table says which fields it has,
-    the flavour table how each of them is written and what it builds."""
-    flavour, _, part = kind.partition("-")
-    fl = _FLAVOURS[flavour]
-    relations, decode_interface = _PARTS[part]
-    has_place, has_link = "prnt" in relations, "link" in relations
-    place_degree = fl.place_degree if has_place else ()
-    link_degree = fl.link_degree if has_link else ()
-    edges = ("edges",) if has_link else ()
-    _expect_keys(
-        obj,
-        path,
-        ("kind", "inner", "outer", "nodes", *edges, *fl.ctrl, *relations,
-         *place_degree, *link_degree),
-        fl.meet_degree if has_place and has_link else (),
-    )
-
-    def at(key: str) -> str:
-        return f"{path}.{key}"
-
-    fields = {
-        "inner": decode_interface(obj["inner"], at("inner")),
-        "outer": decode_interface(obj["outer"], at("outer")),
-    }
-    fields["nodes"], fields["ctrl"] = fl.nodes(obj["nodes"], degrees, signature, at("nodes"))
-    for key in edges:
-        fields[key] = fl.edges(obj[key], degrees, at(key))
-    for key in fl.ctrl + relations:
-        fields[key] = fl.entries(obj[key], degrees, *_ENDPOINTS[key], at(key))
-    fl.check_refs(fields, path)
-    for key in place_degree + link_degree:
-        fields[key] = _decode_degree(degrees, obj[key], at(key))
-
-    parts = fl.build(fl, fields, signature, degrees.frame, path)
-    if len(parts) == 1:
-        return parts[0]
-    bigraph = fl.pair(*parts)
-    for key in fl.meet_degree:
-        if key in obj and _decode_degree(degrees, obj[key], at(key)) != bigraph.degree:
-            raise ParseError(f"{key} must be the meet of beta and delta", at(key))
-    return bigraph
-
-
-def parse(text: str) -> ModelDocument:
-    """Parse a model document; errors carry the path of the offending field.
-
-    Text that ``json`` cannot read -- malformed, nested too deeply for the
-    decoder, or holding an integer too long to convert -- is a parse error.
-    """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
-        ) from None
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    root = _expect_object(data, "$")
-    _expect_keys(root, "$", ("frame", "signature", "graphs"))
-    frame_name = _expect_string(root["frame"], "$.frame")
-    try:
-        frame = frame_from_name(frame_name)
-    except ValueError as exc:
-        raise ParseError(str(exc), "$.frame") from None
-    sig_obj = _expect_object(root["signature"], "$.signature")
-    _expect_keys(sig_obj, "$.signature", ("controls",))
-    controls = _expect_object(sig_obj["controls"], "$.signature.controls")
-    table = {}
-    for control, ar in controls.items():
-        table[control] = _expect_nat(ar, f"$.signature.controls.{control}")
-    signature = Signature(table)
-    degrees = _Degrees(frame)
-    graphs = {}
-    graphs_obj = _expect_object(root["graphs"], "$.graphs")
-    for name, record in graphs_obj.items():
-        path = f"$.graphs.{name}"
-        record = _expect_object(record, path)
-        kind = _expect_string(record.get("kind", ""), f"{path}.kind")
-        if kind not in KINDS:
-            raise ParseError(f"unknown graph kind {kind!r}", f"{path}.kind")
-        graphs[name] = _decode_record(kind, record, degrees, signature, path)
-    return ModelDocument(frame, signature, graphs)
-
-
 # --- encoding -------------------------------------------------------------------
 #
 # The canonical text is exactly what ``json.dumps(payload, sort_keys=True,
@@ -712,26 +544,22 @@ class _Writer:
         )
 
     def crisp_nodes(self, nodes, ctrl) -> str:
+        """``[node, control]`` rows; nodes are strings, so need no sort key."""
         encode = self.encode
         return _array(
             [f"{_ROW_OPEN}{encode(v)}{_ROW_SEP}{encode(ctrl[v])}{_ROW_CLOSE}" for v in sorted(nodes)],
             3,
         )
 
-    def crisp_map(self, mapping) -> str:
-        element, encode = self.element, self.encode
+    def rows(self, items, write) -> str:
+        """``[element, text]`` rows of ``(element, value)`` items, where
+        ``write`` gives a value's text: a crisp map's target or a graded
+        set's membership."""
+        element = self.element
         rows = []
-        for a, b in mapping.items():
-            key, text = element(a)
-            rows.append((key, f"{_ROW_OPEN}{text}{_ROW_SEP}{encode(b)}{_ROW_CLOSE}"))
-        return _in_key_order(rows)
-
-    def graded_set(self, fset: FuzzySet) -> str:
-        element, degree = self.element, self.degree
-        rows = []
-        for x, d in fset.items():
+        for x, value in items:
             key, text = element(x)
-            rows.append((key, f"{_ROW_OPEN}{text}{_ROW_SEP}{degree(d)}{_ROW_CLOSE}"))
+            rows.append((key, f"{_ROW_OPEN}{text}{_ROW_SEP}{write(value)}{_ROW_CLOSE}"))
         return _in_key_order(rows)
 
     def relation(self, relation: FuzzyRelation) -> str:
@@ -747,61 +575,232 @@ class _Writer:
         return _in_key_order(rows)
 
     def record(self, graph) -> str:
-        """One graph record, two levels deep."""
-        for cls, kind in zip(_GRAPH_TYPES, KINDS):
-            if isinstance(graph, cls):
-                break
-        else:
+        """One graph record, two levels deep: the fields ``_decode_record``
+        reads, from its tables."""
+        kind, _validator = _kind_of(graph)
+        if kind is None:
             raise TypeError(f"cannot serialize {type(graph).__name__}")
         flavour, _, part = kind.partition("-")
-        place = graph if part == "place" else graph.place if part == "bigraph" else None
-        link = graph if part == "link" else graph.link if part == "bigraph" else None
-        fields = {"kind": self.encode(kind)}
-        if part == "bigraph":
-            fields["inner"], fields["outer"] = self.interface(graph.inner), self.interface(graph.outer)
-        elif place is not None:
-            fields["inner"], fields["outer"] = self.encode(place.inner), self.encode(place.outer)
-        else:
-            fields["inner"], fields["outer"] = self.names(link.inner), self.names(link.outer)
-        if flavour == "crisp":
-            fields["nodes"] = self.crisp_nodes(graph.nodes, (place or link).ctrl)
-            if place is not None:
-                fields["prnt"] = self.crisp_map(place.prnt)
-            if link is not None:
-                fields["edges"] = self.names(link.edges)
-                fields["link"] = self.crisp_map(link.link)
-            return _object(fields, 2)
-        ids = self.graded_set if flavour == "type2" else self.names
-        fields["nodes"] = ids(graph.nodes)
-        fields["ctrl"] = self.relation(graph.ctrl)
-        if place is not None:
-            fields["prnt"] = self.relation(place.prnt)
-        if link is not None:
-            fields["edges"] = ids(link.edges)
-            fields["link"] = self.relation(link.link)
-        if flavour == "type2":
-            frame = graph.frame
-            if place is not None:
-                fields["beta"] = self.encode(frame.format_degree(place.degree))
-            if link is not None:
-                fields["delta"] = self.encode(frame.format_degree(link.degree))
-            if part == "bigraph":
-                fields["gamma"] = self.encode(frame.format_degree(graph.degree))
+        fl = _FLAVOURS[flavour]
+        relations, _decode_interface, write_interface = _PARTS[part]
+        edges, place_degree, link_degree, meet_degree = _layout(fl, relations)
+        parts = dict(zip(relations, (graph.place, graph.link) if part == "bigraph" else (graph,)))
+        place, link = parts.get("prnt"), parts.get("link")
+        fields = {
+            "kind": self.encode(kind),
+            "inner": write_interface(self, graph.inner),
+            "outer": write_interface(self, graph.outer),
+            "nodes": fl.write_nodes(self, graph.nodes, (place or link).ctrl),
+        }
+        for key in edges:
+            fields[key] = fl.write_edges(self, graph.edges)
+        for key in fl.ctrl:
+            fields[key] = fl.write_entries(self, graph.ctrl)
+        for key, source in parts.items():
+            fields[key] = fl.write_entries(self, getattr(source, key))
+        for keys, source in ((place_degree, place), (link_degree, link), (meet_degree, graph)):
+            for key in keys:
+                fields[key] = self.degree(source.degree)
         return _object(fields, 2)
 
 
-# The graph class of each kind, in the order of ``KINDS``.
-_GRAPH_TYPES = (
-    PlaceGraph,
-    LinkGraph,
-    Bigraph,
-    FuzzyPlaceGraph,
-    FuzzyLinkGraph,
-    FuzzyBigraph,
-    Type2FuzzyPlaceGraph,
-    Type2FuzzyLinkGraph,
-    Type2FuzzyBigraph,
-)
+# --- record tables --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Flavour:
+    """How one flavour writes its graph records.
+
+    ``nodes`` decodes the node list into the node set and, for crisp
+    records, the control map; graded flavours keep controls in a ``ctrl``
+    relation.  ``entries`` decodes a relation field (crisp maps or graded
+    triples), ``check_refs`` rejects identifiers the record never declared,
+    and ``build`` makes the parts from the decoded fields.  ``support`` and
+    ``ports`` give a graded record's identifier sets and ports, and the
+    degree fields are the interface degrees of the place and link parts
+    and, on a bigraph, their meet.  The ``write_`` fields are the
+    writer's side of ``nodes``, ``edges`` and ``entries``.
+    """
+
+    nodes: Callable
+    edges: Callable
+    entries: Callable
+    write_nodes: Callable
+    write_edges: Callable
+    write_entries: Callable
+    check_refs: Callable
+    build: Callable
+    place: type
+    link: type
+    pair: Callable
+    support: Callable | None = None
+    ports: Callable | None = None
+    ctrl: tuple = ()
+    place_degree: tuple = ()
+    link_degree: tuple = ()
+    meet_degree: tuple = ()
+
+
+_FLAVOURS = {
+    "crisp": _Flavour(
+        nodes=_decode_crisp_nodes,
+        edges=_decode_ids,
+        entries=_decode_pairs,
+        write_nodes=_Writer.crisp_nodes,
+        write_edges=_Writer.names,
+        write_entries=lambda w, mapping: w.rows(mapping.items(), w.encode),
+        check_refs=_check_crisp_refs,
+        build=_build_crisp,
+        place=PlaceGraph,
+        link=LinkGraph,
+        pair=Bigraph,
+    ),
+    "fuzzy": _Flavour(
+        nodes=lambda value, degrees, signature, path: (_decode_ids(value, degrees, path), None),
+        edges=_decode_ids,
+        entries=_decode_triples,
+        write_nodes=lambda w, nodes, ctrl: w.names(nodes),
+        write_edges=_Writer.names,
+        write_entries=_Writer.relation,
+        check_refs=lambda f, path: _check_ctrl_refs(f["ctrl"], f["nodes"], path),
+        build=_build_graded,
+        place=FuzzyPlaceGraph,
+        link=FuzzyLinkGraph,
+        pair=FuzzyBigraph._trusted,
+        support=lambda ids: ids,
+        ports=lambda signature, nodes, ctrl: derive_ports(signature, ctrl),
+        ctrl=("ctrl",),
+    ),
+    "type2": _Flavour(
+        nodes=lambda value, degrees, signature, path: (
+            _decode_graded_ids(value, degrees, path),
+            None,
+        ),
+        edges=_decode_graded_ids,
+        entries=_decode_triples,
+        write_nodes=lambda w, nodes, ctrl: w.rows(nodes.items(), w.degree),
+        write_edges=lambda w, edges: w.rows(edges.items(), w.degree),
+        write_entries=_Writer.relation,
+        check_refs=lambda f, path: _check_ctrl_refs(f["ctrl"], f["nodes"].support, path),
+        build=_build_graded,
+        place=Type2FuzzyPlaceGraph,
+        link=Type2FuzzyLinkGraph,
+        pair=Type2FuzzyBigraph._trusted,
+        support=lambda fset: fset.support,
+        ports=lambda signature, nodes, ctrl: type2_ports(signature, nodes, ctrl),
+        ctrl=("ctrl",),
+        place_degree=("beta",),
+        link_degree=("delta",),
+        meet_degree=("gamma",),
+    ),
+}
+
+# Per part: its relation fields, and how its interfaces are read and written.
+_PARTS = {
+    "place": (("prnt",), lambda value, path: Interface(_expect_nat(value, path)), _Writer.encode),
+    "link": (("link",), lambda value, path: Interface(0, _decode_names(value, path)), _Writer.names),
+    "bigraph": (("prnt", "link"), _decode_interface, _Writer.interface),
+}
+
+_ENDPOINTS = {
+    "ctrl": (_string, _string),
+    "prnt": (_place_elem, _place_elem),
+    "link": (_point, _string),
+}
+
+
+def _layout(fl: _Flavour, relations: tuple) -> tuple:
+    """A record's edges field and its degree fields of the place part, the
+    link part and their meet, where it has them."""
+    has_place, has_link = "prnt" in relations, "link" in relations
+    return (
+        ("edges",) if has_link else (),
+        fl.place_degree if has_place else (),
+        fl.link_degree if has_link else (),
+        fl.meet_degree if has_place and has_link else (),
+    )
+
+
+def _decode_record(kind: str, obj: dict, degrees: _Degrees, signature: Signature, path: str):
+    """Decode one graph record: the part table says which fields it has,
+    the flavour table how each of them is written and what it builds."""
+    flavour, _, part = kind.partition("-")
+    fl = _FLAVOURS[flavour]
+    relations, decode_interface, _write_interface = _PARTS[part]
+    edges, place_degree, link_degree, meet_degree = _layout(fl, relations)
+    _expect_keys(
+        obj,
+        path,
+        ("kind", "inner", "outer", "nodes", *edges, *fl.ctrl, *relations,
+         *place_degree, *link_degree),
+        meet_degree,
+    )
+
+    def at(key: str) -> str:
+        return f"{path}.{key}"
+
+    fields = {
+        "inner": decode_interface(obj["inner"], at("inner")),
+        "outer": decode_interface(obj["outer"], at("outer")),
+    }
+    fields["nodes"], fields["ctrl"] = fl.nodes(obj["nodes"], degrees, signature, at("nodes"))
+    for key in edges:
+        fields[key] = fl.edges(obj[key], degrees, at(key))
+    for key in fl.ctrl + relations:
+        fields[key] = fl.entries(obj[key], degrees, *_ENDPOINTS[key], at(key))
+    fl.check_refs(fields, path)
+    for key in place_degree + link_degree:
+        fields[key] = _decode_degree(degrees, obj[key], at(key))
+
+    parts = fl.build(fl, fields, signature, degrees.frame, path)
+    if len(parts) == 1:
+        return parts[0]
+    bigraph = fl.pair(*parts)
+    for key in meet_degree:
+        if key in obj and _decode_degree(degrees, obj[key], at(key)) != bigraph.degree:
+            raise ParseError(f"{key} must be the meet of beta and delta", at(key))
+    return bigraph
+
+
+def parse(text: str) -> ModelDocument:
+    """Parse a model document; errors carry the path of the offending field.
+
+    Text that ``json`` cannot read -- malformed, nested too deeply for the
+    decoder, or holding an integer too long to convert -- is a parse error.
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
+        ) from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    root = _expect_object(data, "$")
+    _expect_keys(root, "$", ("frame", "signature", "graphs"))
+    frame_name = _expect_string(root["frame"], "$.frame")
+    try:
+        frame = frame_from_name(frame_name)
+    except ValueError as exc:
+        raise ParseError(str(exc), "$.frame") from None
+    sig_obj = _expect_object(root["signature"], "$.signature")
+    _expect_keys(sig_obj, "$.signature", ("controls",))
+    controls = _expect_object(sig_obj["controls"], "$.signature.controls")
+    table = {}
+    for control, ar in controls.items():
+        table[control] = _expect_nat(ar, f"$.signature.controls.{control}")
+    signature = Signature(table)
+    degrees = _Degrees(frame)
+    graphs = {}
+    graphs_obj = _expect_object(root["graphs"], "$.graphs")
+    for name, record in graphs_obj.items():
+        path = f"$.graphs.{name}"
+        record = _expect_object(record, path)
+        kind = _expect_string(record.get("kind", ""), f"{path}.kind")
+        if kind not in KINDS:
+            raise ParseError(f"unknown graph kind {kind!r}", f"{path}.kind")
+        graphs[name] = _decode_record(kind, record, degrees, signature, path)
+    return ModelDocument(frame, signature, graphs)
 
 
 def serialize(doc: ModelDocument) -> str:
@@ -817,7 +816,11 @@ def serialize(doc: ModelDocument) -> str:
 
 
 def load_document(path) -> ModelDocument:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse(text)
 
 
 def save_document(doc: ModelDocument, path) -> None:
@@ -827,24 +830,11 @@ def save_document(doc: ModelDocument, path) -> None:
 # --- validation dispatch --------------------------------------------------------
 
 
-_VALIDATORS = (
-    (Bigraph, validate_bigraph),
-    (PlaceGraph, validate_place_graph),
-    (LinkGraph, validate_link_graph),
-    (FuzzyBigraph, validate_fuzzy_bigraph),
-    (FuzzyPlaceGraph, validate_fuzzy_place),
-    (FuzzyLinkGraph, validate_fuzzy_link),
-    (Type2FuzzyBigraph, validate_type2_bigraph),
-    (Type2FuzzyPlaceGraph, validate_type2_place),
-    (Type2FuzzyLinkGraph, validate_type2_link),
-)
-
-
 def validate_graph(graph, subject: str) -> ValidationReport:
-    for cls, validator in _VALIDATORS:
-        if isinstance(graph, cls):
-            return validator(graph, subject=subject)
-    raise TypeError(f"no validator for {type(graph).__name__}")
+    _kind, validator = _kind_of(graph)
+    if validator is None:
+        raise TypeError(f"no validator for {type(graph).__name__}")
+    return validator(graph, subject=subject)
 
 
 def validate_document(doc: ModelDocument) -> list[ValidationReport]:
@@ -856,15 +846,6 @@ def validate_document(doc: ModelDocument) -> list[ValidationReport]:
 
 def _q(text: str) -> str:
     return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _place_parts(graph):
-    """The place part of any graph kind that has one, else None."""
-    if isinstance(graph, (Bigraph, FuzzyBigraph, Type2FuzzyBigraph)):
-        graph = graph.place
-    if isinstance(graph, (PlaceGraph, FuzzyPlaceGraph, Type2FuzzyPlaceGraph)):
-        return graph
-    return None
 
 
 def _dot_place_crisp(place: PlaceGraph) -> str:
@@ -908,9 +889,8 @@ def _dot_place_crisp(place: PlaceGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_place_fuzzy(place) -> str:
+def _dot_place_fuzzy(place, type2: bool) -> str:
     frame = place.frame
-    type2 = isinstance(place, Type2FuzzyPlaceGraph)
     nodes = sorted(place.node_support if type2 else place.nodes)
     lines = ["digraph place {"]
     for root in range(place.outer):
@@ -942,14 +922,11 @@ def _dot_place_fuzzy(place) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_link(graph) -> str:
-    if isinstance(graph, (Bigraph, FuzzyBigraph, Type2FuzzyBigraph)):
-        graph = graph.link
-    crisp = isinstance(graph, LinkGraph)
-    type2 = isinstance(graph, Type2FuzzyLinkGraph)
+def _dot_link(graph, flavour: str) -> str:
+    crisp, type2 = flavour == "crisp", flavour == "type2"
     frame = None if crisp else graph.frame
     nodes = sorted(graph.node_support if type2 else graph.nodes)
-    edges = sorted(graph.edge_support if type2 else graph.edges)
+    edge_ids = graph.edge_support if type2 else graph.edges
 
     lines = ["graph link {"]
     for name in sorted(graph.inner):
@@ -964,7 +941,7 @@ def _dot_link(graph) -> str:
         else:
             label = v
         lines.append(f"  {_q(f'node_{v}')} [label={_q(label)}, shape=ellipse];")
-    for e in edges:
+    for e in sorted(edge_ids):
         label = e
         if type2:
             label = f"{e} ({frame.format_degree(graph.edges.membership(e))})"
@@ -981,8 +958,7 @@ def _dot_link(graph) -> str:
         return f"inner_{q}"
 
     def target_id(t) -> str:
-        edge_pool = graph.edge_support if type2 else graph.edges
-        return f"edge_{t}" if t in edge_pool else f"outer_{t}"
+        return f"edge_{t}" if t in edge_ids else f"outer_{t}"
 
     if crisp:
         rows = sorted(graph.link.items(), key=lambda kv: element_sort_key(kv[0]))
@@ -1001,19 +977,16 @@ def _dot_link(graph) -> str:
 def export_dot(doc: ModelDocument, name: str, view: str) -> str:
     """Render one named graph as DOT, in the requested view."""
     graph = doc.graph(name)
-    if view == "place":
-        place = _place_parts(graph)
-        if place is None:
-            raise ModelError(f"graph {name!r} has no place part")
-        if isinstance(place, PlaceGraph):
-            return _dot_place_crisp(place)
-        return _dot_place_fuzzy(place)
+    if view not in ("place", "link"):
+        raise ModelError(f"unknown view {view!r} (expected place or link)")
+    kind, _validator = _kind_of(graph)
+    flavour, _, part = (kind or "").partition("-")
+    if part == "bigraph":
+        graph = getattr(graph, view)
+    elif part != view:
+        raise ModelError(f"graph {name!r} has no {view} part")
     if view == "link":
-        if isinstance(
-            graph,
-            (LinkGraph, FuzzyLinkGraph, Type2FuzzyLinkGraph, Bigraph, FuzzyBigraph,
-             Type2FuzzyBigraph),
-        ):
-            return _dot_link(graph)
-        raise ModelError(f"graph {name!r} has no link part")
-    raise ModelError(f"unknown view {view!r} (expected place or link)")
+        return _dot_link(graph, flavour)
+    if flavour == "crisp":
+        return _dot_place_crisp(graph)
+    return _dot_place_fuzzy(graph, flavour == "type2")

@@ -27,6 +27,7 @@ from .fuzzy import (
     SupportTranslation,
     TranslationCheck,
     TranslationReport,
+    _Bigraph,
     _Graph,
     _as_relation,
     _prnt_domain,
@@ -148,57 +149,22 @@ class Type2FuzzyLinkGraph(_Graph):
         )
 
 
-class Type2FuzzyBigraph(_Graph):
+class Type2FuzzyBigraph(_Bigraph):
     """Type-2 place and link parts sharing nodes and controls.
 
     The bigraph's plausibility degree is the meet of its parts' degrees.
     """
 
-    __slots__ = ("place", "link")
+    __slots__ = ()
 
     def __init__(self, place: Type2FuzzyPlaceGraph, link: Type2FuzzyLinkGraph):
-        if place.frame != link.frame:
-            raise ValueError("place and link parts use different frames")
-        if place.signature != link.signature:
-            raise ValueError("place and link parts use different signatures")
-        if place.nodes != link.nodes:
-            raise ValueError("place and link parts disagree on the fuzzy node set")
-        if place.ctrl != link.ctrl:
-            raise ValueError("place and link parts disagree on the control relation")
+        self._require_agreement(place, link, "fuzzy node set")
         self._store(place, link)
-
-    @property
-    def frame(self) -> Frame:
-        return self.place.frame
-
-    @property
-    def signature(self) -> Signature:
-        return self.place.signature
-
-    @property
-    def nodes(self) -> FuzzySet:
-        return self.place.nodes
-
-    @property
-    def edges(self) -> FuzzySet:
-        return self.link.edges
-
-    @property
-    def ctrl(self) -> FuzzyRelation:
-        return self.place.ctrl
 
     @property
     def degree(self) -> FrameValue:
         """The interface plausibility degree: meet of the parts' degrees."""
         return self.place.degree.meet(self.link.degree)
-
-    @property
-    def inner(self) -> Interface:
-        return Interface(self.place.inner, self.link.inner)
-
-    @property
-    def outer(self) -> Interface:
-        return Interface(self.place.outer, self.link.outer)
 
     def __repr__(self) -> str:
         return (

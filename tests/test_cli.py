@@ -327,3 +327,24 @@ def test_fuzzy_renaming_leaving_a_node_out_exits_one(tmp_path, capsys):
     assert status == 1
     assert out == ""
     assert err == "error: node renaming is not a bijection from f's nodes to g's\n"
+
+
+# Byte 0xff starts no UTF-8 sequence: text that does not decode is
+# unreadable input, like text that is no JSON.
+NOT_UTF8 = b'{"frame": "\xff"}'
+
+
+def test_a_model_file_that_is_not_utf8_exits_three(tmp_path, capsys):
+    path = tmp_path / "latin.fbg.json"
+    path.write_bytes(NOT_UTF8)
+    status, out, err = invoke(capsys, "validate", str(path))
+    assert (status, out) == (3, "")
+    assert err.startswith("parse error: ")
+
+
+def test_a_renaming_file_that_is_not_utf8_exits_three(tmp_path, capsys):
+    rho = tmp_path / "rho.json"
+    rho.write_bytes(NOT_UTF8)
+    status, out, err = invoke(capsys, "translate-check", "--rho", str(rho), H_PATH, H_PATH)
+    assert (status, out) == (3, "")
+    assert err.startswith("parse error: ")

@@ -1,6 +1,9 @@
 """Generator sanity: validity of outputs, seeded determinism."""
 
+import os
 import random
+import subprocess
+import sys
 
 from fuzzybig import (
     TWO_POINT,
@@ -75,3 +78,26 @@ def test_coherent_degrees_sit_below_every_entry():
         delta = g.link.degree
         for _pair, degree in g.link.link.items():
             assert delta.leq(degree)
+
+
+TYPE2_CHAIN_SCRIPT = """
+import random
+from fuzzybig import UNIT_INTERVAL, ModelDocument, serialize
+from fuzzybig.generators import DEFAULT_SIGNATURE, random_type2_chain
+chain = random_type2_chain(random.Random(5), UNIT_INTERVAL, DEFAULT_SIGNATURE, 3)
+doc = ModelDocument(UNIT_INTERVAL, DEFAULT_SIGNATURE, {f"t{i}": g for i, g in enumerate(chain)})
+print(serialize(doc))
+"""
+
+
+def test_a_seeded_type2_chain_does_not_depend_on_the_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", TYPE2_CHAIN_SCRIPT],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for hash_seed in ("1", "2", "3")
+    }
+    assert len(outputs) == 1

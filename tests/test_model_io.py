@@ -1,5 +1,6 @@
 """Serialization: canonical bytes, round trips, parse errors, DOT export."""
 
+import hashlib
 import json
 import random
 import sys
@@ -22,7 +23,7 @@ from fuzzybig import (
     serialize,
     validate_document,
 )
-from fuzzybig.errors import ParseError
+from fuzzybig.errors import ModelError, ParseError
 from fuzzybig.generators import (
     random_fuzzy_chain,
     random_interface,
@@ -31,6 +32,7 @@ from fuzzybig.generators import (
 from fuzzybig.type2 import embed_bigraph
 
 from helpers import H_SIGNATURE, make_h, random_crisp_bigraph
+from test_parse_faults import BASE
 
 U = UNIT_INTERVAL
 
@@ -298,6 +300,30 @@ def test_unknown_graph_name_is_an_error():
         export_dot(h_document(), "nope", "place")
     with pytest.raises(ModelError):
         export_dot(h_document(), "h", "sideways")
+
+
+# Over one record of each of the nine kinds in both views, plus a view no
+# graph has; a graph without the part asked for contributes its message.
+DOT_DIGEST = "361d3c3903fe6cecb20aa77a6ab9c0d105df785b2a418359fe38082083843b06"
+
+
+def _dot_or_message(doc, name: str, view: str) -> str:
+    try:
+        return export_dot(doc, name, view)
+    except ModelError as exc:
+        return f"error: {exc}\n"
+
+
+def test_the_dot_text_of_every_kind_is_pinned():
+    doc = parse(json.dumps(BASE))
+    text = "".join(
+        f"{name} {view}\n{_dot_or_message(doc, name, view)}"
+        for name in sorted(doc.graphs)
+        for view in ("place", "link", "sideways")
+    )
+    for message in ("has no place part", "has no link part", "unknown view"):
+        assert message in text
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DOT_DIGEST
 
 
 # --- type-2 control references and degree text bounds ------------------------

@@ -242,12 +242,16 @@ def test_the_cli_answers_faulty_documents_within_its_exit_contract(faults, left,
             handle.write(BASE_TEXT)
         out = os.path.join(tmp, "out.fbg.json")
         assert _cli("validate", bad) in (0, 1, 2, 3)
-        for files in ((bad, good), (good, bad), (bad, bad)):
-            code = _cli(
-                "compose", "--left", files[0], "--right", files[1], "--out", out,
-                "--left-name", left, "--right-name", right,
-            )
-            assert code in (0, 1, 2, 3)
+        assert _cli("support", bad) in (0, 1, 2, 3)
+        for view in ("place", "link"):
+            assert _cli("export-dot", bad, "--view", view, "--graph", left) in (0, 1, 2, 3)
+        for command in ("compose", "tensor"):
+            for files in ((bad, good), (good, bad), (bad, bad)):
+                code = _cli(
+                    command, "--left", files[0], "--right", files[1], "--out", out,
+                    "--left-name", left, "--right-name", right,
+                )
+                assert code in (0, 1, 2, 3)
 
 
 if __name__ == "__main__":
