@@ -582,11 +582,23 @@ def _translated_sides(f_rel, g_rel, rho_sources, rho_targets, inner, outer):
     """The two sides of a translation inequality: g's relation pulled back
     along the renaming of its sources, and f's relation pushed forward
     along the renaming of its targets (interface positions map to
-    themselves)."""
-    frame = f_rel.frame
-    pulled = identity_relation(frame, inner).union(rho_sources).then(g_rel)
-    pushed = f_rel.then(rho_targets.union(identity_relation(frame, outer)))
-    return pulled, pushed
+    themselves).
+
+    Both sides are routed with the interface positions as ``_route``'s
+    internal sets, which is how they map to themselves: g's entries leaving
+    an inner position are copied, and so are f's entries reaching an outer
+    one.  Routed and copied keys cannot collide, because sites and roots
+    are ints while nodes are strings, ports are tuples while names are
+    strings, and edges never share a name with outer names.
+    """
+    frame, bottom = f_rel.frame, f_rel.frame.bottom
+    inner, outer = frozenset(inner), frozenset(outer)
+    pulled = _route(rho_sources, g_rel, (), inner, bottom, (), ())
+    pushed = _route(f_rel, rho_targets, outer, (), bottom, (), ())
+    return (
+        FuzzyRelation._trusted(frame, inner | rho_sources.domain, g_rel.codomain, pulled),
+        FuzzyRelation._trusted(frame, f_rel.domain, rho_targets.codomain | outer, pushed),
+    )
 
 
 def check_support_translation(

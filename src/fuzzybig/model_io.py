@@ -544,12 +544,24 @@ class _Writer:
         )
 
     def crisp_nodes(self, nodes, ctrl) -> str:
-        """``[node, control]`` rows; nodes are strings, so need no sort key."""
+        """``[node, control]`` rows; nodes are strings, so need no sort key.
+
+        A node the control map leaves out (the public crisp constructors
+        accept such a graph, and ``validate`` reports it) has no row to
+        write, and raises ``ValueError`` naming it.
+        """
         encode = self.encode
-        return _array(
-            [f"{_ROW_OPEN}{encode(v)}{_ROW_SEP}{encode(ctrl[v])}{_ROW_CLOSE}" for v in sorted(nodes)],
-            3,
-        )
+        try:
+            rows = [
+                f"{_ROW_OPEN}{encode(v)}{_ROW_SEP}{encode(ctrl[v])}{_ROW_CLOSE}"
+                for v in sorted(nodes)
+            ]
+        except KeyError:
+            v = min(v for v in nodes if v not in ctrl)
+            raise ValueError(
+                f"cannot serialize: control map is not total: node {v!r} has no control"
+            ) from None
+        return _array(rows, 3)
 
     def rows(self, items, write) -> str:
         """``[element, text]`` rows of ``(element, value)`` items, where

@@ -431,18 +431,20 @@ def _support_structure(b: Type2FuzzyBigraph, codes: dict):
     membership (and, for a node, its control row), while the interface
     elements ``("site", i)``, ``("root", j)``, ``("inner", x)`` and
     ``("outer", y)`` keep one fixed colour each.  Every parent and link entry
-    is an arc labelled by its degree (and a port's index).  Seeds and labels
-    are numbered through ``codes``, which both graphs share, so refinement
-    compares small integers only.  Returns the seed colours, keyed in
-    sorted vertex order, and per vertex a table from each neighbour to the
-    codes of the arcs between them; a code is twice the label's number,
-    plus one on the outgoing side.
+    is an arc labelled by its degree (and a port's index).  Degrees enter by
+    their raw values: the search compares both graphs' frames first, so raw
+    equality is degree equality, and no frame is hashed per arc.  Seeds and
+    labels are numbered through ``codes``, which both graphs share, so
+    refinement compares small integers only.  Returns the seed colours,
+    keyed in sorted vertex order, and per vertex a table from each
+    neighbour to the codes of the arcs between them; a code is twice the
+    label's number, plus one on the outgoing side.
     """
     rows: dict = {}
     for (v, control), degree in b.ctrl.items():
-        rows.setdefault(v, set()).add((control, degree))
-    seed = {("node", v): ("node", d, frozenset(rows.get(v, ()))) for v, d in b.nodes.items()}
-    seed.update((("edge", e), ("edge", d)) for e, d in b.edges.items())
+        rows.setdefault(v, set()).add((control, degree.raw))
+    seed = {("node", v): ("node", d.raw, frozenset(rows.get(v, ()))) for v, d in b.nodes.items()}
+    seed.update((("edge", e), ("edge", d.raw)) for e, d in b.edges.items())
     for sort, elements in (
         ("site", range(b.place.inner)),
         ("root", range(b.place.outer)),
@@ -462,7 +464,7 @@ def _support_structure(b: Type2FuzzyBigraph, codes: dict):
         arc(
             ("node", child) if isinstance(child, str) else ("site", child),
             ("node", parent) if isinstance(parent, str) else ("root", parent),
-            ("prnt", d),
+            ("prnt", d.raw),
         )
     edges = b.edges.support
     for (point, target), d in b.link.link.items():
@@ -470,7 +472,7 @@ def _support_structure(b: Type2FuzzyBigraph, codes: dict):
             source, index = ("node", point[0]), point[1]
         else:
             source, index = ("inner", point), None
-        arc(source, ("edge" if target in edges else "outer", target), ("link", index, d))
+        arc(source, ("edge" if target in edges else "outer", target), ("link", index, d.raw))
     return colours, adjacency
 
 
@@ -627,6 +629,31 @@ class Type2TranslationReport(TranslationReport):
         return base + f"\n  support equivalent: {mark}"
 
 
+def _membership_mismatch(rel: FuzzyRelation, a: FuzzySet, b: FuzzySet):
+    """The first pair ``(x, y)`` of supp a × supp b, in sorted order, at
+    which ``rel`` does not carry y's membership in ``b``, or ``None``.
+
+    ``rel``'s entries lie on the supports, and every membership in ``b`` is
+    above bottom, so ``rel`` matches iff each stored entry carries its
+    target's membership and every pair is stored.  Only a relation that
+    fails this is walked pair by pair, to name the first mismatch.
+    """
+    membership = b.membership
+    if len(rel) == len(a) * len(b):
+        for (_x, y), d in rel.items():
+            m = membership(y)
+            if d is not m and d != m:
+                break
+        else:
+            return None
+    return next(
+        (x, y)
+        for x in sorted(a.support)
+        for y in sorted(b.support)
+        if rel.degree(x, y) != membership(y)
+    )
+
+
 def check_type2_support_translation(
     rho_nodes: FuzzyRelation,
     rho_edges: FuzzyRelation,
@@ -637,8 +664,9 @@ def check_type2_support_translation(
 
     The membership constraints and both inequalities are evaluated exactly
     as displayed, with the link inequality normalised to act on ports and
-    links.  Support equivalence is reported when some bijective renaming of
-    f reproduces g degree for degree.
+    links, reading only the relations' stored entries.  Support
+    equivalence is reported when some bijective renaming of f reproduces g
+    degree for degree.
     """
     if f.inner != g.inner or f.outer != g.outer:
         raise InterfaceMismatchError(
@@ -661,17 +689,12 @@ def check_type2_support_translation(
         ("node", rho_nodes, f.nodes, g.nodes),
         ("edge", rho_edges, f.edges, g.edges),
     ):
-        bad = [
-            (x, y)
-            for x in sorted(a.support)
-            for y in sorted(b.support)
-            if rel.degree(x, y) != b.membership(y)
-        ]
+        bad = _membership_mismatch(rel, a, b)
         checks.append(
             TranslationCheck(
                 f"{what} relation matches target memberships",
-                not bad,
-                "" if not bad else f"first mismatch at {bad[0]}",
+                bad is None,
+                "" if bad is None else f"first mismatch at {bad}",
             )
         )
 
@@ -687,22 +710,23 @@ def check_type2_support_translation(
         )
     )
 
-    # induced port relation: index-matched port pairs inherit the node degree.
-    f_ports = f.link.ports
-    g_ports = g.link.ports
+    # induced port relation: index-matched port pairs inherit the node
+    # degree, read off the node relation's stored entries.
+    f_ports, g_ports = f.link.ports, g.link.ports
+    indices: dict = {}
+    for v, i in f_ports:
+        indices.setdefault(v, []).append(i)
     port_entries = {}
-    for (v, i) in f_ports:
-        for (w, j) in g_ports:
-            if i == j:
-                d = rho_nodes.degree(v, w)
-                if not d.is_bottom():
-                    port_entries[((v, i), (w, j))] = d
-    rho_ports = FuzzyRelation(frame, f_ports, g_ports, port_entries)
+    for (v, w), d in rho_nodes.items():
+        for i in indices.get(v, ()):
+            if (w, i) in g_ports:
+                port_entries[((v, i), (w, i))] = d
+    rho_ports = FuzzyRelation._trusted(frame, f_ports, g_ports, port_entries)
+    # The bound holds by construction: each stored port pair carries its
+    # node pair's degree, and an index-matched pair left out has its node
+    # pair at bottom, which lies below anything.
     ok_ports = all(
-        rho_nodes.degree(v, w).leq(rho_ports.degree((v, i), (w, i)))
-        for (v, i) in f_ports
-        for (w, j) in g_ports
-        if i == j
+        rho_nodes.degree(v, w).leq(d) for ((v, _i), (w, _j)), d in rho_ports.items()
     )
     checks.append(
         TranslationCheck(

@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzybig import (
+    Bigraph,
+    LinkGraph,
     ModelDocument,
+    PlaceGraph,
     Signature,
     TWO_POINT,
     UNIT_INTERVAL,
@@ -452,3 +455,15 @@ def test_every_accepted_degree_round_trips(text):
     again = parse(serialize(doc))
     assert again == doc
     assert serialize(again) == serialize(doc)
+
+
+@pytest.mark.parametrize("kind", ["place", "link", "bigraph"])
+def test_serialize_names_a_node_the_control_map_leaves_out(kind):
+    sig = Signature({"K": 0})
+    place = PlaceGraph(sig, 0, 1, {"v", "w"}, {"w": "K"}, {"v": 0, "w": 0})
+    link = LinkGraph(sig, set(), set(), {"v", "w"}, set(), {"w": "K"}, {})
+    graph = {"place": place, "link": link, "bigraph": Bigraph(place, link)}[kind]
+    doc = ModelDocument(TWO_POINT, sig, {"g": graph})
+    assert any("node 'v' has no control" in p for r in validate_document(doc) for p in r.problems)
+    with pytest.raises(ValueError, match="control map is not total: node 'v' has no control"):
+        serialize(doc)

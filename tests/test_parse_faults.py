@@ -254,6 +254,106 @@ def test_the_cli_answers_faulty_documents_within_its_exit_contract(faults, left,
                 assert code in (0, 1, 2, 3)
 
 
+# --- translate-check with faulty renaming files, and laws ----------------------
+
+# Renaming parts: objects from source to target, rows ``[from, to, degree]``,
+# and anything else.  Identifiers are the base document's nodes and edges,
+# names that are neither, and values of other JSON sorts.
+RHO_IDENT = st.one_of(
+    st.sampled_from(["v", "w", "e", "x", "y", "zz", ""]),
+    st.none(),
+    st.integers(-1, 2),
+    st.just(["v", 0]),
+)
+RHO_DEGREE = st.one_of(
+    st.sampled_from(["1", "1/2", "1/3", "0", "2", "-1", "1/0", "zz", "1e-99999"]), JSON_LEAF
+)
+RHO_ROW = st.one_of(
+    st.tuples(RHO_IDENT, RHO_IDENT, RHO_DEGREE).map(list),
+    st.lists(st.one_of(RHO_IDENT, RHO_DEGREE), max_size=4),
+    JSON_LEAF,
+)
+RHO_PART = st.one_of(
+    st.dictionaries(st.sampled_from(["v", "w", "e", "y", "zz"]), RHO_IDENT, max_size=3),
+    st.lists(RHO_ROW, max_size=3),
+    JSON_VALUE,
+)
+RHO_FILE = st.one_of(
+    st.dictionaries(st.sampled_from(["nodes", "edges"]), RHO_PART, max_size=2),
+    st.dictionaries(st.sampled_from(["nodes", "edges", "zz"]), RHO_PART, max_size=3),
+    JSON_VALUE,
+)
+BIGRAPHS = ["cb", "fb", "tb"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rho=RHO_FILE,
+    faults=st.lists(st.tuples(st.sampled_from(POSITIONS), JSON_VALUE), max_size=2),
+    left=st.sampled_from(BIGRAPHS + GRAPH_NAMES),
+    right=st.sampled_from(BIGRAPHS + GRAPH_NAMES),
+    format=st.sampled_from(["text", "json"]),
+)
+# A type-2 renaming row naming a node and an edge off their supports.
+@example(
+    rho={"nodes": [["v", "zz", "1"]], "edges": [["e", "e", "1/2"]]}, faults=[],
+    left="tb", right="tb", format="text",
+)
+# The identity renaming, which passes every check.
+@example(
+    rho={"nodes": {"v": "v", "w": "w"}, "edges": {"e": "e"}}, faults=[],
+    left="fb", right="fb", format="text",
+)
+# A fuzzy renaming that maps two nodes to one.
+@example(rho={"nodes": {"v": "w", "w": "w"}}, faults=[], left="fb", right="fb", format="json")
+def test_translate_check_answers_faulty_renaming_files_within_its_exit_contract(
+    rho, faults, left, right, format
+):
+    doc = json.loads(BASE_TEXT)
+    for at, value in faults:
+        _apply(doc, at, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        model, good = os.path.join(tmp, "m.fbg.json"), os.path.join(tmp, "good.fbg.json")
+        rho_path = os.path.join(tmp, "rho.json")
+        with open(model, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        with open(good, "w", encoding="utf-8") as handle:
+            handle.write(BASE_TEXT)
+        with open(rho_path, "w", encoding="utf-8") as handle:
+            json.dump(rho, handle)
+        for files in ((model, good), (good, model)):
+            code = _cli(
+                "translate-check", "--rho", rho_path, *files,
+                "--left-name", left, "--right-name", right, "--format", format,
+            )
+            assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    faults=st.lists(st.tuples(st.sampled_from(POSITIONS), JSON_VALUE), max_size=3),
+    frame=st.sampled_from(["unit-interval", "chain:5", "two-point", "chain:1", "zz"]),
+    arrows=st.integers(min_value=-1, max_value=4),
+    samples=st.one_of(st.none(), st.integers(min_value=-1, max_value=6)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_laws_answers_faulty_documents_within_its_exit_contract(
+    faults, frame, arrows, samples, seed
+):
+    doc = json.loads(BASE_TEXT)
+    doc["frame"] = frame
+    for at, value in faults:
+        _apply(doc, at, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.fbg.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        argv = ["laws", path, "--arrows", str(arrows), "--seed", str(seed)]
+        if samples is not None:
+            argv += ["--samples", str(samples)]
+        assert _cli(*argv) in (0, 1, 2, 3)
+
+
 if __name__ == "__main__":
     for line in table():
         print(line)

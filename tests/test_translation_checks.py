@@ -1,0 +1,193 @@
+"""The translation checkers against the dense oracle.
+
+The library's type-2 checker reads only the relations' stored entries;
+``type2_oracle.dense_check_type2_support_translation`` evaluates every
+constraint over all pairs of the two supports, and
+``type2_oracle.dense_translated_sides`` builds the inequalities' sides from
+identity relations, unions and ``then``.  Reports and sides must agree.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fuzzybig import (
+    FuzzyRelation,
+    FuzzySet,
+    Interface,
+    check_type2_support_translation,
+    make_type2_translation,
+)
+from fuzzybig.fuzzy import _translated_sides
+from fuzzybig.generators import (
+    random_degree,
+    random_fuzzy_bigraph,
+    random_interface,
+    random_type2_bigraph,
+)
+
+from helpers import ALL_FRAMES, d
+from test_type2 import (
+    SIG,
+    U,
+    _levelled_bigraph,
+    _mutated,
+    _rebuilt_type2,
+    _rewired,
+    _shuffled_copy,
+)
+from type2_oracle import dense_check_type2_support_translation, dense_translated_sides
+
+RELATION_KINDS = ("canonical", "dropped", "changed", "empty", "arbitrary")
+
+
+def _outcome(check, rho_nodes, rho_edges, f, g):
+    """Everything a report shows, or the error the check raised."""
+    try:
+        report = check(rho_nodes, rho_edges, f, g)
+    except Exception as exc:  # both checkers must raise alike
+        return type(exc), str(exc)
+    witness = report.witness
+    return (
+        str(report),
+        [(c.name, c.ok, c.detail) for c in report.checks],
+        report.ok,
+        report.support_equivalent,
+        None if witness is None else (witness.node_map, witness.edge_map),
+    )
+
+
+def _relation(rng, kind: str, canonical: FuzzyRelation) -> FuzzyRelation:
+    """The canonical relation, or one with entries dropped, degrees changed,
+    no entries at all, or arbitrary entries on the same carriers."""
+    frame = canonical.frame
+    entries = canonical.entry_dict()
+    keys = sorted(entries)
+    if kind == "dropped" and keys:
+        for key in rng.sample(keys, rng.randint(1, len(keys))):
+            del entries[key]
+    elif kind == "changed" and keys:
+        for key in rng.sample(keys, rng.randint(1, len(keys))):
+            entries[key] = random_degree(rng, frame, positive=True)
+    elif kind == "empty":
+        entries = {}
+    elif kind == "arbitrary":
+        grid = [(a, b) for a in sorted(canonical.domain) for b in sorted(canonical.codomain)]
+        entries = {
+            pair: random_degree(rng, frame, positive=True) for pair in grid if rng.random() < 0.5
+        }
+    return FuzzyRelation(frame, canonical.domain, canonical.codomain, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(ALL_FRAMES),
+    st.sampled_from(("renamed", "mutated", "rewired", "unrelated")),
+    st.sampled_from(RELATION_KINDS),
+    st.sampled_from(RELATION_KINDS),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_the_checker_reports_what_the_dense_oracle_reports(
+    frame, pair, node_kind, edge_kind, n_nodes, n_edges, seed
+):
+    rng = random.Random(seed)
+    f = _levelled_bigraph(rng, frame, n_nodes, n_edges)
+    if pair == "unrelated":
+        g = _levelled_bigraph(rng, frame, rng.randint(0, 6), rng.randint(0, 3))
+    else:
+        g = _shuffled_copy(rng, f)
+        if pair == "mutated":
+            g = _mutated(rng, g)
+        elif pair == "rewired":
+            g = _rewired(rng, g)
+    canonical_nodes, canonical_edges = make_type2_translation(f, g)
+    rho_nodes = _relation(rng, node_kind, canonical_nodes)
+    rho_edges = _relation(rng, edge_kind, canonical_edges)
+    assert _outcome(check_type2_support_translation, rho_nodes, rho_edges, f, g) == _outcome(
+        dense_check_type2_support_translation, rho_nodes, rho_edges, f, g
+    )
+
+
+def _grid_case():
+    # f's nodes a, b, c and g's nodes y, z, all at membership top except z
+    members_f = {"a": U.top, "b": U.top, "c": U.top}
+    members_g = {"y": U.top, "z": d("1/2")}
+    ctrl_f = {(v, "Z"): U.top for v in members_f}
+    ctrl_g = {(v, "Z"): U.top for v in members_g}
+    prnt_f = {(v, 0): U.top for v in members_f}
+    prnt_g = {(v, 0): U.top for v in members_g}
+    none, root = Interface(0, ()), Interface(1, ())
+    f = _rebuilt_type2(U, none, root, members_f, {}, ctrl_f, prnt_f, {}, U.top, U.top)
+    g = _rebuilt_type2(U, none, root, members_g, {}, ctrl_g, prnt_g, {}, U.top, U.top)
+    return f, g
+
+
+@pytest.mark.parametrize(
+    "changed, dropped, first",
+    [
+        # a pair left out comes first in sorted order, after an entry whose
+        # degree is wrong in entry order
+        ({("c", "z"): d("1/3")}, [("b", "y")], ("b", "y")),
+        # every pair is stored, so only a wrong degree can mismatch
+        ({("c", "y"): d("1/3"), ("b", "z"): d("1")}, [], ("b", "z")),
+        # too many pairs are missing to hold the grid
+        ({}, [("c", "z"), ("a", "z")], ("a", "z")),
+    ],
+)
+def test_the_first_membership_mismatch_is_the_first_pair_in_sorted_order(changed, dropped, first):
+    f, g = _grid_case()
+    canonical, rho_edges = make_type2_translation(f, g)
+    # entries stored in reverse sorted order, so entry order differs
+    entries = dict(sorted(canonical.entry_dict().items(), reverse=True))
+    entries.update(changed)
+    for pair in dropped:
+        del entries[pair]
+    rho_nodes = FuzzyRelation(U, canonical.domain, canonical.codomain, entries)
+    report = check_type2_support_translation(rho_nodes, rho_edges, f, g)
+    check = report.check("node relation matches target memberships")
+    assert (check.ok, check.detail) == (False, f"first mismatch at {first}")
+    assert str(report) == str(dense_check_type2_support_translation(rho_nodes, rho_edges, f, g))
+
+
+def _carrier(elements) -> frozenset:
+    """A fuzzy graph's node or edge set, or a type-2 graph's support."""
+    return elements.support if isinstance(elements, FuzzySet) else elements
+
+
+def _random_relation(rng, frame, domain, codomain, crisp: bool) -> FuzzyRelation:
+    """Each pair of ``domain x codomain`` with probability one half, at top
+    (as the fuzzy checker's renamings are) or at a random positive degree."""
+    entries = {
+        (a, b): frame.top if crisp else random_degree(rng, frame, positive=True)
+        for a in sorted(domain)
+        for b in sorted(codomain, key=repr)
+        if rng.random() < 0.5
+    }
+    return FuzzyRelation(frame, domain, codomain, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(ALL_FRAMES),
+    st.sampled_from(("fuzzy", "type2")),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_translated_sides_equal_the_identity_union_formulas(frame, flavour, seed):
+    rng = random.Random(seed)
+    inner, outer = random_interface(rng, 2, 2), random_interface(rng, 2, 2)
+    make = random_fuzzy_bigraph if flavour == "fuzzy" else random_type2_bigraph
+    f = make(rng, frame, SIG, inner, outer, "f_")
+    g = make(rng, frame, SIG, inner, outer, "g_")
+    crisp = flavour == "fuzzy"
+    rho_nodes = _random_relation(rng, frame, _carrier(f.nodes), _carrier(g.nodes), crisp)
+    rho_ports = _random_relation(rng, frame, f.link.ports, g.link.ports, crisp)
+    rho_edges = _random_relation(rng, frame, _carrier(f.edges), _carrier(g.edges), crisp)
+    for args in (
+        (f.place.prnt, g.place.prnt, rho_nodes, rho_nodes, range(inner.width), range(outer.width)),
+        (f.link.link, g.link.link, rho_ports, rho_edges, inner.names, outer.names),
+    ):
+        assert _translated_sides(*args) == dense_translated_sides(*args)
