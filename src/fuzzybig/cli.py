@@ -57,6 +57,17 @@ EXIT_IO = 3
 DEFAULT_SEED = 42
 
 
+def _count(text: str) -> int:
+    """An argparse type: a whole number, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fbg", description="Fuzzy bigraph model toolkit"
@@ -93,8 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("laws", help="run the fuzzy-category law suite")
     p.add_argument("file", help="model file providing the frame and signature")
-    p.add_argument("--arrows", type=int, default=20)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--arrows", type=_count, default=20)
+    p.add_argument("--samples", type=_count, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--format", choices=("text", "json"), default="text")
 

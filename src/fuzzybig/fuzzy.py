@@ -517,35 +517,37 @@ def identity_translation(f: FuzzyBigraph) -> SupportTranslation:
     return SupportTranslation({v: v for v in f.nodes}, {e: e for e in f.edges})
 
 
+def _require_cover(rho: SupportTranslation, nodes, edges, carrier: str) -> None:
+    """``rho`` renames exactly ``nodes`` and ``edges``; ``carrier`` names what
+    they are ("set", or "support" for type-2 graphs)."""
+    if set(rho.node_map) != set(nodes):
+        raise ValueError(f"node renaming does not cover exactly the node {carrier}")
+    if set(rho.edge_map) != set(edges):
+        raise ValueError(f"edge renaming does not cover exactly the edge {carrier}")
+
+
+def _renamed(f, rho: SupportTranslation, nodes, edges, place_extra=(), link_extra=()):
+    """``f`` with its control, parent and link relations renamed along
+    ``rho``, every degree copied, and each part rebuilt through its public
+    constructor from the renamed ``nodes`` and ``edges`` and, after the
+    relations, the ``place_extra`` and ``link_extra`` arguments."""
+    node, place_elem, point, target = _element_renaming(rho.node_map, rho.edge_map)
+    ctrl = f.ctrl.translate(node)
+    place = type(f.place)(
+        f.frame, f.signature, f.place.inner, f.place.outer, nodes, ctrl,
+        f.place.prnt.translate(place_elem, place_elem), *place_extra,
+    )
+    link = type(f.link)(
+        f.frame, f.signature, f.link.inner, f.link.outer, nodes, edges, ctrl,
+        f.link.link.translate(point, target), *link_extra,
+    )
+    return type(f)(place, link)
+
+
 def translate_fuzzy(f: FuzzyBigraph, rho: SupportTranslation) -> FuzzyBigraph:
     """Apply a support translation, copying every degree across."""
-    if set(rho.node_map) != set(f.nodes):
-        raise ValueError("node renaming does not cover exactly the node set")
-    if set(rho.edge_map) != set(f.edges):
-        raise ValueError("edge renaming does not cover exactly the edge set")
-    node, place_elem, point, target = _element_renaming(rho.node_map, rho.edge_map)
-    nodes = rho.node_map.values()
-    ctrl = f.ctrl.translate(node)
-    place = FuzzyPlaceGraph(
-        f.frame,
-        f.signature,
-        f.place.inner,
-        f.place.outer,
-        nodes,
-        ctrl,
-        f.prnt.translate(place_elem, place_elem),
-    )
-    link = FuzzyLinkGraph(
-        f.frame,
-        f.signature,
-        f.link.inner,
-        f.link.outer,
-        nodes,
-        rho.edge_map.values(),
-        ctrl,
-        f.link.link.translate(point, target),
-    )
-    return FuzzyBigraph(place, link)
+    _require_cover(rho, f.nodes, f.edges, "set")
+    return _renamed(f, rho, rho.node_map.values(), rho.edge_map.values())
 
 
 @dataclass
@@ -601,6 +603,47 @@ def _translated_sides(f_rel, g_rel, rho_sources, rho_targets, inner, outer):
     )
 
 
+def _verdict(name: str, ok: bool, failure: str) -> TranslationCheck:
+    """A check that carries its ``failure`` detail only when it fails."""
+    return TranslationCheck(name, ok, "" if ok else failure)
+
+
+def _require_same_interfaces(f, g) -> None:
+    if f.inner != g.inner or f.outer != g.outer:
+        raise InterfaceMismatchError(
+            f"interface mismatch: {f.inner}->{f.outer} vs {g.inner}->{g.outer}"
+        )
+
+
+def _port_relation(rho_nodes: FuzzyRelation, f_ports, g_ports) -> FuzzyRelation:
+    """The port relation a node relation induces: each index-matched pair of
+    ports inherits its node pair's degree, read off the node relation's
+    stored entries.  A pair whose image is no port of g is left out."""
+    indices: dict = {}
+    for v, i in f_ports:
+        indices.setdefault(v, []).append(i)
+    entries = {}
+    for (v, w), d in rho_nodes.items():
+        for i in indices.get(v, ()):
+            if (w, i) in g_ports:
+                entries[((v, i), (w, i))] = d
+    return FuzzyRelation._trusted(rho_nodes.frame, f_ports, g_ports, entries)
+
+
+def _inequality_sides(f, g, rho_nodes, rho_ports, rho_edges):
+    """The sides of the parent inequality and then of the link inequality,
+    each as ``_translated_sides`` gives them."""
+    return (
+        _translated_sides(
+            f.place.prnt, g.place.prnt, rho_nodes, rho_nodes,
+            range(f.place.inner), range(f.place.outer),
+        ),
+        _translated_sides(
+            f.link.link, g.link.link, rho_ports, rho_edges, f.link.inner, f.link.outer
+        ),
+    )
+
+
 def check_support_translation(
     rho: SupportTranslation, f: FuzzyBigraph, g: FuzzyBigraph
 ) -> TranslationReport:
@@ -611,89 +654,49 @@ def check_support_translation(
     inequalities tying the translated parent and link relations of f to
     those of g.
     """
-    if f.inner != g.inner or f.outer != g.outer:
-        raise InterfaceMismatchError(
-            f"interface mismatch: {f.inner}->{f.outer} vs {g.inner}->{g.outer}"
-        )
-    if set(rho.node_map) != set(f.nodes) or set(rho.node_map.values()) != set(g.nodes):
-        raise ValueError("node renaming is not a bijection from f's nodes to g's")
-    if set(rho.edge_map) != set(f.edges) or set(rho.edge_map.values()) != set(g.edges):
-        raise ValueError("edge renaming is not a bijection from f's edges to g's")
-
-    frame = f.frame
-    top = frame.top
-    rho_nodes = FuzzyRelation(
-        frame, f.nodes, g.nodes, {(v, w): top for v, w in rho.node_map.items()}
-    )
-    rho_edges = FuzzyRelation(
-        frame, f.edges, g.edges, {(e, d): top for e, d in rho.edge_map.items()}
-    )
-
-    checks: list[TranslationCheck] = []
+    _require_same_interfaces(f, g)
+    top, relations = f.frame.top, []
+    for what, table, f_ids, g_ids in (
+        ("node", rho.node_map, f.nodes, g.nodes),
+        ("edge", rho.edge_map, f.edges, g.edges),
+    ):
+        if set(table) != f_ids or set(table.values()) != g_ids:
+            raise ValueError(f"{what} renaming is not a bijection from f's {what}s to g's")
+        relations.append(FuzzyRelation(f.frame, f_ids, g_ids, dict.fromkeys(table.items(), top)))
+    rho_nodes, rho_edges = relations
 
     # 1. control preservation: every translated control degree of f is
     #    dominated by g's.
     pulled = rho_nodes.then(g.ctrl)
-    bad = [
-        (v, k)
-        for (v, k), d in f.ctrl.items()
-        if not d.leq(pulled.degree(v, k))
-    ]
-    checks.append(
-        TranslationCheck(
-            "control preservation",
-            not bad,
-            "" if not bad else f"degree drops at {sorted(bad)}",
-        )
-    )
+    bad = [(v, k) for (v, k), d in f.ctrl.items() if not d.leq(pulled.degree(v, k))]
 
     # 2. the port bijection (v, i) -> (rho(v), i) lands exactly on g's ports.
-    f_ports = f.link.ports
-    g_ports = g.link.ports
+    f_ports, g_ports = f.link.ports, g.link.ports
     mapped = {rho.port_image(p) for p in f_ports}
     ok_ports = mapped == g_ports
-    checks.append(
-        TranslationCheck(
-            "port bijection",
-            ok_ports,
-            ""
-            if ok_ports
-            else f"image {sorted(mapped)} differs from {sorted(g_ports)}",
-        )
-    )
-    rho_ports = FuzzyRelation(
-        frame,
-        f_ports,
-        g_ports,
-        {(p, rho.port_image(p)): top for p in f_ports if rho.port_image(p) in g_ports},
-    )
+    # Listing every port costs milliseconds on a large pair, so the detail
+    # is only built when the check fails.
+    ports_detail = "" if ok_ports else f"image {sorted(mapped)} differs from {sorted(g_ports)}"
 
-    # 3a. parent inequality: g's parents, pulled back along rho, dominate f's.
-    lhs, rhs = _translated_sides(
-        f.prnt, g.prnt, rho_nodes, rho_nodes, range(f.place.inner), range(f.place.outer)
+    # 3. g's parents and links, pulled back along rho, dominate f's pushed
+    #    forward.
+    (prnt_pulled, prnt_pushed), (link_pulled, link_pushed) = _inequality_sides(
+        f, g, rho_nodes, _port_relation(rho_nodes, f_ports, g_ports), rho_edges
     )
-    ok_prnt = rhs.leq(lhs)
-    checks.append(
-        TranslationCheck(
+    return TranslationReport([
+        _verdict("control preservation", not bad, f"degree drops at {sorted(bad)}"),
+        TranslationCheck("port bijection", ok_ports, ports_detail),
+        _verdict(
             "parent relation",
-            ok_prnt,
-            "" if ok_prnt else "translated parent degrees are not dominated",
-        )
-    )
-
-    # 3b. link inequality, same shape on points and links.
-    lhs, rhs = _translated_sides(
-        f.link.link, g.link.link, rho_ports, rho_edges, f.link.inner, f.link.outer
-    )
-    ok_link = rhs.leq(lhs)
-    checks.append(
-        TranslationCheck(
+            prnt_pushed.leq(prnt_pulled),
+            "translated parent degrees are not dominated",
+        ),
+        _verdict(
             "link relation",
-            ok_link,
-            "" if ok_link else "translated link degrees are not dominated",
-        )
-    )
-    return TranslationReport(checks)
+            link_pushed.leq(link_pulled),
+            "translated link degrees are not dominated",
+        ),
+    ])
 
 
 # --- the crisp bridge ---------------------------------------------------------

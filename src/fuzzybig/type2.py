@@ -18,24 +18,28 @@ from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .crisp import Interface, Port, Signature, _element_renaming, _freeze_ids
-from .errors import InterfaceMismatchError, ValidationReport
+from .crisp import Interface, Port, Signature, _freeze_ids
+from .errors import ValidationReport
 from .fuzzy import (
     FuzzyBigraph,
     FuzzyLinkGraph,
     FuzzyPlaceGraph,
     SupportTranslation,
-    TranslationCheck,
     TranslationReport,
     _Bigraph,
     _Graph,
     _as_relation,
+    _inequality_sides,
+    _port_relation,
     _prnt_domain,
+    _renamed,
     _require_apart,
     _require_bigraph_composable,
+    _require_cover,
     _require_link_composable,
     _require_place_composable,
-    _translated_sides,
+    _require_same_interfaces,
+    _verdict,
     _widths,
     identity_bigraph,
     skeleton_is_acyclic,
@@ -375,35 +379,9 @@ def identity_type2_bigraph(
 
 def translate_type2(f: Type2FuzzyBigraph, rho: SupportTranslation) -> Type2FuzzyBigraph:
     """Rename nodes and edges of a type-2 bigraph, copying every degree."""
-    if set(rho.node_map) != set(f.nodes.support):
-        raise ValueError("node renaming does not cover exactly the node support")
-    if set(rho.edge_map) != set(f.link.edge_support):
-        raise ValueError("edge renaming does not cover exactly the edge support")
-    node, place_elem, point, target = _element_renaming(rho.node_map, rho.edge_map)
-    nodes = f.nodes.translate(rho.node_map)
-    ctrl = f.ctrl.translate(node)
-    place = Type2FuzzyPlaceGraph(
-        f.frame,
-        f.signature,
-        f.place.inner,
-        f.place.outer,
-        nodes,
-        ctrl,
-        f.place.prnt.translate(place_elem, place_elem),
-        f.place.degree,
-    )
-    link = Type2FuzzyLinkGraph(
-        f.frame,
-        f.signature,
-        f.link.inner,
-        f.link.outer,
-        nodes,
-        f.edges.translate(rho.edge_map),
-        ctrl,
-        f.link.link.translate(point, target),
-        f.link.degree,
-    )
-    return Type2FuzzyBigraph(place, link)
+    _require_cover(rho, f.nodes.support, f.link.edge_support, "support")
+    nodes, edges = f.nodes.translate(rho.node_map), f.edges.translate(rho.edge_map)
+    return _renamed(f, rho, nodes, edges, (f.place.degree,), (f.link.degree,))
 
 
 def make_type2_translation(
@@ -668,98 +646,53 @@ def check_type2_support_translation(
     equivalence is reported when some bijective renaming of f reproduces g
     degree for degree.
     """
-    if f.inner != g.inner or f.outer != g.outer:
-        raise InterfaceMismatchError(
-            f"interface mismatch: {f.inner}->{f.outer} vs {g.inner}->{g.outer}"
-        )
-    frame = f.frame
-    for rel, dom, cod, what in (
-        (rho_nodes, f.nodes.support, g.nodes.support, "node relation"),
-        (rho_edges, f.link.edge_support, g.link.edge_support, "edge relation"),
-    ):
-        if not isinstance(rel, FuzzyRelation) or rel.frame != frame:
-            raise ValueError(f"{what} is not a fuzzy relation over {frame.name}")
-        for (a, b), _d in rel.items():
-            if a not in dom or b not in cod:
-                raise ValueError(f"{what} entry ({a!r}, {b!r}) is off-carrier")
-
-    checks: list[TranslationCheck] = []
-
+    _require_same_interfaces(f, g)
+    frame, checks = f.frame, []
     for what, rel, a, b in (
         ("node", rho_nodes, f.nodes, g.nodes),
         ("edge", rho_edges, f.edges, g.edges),
     ):
+        if not isinstance(rel, FuzzyRelation) or rel.frame != frame:
+            raise ValueError(f"{what} relation is not a fuzzy relation over {frame.name}")
+        for (x, y), _d in rel.items():
+            if x not in a.support or y not in b.support:
+                raise ValueError(f"{what} relation entry ({x!r}, {y!r}) is off-carrier")
         bad = _membership_mismatch(rel, a, b)
-        checks.append(
-            TranslationCheck(
-                f"{what} relation matches target memberships",
-                bad is None,
-                "" if bad is None else f"first mismatch at {bad}",
-            )
-        )
+        name = f"{what} relation matches target memberships"
+        checks.append(_verdict(name, bad is None, f"first mismatch at {bad}"))
 
-    # control preservation: g's controls pulled along the node relation stay
-    # below f's.
-    pulled = rho_nodes.then(g.ctrl)
-    ok_ctrl = pulled.leq(f.ctrl)
-    checks.append(
-        TranslationCheck(
+    rho_ports = _port_relation(rho_nodes, f.link.ports, g.link.ports)
+    (prnt_pulled, prnt_pushed), (link_pulled, link_pushed) = _inequality_sides(
+        f, g, rho_nodes, rho_ports, rho_edges
+    )
+    checks += [
+        # g's controls pulled along the node relation stay below f's.
+        _verdict(
             "control preservation",
-            ok_ctrl,
-            "" if ok_ctrl else "pulled-back control degrees exceed f's",
-        )
-    )
-
-    # induced port relation: index-matched port pairs inherit the node
-    # degree, read off the node relation's stored entries.
-    f_ports, g_ports = f.link.ports, g.link.ports
-    indices: dict = {}
-    for v, i in f_ports:
-        indices.setdefault(v, []).append(i)
-    port_entries = {}
-    for (v, w), d in rho_nodes.items():
-        for i in indices.get(v, ()):
-            if (w, i) in g_ports:
-                port_entries[((v, i), (w, i))] = d
-    rho_ports = FuzzyRelation._trusted(frame, f_ports, g_ports, port_entries)
-    # The bound holds by construction: each stored port pair carries its
-    # node pair's degree, and an index-matched pair left out has its node
-    # pair at bottom, which lies below anything.
-    ok_ports = all(
-        rho_nodes.degree(v, w).leq(d) for ((v, _i), (w, _j)), d in rho_ports.items()
-    )
-    checks.append(
-        TranslationCheck(
+            rho_nodes.then(g.ctrl).leq(f.ctrl),
+            "pulled-back control degrees exceed f's",
+        ),
+        # The bound holds by construction: each stored port pair carries its
+        # node pair's degree, and an index-matched pair left out has its node
+        # pair at bottom, which lies below anything.
+        _verdict(
             "port relation bound",
-            ok_ports,
-            "" if ok_ports else "a port pair falls below its node degree",
-        )
-    )
-
-    lhs, rhs = _translated_sides(
-        f.place.prnt, g.place.prnt, rho_nodes, rho_nodes, range(f.place.inner),
-        range(f.place.outer),
-    )
-    ok_prnt = lhs.leq(rhs)
-    checks.append(
-        TranslationCheck(
+            all(rho_nodes.degree(v, w).leq(d) for ((v, _i), (w, _j)), d in rho_ports.items()),
+            "a port pair falls below its node degree",
+        ),
+        # g's parents and links, pulled back along the relations, stay below
+        # f's pushed forward.
+        _verdict(
             "parent inequality",
-            ok_prnt,
-            "" if ok_prnt else "translated parent degrees exceed the bound",
-        )
-    )
-
-    lhs, rhs = _translated_sides(
-        f.link.link, g.link.link, rho_ports, rho_edges, f.link.inner, f.link.outer
-    )
-    ok_link = lhs.leq(rhs)
-    checks.append(
-        TranslationCheck(
+            prnt_pulled.leq(prnt_pushed),
+            "translated parent degrees exceed the bound",
+        ),
+        _verdict(
             "link inequality",
-            ok_link,
-            "" if ok_link else "translated link degrees exceed the bound",
-        )
-    )
+            link_pulled.leq(link_pushed),
+            "translated link degrees exceed the bound",
+        ),
+    ]
 
     witness = find_support_equivalence(f, g)
     return Type2TranslationReport(

@@ -160,6 +160,13 @@ def test_laws_output_is_byte_identical_across_runs(capsys):
     assert payload["ok"] is True
 
 
+@pytest.mark.parametrize("option, value", [("--samples", "-1"), ("--arrows", "-3")])
+def test_laws_rejects_a_negative_count_as_a_usage_error(capsys, option, value):
+    status, out, err = invoke(capsys, "laws", H_PATH, option, value)
+    assert (status, out) == (2, "")
+    assert err.endswith(f"fbg laws: error: argument {option}: must not be negative, got {value}\n")
+
+
 def test_export_dot_views(capsys):
     status, out, _err = invoke(capsys, "export-dot", H_PATH, "--view", "place")
     assert status == 0 and out.startswith("digraph place {")
@@ -348,3 +355,176 @@ def test_a_renaming_file_that_is_not_utf8_exits_three(tmp_path, capsys):
     status, out, err = invoke(capsys, "translate-check", "--rho", str(rho), H_PATH, H_PATH)
     assert (status, out) == (3, "")
     assert err.startswith("parse error: ")
+
+
+# --- translate-check output, pinned byte for byte ------------------------------
+#
+# H against a crisp-renamed copy, and against that copy with one parent degree
+# lowered; a type-2 H with two half-member nodes against its renamed copy
+# (support equivalent) and against the copy with one parent degree lowered
+# (not).  The copies are renamed in the crisp layer, so the pins do not rest
+# on the translation code they check.
+
+RENAMED_NODES = {f"v{i}": f"r_v{i}" for i in range(6)}
+RENAMED_EDGES = {"e0": "r_e0", "e1": "r_e1"}
+
+
+def _lowered_parent(b, child, parent, degree):
+    """``b`` with one parent entry at ``degree``, rebuilt through the public
+    constructors of its own flavour."""
+    p = b.place
+    fields = [p.frame, p.signature, p.inner, p.outer, p.nodes, p.ctrl]
+    extra = [p.degree] if hasattr(p, "degree") else []
+    place = type(p)(*fields, p.prnt.with_entry(child, parent, degree), *extra)
+    return type(b)(place, b.link)
+
+
+def _type2_h(b):
+    """``b`` embedded at place degree 1/2 and link degree 3/4, with the images
+    of v1 and v4 at membership 1/2 and every other node at 1."""
+    from fuzzybig import (
+        FuzzySet,
+        Type2FuzzyBigraph,
+        Type2FuzzyLinkGraph,
+        Type2FuzzyPlaceGraph,
+        embed_bigraph,
+    )
+
+    half = U.parse_degree("1/2")
+    e = embed_bigraph(b, half, U.parse_degree("3/4"))
+    halves = {RENAMED_NODES.get(v, v) for v in ("v1", "v4")} | {"v1", "v4"}
+    nodes = FuzzySet(U, {v: half if v in halves else U.top for v in e.nodes.support})
+    place = Type2FuzzyPlaceGraph(
+        U, e.signature, e.place.inner, e.place.outer, nodes, e.ctrl, e.place.prnt, e.place.degree
+    )
+    link = Type2FuzzyLinkGraph(
+        U, e.signature, e.link.inner, e.link.outer, nodes, e.edges, e.ctrl, e.link.link,
+        e.link.degree,
+    )
+    return Type2FuzzyBigraph(place, link)
+
+
+def _translation_case(tmp_path, case: str):
+    """The two model files and the renaming file of one pinned case."""
+    from fuzzybig import make_type2_translation
+    from fuzzybig.crisp import rename_crisp
+
+    h = make_h()
+    f, g = fuzzify(h, U), fuzzify(rename_crisp(h, RENAMED_NODES, RENAMED_EDGES), U)
+    rho = {"nodes": RENAMED_NODES, "edges": RENAMED_EDGES}
+    if case == "fuzzy-fail":
+        g = _lowered_parent(g, "r_v1", "r_v0", U.parse_degree("1/2"))
+    elif case.startswith("type2"):
+        f, g = _type2_h(f), _type2_h(g)
+        if case == "type2-equivalent":
+            canonical, _ = make_type2_translation(f, g)
+            rho["nodes"] = [[a, b, U.format_degree(x)] for (a, b), x in sorted(canonical.items())]
+        else:
+            g = _lowered_parent(g, "r_v1", "r_v0", U.parse_degree("1/2"))
+    paths = []
+    for name, graph in (("f", f), ("g", g)):
+        path = tmp_path / f"{name}.fbg.json"
+        save_document(ModelDocument(U, H_SIGNATURE, {name: graph}), path)
+        paths.append(str(path))
+    rho_path = tmp_path / "rho.json"
+    rho_path.write_text(json.dumps(rho))
+    return str(rho_path), *paths
+
+
+FUZZY_PASS = [
+    ("control preservation", True, ""),
+    ("port bijection", True, ""),
+    ("parent relation", True, ""),
+    ("link relation", True, ""),
+]
+FUZZY_FAIL = [
+    ("control preservation", True, ""),
+    ("port bijection", True, ""),
+    ("parent relation", False, "translated parent degrees are not dominated"),
+    ("link relation", True, ""),
+]
+TYPE2_EQUIVALENT = [
+    ("node relation matches target memberships", True, ""),
+    ("edge relation matches target memberships", False, "first mismatch at ('e0', 'r_e1')"),
+    ("control preservation", False, "pulled-back control degrees exceed f's"),
+    ("port relation bound", True, ""),
+    ("parent inequality", False, "translated parent degrees exceed the bound"),
+    ("link inequality", False, "translated link degrees exceed the bound"),
+]
+TYPE2_NOT_EQUIVALENT = [
+    ("node relation matches target memberships", False, "first mismatch at ('v0', 'r_v1')"),
+    ("edge relation matches target memberships", False, "first mismatch at ('e0', 'r_e1')"),
+    ("control preservation", True, ""),
+    ("port relation bound", True, ""),
+    ("parent inequality", True, ""),
+    ("link inequality", True, ""),
+]
+TRANSLATION_PINS = {
+    # case: (exit status, checks, support equivalent)
+    "fuzzy-pass": (0, FUZZY_PASS, None),
+    "fuzzy-fail": (1, FUZZY_FAIL, None),
+    "type2-equivalent": (1, TYPE2_EQUIVALENT, True),
+    "type2-not-equivalent": (1, TYPE2_NOT_EQUIVALENT, False),
+}
+
+TRANSLATION_TEXT = {
+    "fuzzy-pass": """\
+support translation: pass
+  control preservation: pass
+  port bijection: pass
+  parent relation: pass
+  link relation: pass
+""",
+    "fuzzy-fail": """\
+support translation: FAIL
+  control preservation: pass
+  port bijection: pass
+  parent relation: FAIL (translated parent degrees are not dominated)
+  link relation: pass
+""",
+    "type2-equivalent": """\
+support translation: FAIL
+  node relation matches target memberships: pass
+  edge relation matches target memberships: FAIL (first mismatch at ('e0', 'r_e1'))
+  control preservation: FAIL (pulled-back control degrees exceed f's)
+  port relation bound: pass
+  parent inequality: FAIL (translated parent degrees exceed the bound)
+  link inequality: FAIL (translated link degrees exceed the bound)
+  support equivalent: yes
+""",
+    "type2-not-equivalent": """\
+support translation: FAIL
+  node relation matches target memberships: FAIL (first mismatch at ('v0', 'r_v1'))
+  edge relation matches target memberships: FAIL (first mismatch at ('e0', 'r_e1'))
+  control preservation: pass
+  port relation bound: pass
+  parent inequality: pass
+  link inequality: pass
+  support equivalent: no
+""",
+}
+
+
+@pytest.mark.parametrize("case", TRANSLATION_PINS)
+def test_translate_check_text_output_is_pinned(tmp_path, capsys, case):
+    rho, left, right = _translation_case(tmp_path, case)
+    status, out, err = invoke(capsys, "translate-check", "--rho", rho, left, right)
+    assert (status, out, err) == (TRANSLATION_PINS[case][0], TRANSLATION_TEXT[case], "")
+
+
+@pytest.mark.parametrize("case", TRANSLATION_PINS)
+def test_translate_check_json_output_is_pinned(tmp_path, capsys, case):
+    rho, left, right = _translation_case(tmp_path, case)
+    status, out, err = invoke(
+        capsys, "translate-check", "--rho", rho, left, right, "--format", "json"
+    )
+    expected_status, checks, equivalent = TRANSLATION_PINS[case]
+    payload = {
+        "checks": [{"detail": detail, "name": name, "ok": ok} for name, ok, detail in checks],
+        "ok": expected_status == 0,
+    }
+    if equivalent is not None:
+        payload["support_equivalent"] = equivalent
+    # two-space indent, sorted keys, one trailing newline
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert (status, out, err) == (expected_status, expected, "")

@@ -5,6 +5,10 @@ The library's type-2 checker reads only the relations' stored entries;
 constraint over all pairs of the two supports, and
 ``type2_oracle.dense_translated_sides`` builds the inequalities' sides from
 identity relations, unions and ``then``.  Reports and sides must agree.
+
+The fuzzy checker and both renamings are compared with the per-flavour
+versions kept in ``translation_oracle``: reports, translated graphs and
+raised errors must agree.
 """
 
 import random
@@ -14,13 +18,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzybig import (
+    FuzzyBigraph,
+    FuzzyLinkGraph,
+    FuzzyPlaceGraph,
     FuzzyRelation,
     FuzzySet,
     Interface,
+    SupportTranslation,
+    check_support_translation,
     check_type2_support_translation,
+    embed_bigraph,
+    fuzzify,
     make_type2_translation,
+    translate_fuzzy,
+    translate_type2,
 )
-from fuzzybig.fuzzy import _translated_sides
+from fuzzybig.fuzzy import _translated_sides, derive_ports
 from fuzzybig.generators import (
     random_degree,
     random_fuzzy_bigraph,
@@ -28,7 +41,8 @@ from fuzzybig.generators import (
     random_type2_bigraph,
 )
 
-from helpers import ALL_FRAMES, d
+import translation_oracle
+from helpers import ALL_FRAMES, d, make_h
 from test_type2 import (
     SIG,
     U,
@@ -191,3 +205,145 @@ def test_translated_sides_equal_the_identity_union_formulas(frame, flavour, seed
         (f.link.link, g.link.link, rho_ports, rho_edges, inner.names, outer.names),
     ):
         assert _translated_sides(*args) == dense_translated_sides(*args)
+
+
+# --- one renaming and one fuzzy checker for both flavours ---------------------
+
+
+def _h(flavour: str):
+    f = fuzzify(make_h(), U)
+    return f if flavour == "fuzzy" else embed_bigraph(f)
+
+
+@pytest.mark.parametrize(
+    "flavour, part, message",
+    [
+        ("fuzzy", "node", "node renaming does not cover exactly the node set"),
+        ("fuzzy", "edge", "edge renaming does not cover exactly the edge set"),
+        ("type2", "node", "node renaming does not cover exactly the node support"),
+        ("type2", "edge", "edge renaming does not cover exactly the edge support"),
+    ],
+)
+def test_a_renaming_that_leaves_an_identifier_out_names_what_it_must_cover(
+    flavour, part, message
+):
+    f = _h(flavour)
+    maps = {"node": {v: v for v in _carrier(f.nodes)}, "edge": {e: e for e in _carrier(f.edges)}}
+    del maps[part][min(maps[part])]
+    translate = translate_fuzzy if flavour == "fuzzy" else translate_type2
+    with pytest.raises(ValueError) as raised:
+        translate(f, SupportTranslation(maps["node"], maps["edge"]))
+    assert str(raised.value) == message
+
+
+RENAMINGS = ("identity", "bijection", "clash", "missing", "extra")
+TARGETS = ("renamed", "control", "parent", "link", "wider")
+
+
+def _renaming(rng, kind: str, f) -> SupportTranslation:
+    """The identity, a random bijection onto fresh and own names, one whose
+    images may clash with an edge or an outer name, or one that leaves out or
+    adds an identifier."""
+    nodes, edges = sorted(_carrier(f.nodes)), sorted(_carrier(f.edges))
+    node_pool = nodes + [f"w{i}" for i in range(len(nodes))]
+    edge_pool = edges + [f"d{i}" for i in range(len(edges))]
+    if kind == "clash":
+        node_pool += edges[:1]
+        edge_pool += sorted(f.link.outer)
+    if kind == "identity":
+        node_map, edge_map = dict(zip(nodes, nodes)), dict(zip(edges, edges))
+    else:
+        node_map = dict(zip(nodes, rng.sample(node_pool, len(nodes))))
+        edge_map = dict(zip(edges, rng.sample(edge_pool, len(edges))))
+    table = rng.choice((node_map, edge_map))
+    if kind == "missing" and table:
+        del table[rng.choice(sorted(table))]
+    elif kind in ("missing", "extra"):
+        table["zz"] = "zz_image"
+    return SupportTranslation(node_map, edge_map)
+
+
+def _lowered(rng, degree):
+    """A degree strictly below ``degree``; bottom drops the entry."""
+    lower = random_degree(rng, degree.frame).meet(degree)
+    return degree.frame.bottom if lower == degree else lower
+
+
+def _changed_target(rng, g, target: str):
+    """``g`` with one control, parent or link degree lowered, or one node
+    given a control wider than any it holds, rebuilt through the public
+    constructors; link entries on ports the change removes are dropped."""
+    ctrl, prnt, link = g.ctrl.entry_dict(), g.prnt.entry_dict(), g.link.link.entry_dict()
+    table = {"control": ctrl, "parent": prnt, "link": link}.get(target)
+    if table:
+        key = rng.choice(sorted(table, key=repr))
+        lower = _lowered(rng, table[key])
+        del table[key]
+        if not lower.is_bottom():
+            table[key] = lower
+    elif target == "wider":
+        widest = {v: -1 for v in g.nodes}
+        for v, control in ctrl:
+            widest[v] = max(widest[v], SIG.arity_of(control))
+        options = [
+            (v, control)
+            for v in sorted(g.nodes)
+            for control in sorted(SIG.controls)
+            if SIG.arity_of(control) > widest[v]
+        ]
+        if options:
+            ctrl[rng.choice(options)] = random_degree(rng, g.frame, positive=True)
+    place = FuzzyPlaceGraph(g.frame, SIG, g.place.inner, g.place.outer, g.nodes, ctrl, prnt)
+    ports = derive_ports(SIG, place.ctrl)
+    link = {(q, t): x for (q, t), x in link.items() if not isinstance(q, tuple) or q in ports}
+    link_part = FuzzyLinkGraph(
+        g.frame, SIG, g.link.inner, g.link.outer, g.nodes, g.edges, place.ctrl, link
+    )
+    return FuzzyBigraph(place, link_part)
+
+
+def _attempt(call, *args):
+    """What ``call`` returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:  # both paths must raise alike
+        return type(exc), str(exc)
+
+
+def _shown(report):
+    if isinstance(report, tuple):
+        return report
+    return str(report), [(c.name, c.ok, c.detail) for c in report.checks], report.ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(ALL_FRAMES),
+    st.sampled_from(("fuzzy", "type2")),
+    st.sampled_from(RENAMINGS),
+    st.sampled_from(TARGETS),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_renaming_and_checking_agree_with_the_per_flavour_oracles(
+    frame, flavour, renaming, target, seed
+):
+    rng = random.Random(seed)
+    inner, outer = random_interface(rng, 2, 2), random_interface(rng, 2, 2)
+    make = random_fuzzy_bigraph if flavour == "fuzzy" else random_type2_bigraph
+    f = make(rng, frame, SIG, inner, outer, "f_")
+    rho = _renaming(rng, renaming, f)
+    translate, oracle = {
+        "fuzzy": (translate_fuzzy, translation_oracle.translate_fuzzy),
+        "type2": (translate_type2, translation_oracle.translate_type2),
+    }[flavour]
+    translated = _attempt(translate, f, rho)
+    assert translated == _attempt(oracle, f, rho)
+    if flavour == "type2":
+        return
+    g = translated
+    if not isinstance(g, FuzzyBigraph):
+        g = translation_oracle.translate_fuzzy(f, _renaming(rng, "bijection", f))
+    g = _changed_target(rng, g, target)
+    assert _shown(_attempt(check_support_translation, rho, f, g)) == _shown(
+        _attempt(translation_oracle.check_support_translation, rho, f, g)
+    )
