@@ -534,12 +534,25 @@ def _renamed(f, rho: SupportTranslation, nodes, edges, place_extra=(), link_extr
     node, place_elem, point, target = _element_renaming(rho.node_map, rho.edge_map)
     ctrl = f.ctrl.translate(node)
     place = type(f.place)(
-        f.frame, f.signature, f.place.inner, f.place.outer, nodes, ctrl,
-        f.place.prnt.translate(place_elem, place_elem), *place_extra,
+        f.frame,
+        f.signature,
+        f.place.inner,
+        f.place.outer,
+        nodes,
+        ctrl,
+        f.place.prnt.translate(place_elem, place_elem),
+        *place_extra,
     )
     link = type(f.link)(
-        f.frame, f.signature, f.link.inner, f.link.outer, nodes, edges, ctrl,
-        f.link.link.translate(point, target), *link_extra,
+        f.frame,
+        f.signature,
+        f.link.inner,
+        f.link.outer,
+        nodes,
+        edges,
+        ctrl,
+        f.link.link.translate(point, target),
+        *link_extra,
     )
     return type(f)(place, link)
 
@@ -655,23 +668,31 @@ def check_support_translation(
     those of g.
     """
     _require_same_interfaces(f, g)
-    top, relations = f.frame.top, []
+    top = f.frame.top
+    relations = []
     for what, table, f_ids, g_ids in (
         ("node", rho.node_map, f.nodes, g.nodes),
         ("edge", rho.edge_map, f.edges, g.edges),
     ):
         if set(table) != f_ids or set(table.values()) != g_ids:
             raise ValueError(f"{what} renaming is not a bijection from f's {what}s to g's")
-        relations.append(FuzzyRelation(f.frame, f_ids, g_ids, dict.fromkeys(table.items(), top)))
+        relations.append(
+            FuzzyRelation(f.frame, f_ids, g_ids, dict.fromkeys(table.items(), top))
+        )
     rho_nodes, rho_edges = relations
 
     # 1. control preservation: every translated control degree of f is
     #    dominated by g's.
     pulled = rho_nodes.then(g.ctrl)
-    bad = [(v, k) for (v, k), d in f.ctrl.items() if not d.leq(pulled.degree(v, k))]
+    bad = [
+        (v, k)
+        for (v, k), d in f.ctrl.items()
+        if not d.leq(pulled.degree(v, k))
+    ]
 
     # 2. the port bijection (v, i) -> (rho(v), i) lands exactly on g's ports.
-    f_ports, g_ports = f.link.ports, g.link.ports
+    f_ports = f.link.ports
+    g_ports = g.link.ports
     mapped = {rho.port_image(p) for p in f_ports}
     ok_ports = mapped == g_ports
     # Listing every port costs milliseconds on a large pair, so the detail

@@ -860,12 +860,6 @@ def _q(text: str) -> str:
     return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-# Indentation grows with nesting down to this many spaces (32 levels) and
-# stays flat below: fully nested output carries O(depth^2) spaces, about
-# 16 MB at depth 2,000.
-_DOT_MAX_INDENT = 64
-
-
 def _dot_place_crisp(place: PlaceGraph) -> str:
     children: dict = {}
     for child, parent in place.prnt.items():
@@ -873,6 +867,26 @@ def _dot_place_crisp(place: PlaceGraph) -> str:
         children.setdefault(key, []).append(child)
 
     lines = ["digraph place {"]
+
+    def emit(child, indent: str) -> None:
+        if isinstance(child, int):
+            lines.append(
+                f"{indent}{_q(f'site_{child}')} [label={_q(f'site {child}')}, "
+                "shape=box, style=filled, fillcolor=lightgrey];"
+            )
+            return
+        label = f"{child}:{place.ctrl.get(child, '?')}"
+        kids = sorted(children.get(("node", child), ()), key=repr)
+        if kids:
+            lines.append(f"{indent}subgraph {_q(f'cluster_node_{child}')} {{")
+            lines.append(f"{indent}  label={_q(label)};")
+            lines.append(f"{indent}  style=solid;")
+            for kid in kids:
+                emit(kid, indent + "  ")
+            lines.append(f"{indent}}}")
+        else:
+            lines.append(f"{indent}{_q(f'node_{child}')} [label={_q(label)}, shape=ellipse];")
+
     for root in range(place.outer):
         lines.append(f"  subgraph {_q(f'cluster_root_{root}')} {{")
         lines.append(f"    label={_q(f'root {root}')};")
@@ -880,32 +894,8 @@ def _dot_place_crisp(place: PlaceGraph) -> str:
         kids = sorted(children.get(("root", root), ()), key=repr)
         if not kids:
             lines.append(f"    {_q(f'root_{root}_anchor')} [shape=point, style=invis];")
-        # An explicit stack, so nesting depth is not bounded by the
-        # interpreter's recursion limit; ``None`` closes a node's cluster.
-        stack = [(kid, "    ") for kid in reversed(kids)]
-        while stack:
-            child, indent = stack.pop()
-            if child is None:
-                lines.append(f"{indent}}}")
-            elif isinstance(child, int):
-                lines.append(
-                    f"{indent}{_q(f'site_{child}')} [label={_q(f'site {child}')}, "
-                    "shape=box, style=filled, fillcolor=lightgrey];"
-                )
-            else:
-                label = f"{child}:{place.ctrl.get(child, '?')}"
-                grandkids = sorted(children.get(("node", child), ()), key=repr)
-                if grandkids:
-                    inside = indent if len(indent) >= _DOT_MAX_INDENT else indent + "  "
-                    lines.append(f"{indent}subgraph {_q(f'cluster_node_{child}')} {{")
-                    lines.append(f"{inside}label={_q(label)};")
-                    lines.append(f"{inside}style=solid;")
-                    stack.append((None, indent))
-                    stack.extend((kid, inside) for kid in reversed(grandkids))
-                else:
-                    lines.append(
-                        f"{indent}{_q(f'node_{child}')} [label={_q(label)}, shape=ellipse];"
-                    )
+        for kid in kids:
+            emit(kid, "    ")
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -380,7 +380,8 @@ def identity_type2_bigraph(
 def translate_type2(f: Type2FuzzyBigraph, rho: SupportTranslation) -> Type2FuzzyBigraph:
     """Rename nodes and edges of a type-2 bigraph, copying every degree."""
     _require_cover(rho, f.nodes.support, f.link.edge_support, "support")
-    nodes, edges = f.nodes.translate(rho.node_map), f.edges.translate(rho.edge_map)
+    nodes = f.nodes.translate(rho.node_map)
+    edges = f.edges.translate(rho.edge_map)
     return _renamed(f, rho, nodes, edges, (f.place.degree,), (f.link.degree,))
 
 
@@ -647,19 +648,30 @@ def check_type2_support_translation(
     degree for degree.
     """
     _require_same_interfaces(f, g)
-    frame, checks = f.frame, []
-    for what, rel, a, b in (
+    frame = f.frame
+    relations = (
         ("node", rho_nodes, f.nodes, g.nodes),
         ("edge", rho_edges, f.edges, g.edges),
-    ):
+    )
+    # Both relations are validated before any membership is compared: a
+    # mismatching relation walks the whole support grid.
+    for what, rel, a, b in relations:
         if not isinstance(rel, FuzzyRelation) or rel.frame != frame:
             raise ValueError(f"{what} relation is not a fuzzy relation over {frame.name}")
         for (x, y), _d in rel.items():
             if x not in a.support or y not in b.support:
                 raise ValueError(f"{what} relation entry ({x!r}, {y!r}) is off-carrier")
+
+    checks = []
+    for what, rel, a, b in relations:
         bad = _membership_mismatch(rel, a, b)
-        name = f"{what} relation matches target memberships"
-        checks.append(_verdict(name, bad is None, f"first mismatch at {bad}"))
+        checks.append(
+            _verdict(
+                f"{what} relation matches target memberships",
+                bad is None,
+                f"first mismatch at {bad}",
+            )
+        )
 
     rho_ports = _port_relation(rho_nodes, f.link.ports, g.link.ports)
     (prnt_pulled, prnt_pushed), (link_pulled, link_pushed) = _inequality_sides(
@@ -677,7 +689,10 @@ def check_type2_support_translation(
         # pair at bottom, which lies below anything.
         _verdict(
             "port relation bound",
-            all(rho_nodes.degree(v, w).leq(d) for ((v, _i), (w, _j)), d in rho_ports.items()),
+            all(
+                rho_nodes.degree(v, w).leq(d)
+                for ((v, _i), (w, _j)), d in rho_ports.items()
+            ),
             "a port pair falls below its node degree",
         ),
         # g's parents and links, pulled back along the relations, stay below

@@ -329,23 +329,6 @@ def test_the_dot_text_of_every_kind_is_pinned():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DOT_DIGEST
 
 
-
-def test_a_crisp_place_chain_far_deeper_than_the_recursion_limit_exports():
-    depth = 10_000
-    assert depth > 5 * sys.getrecursionlimit()
-    nodes = [f"n{i}" for i in range(depth)]
-    prnt = {"n0": 0, **{child: parent for parent, child in zip(nodes, nodes[1:])}}
-    place = PlaceGraph(H_SIGNATURE, 0, 1, nodes, dict.fromkeys(nodes, "M"), prnt)
-    text = export_dot(ModelDocument(TWO_POINT, H_SIGNATURE, {"chain": place}), "chain", "place")
-    lines = text.splitlines()
-    clusters = [line.split('"')[1] for line in lines if "subgraph" in line]
-    assert clusters == ["cluster_root_0"] + [f"cluster_node_{v}" for v in nodes[:-1]]
-    assert [line.strip() for line in lines[-3:]] == ["}", "}", "}"]
-    assert sum(line.strip() == "}" for line in lines) == depth + 1
-    # indentation stops growing 32 levels down
-    assert max(len(line) - len(line.lstrip(" ")) for line in lines) == 64
-
-
 # --- type-2 control references and degree text bounds ------------------------
 
 
