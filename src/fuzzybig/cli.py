@@ -58,13 +58,15 @@ DEFAULT_SEED = 42
 
 
 def _count(text: str) -> int:
-    """An argparse type: a whole number, 0 or more."""
+    """An argparse type: a whole number, 1 or more."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be at least 1: a count of 0 checks nothing")
     return value
 
 

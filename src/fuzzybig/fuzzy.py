@@ -28,6 +28,7 @@ from .crisp import (
     _freeze_ids,
 )
 from .errors import (
+    FrameMismatchError,
     InterfaceMismatchError,
     NameClashError,
     NotCrispError,
@@ -605,8 +606,16 @@ def _translated_sides(f_rel, g_rel, rho_sources, rho_targets, inner, outer):
     one.  Routed and copied keys cannot collide, because sites and roots
     are ints while nodes are strings, ports are tuples while names are
     strings, and edges never share a name with outer names.
+
+    ``_route`` does not check degrees, so the four relations must share
+    one frame; this is where the checkers require it.
     """
     frame, bottom = f_rel.frame, f_rel.frame.bottom
+    for rel in (g_rel, rho_sources, rho_targets):
+        if rel.frame != frame:
+            raise FrameMismatchError(
+                f"cannot translate relations over {frame.name} and {rel.frame.name}"
+            )
     inner, outer = frozenset(inner), frozenset(outer)
     pulled = _route(rho_sources, g_rel, (), inner, bottom, (), ())
     pushed = _route(f_rel, rho_targets, outer, (), bottom, (), ())

@@ -135,6 +135,21 @@ def _expect_nat(value, path: str) -> int:
     return value
 
 
+# A place width is the one field whose cost does not grow with the text:
+# every site or root is an element of the parent relation's domain or
+# codomain.  ``fbg validate`` on an empty fuzzy place graph peaks at 16 MB
+# of RSS at width 0, 38 MB at 65,536 and 107 MB at 262,144 (Python 3.11),
+# so the decoder refuses anything wider than this.
+_MAX_WIDTH = 65_536
+
+
+def _expect_width(value, path: str) -> int:
+    width = _expect_nat(value, path)
+    if width > _MAX_WIDTH:
+        raise ParseError(f"width {width} exceeds the limit of {_MAX_WIDTH}", path)
+    return width
+
+
 def _expect_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -> None:
     for key in required:
         if key not in obj:
@@ -238,7 +253,7 @@ def _decode_interface(value, path: str) -> Interface:
     obj = _expect_object(value, path)
     _expect_keys(obj, path, ("width", "names"))
     return Interface(
-        _expect_nat(obj["width"], f"{path}.width"),
+        _expect_width(obj["width"], f"{path}.width"),
         _decode_names(obj["names"], f"{path}.names"),
     )
 
@@ -709,7 +724,7 @@ _FLAVOURS = {
 
 # Per part: its relation fields, and how its interfaces are read and written.
 _PARTS = {
-    "place": (("prnt",), lambda value, path: Interface(_expect_nat(value, path)), _Writer.encode),
+    "place": (("prnt",), lambda value, path: Interface(_expect_width(value, path)), _Writer.encode),
     "link": (("link",), lambda value, path: Interface(0, _decode_names(value, path)), _Writer.names),
     "bigraph": (("prnt", "link"), _decode_interface, _Writer.interface),
 }

@@ -136,7 +136,15 @@ class FuzzyRelation:
         """Pointwise order: every degree of ``self`` lies below ``other``'s."""
         if self.frame != other.frame:
             raise FrameMismatchError("cannot compare relations over different frames")
-        return all(d.leq(other.degree(a, b)) for (a, b), d in self._entries.items())
+        # Raw degrees through the frame's hook, fetched once.  A stored
+        # degree lies above bottom, so a pair ``other`` lacks fails.
+        leq = self.frame._leq
+        get = other._entries.get
+        for key, d in self._entries.items():
+            e = get(key)
+            if e is None or not leq(d.raw, e.raw):
+                return False
+        return True
 
     def translate(
         self,
@@ -197,31 +205,60 @@ def _route(f_rel, g_rel, f_internal, g_internal, kappa, f_drop, g_drop) -> dict:
     sources in ``f_drop`` and ``g_drop`` (type-2 nodes whose membership
     falls below kappa) lose their entries.  Operand entries are already
     normal, so the result is too.
+
+    Degrees are compared as raw carrier values through the frame's hooks,
+    fetched once.  Nothing is re-checked: every stored degree was checked
+    when its relation was built, and every caller has already required
+    one frame for both relations and ``kappa`` (``FuzzyRelation.then``,
+    ``fuzzy._require_compatible`` before each compose, and
+    ``fuzzy._translated_sides``).
     """
-    guarded = not kappa.is_bottom()
+    frame = f_rel.frame
+    leq, meet, join = frame._leq, frame._meet, frame._join
+    bottom = frame.bottom.raw
+    k = kappa.raw
+    guarded = k != bottom
     legs: dict = {}
     kept = []
-    for (b, c), d in g_rel._entries.items():
+    # Copied entries keep their key tuples.
+    for key, d in g_rel._entries.items():
+        b = key[0]
         if b in g_internal:
             if b not in g_drop:
-                kept.append(((b, c), d))
-        elif not guarded or kappa.leq(d):
-            legs.setdefault(b, []).append((c, d))
+                kept.append((key, d))
+        elif not guarded or leq(k, d.raw):
+            legs.setdefault(b, []).append((key[1], d, d.raw))
     out: dict = {}
-    for (a, b), d1 in f_rel._entries.items():
-        if a in f_drop or (guarded and not kappa.leq(d1)):
+    for key, d1 in f_rel._entries.items():
+        a, b = key
+        if a in f_drop or (guarded and not leq(k, d1.raw)):
             continue
         if b in f_internal:
-            out[(a, b)] = d1
+            out[key] = d1
             continue
-        for c, d2 in legs.get(b, ()):
-            deg = d1.meet(d2)
-            # A meet that returns an operand is positive; only a new
-            # degree (possible off a chain) can fall to bottom.
-            if deg is not d1 and deg is not d2 and deg.is_bottom():
+        r1 = d1.raw
+        for c, d2, r2 in legs.get(b, ()):
+            # A hook that returns an operand's raw value keeps that
+            # operand's degree.  On a chain it always does; off a chain a
+            # new meet is checked, and dropped if it falls to bottom.
+            r = meet(r1, r2)
+            if r is r1:
+                deg = d1
+            elif r is r2:
+                deg = d2
+            elif r == bottom:
                 continue
-            prev = out.get((a, c))
-            out[(a, c)] = deg if prev is None else prev.join(deg)
+            else:
+                deg = frame.value(r)
+            ac = (a, c)
+            prev = out.get(ac)
+            if prev is None:
+                out[ac] = deg
+                continue
+            p = prev.raw
+            r = join(p, deg.raw)
+            if r is not p:
+                out[ac] = deg if r is deg.raw else frame.value(r)
     out.update(kept)
     return out
 

@@ -279,8 +279,12 @@ def embed_bigraph(
 
 
 def _below(kappa: FrameValue, fset: FuzzySet) -> set:
-    """Elements of ``fset`` whose membership falls below ``kappa``."""
-    return {x for x, d in fset.items() if not kappa.leq(d)}
+    """Elements of ``fset`` whose membership falls below ``kappa``.
+
+    Callers have required one frame for both, so raw degrees are compared
+    through the frame's hook."""
+    leq, k = kappa.frame._leq, kappa.raw
+    return {x for x, d in fset.items() if not leq(k, d.raw)}
 
 
 def compose_type2_place(

@@ -167,6 +167,15 @@ def test_laws_rejects_a_negative_count_as_a_usage_error(capsys, option, value):
     assert err.endswith(f"fbg laws: error: argument {option}: must not be negative, got {value}\n")
 
 
+@pytest.mark.parametrize("option", ["--samples", "--arrows"])
+def test_laws_rejects_a_zero_count_as_a_usage_error(capsys, option):
+    status, out, err = invoke(capsys, "laws", H_PATH, option, "0")
+    assert (status, out) == (2, "")
+    assert err.endswith(
+        f"fbg laws: error: argument {option}: must be at least 1: a count of 0 checks nothing\n"
+    )
+
+
 def test_export_dot_views(capsys):
     status, out, _err = invoke(capsys, "export-dot", H_PATH, "--view", "place")
     assert status == 0 and out.startswith("digraph place {")
@@ -198,6 +207,18 @@ def test_parse_error_exits_three(tmp_path, capsys):
     status, _out, err = invoke(capsys, "validate", str(path))
     assert status == 3
     assert "parse error" in err
+
+
+def test_a_huge_place_width_exits_three_without_building_it(tmp_path, capsys):
+    path = tmp_path / "wide.fbg.json"
+    path.write_text(
+        '{"frame": "unit-interval", "signature": {"controls": {}}, "graphs": {"p": '
+        '{"kind": "fuzzy-place", "inner": 2000000, "outer": 1, "nodes": [], '
+        '"ctrl": [], "prnt": []}}}'
+    )
+    status, out, err = invoke(capsys, "validate", str(path))
+    assert (status, out) == (3, "")
+    assert err == "parse error: $.graphs.p.inner: width 2000000 exceeds the limit of 65536\n"
 
 
 # Nested past the JSON decoder's depth, and an integer past the

@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fuzzybig import TWO_POINT, UNIT_INTERVAL, chain, frame_from_name, join_all, meet
 from fuzzybig.errors import FrameMismatchError
-from fuzzybig.lattice import FiniteChainFrame
+from fuzzybig.lattice import _MAX_DEGREE_DIGITS, FiniteChainFrame
 
 CHAIN5 = chain(5)
 
@@ -166,3 +166,57 @@ def test_separately_built_chain_degrees_still_combine():
         UNIT_INTERVAL.top.meet(TWO_POINT.top)
     with pytest.raises(FrameMismatchError):
         CHAIN5.check_value(UNIT_INTERVAL.top)
+
+
+# Numerators and denominators small, or within a few digits of the longest
+# that degree text may carry.
+_LONG = 10 ** (_MAX_DEGREE_DIGITS - 3)
+_terms = st.one_of(
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=_LONG, max_value=10**_MAX_DEGREE_DIGITS - 1),
+)
+
+
+@st.composite
+def unit_raws(draw):
+    """A raw unit-interval degree as a checked ``Fraction``."""
+    den = draw(_terms)
+    num = draw(st.integers(min_value=0, max_value=den))
+    return UNIT_INTERVAL.value(Fraction(num, den)).raw
+
+
+def _twin(raw: Fraction) -> Fraction:
+    """An equal degree held in a different object."""
+    twin = Fraction(raw.numerator * 3, raw.denominator * 3)
+    assert twin == raw and twin is not raw
+    return twin
+
+
+def _assert_hooks_agree(frame, a, b) -> None:
+    """The frame's raw hooks agree with the carrier's own order, and meet
+    and join return one of their operands."""
+    assert frame._leq(a, b) == (a <= b)
+    low, high = frame._meet(a, b), frame._join(a, b)
+    assert low == min(a, b) and (low is a or low is b)
+    assert high == max(a, b) and (high is a or high is b)
+
+
+@given(unit_raws(), unit_raws(), st.booleans())
+@example(Fraction(1, 3), Fraction(1, 3), True)
+@example(Fraction(10**999 - 1, 10**999), Fraction(10**999 - 2, 10**999 - 1), False)
+def test_unit_interval_hooks_agree_with_fraction_order(a, b, twin):
+    if twin:
+        b = _twin(a)
+    _assert_hooks_agree(UNIT_INTERVAL, a, b)
+    _assert_hooks_agree(UNIT_INTERVAL, b, a)
+
+
+@given(
+    st.one_of(
+        st.tuples(st.just(CHAIN5), st.integers(0, 4), st.integers(0, 4)),
+        st.tuples(st.just(TWO_POINT), st.booleans(), st.booleans()),
+    )
+)
+def test_chain_and_two_point_hooks_agree_with_native_order(case):
+    frame, a, b = case
+    _assert_hooks_agree(frame, frame.value(a).raw, frame.value(b).raw)

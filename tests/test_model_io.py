@@ -32,6 +32,7 @@ from fuzzybig.generators import (
     random_interface,
     random_type2_bigraph,
 )
+from fuzzybig.model_io import _MAX_WIDTH
 from fuzzybig.type2 import embed_bigraph
 
 from helpers import H_SIGNATURE, make_h, random_crisp_bigraph
@@ -419,6 +420,34 @@ def test_huge_degree_exponents_are_rejected_promptly(degree):
         parse(_one_degree_document(degree))
     assert time.perf_counter() - start < 1.0
     assert err.value.path == "$.graphs.g.ctrl[0]"
+
+
+def _widened(name: str, side: str, width: int) -> str:
+    """The fault-fuzzing base document with one place width changed."""
+    doc = json.loads(json.dumps(BASE))
+    record = doc["graphs"][name]
+    if isinstance(record[side], dict):
+        record[side]["width"] = width
+    else:
+        record[side] = width
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name", ["cp", "fp", "tp", "cb", "fb", "tb"])
+@pytest.mark.parametrize("side", ["inner", "outer"])
+def test_a_place_width_beyond_the_limit_is_a_parse_error(name, side):
+    path = f"$.graphs.{name}.{side}" + (".width" if name.endswith("b") else "")
+    for width in (_MAX_WIDTH + 1, 2_000_000, 10**400):
+        with pytest.raises(ParseError) as err:
+            parse(_widened(name, side, width))
+        assert err.value.path == path
+        assert err.value.message == f"width {width} exceeds the limit of {_MAX_WIDTH}"
+
+
+def test_a_place_width_at_the_limit_parses():
+    # About 20 MB of roots: the limit was chosen so that this stays small.
+    doc = parse(_widened("fp", "outer", _MAX_WIDTH))
+    assert doc.graph("fp").outer == _MAX_WIDTH
 
 
 DEGREE_TEXT = st.one_of(

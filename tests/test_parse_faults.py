@@ -208,8 +208,11 @@ def _apply(doc, at, value):
             parent = parent[key]
         except (KeyError, IndexError, TypeError):
             return
-    if isinstance(parent, dict) or (isinstance(parent, list) and at[-1] < len(parent)):
-        parent[at[-1]] = value
+    last = at[-1]
+    if isinstance(parent, dict) or (
+        isinstance(parent, list) and isinstance(last, int) and last < len(parent)
+    ):
+        parent[last] = value
 
 
 def _cli(*argv) -> int:
@@ -230,6 +233,9 @@ def _cli(*argv) -> int:
 )
 # A number where the same degree was written as text before.
 @example(faults=[(("graphs", "tb", "link", 1, 2), 0.5)], left="tb", right="tb")
+# An earlier fault turned the graph table into a list, so "cp" no longer
+# names a position in it.
+@example(faults=[(("graphs",), []), (("graphs", "cp"), None)], left="cp", right="cp")
 def test_the_cli_answers_faulty_documents_within_its_exit_contract(faults, left, right):
     doc = json.loads(BASE_TEXT)
     for at, value in faults:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzybig import (
+    TWO_POINT,
     FuzzyBigraph,
     FuzzyLinkGraph,
     FuzzyPlaceGraph,
@@ -33,6 +34,7 @@ from fuzzybig import (
     translate_fuzzy,
     translate_type2,
 )
+from fuzzybig.errors import FrameMismatchError
 from fuzzybig.fuzzy import _translated_sides, derive_ports
 from fuzzybig.generators import (
     random_degree,
@@ -234,6 +236,15 @@ def test_a_renaming_that_leaves_an_identifier_out_names_what_it_must_cover(
     with pytest.raises(ValueError) as raised:
         translate(f, SupportTranslation(maps["node"], maps["edge"]))
     assert str(raised.value) == message
+
+
+def test_the_type2_checker_refuses_operands_over_different_frames():
+    # Routing compares raw degrees without checking their frames, so the
+    # mismatch must be caught before the inequality sides are routed.
+    f, g = (embed_bigraph(fuzzify(make_h(), frame)) for frame in (U, TWO_POINT))
+    rho_nodes, rho_edges = make_type2_translation(f, f)
+    with pytest.raises(FrameMismatchError):
+        check_type2_support_translation(rho_nodes, rho_edges, f, g)
 
 
 RENAMINGS = ("identity", "bijection", "clash", "missing", "extra")
