@@ -52,10 +52,7 @@ def derive_ports(signature: Signature, ctrl: FuzzyRelation) -> frozenset[Port]:
         ar = signature.arity_of(control)
         if ar > widest.get(v, -1):
             widest[v] = ar
-    ports = set()
-    for v, ar in widest.items():
-        ports.update((v, i) for i in range(ar))
-    return frozenset(ports)
+    return frozenset((v, i) for v, ar in widest.items() for i in range(ar))
 
 
 def _as_relation(frame: Frame, entries, domain, codomain) -> FuzzyRelation:

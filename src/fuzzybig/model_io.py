@@ -36,20 +36,16 @@ from .fuzzy import (
     FuzzyBigraph,
     FuzzyLinkGraph,
     FuzzyPlaceGraph,
-    _prnt_domain,
-    _require_apart,
-    derive_ports,
     validate_fuzzy_bigraph,
     validate_fuzzy_link,
     validate_fuzzy_place,
 )
 from .lattice import Frame, frame_from_name
-from .relations import FuzzyRelation, FuzzySet, _outside, element_sort_key
+from .relations import FuzzyRelation, FuzzySet, element_sort_key
 from .type2 import (
     Type2FuzzyBigraph,
     Type2FuzzyLinkGraph,
     Type2FuzzyPlaceGraph,
-    type2_ports,
     validate_type2_bigraph,
     validate_type2_link,
     validate_type2_place,
@@ -135,18 +131,20 @@ def _expect_nat(value, path: str) -> int:
     return value
 
 
-# A place width is the one field whose cost does not grow with the text:
-# every site or root is an element of the parent relation's domain or
-# codomain.  ``fbg validate`` on an empty fuzzy place graph peaks at 16 MB
-# of RSS at width 0, 38 MB at 65,536 and 107 MB at 262,144 (Python 3.11),
-# so the decoder refuses anything wider than this.
+# Place widths and control arities are the fields whose cost does not grow
+# with the text: every site or root is an element of the parent relation's
+# domain or codomain, and every port of a node one of the link relation's
+# domain.  ``fbg validate`` on an empty fuzzy place graph peaks at 16 MB of
+# RSS at width 0, 38 MB at 65,536 and 107 MB at 262,144 (Python 3.11), so
+# the decoder refuses anything wider than this, and the writer writes
+# nothing it would refuse.
 _MAX_WIDTH = 65_536
 
 
-def _expect_width(value, path: str) -> int:
+def _expect_width(value, path: str, what: str = "width") -> int:
     width = _expect_nat(value, path)
     if width > _MAX_WIDTH:
-        raise ParseError(f"width {width} exceeds the limit of {_MAX_WIDTH}", path)
+        raise ParseError(f"{what} {width} exceeds the limit of {_MAX_WIDTH}", path)
     return width
 
 
@@ -167,8 +165,8 @@ class _Degrees:
     texts that parsed are kept: a bad text fails, with the same message, at
     every occurrence.  The table lives for one call only, because the input
     is untrusted and a table kept across calls would grow with every file
-    read.  Bottom is stored as the frame's own bottom, so that rows at
-    bottom are found by identity.
+    read.  Bottom is stored as the frame's own bottom, so that memberships
+    at bottom are found by identity.
     """
 
     __slots__ = ("frame", "known")
@@ -321,7 +319,7 @@ def _decode_triples(value, degrees: _Degrees, decode_a, decode_b, path: str) -> 
     """Graded rows by their pair, rows at bottom included: the pairs still
     count as duplicates and are checked against the relation's domain."""
     rows = _expect_array(value, path)
-    parse_degree = degrees.parse
+    known, parse_degree = degrees.known, degrees.parse
     out: dict = {}
     try:
         for i, row in enumerate(rows):
@@ -334,28 +332,11 @@ def _decode_triples(value, degrees: _Degrees, decode_a, decode_b, path: str) -> 
             )
             if key in out:
                 raise _Fault(f"duplicate entry for {key!r}")
-            out[key] = parse_degree(text)
+            degree = known.get(text) if type(text) is str else None
+            out[key] = degree if degree is not None else parse_degree(text)
     except _Fault as fault:
         raise ParseError(str(fault), f"{path}[{i}]") from None
     return out
-
-
-def _relation(frame: Frame, domain, codomain, entries: dict, path: str) -> FuzzyRelation:
-    """The relation of decoded graded rows.
-
-    Rows are checked against the domain and codomain in row order, with the
-    message :class:`FuzzyRelation` gives, and rows at bottom are dropped.
-    """
-    bottom = frame.bottom
-    at_bottom = False
-    for (a, b), degree in entries.items():
-        if a not in domain or b not in codomain:
-            raise ParseError(str(_outside(a, b)), path)
-        if degree is bottom:
-            at_bottom = True
-    if at_bottom:
-        entries = {key: d for key, d in entries.items() if d is not bottom}
-    return FuzzyRelation._trusted(frame, domain, codomain, entries)
 
 
 def _check_place_refs(prnt: dict, nodes: frozenset, path: str) -> None:
@@ -397,67 +378,6 @@ def _check_ctrl_refs(ctrl: dict, nodes: frozenset, path: str) -> None:
     for (v, _k) in ctrl:
         if v not in nodes:
             raise ParseError(f"undeclared node {v!r}", f"{path}.ctrl")
-
-
-# --- graph records --------------------------------------------------------------
-#
-# The decoder checks every field a record's constructors would check, with
-# their messages and in their order, so the graphs are stored through the
-# private constructors: nothing is checked twice, and a bigraph's parts share
-# one control relation.
-
-
-def _build_crisp(fl, fields: dict, signature: Signature, frame: Frame, path: str) -> list:
-    """Crisp parts from checked fields; their maps are the decoder's own."""
-    inner, outer, nodes, ctrl = fields["inner"], fields["outer"], fields["nodes"], fields["ctrl"]
-    parts = []
-    if "prnt" in fields:
-        parts.append(fl.place._trusted(
-            signature, inner.width, outer.width, nodes, ctrl, fields["prnt"]
-        ))
-    if "link" in fields:
-        parts.append(fl.link._trusted(
-            signature, inner.names, outer.names, nodes, fields["edges"], ctrl, fields["link"]
-        ))
-    return parts
-
-
-def _build_graded(fl, fields: dict, signature: Signature, frame: Frame, path: str) -> list:
-    """Fuzzy or type-2 parts from decoded fields.  What the constructors
-    would still check here -- the relations' domains and the link part's
-    disjoint identifiers -- is checked in their order."""
-    inner, outer, nodes = fields["inner"], fields["outer"], fields["nodes"]
-    node_ids = fl.support(nodes)
-    parts = []
-    ctrl = None
-    if "prnt" in fields:
-        ctrl = _relation(frame, node_ids, signature.controls, fields["ctrl"], path)
-        prnt = _relation(
-            frame, *_prnt_domain(inner.width, outer.width, node_ids), fields["prnt"], path
-        )
-        degree = [fields[key] for key in fl.place_degree]
-        parts.append(fl.place._trusted(
-            frame, signature, inner.width, outer.width, nodes, ctrl, prnt, *degree
-        ))
-    if "link" in fields:
-        edges = fields["edges"]
-        edge_ids = fl.support(edges)
-        try:
-            _require_apart(node_ids, edge_ids, outer.names)
-        except ValueError as exc:
-            raise ParseError(str(exc), path) from None
-        if ctrl is None:
-            ctrl = _relation(frame, node_ids, signature.controls, fields["ctrl"], path)
-        ports = fl.ports(signature, nodes, ctrl)
-        link = _relation(
-            frame, inner.names | ports, edge_ids | outer.names, fields["link"], path
-        )
-        degree = [fields[key] for key in fl.link_degree]
-        parts.append(fl.link._trusted(
-            frame, signature, inner.names, outer.names, nodes, edges, ctrl, link, ports,
-            *degree,
-        ))
-    return parts
 
 
 # --- encoding -------------------------------------------------------------------
@@ -553,9 +473,17 @@ class _Writer:
     def names(self, names, depth: int = 3) -> str:
         return _array([self.encode(name) for name in sorted(names)], depth)
 
+    def width(self, width: int, what: str = "width") -> str:
+        """A place width or a control arity, which ``parse`` must read back."""
+        if width > _MAX_WIDTH:
+            raise ValueError(
+                f"cannot serialize: {what} {width} exceeds the limit of {_MAX_WIDTH}"
+            )
+        return self.encode(width)
+
     def interface(self, interface: Interface) -> str:
         return _object(
-            {"names": self.names(interface.names, 4), "width": self.encode(interface.width)}, 3
+            {"names": self.names(interface.names, 4), "width": self.width(interface.width)}, 3
         )
 
     def crisp_nodes(self, nodes, ctrl) -> str:
@@ -642,11 +570,10 @@ class _Flavour:
     records, the control map; graded flavours keep controls in a ``ctrl``
     relation.  ``entries`` decodes a relation field (crisp maps or graded
     triples), ``check_refs`` rejects identifiers the record never declared,
-    and ``build`` makes the parts from the decoded fields.  ``support`` and
-    ``ports`` give a graded record's identifier sets and ports, and the
-    degree fields are the interface degrees of the place and link parts
-    and, on a bigraph, their meet.  The ``write_`` fields are the
-    writer's side of ``nodes``, ``edges`` and ``entries``.
+    and ``place``, ``link`` and ``pair`` are the public classes of the
+    parts.  The degree fields are the interface degrees of the place and
+    link parts and, on a bigraph, their meet.  The ``write_`` fields are
+    the writer's side of ``nodes``, ``edges`` and ``entries``.
     """
 
     nodes: Callable
@@ -656,12 +583,9 @@ class _Flavour:
     write_edges: Callable
     write_entries: Callable
     check_refs: Callable
-    build: Callable
     place: type
     link: type
-    pair: Callable
-    support: Callable | None = None
-    ports: Callable | None = None
+    pair: type
     ctrl: tuple = ()
     place_degree: tuple = ()
     link_degree: tuple = ()
@@ -677,7 +601,6 @@ _FLAVOURS = {
         write_edges=_Writer.names,
         write_entries=lambda w, mapping: w.rows(mapping.items(), w.encode),
         check_refs=_check_crisp_refs,
-        build=_build_crisp,
         place=PlaceGraph,
         link=LinkGraph,
         pair=Bigraph,
@@ -690,12 +613,9 @@ _FLAVOURS = {
         write_edges=_Writer.names,
         write_entries=_Writer.relation,
         check_refs=lambda f, path: _check_ctrl_refs(f["ctrl"], f["nodes"], path),
-        build=_build_graded,
         place=FuzzyPlaceGraph,
         link=FuzzyLinkGraph,
-        pair=FuzzyBigraph._trusted,
-        support=lambda ids: ids,
-        ports=lambda signature, nodes, ctrl: derive_ports(signature, ctrl),
+        pair=FuzzyBigraph,
         ctrl=("ctrl",),
     ),
     "type2": _Flavour(
@@ -709,12 +629,9 @@ _FLAVOURS = {
         write_edges=lambda w, edges: w.rows(edges.items(), w.degree),
         write_entries=_Writer.relation,
         check_refs=lambda f, path: _check_ctrl_refs(f["ctrl"], f["nodes"].support, path),
-        build=_build_graded,
         place=Type2FuzzyPlaceGraph,
         link=Type2FuzzyLinkGraph,
-        pair=Type2FuzzyBigraph._trusted,
-        support=lambda fset: fset.support,
-        ports=lambda signature, nodes, ctrl: type2_ports(signature, nodes, ctrl),
+        pair=Type2FuzzyBigraph,
         ctrl=("ctrl",),
         place_degree=("beta",),
         link_degree=("delta",),
@@ -724,7 +641,7 @@ _FLAVOURS = {
 
 # Per part: its relation fields, and how its interfaces are read and written.
 _PARTS = {
-    "place": (("prnt",), lambda value, path: Interface(_expect_width(value, path)), _Writer.encode),
+    "place": (("prnt",), lambda value, path: Interface(_expect_width(value, path)), _Writer.width),
     "link": (("link",), lambda value, path: Interface(0, _decode_names(value, path)), _Writer.names),
     "bigraph": (("prnt", "link"), _decode_interface, _Writer.interface),
 }
@@ -750,7 +667,8 @@ def _layout(fl: _Flavour, relations: tuple) -> tuple:
 
 def _decode_record(kind: str, obj: dict, degrees: _Degrees, signature: Signature, path: str):
     """Decode one graph record: the part table says which fields it has,
-    the flavour table how each of them is written and what it builds."""
+    the flavour table how each of them is written and which classes it
+    builds."""
     flavour, _, part = kind.partition("-")
     fl = _FLAVOURS[flavour]
     relations, decode_interface, _write_interface = _PARTS[part]
@@ -779,10 +697,29 @@ def _decode_record(kind: str, obj: dict, degrees: _Degrees, signature: Signature
     for key in place_degree + link_degree:
         fields[key] = _decode_degree(degrees, obj[key], at(key))
 
-    parts = fl.build(fl, fields, signature, degrees.frame, path)
-    if len(parts) == 1:
-        return parts[0]
-    bigraph = fl.pair(*parts)
+    # The public constructors check the rest, and their faults are the
+    # record's.  Graded ones take the frame first, and a bigraph's link part
+    # takes the place part's control relation as it stands.
+    head = (degrees.frame, signature) if fl.ctrl else (signature,)
+    inner, outer, nodes, ctrl = fields["inner"], fields["outer"], fields["nodes"], fields["ctrl"]
+    parts = []
+    try:
+        if "prnt" in fields:
+            parts.append(fl.place(
+                *head, inner.width, outer.width, nodes, ctrl, fields["prnt"],
+                *[fields[key] for key in place_degree],
+            ))
+            ctrl = parts[0].ctrl
+        if "link" in fields:
+            parts.append(fl.link(
+                *head, inner.names, outer.names, nodes, fields["edges"], ctrl, fields["link"],
+                *[fields[key] for key in link_degree],
+            ))
+        if len(parts) == 1:
+            return parts[0]
+        bigraph = fl.pair(*parts)
+    except ValueError as exc:
+        raise ParseError(str(exc), path) from None
     for key in meet_degree:
         if key in obj and _decode_degree(degrees, obj[key], at(key)) != bigraph.degree:
             raise ParseError(f"{key} must be the meet of beta and delta", at(key))
@@ -815,7 +752,7 @@ def parse(text: str) -> ModelDocument:
     controls = _expect_object(sig_obj["controls"], "$.signature.controls")
     table = {}
     for control, ar in controls.items():
-        table[control] = _expect_nat(ar, f"$.signature.controls.{control}")
+        table[control] = _expect_width(ar, f"$.signature.controls.{control}", "arity")
     signature = Signature(table)
     degrees = _Degrees(frame)
     graphs = {}
@@ -833,7 +770,7 @@ def parse(text: str) -> ModelDocument:
 def serialize(doc: ModelDocument) -> str:
     """Canonical text: sorted keys, sorted entries, LF endings."""
     writer = _Writer()
-    controls = {name: writer.encode(ar) for name, ar in doc.signature.arity.items()}
+    controls = {name: writer.width(ar, "arity") for name, ar in doc.signature.arity.items()}
     root = {
         "frame": writer.encode(doc.frame.name),
         "graphs": _object({name: writer.record(g) for name, g in doc.graphs.items()}, 1),

@@ -38,6 +38,17 @@ def _as_entries(entries) -> Iterable[tuple]:
     return entries
 
 
+def _entry_dict(entries) -> dict:
+    """Relation entries given as a mapping or as ``((a, b), degree)`` pairs,
+    as a dict; pairs may not repeat."""
+    out: dict = {}
+    for (a, b), degree in _as_entries(entries):
+        if (a, b) in out:
+            raise ValueError(f"duplicate relation entry for ({a!r}, {b!r})")
+        out[(a, b)] = degree
+    return out
+
+
 def _outside(a, b) -> ValueError:
     """The error for an entry ``(a, b)`` off a relation's domain/codomain."""
     return ValueError(f"relation entry ({a!r}, {b!r}) lies outside its domain/codomain")
@@ -54,19 +65,31 @@ class FuzzyRelation:
 
     def __init__(self, frame: Frame, domain, codomain, entries=()):
         self.frame = frame
-        self.domain = frozenset(domain)
-        self.codomain = frozenset(codomain)
-        store: dict = {}
-        for (a, b), degree in _as_entries(entries):
-            frame.check_value(degree)
-            if a not in self.domain or b not in self.codomain:
+        self.domain = domain = frozenset(domain)
+        self.codomain = codomain = frozenset(codomain)
+        if type(entries) is not dict:
+            entries = _entry_dict(entries)
+        # Each entry's degree is checked against the frame, then its pair
+        # against the domain.  A model repeats a few degree objects many
+        # times, and degrees are immutable, so each distinct object is
+        # checked once, by its id: ``entries`` holds every degree, so no id
+        # is reused while the loop runs.  Bottom is found through the
+        # frame's order hook, which also serves frames off a chain.
+        leq, bottom = frame._leq, frame.bottom.raw
+        at_bottom: dict = {}
+        for (a, b), degree in entries.items():
+            low = at_bottom.get(id(degree))
+            if low is None:
+                frame.check_value(degree)
+                low = at_bottom[id(degree)] = leq(degree.raw, bottom)
+            if a not in domain or b not in codomain:
                 raise _outside(a, b)
-            if degree.is_bottom():
-                continue
-            if (a, b) in store:
-                raise ValueError(f"duplicate relation entry for ({a!r}, {b!r})")
-            store[(a, b)] = degree
-        self._entries = store
+        if any(at_bottom.values()):
+            self._entries = {
+                key: d for key, d in entries.items() if not at_bottom[id(d)]
+            }
+        else:
+            self._entries = dict(entries)
 
     @classmethod
     def _trusted(cls, frame: Frame, domain, codomain, store: dict) -> "FuzzyRelation":
@@ -167,11 +190,8 @@ class FuzzyRelation:
 
     def with_entry(self, a, b, degree: FrameValue) -> "FuzzyRelation":
         """Copy with one entry replaced (bottom removes the entry)."""
-        self.frame.check_value(degree)
         entries = dict(self._entries)
-        entries.pop((a, b), None)
-        if not degree.is_bottom():
-            entries[(a, b)] = degree
+        entries[(a, b)] = degree
         return FuzzyRelation(self.frame, self.domain, self.codomain, entries)
 
     def __eq__(self, other) -> bool:
@@ -336,11 +356,9 @@ class FuzzySet:
         )
 
     def with_membership(self, element, degree: FrameValue) -> "FuzzySet":
-        self.frame.check_value(degree)
+        """Copy with one membership replaced (bottom removes the element)."""
         entries = dict(self._entries)
-        entries.pop(element, None)
-        if not degree.is_bottom():
-            entries[element] = degree
+        entries[element] = degree
         return FuzzySet(self.frame, entries)
 
     def __eq__(self, other) -> bool:

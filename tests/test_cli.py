@@ -221,6 +221,37 @@ def test_a_huge_place_width_exits_three_without_building_it(tmp_path, capsys):
     assert err == "parse error: $.graphs.p.inner: width 2000000 exceeds the limit of 65536\n"
 
 
+def test_a_huge_arity_exits_three_without_building_the_ports(tmp_path, capsys):
+    path = tmp_path / "ports.fbg.json"
+    path.write_text(
+        '{"frame": "unit-interval", "signature": {"controls": {"K": 200000}}, "graphs": {"l": '
+        '{"kind": "fuzzy-link", "inner": [], "outer": [], "nodes": ["v"], "edges": [], '
+        '"ctrl": [["v", "K", "1"]], "link": []}}}'
+    )
+    status, out, err = invoke(capsys, "validate", str(path))
+    assert (status, out) == (3, "")
+    assert err == (
+        "parse error: $.signature.controls.K: arity 200000 exceeds the limit of 65536\n"
+    )
+
+
+def test_a_tensor_too_wide_to_read_back_exits_one_and_writes_nothing(tmp_path, capsys):
+    from fuzzybig import FuzzyPlaceGraph
+
+    sig = Signature({})
+    wide = FuzzyPlaceGraph(U, sig, 0, 40_000, set(), {}, {})
+    pa, pb = tmp_path / "a.fbg.json", tmp_path / "b.fbg.json"
+    save_document(ModelDocument(U, sig, {"a": wide}), pa)
+    save_document(ModelDocument(U, sig, {"b": wide}), pb)
+    out_path = tmp_path / "ab.fbg.json"
+    status, out, err = invoke(
+        capsys, "tensor", "--left", str(pa), "--right", str(pb), "--out", str(out_path),
+    )
+    assert (status, out) == (1, "")
+    assert err == "error: cannot serialize: width 80000 exceeds the limit of 65536\n"
+    assert not out_path.exists()
+
+
 # Nested past the JSON decoder's depth, and an integer past the
 # interpreter's limit on digits: both are unreadable input.
 UNREADABLE = {"nesting": "[" * 200_000, "integer": '{"nodes": ' + "9" * 5000 + "}"}

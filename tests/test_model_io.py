@@ -12,15 +12,23 @@ from hypothesis import strategies as st
 
 from fuzzybig import (
     Bigraph,
+    FuzzyBigraph,
+    FuzzyLinkGraph,
+    FuzzyPlaceGraph,
+    FuzzySet,
     LinkGraph,
     ModelDocument,
     PlaceGraph,
     Signature,
     TWO_POINT,
+    Type2FuzzyBigraph,
+    Type2FuzzyLinkGraph,
+    Type2FuzzyPlaceGraph,
     UNIT_INTERVAL,
     chain,
     export_dot,
     fuzzify,
+    identity_link,
     load_document,
     parse,
     serialize,
@@ -496,3 +504,88 @@ def test_serialize_names_a_node_the_control_map_leaves_out(kind):
     assert any("node 'v' has no control" in p for r in validate_document(doc) for p in r.problems)
     with pytest.raises(ValueError, match="control map is not total: node 'v' has no control"):
         serialize(doc)
+
+
+def _base_by_constructors() -> dict:
+    """The nine records of the fault-fuzzing base document, built through
+    the public constructors."""
+    sig = Signature({"K": 2, "L": 1, "M": 0})
+    half, third, one = (U.parse_degree(t) for t in ("1/2", "1/3", "1"))
+    ctrl = {"v": "K", "w": "M"}
+    prnt = {0: "w", "v": 0, "w": "v"}
+    place = PlaceGraph(sig, 1, 1, {"v", "w"}, ctrl, prnt)
+    fctrl = {("v", "K"): half, ("w", "M"): one}
+    fprnt = {(0, "w"): third, ("v", 0): one, ("w", "v"): half}
+    flink = {("x", "e"): one, (("v", 0), "e"): half, (("v", 1), "y"): third}
+    small_ctrl, small_link = {("v", "L"): half}, {("x", "e"): one, (("v", 0), "y"): half}
+    nodes, edges = FuzzySet(U, {"v": half, "w": one}), FuzzySet(U, {"e": half})
+    fplace = FuzzyPlaceGraph(U, sig, 1, 1, {"v", "w"}, fctrl, fprnt)
+    tplace = Type2FuzzyPlaceGraph(U, sig, 1, 1, nodes, fctrl, fprnt, third)
+    return {
+        "cp": place,
+        "cl": LinkGraph(sig, {"x"}, {"y"}, {"v"}, {"e"}, {"v": "L"}, {"x": "e", ("v", 0): "y"}),
+        "cb": Bigraph(place, LinkGraph(
+            sig, {"x"}, {"y"}, {"v", "w"}, {"e"}, ctrl,
+            {"x": "e", ("v", 0): "e", ("v", 1): "y"},
+        )),
+        "fp": fplace,
+        "fl": FuzzyLinkGraph(U, sig, {"x"}, {"y"}, {"v"}, {"e"}, small_ctrl, small_link),
+        "fb": FuzzyBigraph(fplace, FuzzyLinkGraph(
+            U, sig, {"x"}, {"y"}, {"v", "w"}, {"e"}, fctrl, flink
+        )),
+        "tp": tplace,
+        "tl": Type2FuzzyLinkGraph(
+            U, sig, {"x"}, {"y"}, FuzzySet(U, {"v": one}), edges, small_ctrl, small_link, half
+        ),
+        "tb": Type2FuzzyBigraph(tplace, Type2FuzzyLinkGraph(
+            U, sig, {"x"}, {"y"}, nodes, edges, fctrl, flink, third
+        )),
+    }
+
+
+def test_each_base_record_decodes_to_the_graph_its_constructors_build():
+    decoded = parse(json.dumps(BASE)).graphs
+    expected = _base_by_constructors()
+    assert sorted(decoded) == sorted(expected)
+    for name, graph in expected.items():
+        assert type(decoded[name]) is type(graph), name
+        assert decoded[name] == graph, name
+
+
+# A 203-byte document whose one node would have 200,000 ports.
+WIDE_ARITY = (
+    '{"frame": "unit-interval", "signature": {"controls": {"K": 200000}}, "graphs": {"l": '
+    '{"kind": "fuzzy-link", "inner": [], "outer": [], "nodes": ["v"], "edges": [], '
+    '"ctrl": [["v", "K", "1"]], "link": []}}}'
+)
+
+
+def test_an_arity_beyond_the_limit_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse(WIDE_ARITY)
+    assert err.value.path == "$.signature.controls.K"
+    assert err.value.message == f"arity 200000 exceeds the limit of {_MAX_WIDTH}"
+    at_limit = WIDE_ARITY.replace("200000", str(_MAX_WIDTH)).replace('"1"', '"0"')
+    assert parse(at_limit).signature.arity["K"] == _MAX_WIDTH
+
+
+@pytest.mark.parametrize("side", ["inner", "outer"])
+@pytest.mark.parametrize("bigraph", [False, True])
+def test_serialize_refuses_a_width_parse_would_refuse(side, bigraph):
+    sig = Signature({})
+    widths = {"inner": 0, "outer": 0, side: _MAX_WIDTH + 1}
+    graph = FuzzyPlaceGraph(U, sig, widths["inner"], widths["outer"], set(), {}, {})
+    if bigraph:
+        graph = FuzzyBigraph(graph, identity_link(set(), U, sig))
+    with pytest.raises(ValueError, match=(
+        f"^cannot serialize: width {_MAX_WIDTH + 1} exceeds the limit of {_MAX_WIDTH}$"
+    )):
+        serialize(ModelDocument(U, sig, {"g": graph}))
+
+
+def test_serialize_refuses_an_arity_parse_would_refuse():
+    doc = ModelDocument(U, Signature({"K": _MAX_WIDTH + 1}), {})
+    with pytest.raises(ValueError, match=f"cannot serialize: arity {_MAX_WIDTH + 1} exceeds"):
+        serialize(doc)
+    doc = ModelDocument(U, Signature({"K": _MAX_WIDTH}), {})
+    assert parse(serialize(doc)) == doc

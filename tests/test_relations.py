@@ -1,6 +1,7 @@
 """Fuzzy relation and fuzzy set behaviour: normal form, composition, union."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from fuzzybig import FuzzyRelation, FuzzySet, UNIT_INTERVAL, identity_relation
 from fuzzybig.errors import FrameMismatchError
 from fuzzybig.generators import random_degree
-from fuzzybig.lattice import TWO_POINT
+from fuzzybig.lattice import TWO_POINT, FiniteChainFrame, FrameValue, chain
 
 from helpers import ALL_FRAMES, DiamondFrame, assert_checked_rebuild
 
@@ -173,3 +174,71 @@ def test_fuzzy_set_support_is_fixed_at_construction():
     assert s.support == frozenset({"a"})
     assert s.support is s.support
     assert s.with_membership("c", d("1/3")).support == {"a", "c"}
+
+
+def test_with_entry_rejects_an_off_domain_pair_even_at_bottom():
+    r = rel({"a"}, {"x"}, {("a", "x"): d("1/2")})
+    for degree in (d("0"), d("1/2")):
+        with pytest.raises(ValueError, match="lies outside its domain/codomain"):
+            r.with_entry("a", "zz", degree)
+
+
+def test_with_entry_and_with_membership_check_the_frame():
+    r = rel({"a"}, {"x"}, {})
+    with pytest.raises(FrameMismatchError):
+        r.with_entry("a", "x", TWO_POINT.bottom)
+    with pytest.raises(FrameMismatchError):
+        FuzzySet(U).with_membership("a", TWO_POINT.top)
+    assert FuzzySet(U, {"a": d("1/2")}).with_membership("a", U.bottom) == FuzzySet(U)
+
+
+# --- the entry checker: each distinct degree object is checked once ------------
+
+
+def test_a_bottom_degree_that_is_not_the_frames_own_bottom_is_dropped():
+    half = d("1/2")
+    for bottom in (U.value(0), FrameValue(U, Fraction(0))):
+        assert bottom is not U.bottom
+        r = rel({"a", "b", "c"}, {"x"}, {("a", "x"): bottom, ("b", "x"): half, ("c", "x"): bottom})
+        assert r.entry_dict() == {("b", "x"): half}
+
+
+def test_a_degree_of_an_equal_named_frame_object_is_accepted():
+    other = FiniteChainFrame(5)
+    assert other is not chain(5) and other == chain(5)
+    three = other.value(3)
+    r = FuzzyRelation(chain(5), {"a", "b"}, {"x"}, {("a", "x"): three, ("b", "x"): other.value(0)})
+    assert r.entry_dict() == {("a", "x"): chain(5).value(3)}
+    assert r.degree("a", "x") is three
+
+
+def test_a_repeated_degree_of_another_frame_is_rejected():
+    top = TWO_POINT.top
+    with pytest.raises(FrameMismatchError):
+        rel({"a", "b"}, {"x"}, {("a", "x"): top, ("b", "x"): top})
+    # Seen first at a good entry of its own frame, then in another relation.
+    good = FuzzyRelation(TWO_POINT, {"a"}, {"x"}, {("a", "x"): top})
+    assert len(good) == 1
+    with pytest.raises(FrameMismatchError):
+        rel({"a"}, {"x"}, good.entry_dict())
+
+
+def test_bottom_off_a_chain_is_found_through_the_order_hook():
+    frame = DiamondFrame()
+    a = frame.value(frozenset("a"))
+    r = FuzzyRelation(
+        frame, {"p", "q", "s"}, {"x"},
+        {("p", "x"): frame.value(frozenset()), ("q", "x"): a, ("s", "x"): frame.bottom},
+    )
+    assert r.entry_dict() == {("q", "x"): a}
+
+
+def test_the_first_fault_in_entry_order_is_raised():
+    bad, good = TWO_POINT.top, d("1/2")
+    with pytest.raises(FrameMismatchError):
+        rel({"a"}, {"x"}, {("a", "x"): bad, ("zz", "x"): good})
+    with pytest.raises(ValueError, match=r"\('zz', 'x'\) lies outside"):
+        rel({"a"}, {"x"}, {("zz", "x"): good, ("a", "x"): bad})
+    # Within one entry the degree's frame comes before the pair's domain.
+    with pytest.raises(FrameMismatchError):
+        rel({"a"}, {"x"}, {("zz", "x"): bad})
