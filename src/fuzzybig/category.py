@@ -14,7 +14,9 @@ degree; :func:`type2_arrow_system` builds exactly that.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .crisp import Signature
@@ -162,6 +164,10 @@ def check_category_laws(
     ``samples=None`` checks every composable pair and triple; otherwise at
     most ``samples`` of each are drawn with the given seed.  Pairs whose
     payload composition overlaps on support are skipped and counted.
+
+    Each two-arrow composite is built once and shared by the pair and
+    triple checks; the two sides of an associativity check are always
+    built afresh.  Only the pairs are held, never the list of triples.
     """
     report = CategoryLawReport(arrow_count=len(system.arrows))
     eq = system.payload_eq
@@ -215,25 +221,42 @@ def check_category_laws(
                     )
                 )
 
-    arrows = list(system.arrows)
-    pairs = [
-        (f, g) for f in arrows for g in arrows if f.target == g.source
-    ]
-    triples = [
-        (f, g, h)
-        for (f, g) in pairs
-        for h in arrows
-        if g.target == h.source
-    ]
+    # Arrows are unhashable, so pairs, triples and the memo go by position.
+    arrows = system.arrows
+    by_source: dict = {}
+    for k, h in enumerate(arrows):
+        by_source.setdefault(h.source, []).append(k)
+    pairs = [(i, j) for i, f in enumerate(arrows) for j in by_source.get(f.target, ())]
+    # The composable triples, in pair order, are never built: triple t
+    # extends pair p = bisect_right(starts, t) - 1 by the (t - starts[p])-th
+    # arrow leaving that pair's end.  Only the drawn indices are mapped.
+    starts = list(accumulate(
+        (len(by_source.get(arrows[j].target, ())) for _, j in pairs), initial=0
+    ))
+    checked_pairs, picks = pairs, range(starts[-1])
     if samples is not None:
+        # pairs first, then triple indices: random.sample draws the same
+        # positions from range(n) as from any sequence of length n
         rng = random.Random(seed)
         if len(pairs) > samples:
-            pairs = rng.sample(pairs, samples)
-        if len(triples) > samples:
-            triples = rng.sample(triples, samples)
+            checked_pairs = rng.sample(pairs, samples)
+        if len(picks) > samples:
+            picks = rng.sample(picks, samples)
 
-    for f, g in pairs:
-        gf = composite(g, f)
+    memo: dict = {}
+
+    def composite_at(j, i):
+        """``g . f`` for the arrows at positions j and i, built once per
+        check; an overlap found before is counted again on every hit."""
+        if (j, i) not in memo:
+            memo[j, i] = composite(arrows[j], arrows[i])
+        elif memo[j, i] is None:
+            report.skipped_overlaps += 1
+        return memo[j, i]
+
+    for i, j in checked_pairs:
+        f, g = arrows[i], arrows[j]
+        gf = composite_at(j, i)
         if gf is None:
             continue
         report.pairs_checked += 1
@@ -256,11 +279,16 @@ def check_category_laws(
                     )
                 )
 
-    for f, g, h in triples:
-        gf = composite(g, f)
-        hg = composite(h, g)
+    for t in picks:
+        p = bisect_right(starts, t) - 1
+        i, j = pairs[p]
+        k = by_source[arrows[j].target][t - starts[p]]
+        f, g, h = arrows[i], arrows[j], arrows[k]
+        gf = composite_at(j, i)
+        hg = composite_at(k, j)
         if gf is None or hg is None:
             continue
+        # both sides are built afresh, so the law compares two computations
         left = composite(h, gf)
         right = composite(hg, f)
         if left is None or right is None:

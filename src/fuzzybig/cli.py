@@ -9,6 +9,7 @@ files print identical bytes; all randomness is seed-controlled.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -401,7 +402,25 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    """Run one CLI invocation and return its exit status."""
+    """Run one CLI invocation and return its exit status.
+
+    The cyclic garbage collector is paused for the invocation and put back
+    as it was found.  Models are acyclic (dicts, tuples, frozensets,
+    immutable degrees), so reference counting frees everything a command
+    drops, and the collector's passes would find nothing; only argparse's
+    own parser cycles are left for its next pass.  The pause is
+    process-wide: other threads of an embedding host see it too.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -819,26 +819,6 @@ def _dot_place_crisp(place: PlaceGraph) -> str:
         children.setdefault(key, []).append(child)
 
     lines = ["digraph place {"]
-
-    def emit(child, indent: str) -> None:
-        if isinstance(child, int):
-            lines.append(
-                f"{indent}{_q(f'site_{child}')} [label={_q(f'site {child}')}, "
-                "shape=box, style=filled, fillcolor=lightgrey];"
-            )
-            return
-        label = f"{child}:{place.ctrl.get(child, '?')}"
-        kids = sorted(children.get(("node", child), ()), key=repr)
-        if kids:
-            lines.append(f"{indent}subgraph {_q(f'cluster_node_{child}')} {{")
-            lines.append(f"{indent}  label={_q(label)};")
-            lines.append(f"{indent}  style=solid;")
-            for kid in kids:
-                emit(kid, indent + "  ")
-            lines.append(f"{indent}}}")
-        else:
-            lines.append(f"{indent}{_q(f'node_{child}')} [label={_q(label)}, shape=ellipse];")
-
     for root in range(place.outer):
         lines.append(f"  subgraph {_q(f'cluster_root_{root}')} {{")
         lines.append(f"    label={_q(f'root {root}')};")
@@ -847,10 +827,33 @@ def _dot_place_crisp(place: PlaceGraph) -> str:
         if not kids:
             lines.append(f"    {_q(f'root_{root}_anchor')} [shape=point, style=invis];")
         for kid in kids:
-            emit(kid, "    ")
+            _emit_crisp_place(lines, place, children, kid, "    ")
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _emit_crisp_place(lines: list, place: PlaceGraph, children: dict, child, indent: str) -> None:
+    # A module-level function, not a closure that calls itself: such a
+    # closure is a reference cycle, and would hold ``lines`` until the
+    # cyclic collector ran.
+    if isinstance(child, int):
+        lines.append(
+            f"{indent}{_q(f'site_{child}')} [label={_q(f'site {child}')}, "
+            "shape=box, style=filled, fillcolor=lightgrey];"
+        )
+        return
+    label = f"{child}:{place.ctrl.get(child, '?')}"
+    kids = sorted(children.get(("node", child), ()), key=repr)
+    if kids:
+        lines.append(f"{indent}subgraph {_q(f'cluster_node_{child}')} {{")
+        lines.append(f"{indent}  label={_q(label)};")
+        lines.append(f"{indent}  style=solid;")
+        for kid in kids:
+            _emit_crisp_place(lines, place, children, kid, indent + "  ")
+        lines.append(f"{indent}}}")
+    else:
+        lines.append(f"{indent}{_q(f'node_{child}')} [label={_q(label)}, shape=ellipse];")
 
 
 def _dot_place_fuzzy(place, type2: bool) -> str:

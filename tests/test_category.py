@@ -1,6 +1,7 @@
 """Fuzzy-category laws: degree meets, identities, witnesses for violations."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,7 @@ from fuzzybig import (
     compose_arrow,
     type2_arrow_system,
 )
-from fuzzybig.errors import NotComposableError
+from fuzzybig.errors import NotComposableError, SupportOverlapError
 from fuzzybig.generators import random_arrow_system, random_type2_bigraph, random_interface
 
 from helpers import d
@@ -132,3 +133,79 @@ def test_laws_hold_over_a_chain_frame_too():
     system = random_arrow_system(random.Random(21), frame, SIG, arrow_count=10)
     report = check_category_laws(system)
     assert report.ok, str(report)
+
+
+def test_a_non_associative_composition_is_caught():
+    """Memoised pair composites must not hide a law that fails: both sides
+    of each associativity check are computed apart."""
+    system = _toy_system()
+    grouped = ArrowSystem(
+        U, "ABC", system.arrows, lambda gp, fp: f"({fp}{gp})", system.identities,
+        payload_eq=lambda a, b: a.replace("()", "") == b.replace("()", ""),
+    )
+    report = check_category_laws(grouped)
+    assert report.triples_checked > 0
+    assert report.triples_checked == sum(v.law == "associativity" for v in report.violations)
+
+
+def _naive_counts(system, samples, seed):
+    """Pairs and triples checked and overlaps skipped, from materialised
+    lists of every composable pair and triple, with no composite reused."""
+    arrows = system.arrows
+    pairs = [(f, g) for f in arrows for g in arrows if f.target == g.source]
+    triples = [(f, g, h) for f, g in pairs for h in arrows if g.target == h.source]
+    if samples is not None:
+        rng = random.Random(seed)
+        if len(pairs) > samples:
+            pairs = rng.sample(pairs, samples)
+        if len(triples) > samples:
+            triples = rng.sample(triples, samples)
+    skipped = 0
+
+    def composite(g, f):
+        nonlocal skipped
+        try:
+            return system.compose(g, f)
+        except SupportOverlapError:
+            skipped += 1
+            return None
+
+    pairs_checked = sum(composite(g, f) is not None for f, g in pairs)
+    triples_checked = 0
+    for f, g, h in triples:
+        gf, hg = composite(g, f), composite(h, g)
+        if gf is not None and hg is not None:
+            left, right = composite(h, gf), composite(hg, f)
+            triples_checked += left is not None and right is not None
+    return pairs_checked, triples_checked, skipped
+
+
+@pytest.mark.parametrize("arrow_count, samples, seed", [
+    (20, None, 42), (20, 200, 42), (20, 50, 7), (40, 300, 1), (12, 5, 9),
+])
+def test_sampling_and_memo_match_the_materialised_lists(arrow_count, samples, seed):
+    generated = random_arrow_system(random.Random(seed), U, SIG, arrow_count=arrow_count)
+    # no identities: every skipped overlap then comes from a pair or triple
+    system = ArrowSystem(
+        U, generated.objects, generated.arrows, generated.compose_payloads, {},
+        generated.payload_degree,
+    )
+    report = check_category_laws(system, samples=samples, seed=seed)
+    assert report.ok, str(report)
+    got = (report.pairs_checked, report.triples_checked, report.skipped_overlaps)
+    assert got == _naive_counts(system, samples, seed)
+
+
+def test_sampled_laws_hold_only_the_pairs_in_memory():
+    """These 400 arrows have ~7.2 million composable triples (~0.5 GB as a
+    list); a sample of 50 must not build them."""
+    system = random_arrow_system(random.Random(42), U, SIG, arrow_count=400)
+    tracemalloc.start()
+    try:
+        report = check_category_laws(system, samples=50, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok, str(report)
+    assert report.pairs_checked + report.skipped_overlaps >= 50
+    assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"

@@ -1,11 +1,12 @@
 """The command-line surface: subcommands, exit codes, deterministic output."""
 
+import gc
 import json
 import sys
 
 import pytest
 
-from fuzzybig import ModelDocument, Signature, UNIT_INTERVAL, save_document
+from fuzzybig import ModelDocument, Signature, UNIT_INTERVAL, cli, save_document
 from fuzzybig.cli import run
 from fuzzybig.fuzzy import fuzzify, translate_fuzzy, SupportTranslation
 
@@ -580,3 +581,131 @@ def test_translate_check_json_output_is_pinned(tmp_path, capsys, case):
     # two-space indent, sorted keys, one trailing newline
     expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert (status, out, err) == (expected_status, expected, "")
+
+
+# --- one invocation pays for its own work ----------------------------------------
+#
+# ``run`` pauses the cyclic collector for its own duration.  The tests below
+# pin what makes that safe: the collector's state is put back on every exit
+# path, and no command leaves cyclic garbage for a paused collector to miss.
+
+
+def _models(tmp_path) -> dict:
+    """Small model files of the crisp, fuzzy and type-2 flavours, and a
+    renaming file for each translate-check, keyed by the role they play."""
+    from fuzzybig import (
+        Interface, identity_bigraph, identity_crisp, identity_type2_bigraph, load_document,
+    )
+    from fuzzybig.crisp import rename_crisp
+
+    paths = {"crisp": H_PATH, "broken": str(tmp_path / "broken.fbg.json")}
+    (tmp_path / "broken.fbg.json").write_text("{ not json")
+    for flavour, case in (("fuzzy", "fuzzy-pass"), ("type2", "type2-equivalent")):
+        (tmp_path / flavour).mkdir()
+        rho, left, right = _translation_case(tmp_path / flavour, case)
+        paths.update({flavour: left, f"{flavour}-renamed": right, f"{flavour}-rho": rho})
+    fuzzy = load_document(paths["fuzzy"]).graph("f")
+    type2 = load_document(paths["type2"]).graph("f")
+    z = Interface(1, frozenset({"z"}))
+    for role, graph in (
+        ("crisp-renamed", rename_crisp(make_h(), RENAMED_NODES, RENAMED_EDGES)),
+        ("crisp-id", identity_crisp(make_h().outer, H_SIGNATURE)),
+        ("crisp-z", identity_crisp(z, H_SIGNATURE)),
+        ("fuzzy-id", identity_bigraph(fuzzy.outer, U, H_SIGNATURE)),
+        ("fuzzy-z", identity_bigraph(z, U, H_SIGNATURE)),
+        ("type2-id", identity_type2_bigraph(type2.outer, U, H_SIGNATURE)),
+    ):
+        paths[role] = str(tmp_path / f"{role}.fbg.json")
+        save_document(ModelDocument(U, H_SIGNATURE, {role: graph}), paths[role])
+    paths["out"] = str(tmp_path / "out.fbg.json")
+    return paths
+
+
+# case: (exit status, argv over the paths of ``_models``); every subcommand
+# on the crisp, fuzzy and type-2 bigraph files (type-2 has no tensor, so that
+# row is an exit-1 path), and the exit-1 and exit-3 paths.  ``laws`` reads only
+# the frame and signature of its file, which the three files share, so it has
+# one row per output format.
+COMMANDS = {
+    "validate-crisp": (0, lambda p: ["validate", p["crisp"]]),
+    "validate-fuzzy": (0, lambda p: ["validate", p["fuzzy"]]),
+    "validate-type2": (0, lambda p: ["validate", p["type2"], "--format", "json"]),
+    "compose-crisp": (0, lambda p: ["compose", "--left", p["crisp-id"], "--right", p["crisp"], "--out", p["out"]]),
+    "compose-fuzzy": (0, lambda p: ["compose", "--left", p["fuzzy-id"], "--right", p["fuzzy"], "--out", p["out"]]),
+    "compose-type2": (0, lambda p: ["compose", "--left", p["type2-id"], "--right", p["type2"], "--out", p["out"]]),
+    "tensor-crisp": (0, lambda p: ["tensor", "--left", p["crisp-z"], "--right", p["crisp"], "--out", p["out"]]),
+    "tensor-fuzzy": (0, lambda p: ["tensor", "--left", p["fuzzy-z"], "--right", p["fuzzy"], "--out", p["out"]]),
+    "tensor-type2": (1, lambda p: ["tensor", "--left", p["type2-id"], "--right", p["type2"], "--out", p["out"]]),
+    "support-crisp": (0, lambda p: ["support", p["crisp"]]),
+    "support-fuzzy": (0, lambda p: ["support", p["fuzzy"]]),
+    "support-type2": (0, lambda p: ["support", p["type2"], "--format", "json"]),
+    "translate-check-crisp": (0, lambda p: ["translate-check", "--rho", p["fuzzy-rho"], p["crisp"], p["crisp-renamed"]]),
+    "translate-check-fuzzy": (0, lambda p: ["translate-check", "--rho", p["fuzzy-rho"], p["fuzzy"], p["fuzzy-renamed"]]),
+    "translate-check-type2": (1, lambda p: ["translate-check", "--rho", p["type2-rho"], p["type2"], p["type2-renamed"]]),
+    "laws": (0, lambda p: ["laws", p["crisp"], "--arrows", "6", "--samples", "20"]),
+    "laws-json": (0, lambda p: ["laws", p["type2"], "--arrows", "6", "--format", "json"]),
+    "export-dot-crisp-place": (0, lambda p: ["export-dot", p["crisp"], "--view", "place"]),
+    "export-dot-crisp-link": (0, lambda p: ["export-dot", p["crisp"], "--view", "link"]),
+    "export-dot-fuzzy-place": (0, lambda p: ["export-dot", p["fuzzy"], "--view", "place"]),
+    "export-dot-fuzzy-link": (0, lambda p: ["export-dot", p["fuzzy"], "--view", "link"]),
+    "export-dot-type2-place": (0, lambda p: ["export-dot", p["type2"], "--view", "place"]),
+    "export-dot-type2-link": (0, lambda p: ["export-dot", p["type2"], "--view", "link"]),
+    "compose-mismatch": (1, lambda p: ["compose", "--left", p["crisp"], "--right", p["crisp"], "--out", p["out"]]),
+    "parse-error": (3, lambda p: ["validate", p["broken"]]),
+}
+
+
+@pytest.mark.parametrize("case", COMMANDS)
+def test_no_command_leaves_cyclic_garbage(tmp_path, capsys, case):
+    """The premise of pausing the collector: what a command drops,
+    reference counting frees.  A usage error is left out, because argparse's
+    own exit leaves a few unreachable objects, and that path parses no
+    model."""
+    status, argv = COMMANDS[case]
+    argv = argv(_models(tmp_path))
+    # one run first, so that one-time set-up (lazy imports, caches) is
+    # not counted
+    first_status, out, _err = invoke(capsys, *argv)
+    assert first_status == status
+    # Two cycles come from the standard library, each of a fixed size
+    # whatever the model: the argument parser ``run`` builds (argparse's
+    # parsers, actions and groups refer to each other) and, for --format
+    # json, the indented JSON encoder (its nested encoders are closures that
+    # refer to each other).  A run may leave exactly what those two leave,
+    # and nothing of its own.
+    gc.collect()
+    cli._build_parser().parse_args(argv)
+    if "json" in argv:
+        json.dumps(json.loads(out), indent=2, sort_keys=True)
+    allowed = gc.collect()
+    assert run(argv) == status
+    assert gc.collect() == allowed
+
+
+def _raise(_args):
+    raise RuntimeError("not caught by run")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("argv, status", [
+    (["support", H_PATH], 0),
+    (["export-dot", H_PATH, "--view", "place", "--graph", "nope"], 1),
+    (["frobnicate"], 2),
+    (["validate", "no-such-file.fbg.json"], 3),
+    (["support", H_PATH], RuntimeError),
+])
+def test_run_puts_the_collector_back_as_it_found_it(monkeypatch, capsys, enabled, argv, status):
+    if status is RuntimeError:
+        monkeypatch.setitem(cli._COMMANDS, "support", _raise)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if status is RuntimeError:
+            with pytest.raises(RuntimeError):
+                run(argv)
+        else:
+            assert run(argv) == status
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert after is enabled
