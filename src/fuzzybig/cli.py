@@ -274,11 +274,12 @@ def _load_rho(path: str) -> dict:
     except UnicodeDecodeError as exc:
         raise ParseError(f"renaming file is not UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=model_io._unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in renaming file: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:
-        # nested too deeply for the decoder, or an integer too long to convert
+        # nested too deeply for the decoder, an integer too long to convert,
+        # or a key repeated in one object
         raise ParseError(f"invalid JSON in renaming file: {exc}") from None
     if not isinstance(data, dict) or set(data) - {"nodes", "edges"}:
         raise ParseError("renaming file must be an object with nodes/edges")
@@ -361,6 +362,8 @@ def _rho_entries(rho: dict, part: str, domain, codomain, frame, rows: bool) -> d
                 raise ParseError(f"renaming {what} identifiers are strings, got {ident!r}")
             if ident not in pool:
                 raise ParseError(f"renaming mentions unknown {side} {what} {ident!r}")
+        if (a, b) in entries:
+            raise ParseError(f"renaming row {i} repeats the pair {(a, b)!r}")
         try:
             entries[(a, b)] = frame.top if text is None else frame.parse_degree(text)
         except ValueError as exc:

@@ -524,11 +524,10 @@ def _require_cover(rho: SupportTranslation, nodes, edges, carrier: str) -> None:
         raise ValueError(f"edge renaming does not cover exactly the edge {carrier}")
 
 
-def _renamed(f, rho: SupportTranslation, nodes, edges, place_extra=(), link_extra=()):
+def _renamed(f, rho: SupportTranslation, nodes, edges):
     """``f`` with its control, parent and link relations renamed along
     ``rho``, every degree copied, and each part rebuilt through its public
-    constructor from the renamed ``nodes`` and ``edges`` and, after the
-    relations, the ``place_extra`` and ``link_extra`` arguments."""
+    constructor from the renamed ``nodes`` and ``edges``."""
     node, place_elem, point, target = _element_renaming(rho.node_map, rho.edge_map)
     ctrl = f.ctrl.translate(node)
     place = type(f.place)(
@@ -539,7 +538,6 @@ def _renamed(f, rho: SupportTranslation, nodes, edges, place_extra=(), link_extr
         nodes,
         ctrl,
         f.place.prnt.translate(place_elem, place_elem),
-        *place_extra,
     )
     link = type(f.link)(
         f.frame,
@@ -550,7 +548,6 @@ def _renamed(f, rho: SupportTranslation, nodes, edges, place_extra=(), link_extr
         edges,
         ctrl,
         f.link.link.translate(point, target),
-        *link_extra,
     )
     return type(f)(place, link)
 

@@ -75,11 +75,12 @@ class FrameValue:
         return self.raw == self.frame._top_raw()
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FrameValue)
-            and (self.frame is other.frame or self.frame == other.frame)
-            and self.raw == other.raw
-        )
+        if self is other:
+            return True
+        if not isinstance(other, FrameValue):
+            return False
+        frame = self.frame
+        return (frame is other.frame or frame == other.frame) and frame._eq(self.raw, other.raw)
 
     def __hash__(self) -> int:
         return hash((self.frame, self.raw))
@@ -113,6 +114,14 @@ class Frame:
 
     def _join(self, a, b):
         return b if self._leq(a, b) else a
+
+    def _eq(self, a, b) -> bool:
+        return a == b
+
+    # A hashable stand-in for a raw value: two keys are equal exactly when
+    # their raw values are.
+    def _key(self, raw):
+        return raw
 
     def _bottom_raw(self):
         raise NotImplementedError
@@ -235,6 +244,14 @@ class UnitIntervalFrame(Frame):
 
     def _join(self, a, b):
         return b if a._numerator * b._denominator <= b._numerator * a._denominator else a
+
+    # A checked ``Fraction`` is in lowest terms, so equal values have equal
+    # slots; ``Fraction.__eq__`` and ``__hash__`` cost several times more.
+    def _eq(self, a, b) -> bool:
+        return a._numerator == b._numerator and a._denominator == b._denominator
+
+    def _key(self, raw):
+        return (raw._numerator, raw._denominator)
 
     def _bottom_raw(self):
         return _ZERO

@@ -726,14 +726,28 @@ def _decode_record(kind: str, obj: dict, degrees: _Degrees, signature: Signature
     return bigraph
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key given twice, which ``json``
+    would otherwise resolve silently to its last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set = set()
+        for key, _value in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} repeats in one object")
+            seen.add(key)
+    return obj
+
+
 def parse(text: str) -> ModelDocument:
     """Parse a model document; errors carry the path of the offending field.
 
     Text that ``json`` cannot read -- malformed, nested too deeply for the
-    decoder, or holding an integer too long to convert -- is a parse error.
+    decoder, holding an integer too long to convert, or repeating a key in
+    one object -- is a parse error.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"

@@ -32,7 +32,6 @@ from .fuzzy import (
     _inequality_sides,
     _port_relation,
     _prnt_domain,
-    _renamed,
     _require_apart,
     _require_bigraph_composable,
     _require_cover,
@@ -382,11 +381,55 @@ def identity_type2_bigraph(
 
 
 def translate_type2(f: Type2FuzzyBigraph, rho: SupportTranslation) -> Type2FuzzyBigraph:
-    """Rename nodes and edges of a type-2 bigraph, copying every degree."""
+    """Rename nodes and edges of a type-2 bigraph, copying every degree.
+
+    ``f`` passed every check of its constructors, and a bijective renaming
+    keeps all of them but three: the images must be identifier strings,
+    node and edge images must stay apart, and edge images must not meet an
+    outer name.  Those are made, with the constructors' messages; the rest
+    of ``f``, ports included, is carried along the renaming as it stands.
+    """
     _require_cover(rho, f.nodes.support, f.link.edge_support, "support")
-    nodes = f.nodes.translate(rho.node_map)
-    edges = f.edges.translate(rho.edge_map)
-    return _renamed(f, rho, nodes, edges, (f.place.degree,), (f.link.degree,))
+    node_map, edge_map = rho.node_map, rho.edge_map
+    frame, place, link = f.frame, f.place, f.link
+    nodes = FuzzySet._trusted(frame, {node_map[v]: d for v, d in f.nodes.items()})
+    _freeze_ids(nodes.support, "node")
+    edges = FuzzySet._trusted(frame, {edge_map[e]: d for e, d in f.edges.items()})
+    _freeze_ids(edges.support, "edge")
+    _require_apart(nodes.support, edges.support, link.outer)
+    ctrl = FuzzyRelation._trusted(
+        frame,
+        nodes.support,
+        f.ctrl.codomain,
+        {(node_map[v], k): d for (v, k), d in f.ctrl.items()},
+    )
+    # Sites and roots are ints, which no node name equals.
+    place_elem = node_map.get
+    prnt = FuzzyRelation._trusted(
+        frame,
+        *_prnt_domain(place.inner, place.outer, nodes.support),
+        {(place_elem(c, c), place_elem(p, p)): d for (c, p), d in place.prnt.items()},
+    )
+    ports = frozenset((node_map[v], i) for v, i in link.ports)
+    target = edge_map.get
+    links = FuzzyRelation._trusted(
+        frame,
+        link.inner | ports,
+        edges.support | link.outer,
+        {
+            ((node_map[q[0]], q[1]) if isinstance(q, tuple) else q, target(t, t)): d
+            for (q, t), d in link.link.items()
+        },
+    )
+    return Type2FuzzyBigraph._trusted(
+        Type2FuzzyPlaceGraph._trusted(
+            frame, f.signature, place.inner, place.outer, nodes, ctrl, prnt, place.degree
+        ),
+        Type2FuzzyLinkGraph._trusted(
+            frame, f.signature, link.inner, link.outer, nodes, edges, ctrl, links, ports,
+            link.degree,
+        ),
+    )
 
 
 def make_type2_translation(
@@ -413,21 +456,24 @@ def _support_structure(b: Type2FuzzyBigraph, codes: dict):
     same spelling: ``("node", v)`` and ``("edge", e)`` are seeded with their
     membership (and, for a node, its control row), while the interface
     elements ``("site", i)``, ``("root", j)``, ``("inner", x)`` and
-    ``("outer", y)`` keep one fixed colour each.  Every parent and link entry
-    is an arc labelled by its degree (and a port's index).  Degrees enter by
-    their raw values: the search compares both graphs' frames first, so raw
-    equality is degree equality, and no frame is hashed per arc.  Seeds and
-    labels are numbered through ``codes``, which both graphs share, so
-    refinement compares small integers only.  Returns the seed colours,
-    keyed in sorted vertex order, and per vertex a table from each
-    neighbour to the codes of the arcs between them; a code is twice the
-    label's number, plus one on the outgoing side.
+    ``("outer", y)`` keep one fixed colour each.  A vertex is the position
+    of its tag in sorted order, so vertices compare as their tags do.
+    Every parent and link entry is an arc labelled by its degree (and a
+    port's index).  Degrees enter by their frame keys (``Frame._key``): the
+    search compares both graphs' frames first, so equal keys are equal
+    degrees, and no ``FrameValue`` is hashed.  Seeds and labels are
+    numbered through ``codes``, which both graphs share, so refinement
+    compares small integers only.  Returns the sorted tags, the seed colour
+    of each vertex, and per vertex a table from each neighbour to the codes
+    of the arcs between them; a code is twice the label's number, plus one
+    on the outgoing side.
     """
+    key = b.frame._key
     rows: dict = {}
     for (v, control), degree in b.ctrl.items():
-        rows.setdefault(v, set()).add((control, degree.raw))
-    seed = {("node", v): ("node", d.raw, frozenset(rows.get(v, ()))) for v, d in b.nodes.items()}
-    seed.update((("edge", e), ("edge", d.raw)) for e, d in b.edges.items())
+        rows.setdefault(v, set()).add((control, key(degree.raw)))
+    seed = {("node", v): ("node", key(d.raw), frozenset(rows.get(v, ()))) for v, d in b.nodes.items()}
+    seed.update((("edge", e), ("edge", key(d.raw))) for e, d in b.edges.items())
     for sort, elements in (
         ("site", range(b.place.inner)),
         ("root", range(b.place.outer)),
@@ -435,65 +481,65 @@ def _support_structure(b: Type2FuzzyBigraph, codes: dict):
         ("outer", b.link.outer),
     ):
         seed.update(((sort, x), (sort, x)) for x in elements)
-    colours = {v: codes.setdefault(seed[v], len(codes)) for v in sorted(seed)}
-    adjacency: dict = {v: {} for v in colours}
-
-    def arc(source, target, label):
+    tags = sorted(seed)
+    colours = [codes.setdefault(seed[tag], len(codes)) for tag in tags]
+    index: dict = {sort: {} for sort in ("site", "root", "inner", "outer", "node", "edge")}
+    for vertex, (sort, x) in enumerate(tags):
+        index[sort][x] = vertex
+    # Sites and roots are ints and nodes strings; edges never share a name
+    # with outer names.  So one table per end of an arc finds any vertex.
+    nodes, inner = index["node"], index["inner"]
+    children, parents = {**index["site"], **nodes}, {**nodes, **index["root"]}
+    targets = {**index["edge"], **index["outer"]}
+    arcs = [(children[c], parents[p], ("prnt", key(d.raw))) for (c, p), d in b.place.prnt.items()]
+    arcs += [
+        (nodes[q[0]], targets[t], ("link", q[1], key(d.raw)))
+        if isinstance(q, tuple)
+        else (inner[q], targets[t], ("link", None, key(d.raw)))
+        for (q, t), d in b.link.link.items()
+    ]
+    adjacency: list = [{} for _ in tags]
+    for source, target, label in arcs:
         code = 2 * codes.setdefault(label, len(codes))
         adjacency[source].setdefault(target, set()).add(code + 1)
         adjacency[target].setdefault(source, set()).add(code)
-
-    for (child, parent), d in b.place.prnt.items():
-        arc(
-            ("node", child) if isinstance(child, str) else ("site", child),
-            ("node", parent) if isinstance(parent, str) else ("root", parent),
-            ("prnt", d.raw),
-        )
-    edges = b.edges.support
-    for (point, target), d in b.link.link.items():
-        if isinstance(point, tuple):
-            source, index = ("node", point[0]), point[1]
-        else:
-            source, index = ("inner", point), None
-        arc(source, ("edge" if target in edges else "outer", target), ("link", index, d.raw))
-    return colours, adjacency
+    return tags, colours, adjacency
 
 
-def _refined_colours(f: Type2FuzzyBigraph, g: Type2FuzzyBigraph):
-    """Colour refinement of f and g against one shared palette.
+def _refined_colours(f_col: list, f_adj: list, g_col: list, g_adj: list):
+    """Colour refinement of f and g, given as :func:`_support_structure`
+    built them, against one shared palette.
 
     Each round a vertex's new colour is its old one together with the
     multiset of (arc code, neighbour colour) over its arcs; rounds stop when
-    the number of colours stops growing.  Returns both colourings and both
-    adjacency tables, or ``None`` as soon as f and g hold different numbers
-    of vertices of some colour.
+    the number of colours stops growing.  Returns both colourings, or
+    ``None`` as soon as f and g hold different numbers of vertices of some
+    colour.
     """
-    codes: dict = {}
-    (f_col, f_adj), (g_col, g_adj) = _support_structure(f, codes), _support_structure(g, codes)
     count = -1
     while True:
-        histogram = Counter(f_col.values())
-        if histogram != Counter(g_col.values()):
+        histogram = Counter(f_col)
+        if histogram != Counter(g_col):
             return None
         if len(histogram) in (count, len(f_col)):
-            return f_col, g_col, f_adj, g_adj
+            return f_col, g_col
         count = len(histogram)
         palette: dict = {}
         f_col, g_col = (
-            {
-                v: palette.setdefault((c, _arc_colours(adj[v], col)), len(palette))
-                for v, c in col.items()
-            }
+            [
+                palette.setdefault((c, _arc_colours(adj[v], col)), len(palette))
+                for v, c in enumerate(col)
+            ]
             for col, adj in ((f_col, f_adj), (g_col, g_adj))
         )
 
 
-def _arc_colours(table: dict, colours: dict) -> tuple:
+def _arc_colours(table: dict, colours: list) -> tuple:
     """The multiset of (arc code, neighbour colour) of one vertex, sorted."""
     return tuple(sorted([(code, colours[w]) for w, codes in table.items() for code in codes]))
 
 
-def _search_order(colours: dict, adjacency: dict, cells: dict) -> list:
+def _search_order(colours: list, adjacency: list, cells: dict) -> list:
     """f's vertices in the order the search maps them: the smallest colour
     class first, among the vertices next to one already placed if there
     are any, so that each new pair meets a mapped neighbour early."""
@@ -503,7 +549,7 @@ def _search_order(colours: dict, adjacency: dict, cells: dict) -> list:
 
     order: list = []
     placed: set = set()
-    rest = iter(sorted(colours, key=rank))
+    rest = iter(sorted(range(len(colours)), key=rank))
     frontier: list = []
     while len(order) < len(colours):
         v = heappop(frontier)[1] if frontier else next(rest)
@@ -537,12 +583,15 @@ def find_support_equivalence(
         g.frame, g.signature, g.inner, g.outer, g.place.degree, g.link.degree
     ):
         return None
-    refined = _refined_colours(f, g)
+    codes: dict = {}
+    f_tags, f_col, f_adj = _support_structure(f, codes)
+    g_tags, g_col, g_adj = _support_structure(g, codes)
+    refined = _refined_colours(f_col, f_adj, g_col, g_adj)
     if refined is None:
         return None
-    f_col, g_col, f_adj, g_adj = refined
+    f_col, g_col = refined
     cells: dict = {}
-    for w, c in g_col.items():
+    for w, c in enumerate(g_col):
         cells.setdefault(c, []).append(w)
     order = _search_order(f_col, f_adj, cells)
     phi: dict = {}
@@ -566,9 +615,10 @@ def find_support_equivalence(
     while depth >= 0:
         if depth == len(order):
             maps = {"node": {}, "edge": {}}
-            for (sort, v), (_sort, w) in phi.items():
+            for v, w in phi.items():
+                sort, x = f_tags[v]
                 if sort in maps:
-                    maps[sort][v] = w
+                    maps[sort][x] = g_tags[w][1]
             rho = SupportTranslation(maps["node"], maps["edge"])
             if translate_type2(f, rho) == g:
                 return rho
@@ -619,13 +669,17 @@ def _membership_mismatch(rel: FuzzyRelation, a: FuzzySet, b: FuzzySet):
     ``rel``'s entries lie on the supports, and every membership in ``b`` is
     above bottom, so ``rel`` matches iff each stored entry carries its
     target's membership and every pair is stored.  Only a relation that
-    fails this is walked pair by pair, to name the first mismatch.
+    fails this is walked pair by pair, to name the first mismatch.  Raw
+    degrees are compared through the frame's hook when both sides share
+    one frame; across frames no degree matches, so the walk names the
+    first pair.
     """
     membership = b.membership
-    if len(rel) == len(a) * len(b):
+    if len(rel) == len(a) * len(b) and rel.frame == b.frame:
+        eq = b.frame._eq
         for (_x, y), d in rel.items():
             m = membership(y)
-            if d is not m and d != m:
+            if d is not m and not eq(d.raw, m.raw):
                 break
         else:
             return None
@@ -678,6 +732,7 @@ def check_type2_support_translation(
         )
 
     rho_ports = _port_relation(rho_nodes, f.link.ports, g.link.ports)
+    leq = frame._leq
     (prnt_pulled, prnt_pushed), (link_pulled, link_pushed) = _inequality_sides(
         f, g, rho_nodes, rho_ports, rho_edges
     )
@@ -694,7 +749,7 @@ def check_type2_support_translation(
         _verdict(
             "port relation bound",
             all(
-                rho_nodes.degree(v, w).leq(d)
+                leq(rho_nodes.degree(v, w).raw, d.raw)
                 for ((v, _i), (w, _j)), d in rho_ports.items()
             ),
             "a port pair falls below its node degree",

@@ -284,6 +284,34 @@ def test_unreadable_renaming_file_exits_three(tmp_path, capsys, text):
         assert err.startswith("parse error: $: invalid JSON in renaming file: ")
 
 
+def test_a_model_file_repeating_a_key_exits_three(tmp_path, capsys):
+    with open(H_PATH, encoding="utf-8") as handle:
+        text = handle.read()
+    path = tmp_path / "twice.fbg.json"
+    path.write_text(text.replace('"graphs": {', '"graphs": {"h": {"kind": "crisp-bigraph"},', 1))
+    status, out, err = invoke(capsys, "validate", str(path))
+    assert (status, out) == (3, "")
+    assert err == "parse error: $: invalid JSON: key 'h' repeats in one object\n"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"nodes": {"v0": "v1"}, "nodes": {}}', "nodes"),
+        ('{"nodes": {"v0": "v1", "v0": "v0"}}', "v0"),
+    ],
+    ids=["top", "nested"],
+)
+def test_a_renaming_file_repeating_a_key_exits_three(tmp_path, capsys, text, key):
+    rho = tmp_path / "rho.json"
+    rho.write_text(text)
+    status, out, err = invoke(capsys, "translate-check", "--rho", str(rho), H_PATH, H_PATH)
+    assert (status, out) == (3, "")
+    assert err == (
+        f"parse error: $: invalid JSON in renaming file: key {key!r} repeats in one object\n"
+    )
+
+
 def test_identical_invocations_print_identical_bytes(capsys):
     first = invoke(capsys, "support", H_PATH)
     second = invoke(capsys, "support", H_PATH)
@@ -321,6 +349,15 @@ def test_type2_renaming_to_an_unknown_node_is_a_parse_error(tmp_path, capsys):
     status, _out, err = _check_rho(capsys, tmp_path, {"nodes": rows}, pf, pf)
     assert status == 3
     assert err.startswith("parse error:") and "'ghost'" in err
+
+
+def test_type2_renaming_rows_may_not_repeat_a_pair(tmp_path, capsys):
+    # a later row would silently overwrite the first
+    f, pf = _type2_pair(tmp_path)
+    rows = [["v0", "v0", "1/1000"]] + [[v, v, "1"] for v in sorted(f.nodes.support)]
+    status, out, err = _check_rho(capsys, tmp_path, {"nodes": rows}, pf, pf)
+    assert (status, out) == (3, "")
+    assert err == "parse error: $: renaming row 1 repeats the pair ('v0', 'v0')\n"
 
 
 def test_type2_renaming_row_with_a_numeric_degree_is_a_parse_error(tmp_path, capsys):

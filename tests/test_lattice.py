@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from fuzzybig import TWO_POINT, UNIT_INTERVAL, chain, frame_from_name, join_all, meet
 from fuzzybig.errors import FrameMismatchError
-from fuzzybig.lattice import _MAX_DEGREE_DIGITS, FiniteChainFrame
+from fuzzybig.lattice import _MAX_DEGREE_DIGITS, FiniteChainFrame, FrameValue
+from helpers import DiamondFrame
 
 CHAIN5 = chain(5)
 
@@ -220,3 +221,58 @@ def test_unit_interval_hooks_agree_with_fraction_order(a, b, twin):
 def test_chain_and_two_point_hooks_agree_with_native_order(case):
     frame, a, b = case
     _assert_hooks_agree(frame, frame.value(a).raw, frame.value(b).raw)
+
+
+def _assert_equality_hooks_agree(frame, a, b) -> None:
+    """``_eq`` is the carrier's own equality, and ``_key`` gives hashable
+    keys that are equal exactly when the raw values are."""
+    assert frame._eq(a, b) == (a == b)
+    assert (frame._key(a) == frame._key(b)) == (a == b)
+    assert len({frame._key(a), frame._key(b)}) == (1 if a == b else 2)
+
+
+@given(unit_raws(), unit_raws(), st.booleans())
+@example(Fraction(1, 3), Fraction(1, 3), True)
+@example(Fraction(0), Fraction(0), True)
+@example(Fraction(10**999 - 1, 10**999), Fraction(10**999 - 2, 10**999 - 1), False)
+def test_unit_interval_equality_hooks_agree_with_fraction_equality(a, b, twin):
+    if twin:
+        b = _twin(a)
+    _assert_equality_hooks_agree(UNIT_INTERVAL, a, b)
+    _assert_equality_hooks_agree(UNIT_INTERVAL, b, a)
+
+
+@given(
+    st.one_of(
+        st.tuples(st.just(CHAIN5), st.integers(0, 4), st.integers(0, 4)),
+        st.tuples(st.just(TWO_POINT), st.booleans(), st.booleans()),
+    )
+)
+def test_chain_and_two_point_equality_hooks_agree_with_native_equality(case):
+    frame, a, b = case
+    _assert_equality_hooks_agree(frame, frame.value(a).raw, frame.value(b).raw)
+
+
+def _equal_as_before(x: FrameValue, y) -> bool:
+    """Degree equality as it was written before the frames' ``_eq`` hook."""
+    return (
+        isinstance(y, FrameValue)
+        and (x.frame is y.frame or x.frame == y.frame)
+        and x.raw == y.raw
+    )
+
+
+def test_degree_equality_off_a_chain_is_unchanged():
+    diamond = DiamondFrame()
+    raws = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
+    values = [diamond.value(r) for r in raws]
+    # equal raws in distinct objects, and a second frame of the same name
+    values += [diamond.value(frozenset(set(r))) for r in raws]
+    values += [DiamondFrame().value(r) for r in raws]
+    others = values + [UNIT_INTERVAL.top, TWO_POINT.bottom, CHAIN5.bottom, frozenset("a"), None]
+    for x in values:
+        for y in others:
+            assert (x == y) is _equal_as_before(x, y)
+            assert (x != y) is not _equal_as_before(x, y)
+            if x == y:
+                assert hash(x) == hash(y)

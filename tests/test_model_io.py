@@ -197,6 +197,29 @@ def test_unreadable_json_is_a_parse_error(text):
         assert err.value.path == "$"
 
 
+def _repeating(text: str, key: str, bogus: str) -> str:
+    """``text`` with ``"key": bogus`` written in front of the first
+    occurrence of ``"key":``, in the same object."""
+    head, sep, tail = text.partition(f'"{key}": ')
+    assert sep
+    return f'{head}"{key}": {bogus}, "{key}": {tail}'
+
+
+@pytest.mark.parametrize(
+    "key, bogus",
+    [("h", '{"kind": "crisp-bigraph"}'), ("frame", '"two-point"')],
+    ids=["graph", "frame"],
+)
+def test_a_key_repeated_in_one_object_is_a_parse_error(key, bogus):
+    # ``json`` alone keeps the last value: the bogus first copy would vanish
+    text = _repeating(_h_text(), key, bogus)
+    assert json.loads(text) == json.loads(_h_text())
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.message == f"invalid JSON: key {key!r} repeats in one object"
+    assert err.value.path == "$"
+
+
 def test_a_degree_text_is_checked_where_it_stands():
     """"0" is a good relation degree (the row is dropped) but no membership;
     the record that repeats it as one still fails, at its row."""

@@ -247,14 +247,14 @@ def test_the_type2_checker_refuses_operands_over_different_frames():
         check_type2_support_translation(rho_nodes, rho_edges, f, g)
 
 
-RENAMINGS = ("identity", "bijection", "clash", "missing", "extra")
+RENAMINGS = ("identity", "bijection", "clash", "missing", "extra", "non-string")
 TARGETS = ("renamed", "control", "parent", "link", "wider")
 
 
 def _renaming(rng, kind: str, f) -> SupportTranslation:
     """The identity, a random bijection onto fresh and own names, one whose
-    images may clash with an edge or an outer name, or one that leaves out or
-    adds an identifier."""
+    images may clash with an edge or an outer name, one that leaves out or
+    adds an identifier, or a bijection with one image replaced by an int."""
     nodes, edges = sorted(_carrier(f.nodes)), sorted(_carrier(f.edges))
     node_pool = nodes + [f"w{i}" for i in range(len(nodes))]
     edge_pool = edges + [f"d{i}" for i in range(len(edges))]
@@ -271,6 +271,8 @@ def _renaming(rng, kind: str, f) -> SupportTranslation:
         del table[rng.choice(sorted(table))]
     elif kind in ("missing", "extra"):
         table["zz"] = "zz_image"
+    elif kind == "non-string" and table:
+        table[rng.choice(sorted(table))] = 7
     return SupportTranslation(node_map, edge_map)
 
 
