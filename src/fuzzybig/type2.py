@@ -671,11 +671,11 @@ def _membership_mismatch(rel: FuzzyRelation, a: FuzzySet, b: FuzzySet):
     target's membership and every pair is stored.  Only a relation that
     fails this is walked pair by pair, to name the first mismatch.  Raw
     degrees are compared through the frame's hook when both sides share
-    one frame; across frames no degree matches, so the walk names the
-    first pair.
+    one frame; across frames no degree matches, so a relation with
+    entries is walked at once.
     """
     membership = b.membership
-    if len(rel) == len(a) * len(b) and rel.frame == b.frame:
+    if len(rel) == len(a) * len(b) and (not rel or rel.frame == b.frame):
         eq = b.frame._eq
         for (_x, y), d in rel.items():
             m = membership(y)

@@ -30,6 +30,7 @@ from fuzzybig import (
     check_type2_support_translation,
     embed_bigraph,
     fuzzify,
+    identity_type2_bigraph,
     make_type2_translation,
     translate_fuzzy,
     translate_type2,
@@ -242,6 +243,17 @@ def test_the_type2_checker_refuses_operands_over_different_frames():
     # Routing compares raw degrees without checking their frames, so the
     # mismatch must be caught before the inequality sides are routed.
     f, g = (embed_bigraph(fuzzify(make_h(), frame)) for frame in (U, TWO_POINT))
+    rho_nodes, rho_edges = make_type2_translation(f, f)
+    with pytest.raises(FrameMismatchError):
+        check_type2_support_translation(rho_nodes, rho_edges, f, g)
+
+
+def test_the_type2_checker_refuses_empty_supports_over_different_frames():
+    # with no nodes or edges, the membership checks have no pair to name
+    f, g = (
+        identity_type2_bigraph(Interface(1, frozenset({"x"})), frame, SIG)
+        for frame in (U, TWO_POINT)
+    )
     rho_nodes, rho_edges = make_type2_translation(f, f)
     with pytest.raises(FrameMismatchError):
         check_type2_support_translation(rho_nodes, rho_edges, f, g)
