@@ -166,8 +166,9 @@ def check_category_laws(
     payload composition overlaps on support are skipped and counted.
 
     Each two-arrow composite is built once and shared by the pair and
-    triple checks; the two sides of an associativity check are always
-    built afresh.  Only the pairs are held, never the list of triples.
+    triple checks, and dropped after its last use; the two sides of an
+    associativity check are always built afresh.  Only the pairs are held,
+    never the list of triples.
     """
     report = CategoryLawReport(arrow_count=len(system.arrows))
     eq = system.payload_eq
@@ -243,16 +244,39 @@ def check_category_laws(
         if len(picks) > samples:
             picks = rng.sample(picks, samples)
 
+    def triple_at(t):
+        p = bisect_right(starts, t) - 1
+        i, j = pairs[p]
+        return i, j, by_source[arrows[j].target][t - starts[p]]
+
+    # The checks below fetch g . f for each checked pair, and g . f and
+    # h . g for each drawn triple; counting those fetches up front lets the
+    # memo drop each composite after its last one.
+    uses: dict = {}
+    for i, j in checked_pairs:
+        uses[j, i] = uses.get((j, i), 0) + 1
+    for t in picks:
+        i, j, k = triple_at(t)
+        uses[j, i] = uses.get((j, i), 0) + 1
+        uses[k, j] = uses.get((k, j), 0) + 1
     memo: dict = {}
 
     def composite_at(j, i):
         """``g . f`` for the arrows at positions j and i, built once per
         check; an overlap found before is counted again on every hit."""
-        if (j, i) not in memo:
-            memo[j, i] = composite(arrows[j], arrows[i])
-        elif memo[j, i] is None:
-            report.skipped_overlaps += 1
-        return memo[j, i]
+        key = (j, i)
+        if key in memo:
+            gf = memo[key]
+            if gf is None:
+                report.skipped_overlaps += 1
+        else:
+            gf = composite(arrows[j], arrows[i])
+        uses[key] -= 1
+        if uses[key]:
+            memo[key] = gf
+        else:
+            memo.pop(key, None)
+        return gf
 
     for i, j in checked_pairs:
         f, g = arrows[i], arrows[j]
@@ -280,9 +304,7 @@ def check_category_laws(
                 )
 
     for t in picks:
-        p = bisect_right(starts, t) - 1
-        i, j = pairs[p]
-        k = by_source[arrows[j].target][t - starts[p]]
+        i, j, k = triple_at(t)
         f, g, h = arrows[i], arrows[j], arrows[k]
         gf = composite_at(j, i)
         hg = composite_at(k, j)

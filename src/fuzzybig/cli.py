@@ -71,17 +71,35 @@ def _count(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``fbg`` parser.
+
+    Given the name of a subcommand, it holds that subcommand's parser
+    alone: argparse builds a help formatter for every argument it adds, and
+    a run reads one subcommand's.  Its choices are shown as all seven, so
+    the top-level usage line keeps its bytes.  The full parser keeps the
+    default display, because it also names the choices in its errors
+    ("argument command: ..."), which a one-subcommand parser never raises.
+    """
     parser = argparse.ArgumentParser(
         prog="fbg", description="Fuzzy bigraph model toolkit"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command in _COMMANDS:
+        choices = "{" + ",".join(_COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+        wanted = (command,)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        wanted = tuple(_COMMANDS)
 
-    p = sub.add_parser("validate", help="validate every graph in a model file")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    if "validate" in wanted:
+        p = sub.add_parser("validate", help="validate every graph in a model file")
+        p.add_argument("file")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     for name in ("compose", "tensor"):
+        if name not in wanted:
+            continue
         p = sub.add_parser(name, help=f"{name} two graphs into a new model file")
         p.add_argument("--left", required=True, help="model file with the left graph")
         p.add_argument("--right", required=True, help="model file with the right graph")
@@ -90,32 +108,36 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--right-name", help="graph name in the right file")
         p.add_argument("--name", default="result", help="name of the output graph")
 
-    p = sub.add_parser("support", help="print the support of each graph")
-    p.add_argument("file")
-    p.add_argument("--graph", help="restrict to one graph")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    if "support" in wanted:
+        p = sub.add_parser("support", help="print the support of each graph")
+        p.add_argument("file")
+        p.add_argument("--graph", help="restrict to one graph")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser(
-        "translate-check", help="check a support translation between two graphs"
-    )
-    p.add_argument("--rho", required=True, help="JSON file with the renaming")
-    p.add_argument("left", help="model file with the source graph")
-    p.add_argument("right", help="model file with the target graph")
-    p.add_argument("--left-name")
-    p.add_argument("--right-name")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    if "translate-check" in wanted:
+        p = sub.add_parser(
+            "translate-check", help="check a support translation between two graphs"
+        )
+        p.add_argument("--rho", required=True, help="JSON file with the renaming")
+        p.add_argument("left", help="model file with the source graph")
+        p.add_argument("right", help="model file with the target graph")
+        p.add_argument("--left-name")
+        p.add_argument("--right-name")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("laws", help="run the fuzzy-category law suite")
-    p.add_argument("file", help="model file providing the frame and signature")
-    p.add_argument("--arrows", type=_count, default=20)
-    p.add_argument("--samples", type=_count, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    if "laws" in wanted:
+        p = sub.add_parser("laws", help="run the fuzzy-category law suite")
+        p.add_argument("file", help="model file providing the frame and signature")
+        p.add_argument("--arrows", type=_count, default=20)
+        p.add_argument("--samples", type=_count, default=None)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("export-dot", help="write a DOT rendering to stdout")
-    p.add_argument("file")
-    p.add_argument("--view", choices=("place", "link"), required=True)
-    p.add_argument("--graph", help="graph name (defaults to the only graph)")
+    if "export-dot" in wanted:
+        p = sub.add_parser("export-dot", help="write a DOT rendering to stdout")
+        p.add_argument("file")
+        p.add_argument("--view", choices=("place", "link"), required=True)
+        p.add_argument("--graph", help="graph name (defaults to the only graph)")
     return parser
 
 
@@ -340,34 +362,44 @@ def _rho_entries(rho: dict, part: str, domain, codomain, frame, rows: bool) -> d
     The object form ``{source: target}`` gives each pair degree top; with
     ``rows`` (type-2 files) a list of ``[source, target, degree]`` rows is
     accepted too.  Every fault, including an identifier the graphs do not
-    have, is a parse error.
+    have, is a parse error at the part (``$.nodes``), at an object member
+    by its source (``$.nodes.v0``) or at a row by its position
+    (``$.nodes[1]``).
     """
     value = rho.get(part, {})
-    if isinstance(value, dict):
+    keyed = isinstance(value, dict)
+    if keyed:
         listed = [[a, b, None] for a, b in value.items()]
     elif rows and isinstance(value, list):
         listed = value
     else:
         raise ParseError(
-            f"renaming {part} must be an object" + (" or a list of rows" if rows else "")
+            f"renaming {part} must be an object" + (" or a list of rows" if rows else ""),
+            f"$.{part}",
         )
+
+    def at(i: int) -> str:
+        return f"$.{part}.{listed[i][0]}" if keyed else f"$.{part}[{i}]"
+
     what = part[:-1]
     entries = {}
     for i, row in enumerate(listed):
         if not (isinstance(row, list) and len(row) == 3):
-            raise ParseError(f"renaming row {i} must be [from, to, degree]")
+            raise ParseError(f"renaming row {i} must be [from, to, degree]", at(i))
         a, b, text = row
         for ident, pool, side in ((a, domain, "source"), (b, codomain, "target")):
             if not isinstance(ident, str):
-                raise ParseError(f"renaming {what} identifiers are strings, got {ident!r}")
+                raise ParseError(
+                    f"renaming {what} identifiers are strings, got {ident!r}", at(i)
+                )
             if ident not in pool:
-                raise ParseError(f"renaming mentions unknown {side} {what} {ident!r}")
+                raise ParseError(f"renaming mentions unknown {side} {what} {ident!r}", at(i))
         if (a, b) in entries:
-            raise ParseError(f"renaming row {i} repeats the pair {(a, b)!r}")
+            raise ParseError(f"renaming row {i} repeats the pair {(a, b)!r}", at(i))
         try:
             entries[(a, b)] = frame.top if text is None else frame.parse_degree(text)
         except ValueError as exc:
-            raise ParseError(f"renaming row {i}: {exc}") from None
+            raise ParseError(f"renaming row {i}: {exc}", at(i)) from None
     return entries
 
 
@@ -424,7 +456,9 @@ def run(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -171,12 +171,10 @@ class LinkGraph:
     @property
     def ports(self) -> frozenset[Port]:
         """Ports of the well-controlled nodes; unknown controls contribute none."""
-        out = set()
-        for v in self.nodes:
-            control = self.ctrl.get(v)
-            if control in self.signature.arity:
-                out.update((v, i) for i in range(self.signature.arity[control]))
-        return frozenset(out)
+        arity, ctrl = self.signature.arity, self.ctrl
+        return frozenset(
+            (v, i) for v in self.nodes for i in range(arity.get(ctrl.get(v)) or 0)
+        )
 
     @property
     def points(self) -> frozenset:
@@ -276,23 +274,28 @@ def _rooted_nodes(prnt: Mapping, nodes: frozenset) -> dict:
     return rooted
 
 
+def _check_controls(report: ValidationReport, nodes, ctrl: Mapping, arity: Mapping) -> None:
+    """Report, in node order, each node without a control or with one the
+    signature does not list."""
+    for v in sorted(v for v in nodes if ctrl.get(v) not in arity):
+        control = ctrl.get(v)
+        if control is None:
+            report.add(f"control map is not total: node {v!r} has no control")
+        else:
+            report.add(f"node {v!r} has unknown control {control!r}")
+
+
 def validate_place_graph(p: PlaceGraph, subject: str = "place graph") -> ValidationReport:
     report = ValidationReport(subject)
     if p.inner < 0 or p.outer < 0:
         report.add("interface widths must be natural numbers")
-    for v in sorted(p.nodes):
-        control = p.ctrl.get(v)
-        if control is None:
-            report.add(f"control map is not total: node {v!r} has no control")
-        elif control not in p.signature.arity:
-            report.add(f"node {v!r} has unknown control {control!r}")
+    _check_controls(report, p.nodes, p.ctrl, p.signature.arity)
     for v in p.ctrl:
         if v not in p.nodes:
             report.add(f"control map mentions undeclared node {v!r}")
     domain = set(p.sites) | set(p.nodes)
-    for child in sorted(domain, key=repr):
-        if child not in p.prnt:
-            report.add(f"parent map is not total: {child!r} has no parent")
+    for child in sorted(domain.difference(p.prnt), key=repr):
+        report.add(f"parent map is not total: {child!r} has no parent")
     for child, parent in p.prnt.items():
         if child not in domain:
             report.add(f"parent map mentions unknown child {child!r}")
@@ -304,31 +307,24 @@ def validate_place_graph(p: PlaceGraph, subject: str = "place graph") -> Validat
                 report.add(f"parent of {child!r} is an out-of-range root {parent}")
         else:
             report.add(f"parent of {child!r} has unsupported sort: {parent!r}")
+    # every node with a parent entry, and no other, has a verdict
     rooted = _rooted_nodes(p.prnt, p.nodes)
-    for v in sorted(p.nodes):
-        if v in p.prnt and not rooted[v]:
-            report.add(f"parent map is cyclic at node {v!r}")
+    for v in sorted(v for v, ok in rooted.items() if not ok):
+        report.add(f"parent map is cyclic at node {v!r}")
     return report
 
 
 def validate_link_graph(l: LinkGraph, subject: str = "link graph") -> ValidationReport:
     report = ValidationReport(subject)
-    for v in sorted(l.nodes):
-        control = l.ctrl.get(v)
-        if control is None:
-            report.add(f"control map is not total: node {v!r} has no control")
-        elif control not in l.signature.arity:
-            report.add(f"node {v!r} has unknown control {control!r}")
+    _check_controls(report, l.nodes, l.ctrl, l.signature.arity)
     overlap = l.edges & l.outer
     if overlap:
         report.add(f"edge identifiers collide with outer names: {sorted(overlap)}")
     overlap = l.nodes & l.edges
     if overlap:
         report.add(f"node and edge identifiers overlap: {sorted(overlap)}")
-    points = l.points
-    for point in sorted(points, key=repr):
-        if point not in l.link:
-            report.add(f"link map is not total: point {point!r} is unlinked")
+    for point in sorted(l.points.difference(l.link), key=repr):
+        report.add(f"link map is not total: point {point!r} is unlinked")
     links = l.edges | l.outer
     for point, target in l.link.items():
         if isinstance(point, tuple) and len(point) == 2:

@@ -47,9 +47,12 @@ def derive_ports(signature: Signature, ctrl: FuzzyRelation) -> frozenset[Port]:
     With several positive controls the widest arity wins, so the port set
     is the smallest one safe for all positive possibilities.
     """
+    arity = signature.arity
     widest: dict[str, int] = {}
     for (v, control), _degree in ctrl.items():
-        ar = signature.arity_of(control)
+        ar = arity.get(control)
+        if ar is None:
+            ar = signature.arity_of(control)  # raises: unknown control
         if ar > widest.get(v, -1):
             widest[v] = ar
     return frozenset((v, i) for v, ar in widest.items() for i in range(ar))
@@ -892,9 +895,8 @@ def validate_fuzzy_place(
     for site in range(p.inner):
         if site not in parented:
             report.add(f"site {site} has no parent of positive degree")
-    for v in sorted(p.nodes):
-        if v not in parented:
-            report.add(f"node {v!r} has no parent of positive degree")
+    for v in sorted(p.nodes - parented):
+        report.add(f"node {v!r} has no parent of positive degree")
     return report
 
 
@@ -903,9 +905,8 @@ def validate_fuzzy_link(
 ) -> ValidationReport:
     report = ValidationReport(subject)
     linked = {q for (q, _t), _d in l.link.items()}
-    for point in sorted(l.points, key=repr):
-        if point not in linked:
-            report.add(f"point {point!r} has no link of positive degree")
+    for point in sorted(l.points - linked, key=repr):
+        report.add(f"point {point!r} has no link of positive degree")
     return report
 
 

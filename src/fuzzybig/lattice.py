@@ -217,6 +217,8 @@ class UnitIntervalFrame(Frame):
     name = "unit-interval"
 
     def _coerce(self, raw):
+        if isinstance(raw, Fraction):
+            return raw
         if isinstance(raw, float):
             raise TypeError(
                 "unit-interval degrees are exact rationals; pass a Fraction, "
@@ -230,8 +232,11 @@ class UnitIntervalFrame(Frame):
             raw = Fraction(raw)
         return raw
 
+    # A ``Fraction``'s denominator is positive, so ``0 <= raw <= 1`` iff
+    # ``0 <= numerator <= denominator``; the slots are read directly, as in
+    # the hooks below.
     def _contains(self, raw) -> bool:
-        return isinstance(raw, Fraction) and 0 <= raw <= 1
+        return isinstance(raw, Fraction) and 0 <= raw._numerator <= raw._denominator
 
     # Every raw degree is a checked ``Fraction``, whose denominator is
     # positive, so ``a <= b`` iff ``a.n * b.d <= b.n * a.d`` exactly.  The

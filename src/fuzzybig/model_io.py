@@ -870,35 +870,84 @@ def _emit_crisp_place(lines: list, place: PlaceGraph, children: dict, child, ind
         lines.append(f"{indent}{_q(f'node_{child}')} [label={_q(label)}, shape=ellipse];")
 
 
+class _DotIds(dict):
+    """Quoted DOT ids of link points or targets.  The export fills in the
+    ids its declaration lines quote; an element no line declared (a crisp
+    link may name a port beyond its node's arity, or a target that is no
+    edge or outer name) is quoted on its first use."""
+
+    def __init__(self, name_of: Callable):
+        super().__init__()
+        self.name_of = name_of
+
+    def __missing__(self, element) -> str:
+        made = self[element] = _q(self.name_of(element))
+        return made
+
+
+class _SortKeys(dict):
+    """``element_sort_key`` of each element, computed on its first use."""
+
+    def __missing__(self, element):
+        key = self[element] = element_sort_key(element)
+        return key
+
+
+def _dot_labels(frame: Frame) -> Callable:
+    """``degree -> quoted label``, formatting each degree once per export.
+
+    Degrees are looked up by identity, as ``_Writer.degree`` does, and
+    each one seen is kept alive with its label.
+    """
+    labels: dict = {}
+
+    def label(degree) -> str:
+        seen = labels.get(id(degree))
+        if seen is None:
+            seen = labels[id(degree)] = (degree, _q(frame.format_degree(degree)))
+        return seen[1]
+
+    return label
+
+
+def _sorted_rows(lines: list, rows: list) -> None:
+    """Append the lines of ``(sort key, ..., line)`` rows in key order; no
+    two rows share their keys, so their lines are never compared."""
+    rows.sort()
+    lines.extend(row[-1] for row in rows)
+
+
 def _dot_place_fuzzy(place, type2: bool) -> str:
     frame = place.frame
     nodes = sorted(place.node_support if type2 else place.nodes)
+    # The parent relation relates sites and nodes to roots and nodes, so
+    # its every row names elements declared below.
+    children: dict = {}
+    parents: dict = {}
     lines = ["digraph place {"]
     for root in range(place.outer):
-        lines.append(
-            f"  {_q(f'root_{root}')} [label={_q(f'root {root}')}, shape=box, style=dashed];"
-        )
+        root_id = parents[root] = _q(f"root_{root}")
+        lines.append(f"  {root_id} [label={_q(f'root {root}')}, shape=box, style=dashed];")
     for site in range(place.inner):
+        site_id = children[site] = _q(f"site_{site}")
         lines.append(
-            f"  {_q(f'site_{site}')} [label={_q(f'site {site}')}, "
+            f"  {site_id} [label={_q(f'site {site}')}, "
             "shape=box, style=filled, fillcolor=lightgrey];"
         )
     for v in nodes:
+        node_id = parents[v] = children[v] = _q(f"node_{v}")
         label = v
         if type2:
             label = f"{v} ({frame.format_degree(place.nodes.membership(v))})"
-        lines.append(f"  {_q(f'node_{v}')} [label={_q(label)}, shape=ellipse];")
+        lines.append(f"  {node_id} [label={_q(label)}, shape=ellipse];")
 
-    def dot_id(elem, child: bool) -> str:
-        if isinstance(elem, int):
-            return f"site_{elem}" if child else f"root_{elem}"
-        return f"node_{elem}"
-
-    for (child, parent), degree in place.prnt.sorted_items():
-        lines.append(
-            f"  {_q(dot_id(child, True))} -> {_q(dot_id(parent, False))} "
-            f"[label={_q(frame.format_degree(degree))}];"
-        )
+    keys, label_of = _SortKeys(), _dot_labels(frame)
+    rows = [
+        (keys[child], keys[parent],
+         f"  {children[child]} -> {parents[parent]} [label={label_of(degree)}];")
+        for (child, parent), degree in place.prnt.items()
+    ]
+    _sorted_rows(lines, rows)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -908,12 +957,19 @@ def _dot_link(graph, flavour: str) -> str:
     frame = None if crisp else graph.frame
     nodes = sorted(graph.node_support if type2 else graph.nodes)
     edge_ids = graph.edge_support if type2 else graph.edges
+    points = _DotIds(lambda q: f"port_{q[0]}_{q[1]}" if isinstance(q, tuple) else f"inner_{q}")
+    targets = _DotIds(lambda t: f"edge_{t}" if t in edge_ids else f"outer_{t}")
+    node_ids: dict = {}
 
     lines = ["graph link {"]
     for name in sorted(graph.inner):
-        lines.append(f"  {_q(f'inner_{name}')} [label={_q(name)}, shape=plaintext];")
+        inner_id = points[name] = _q(f"inner_{name}")
+        lines.append(f"  {inner_id} [label={_q(name)}, shape=plaintext];")
+    # an outer name that is also an edge (a crisp graph may have one) is
+    # linked to as the edge
     for name in sorted(graph.outer):
-        lines.append(f"  {_q(f'outer_{name}')} [label={_q(name)}, shape=plaintext];")
+        outer_id = targets[name] = _q(f"outer_{name}")
+        lines.append(f"  {outer_id} [label={_q(name)}, shape=plaintext];")
     for v in nodes:
         if crisp:
             label = f"{v}:{graph.ctrl.get(v, '?')}"
@@ -921,36 +977,30 @@ def _dot_link(graph, flavour: str) -> str:
             label = f"{v} ({frame.format_degree(graph.nodes.membership(v))})"
         else:
             label = v
-        lines.append(f"  {_q(f'node_{v}')} [label={_q(label)}, shape=ellipse];")
+        node_id = node_ids[v] = _q(f"node_{v}")
+        lines.append(f"  {node_id} [label={_q(label)}, shape=ellipse];")
     for e in sorted(edge_ids):
         label = e
         if type2:
             label = f"{e} ({frame.format_degree(graph.edges.membership(e))})"
-        lines.append(f"  {_q(f'edge_{e}')} [label={_q(label)}, shape=diamond];")
-    ports = sorted(graph.ports)
-    for (v, i) in ports:
-        pid = f"port_{v}_{i}"
-        lines.append(f"  {_q(pid)} [label={_q(f'{v}.{i}')}, shape=point];")
-        lines.append(f"  {_q(f'node_{v}')} -- {_q(pid)} [style=dotted];")
+        edge_id = targets[e] = _q(f"edge_{e}")
+        lines.append(f"  {edge_id} [label={_q(label)}, shape=diamond];")
+    for port in sorted(graph.ports):
+        v, i = port
+        port_id = points[port] = _q(f"port_{v}_{i}")
+        lines.append(f"  {port_id} [label={_q(f'{v}.{i}')}, shape=point];")
+        lines.append(f"  {node_ids[v]} -- {port_id} [style=dotted];")
 
-    def point_id(q) -> str:
-        if isinstance(q, tuple):
-            return f"port_{q[0]}_{q[1]}"
-        return f"inner_{q}"
-
-    def target_id(t) -> str:
-        return f"edge_{t}" if t in edge_ids else f"outer_{t}"
-
+    keys = _SortKeys()
     if crisp:
-        rows = sorted(graph.link.items(), key=lambda kv: element_sort_key(kv[0]))
-        for q, t in rows:
-            lines.append(f"  {_q(point_id(q))} -- {_q(target_id(t))};")
+        rows = [(keys[q], f"  {points[q]} -- {targets[t]};") for q, t in graph.link.items()]
     else:
-        for (q, t), degree in graph.link.sorted_items():
-            lines.append(
-                f"  {_q(point_id(q))} -- {_q(target_id(t))} "
-                f"[label={_q(frame.format_degree(degree))}];"
-            )
+        label_of = _dot_labels(frame)
+        rows = [
+            (keys[q], keys[t], f"  {points[q]} -- {targets[t]} [label={label_of(degree)}];")
+            for (q, t), degree in graph.link.items()
+        ]
+    _sorted_rows(lines, rows)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

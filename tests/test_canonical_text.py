@@ -1,4 +1,5 @@
-"""The direct writer prints exactly what the ``json.dumps`` reference prints."""
+"""The direct writer prints exactly what the ``json.dumps`` reference
+prints, and the DOT views what their earlier code printed."""
 
 from __future__ import annotations
 
@@ -11,13 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzybig import (
+    Bigraph,
     FuzzyBigraph,
     FuzzyLinkGraph,
     FuzzyPlaceGraph,
     Interface,
+    LinkGraph,
     ModelDocument,
     Signature,
     UNIT_INTERVAL,
+    export_dot,
     identity_bigraph,
     identity_crisp,
     identity_type2_bigraph,
@@ -25,10 +29,12 @@ from fuzzybig import (
     serialize,
 )
 from fuzzybig.fuzzy import derive_ports
+from fuzzybig.model_io import _kind_of
 from fuzzybig.generators import random_fuzzy_bigraph, random_fuzzy_place, random_type2_bigraph
 
+import dot_oracle
 import serialize_oracle
-from helpers import ALL_FRAMES, H_SIGNATURE, random_crisp_bigraph
+from helpers import ALL_FRAMES, H_SIGNATURE, make_h, random_crisp_bigraph
 
 U = UNIT_INTERVAL
 
@@ -109,6 +115,47 @@ def test_serialize_prints_the_reference_bytes(doc):
 def test_an_empty_document_prints_the_reference_bytes():
     for doc in (ModelDocument(U, Signature({}), {}), ModelDocument(U, H_SIGNATURE, {})):
         assert serialize(doc) == serialize_oracle.serialize(doc)
+
+
+def assert_dot_views_match_the_reference(doc: ModelDocument) -> None:
+    """Every link view, and every graded place view, of every graph in
+    ``doc``, byte for byte; the crisp place view has no second version."""
+    for name, graph in doc.graphs.items():
+        flavour, _, part = _kind_of(graph)[0].partition("-")
+        parts = {"place": graph.place, "link": graph.link} if part == "bigraph" else {part: graph}
+        for view, g in parts.items():
+            if view == "link":
+                assert export_dot(doc, name, view) == dot_oracle.dot_link(g, flavour)
+            elif flavour != "crisp":
+                expected = dot_oracle.dot_place_fuzzy(g, flavour == "type2")
+                assert export_dot(doc, name, view) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents())
+def test_dot_views_print_the_reference_bytes(doc):
+    assert_dot_views_match_the_reference(doc)
+
+
+def test_dot_link_views_of_faulty_crisp_graphs_print_the_reference_bytes():
+    """The crisp constructors accept what ``validate`` reports, and the link
+    view still draws it: a port beyond its node's arity, ports of nodes
+    without a known control, a target no one declared, an outer name that
+    is also an edge, and a target that is no identifier at all."""
+    h = make_h()
+    ctrl = {**h.link.ctrl, "v0": "Z"}
+    del ctrl["v1"]
+    link = {
+        **h.link.link,
+        ("v2", 9): "e0",
+        ("v0", 0): "nowhere",
+        ("v1", 1): "e1",
+        ("undeclared", 0): None,
+    }
+    broken = LinkGraph(H_SIGNATURE, h.link.inner, h.link.outer | {"e0"}, h.nodes,
+                       h.edges, ctrl, link)
+    doc = ModelDocument(U, H_SIGNATURE, {"l": broken, "b": Bigraph(h.place, broken)})
+    assert_dot_views_match_the_reference(doc)
 
 
 def large_distinct_document(node_count: int = 600) -> ModelDocument:

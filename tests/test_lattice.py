@@ -130,6 +130,50 @@ def test_floats_are_rejected():
         UNIT_INTERVAL.value(0.3)
 
 
+class _Third(Fraction):
+    """A ``Fraction`` subclass, as a caller might pass one."""
+
+
+_BIG = 10**999  # a 1000-digit number
+
+
+@pytest.mark.parametrize("raw, admitted", [
+    (0, Fraction(0)),
+    (1, Fraction(1)),
+    (Fraction(0), Fraction(0)),
+    (Fraction(1), Fraction(1)),
+    (Fraction(-1, 2), ValueError),
+    (Fraction(3, 2), ValueError),
+    (-1, ValueError),
+    (2, ValueError),
+    (Fraction(_BIG, _BIG + 1), Fraction(_BIG, _BIG + 1)),
+    (Fraction(_BIG + 1, _BIG), ValueError),
+    (Fraction(-_BIG, _BIG + 1), ValueError),
+    (_Third(1, 3), Fraction(1, 3)),
+    (_Third(4, 3), ValueError),
+    (True, TypeError),
+    (False, TypeError),
+    (0.5, TypeError),
+    (0.0, TypeError),
+    (float("nan"), TypeError),
+    ("1/2", Fraction(1, 2)),
+    ("0", Fraction(0)),
+    ("1", Fraction(1)),
+    ("0.25", Fraction(1, 4)),
+    ("-1/2", ValueError),
+    ("3/2", ValueError),
+    ("half", ValueError),
+    (None, ValueError),
+], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v)[:24])
+def test_unit_interval_admits_exactly_the_rationals_from_0_to_1(raw, admitted):
+    if isinstance(admitted, type):
+        with pytest.raises(admitted):
+            UNIT_INTERVAL.value(raw)
+    else:
+        value = UNIT_INTERVAL.value(raw)
+        assert value.raw == admitted and isinstance(value.raw, Fraction)
+
+
 def test_frame_names_round_trip():
     for frame in (UNIT_INTERVAL, TWO_POINT, chain(7)):
         assert frame_from_name(frame.name) == frame
