@@ -6,10 +6,11 @@ as inner interface and numbered roots as outer interface) and a link graph
 outer names).  Sites and roots are plain natural numbers; node and edge
 identifiers are opaque strings, so the two sorts never collide.
 
-Composition and tensor product are realised through the two-point frame:
-a crisp bigraph is lifted to a fuzzy one, combined there, and lowered back.
-The test suite keeps this path honest with an independent hand-rolled
-composition oracle.
+Composition is map composition through the shared interface (Milner,
+*The Space and Motion of Communicating Agents*, ch. 2).  Crisp bigraphs are
+also the two-point case of fuzzy ones; that bridge names composition
+faults, computes tensor products and identities, and is tested as a law,
+as composition is against an independent hand-rolled oracle.
 
 Constructors are deliberately permissive; :func:`validate_bigraph` and
 friends report every violated invariant instead of refusing to build the
@@ -27,6 +28,11 @@ from .errors import ValidationReport
 Port = tuple  # (node identifier, port index)
 
 
+def _is_nat(n) -> bool:
+    """Whether ``n`` is a natural number: an ``int`` that is not a ``bool``."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
 @dataclass(frozen=True, eq=False)
 class Signature:
     """Control names with their port arities."""
@@ -38,7 +44,7 @@ class Signature:
         for control, ar in table.items():
             if not isinstance(control, str):
                 raise TypeError(f"control names are strings, got {control!r}")
-            if not isinstance(ar, int) or isinstance(ar, bool) or ar < 0:
+            if not _is_nat(ar):
                 raise ValueError(f"arity of {control!r} must be a natural number")
         object.__setattr__(self, "arity", MappingProxyType(table))
         # The control names, as a set: the codomain of every control relation.
@@ -66,7 +72,7 @@ class Interface:
     names: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if not isinstance(self.width, int) or isinstance(self.width, bool) or self.width < 0:
+        if not _is_nat(self.width):
             raise ValueError("interface width must be a natural number")
         object.__setattr__(self, "names", frozenset(self.names))
 
@@ -287,13 +293,15 @@ def _check_controls(report: ValidationReport, nodes, ctrl: Mapping, arity: Mappi
 
 def validate_place_graph(p: PlaceGraph, subject: str = "place graph") -> ValidationReport:
     report = ValidationReport(subject)
-    if p.inner < 0 or p.outer < 0:
+    # A width that is not a natural number is reported, then read as 0.
+    if not (_is_nat(p.inner) and _is_nat(p.outer)):
         report.add("interface widths must be natural numbers")
+    inner, outer = (w if _is_nat(w) else 0 for w in (p.inner, p.outer))
     _check_controls(report, p.nodes, p.ctrl, p.signature.arity)
     for v in p.ctrl:
         if v not in p.nodes:
             report.add(f"control map mentions undeclared node {v!r}")
-    domain = set(p.sites) | set(p.nodes)
+    domain = set(range(inner)) | set(p.nodes)
     for child in sorted(domain.difference(p.prnt), key=repr):
         report.add(f"parent map is not total: {child!r} has no parent")
     for child, parent in p.prnt.items():
@@ -303,7 +311,7 @@ def validate_place_graph(p: PlaceGraph, subject: str = "place graph") -> Validat
             if parent not in p.nodes:
                 report.add(f"parent of {child!r} is an undeclared node {parent!r}")
         elif isinstance(parent, int) and not isinstance(parent, bool):
-            if not 0 <= parent < p.outer:
+            if not 0 <= parent < outer:
                 report.add(f"parent of {child!r} is an out-of-range root {parent}")
         else:
             report.add(f"parent of {child!r} has unsupported sort: {parent!r}")
@@ -363,14 +371,76 @@ def validate_bigraph(b: Bigraph, subject: str = "bigraph") -> ValidationReport:
     return report
 
 
+def _within(pairs: Mapping, domain: frozenset, codomain: frozenset) -> bool:
+    return pairs.keys() <= domain and codomain.issuperset(pairs.values())
+
+
+def _ports(signature: Signature, ctrl: Mapping) -> frozenset:
+    """A node's ports are those of its one control, which the signature lists."""
+    arity = signature.arity
+    return frozenset([(v, i) for v, k in ctrl.items() for i in range(arity[k])])
+
+
+def _sound_ports(b: Bigraph) -> frozenset | None:
+    """The ports of ``b`` if it passes, in their order, the checks ``fuzzify``
+    makes on its shared-control path, else ``None``."""
+    p, l = b.place, b.link
+    nodes, ctrl = p.nodes, p.ctrl
+    if not (
+        _is_nat(p.inner) and _is_nat(p.outer)
+        and _within(ctrl, nodes, p.signature.controls)
+        and _within(p.prnt, nodes.union(range(p.inner)), nodes.union(range(p.outer)))
+        and l.signature == p.signature and l.nodes == nodes and l.ctrl == ctrl
+        and nodes.isdisjoint(l.edges) and l.edges.isdisjoint(l.outer)
+    ):
+        return None
+    ports = _ports(p.signature, ctrl)
+    return ports if _within(l.link, l.inner | ports, l.edges | l.outer) else None
+
+
+def _compose_maps(g: Bigraph, f: Bigraph) -> Bigraph | None:
+    """``g . f`` as maps, or ``None`` where the bridge refuses the operands."""
+    g_ports = _sound_ports(g)
+    f_ports = None if g_ports is None else _sound_ports(f)
+    fp, fl, gp, gl = f.place, f.link, g.place, g.link
+    if (
+        f_ports is None or fp.outer != gp.inner or fl.outer != gl.inner
+        or not (fp.nodes | fl.edges).isdisjoint(gp.nodes | gl.edges)
+        or fp.signature != gp.signature or not fl.edges.isdisjoint(gl.outer)
+    ):
+        return None
+    # A root of f is a site of g, and an outer name of f an inner name of g.
+    # Checked maps send nothing to None, so None marks a missing image.
+    f_nodes, g_prnt, f_edges, g_link = fp.nodes, gp.prnt, fl.edges, gl.link
+    prnt = {c: t if t in f_nodes else g_prnt.get(t) for c, t in fp.prnt.items()}
+    prnt.update((c, t) for c, t in g_prnt.items() if c in gp.nodes)
+    link = {q: t if t in f_edges else g_link.get(t) for q, t in fl.link.items()}
+    link.update((q, t) for q, t in g_link.items() if q in g_ports)
+    nodes, ctrl = f_nodes | gp.nodes, {**fp.ctrl, **gp.ctrl}
+    # The operands' domains are disjoint, so equal sizes mean total maps.
+    if (
+        len(ctrl) != len(nodes) or len(prnt) != fp.inner + len(nodes)
+        or len(link) != len(fl.inner) + len(f_ports) + len(g_ports)
+        or None in prnt.values() or None in link.values()
+    ):
+        return None
+    return Bigraph(
+        PlaceGraph._trusted(fp.signature, fp.inner, gp.outer, nodes, ctrl, prnt),
+        LinkGraph._trusted(fp.signature, fl.inner, gl.outer, nodes, f_edges | gl.edges, ctrl, link),
+    )
+
+
 def compose_crisp(g: Bigraph, f: Bigraph) -> Bigraph:
     """Composite ``g . f`` where f's outer interface meets g's inner one.
 
-    Realised as the two-point specialisation of fuzzy composition.
+    Sound operands compose as maps; the two-point bridge names any fault.
     """
-    from .fuzzy import compose_fuzzy, defuzzify, fuzzify
+    composite = _compose_maps(g, f)
+    if composite is None:
+        from .fuzzy import compose_fuzzy, defuzzify, fuzzify
 
-    return defuzzify(compose_fuzzy(fuzzify(g), fuzzify(f)))
+        composite = defuzzify(compose_fuzzy(fuzzify(g), fuzzify(f)))
+    return composite
 
 
 def tensor_crisp(f: Bigraph, g: Bigraph) -> Bigraph:

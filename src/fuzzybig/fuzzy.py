@@ -26,6 +26,9 @@ from .crisp import (
     Signature,
     _element_renaming,
     _freeze_ids,
+    _is_nat,
+    _ports,
+    _within,
 )
 from .errors import (
     FrameMismatchError,
@@ -76,9 +79,9 @@ def _as_relation(frame: Frame, entries, domain, codomain) -> FuzzyRelation:
 
 
 def _widths(inner, outer) -> tuple[int, int]:
-    """A place graph's interface widths, as natural numbers."""
-    inner, outer = int(inner), int(outer)
-    if inner < 0 or outer < 0:
+    """A place graph's interface widths, which must be natural numbers: a
+    ``bool`` or a value of another type is refused, not converted."""
+    if not (_is_nat(inner) and _is_nat(outer)):
         raise ValueError("interface widths must be natural numbers")
     return inner, outer
 
@@ -741,7 +744,7 @@ def _at_top(frame: Frame, domain: frozenset, codomain: frozenset, pairs) -> Fuzz
     A pair off ``domain x codomain`` raises the checked constructor's
     message; the first such pair in map order is the one named.
     """
-    if not (pairs.keys() <= domain and codomain.issuperset(pairs.values())):
+    if not _within(pairs, domain, codomain):
         for a, b in pairs.items():
             if a not in domain or b not in codomain:
                 raise _outside(a, b)
@@ -762,9 +765,7 @@ def _fuzzify_link(l: LinkGraph, frame: Frame, ctrl: FuzzyRelation | None) -> Fuz
     _require_apart(l.nodes, l.edges, l.outer)
     if ctrl is None:
         ctrl = _at_top(frame, l.nodes, l.signature.controls, l.ctrl)
-    # One control per node, so its arity is the widest.
-    arity = l.signature.arity
-    ports = frozenset([(v, i) for v, k in l.ctrl.items() for i in range(arity[k])])
+    ports = _ports(l.signature, l.ctrl)
     link = _at_top(frame, l.inner | ports, l.edges | l.outer, l.link)
     return FuzzyLinkGraph._trusted(
         frame, l.signature, l.inner, l.outer, l.nodes, l.edges, ctrl, link, ports

@@ -27,6 +27,7 @@ from .crisp import (
     LinkGraph,
     PlaceGraph,
     Signature,
+    _is_nat,
     validate_bigraph,
     validate_link_graph,
     validate_place_graph,
@@ -126,7 +127,7 @@ def _expect_string(value, path: str) -> str:
 
 
 def _expect_nat(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    if not _is_nat(value):
         raise ParseError("expected a natural number", path)
     return value
 

@@ -25,19 +25,30 @@ from fuzzybig import (
     PlaceGraph,
     Signature,
     UNIT_INTERVAL,
+    compose_crisp,
+    compose_fuzzy,
     defuzzify,
     embed_bigraph,
     fuzzify,
     identity_bigraph,
     identity_type2_bigraph,
     tensor_crisp,
+    validate_place_graph,
 )
-from fuzzybig.errors import NotCrispError
+from fuzzybig import fuzzy
+from fuzzybig.errors import (
+    InterfaceMismatchError,
+    ModelError,
+    NameClashError,
+    NotCrispError,
+    SignatureMismatchError,
+    SupportOverlapError,
+)
 from fuzzybig.fuzzy import defuzzify_link, defuzzify_place, fuzzify_link, fuzzify_place
 from fuzzybig.generators import random_fuzzy_bigraph, random_interface
 from fuzzybig.type2 import Type2FuzzyBigraph, Type2FuzzyLinkGraph, Type2FuzzyPlaceGraph
 
-from crisp_oracle import enumerate_composable_pairs, tensor_direct
+from crisp_oracle import compose_direct, enumerate_composable_pairs, tensor_direct
 from helpers import ALL_FRAMES, H_SIGNATURE, assert_checked_rebuild, d, random_crisp_bigraph
 
 U = UNIT_INTERVAL
@@ -390,3 +401,152 @@ def test_tensor_crisp_agrees_with_the_direct_oracle_on_universe_pairs(index):
     f, g = pairs[index % len(pairs)]
     assert tensor_crisp(f, g) == tensor_direct(f, g)
     assert tensor_crisp(g, f) == tensor_direct(g, f)
+
+
+# --- compose_crisp: map composition, with the bridge naming every fault ------------
+
+
+def arrow(v, e, x, y, sig=SIG, inner=1, outer=1, prnt=None, link=None) -> Bigraph:
+    """A crisp bigraph shaped like ``base()``: node v (control K) under root 0
+    over site 0, inner name x wired to edge e and v's port to outer name y.
+    x and y may be sets of names, of which the least is wired.  ``prnt`` and
+    ``link`` replace the maps; the widths are given, not derived."""
+    xs = {x} if isinstance(x, str) else set(x)
+    ys = {y} if isinstance(y, str) else set(y)
+    place = PlaceGraph(sig, inner, outer, {v}, {v: "K"}, prnt or {0: v, v: 0})
+    links = link or {min(xs): e, (v, 0): min(ys)}
+    return Bigraph(place, LinkGraph(sig, xs, ys, {v}, {e}, {v: "K"}, links))
+
+
+def bridged(g: Bigraph, f: Bigraph) -> Bigraph:
+    return defuzzify(compose_fuzzy(fuzzify(g), fuzzify(f)))
+
+
+def raised(compose, g, f):
+    """The composite, or the type and message of the error composing raised."""
+    try:
+        return compose(g, f)
+    except (ModelError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_composition(g, f):
+    direct, bridge = raised(compose_crisp, g, f), raised(bridged, g, f)
+    assert direct == bridge
+    return direct
+
+
+# f: 1->1, {x}->{y} as in base(); a partner g after it and a partner f before it.
+G_AFTER = arrow("w", "d", "y", "z")
+F_BEFORE = arrow("u", "c", "w", "x")
+
+# (g, f, the exception both paths raise, or None where both compose)
+COMPOSE_CASES = {
+    "width mismatch": (
+        arrow("w", "d", "y", "z", inner=2, prnt={0: "w", 1: "w", "w": 0}),
+        base(),
+        InterfaceMismatchError,
+    ),
+    "name mismatch": (arrow("w", "d", "q", "z"), base(), InterfaceMismatchError),
+    "support overlap on a node": (arrow("v", "d", "y", "z"), base(), SupportOverlapError),
+    "support overlap on an edge": (arrow("w", "e", "y", "z"), base(), SupportOverlapError),
+    "unequal signatures": (
+        arrow("w", "d", "y", "z", sig=Signature({"K": 1, "M": 0, "N": 0})),
+        base(),
+        SignatureMismatchError,
+    ),
+    "edge of f collides with an outer name of g": (
+        arrow("w", "d", "y", "e"),
+        base(),
+        NameClashError,
+    ),
+    "site of g with no parent": (
+        arrow("w", "d", "y", "z", prnt={"w": 0}),
+        base(),
+        NotCrispError,
+    ),
+    "inner name of g left unlinked": (
+        arrow("w", "d", "y", "z", link={("w", 0): "z"}),
+        base(),
+        NotCrispError,
+    ),
+    "node with no control": (
+        G_AFTER,
+        Bigraph(
+            replace(base().place, ctrl={}),
+            replace(base().link, ctrl={}, link={"x": "e"}),
+        ),
+        NotCrispError,
+    ),
+    "site of g with no parent that no child reaches": (
+        arrow("w", "d", "y", "z", inner=2, prnt={0: "w", "w": 0}),
+        arrow("v", "e", "x", "y", outer=2),
+        None,
+    ),
+    "inner name of g unlinked that no point reaches": (
+        arrow("w", "d", ("y", "y2"), "z"),
+        arrow("v", "e", "x", ("y", "y2")),
+        None,
+    ),
+    "sound operands": (G_AFTER, base(), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUZZIFY_FAULTS))
+def test_compose_crisp_raises_the_fuzzify_fault_of_either_operand(case):
+    bigraph, message = FUZZIFY_FAULTS[case]
+    assert assert_same_composition(G_AFTER, bigraph) == (ValueError, message)
+    assert assert_same_composition(bigraph, F_BEFORE) == (ValueError, message)
+
+
+@pytest.mark.parametrize("case", sorted(COMPOSE_CASES))
+def test_compose_crisp_agrees_with_the_bridge_on_composition_faults(case):
+    g, f, error = COMPOSE_CASES[case]
+    outcome = assert_same_composition(g, f)
+    if error is None:
+        assert outcome == compose_direct(g, f)
+    else:
+        assert outcome[0] is error
+
+
+def test_universe_pairs_compose_without_the_bridge(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the two-point bridge was used")
+
+    monkeypatch.setattr(fuzzy, "fuzzify", refuse)
+    for f, g in enumerate_composable_pairs(4):
+        assert compose_crisp(g, f) == compose_direct(g, f)
+
+
+# --- widths are natural ints, never converted ------------------------------------
+
+BAD_WIDTHS = (1.7, 1.0, "1", True, None)
+
+
+@pytest.mark.parametrize("width", BAD_WIDTHS, ids=repr)
+def test_compose_crisp_refuses_a_width_that_is_not_a_natural_int(width):
+    f = with_place(outer=width)
+    assert assert_same_composition(G_AFTER, f) == (
+        ValueError, "interface widths must be natural numbers"
+    )
+
+
+@pytest.mark.parametrize("width", BAD_WIDTHS, ids=repr)
+def test_graded_place_graphs_refuse_a_width_that_is_not_a_natural_int(width):
+    nodes = FuzzySet(U, {"v": U.top})
+    for build in (
+        lambda: FuzzyPlaceGraph(U, SIG, 0, width, {"v"}, {}, {}),
+        lambda: FuzzyPlaceGraph(U, SIG, width, 1, {"v"}, {}, {}),
+        lambda: Type2FuzzyPlaceGraph(U, SIG, 0, width, nodes, {}, {}, U.top),
+        lambda: Type2FuzzyPlaceGraph(U, SIG, width, 1, nodes, {}, {}, U.top),
+    ):
+        with pytest.raises(ValueError, match=r"^interface widths must be natural numbers$"):
+            build()
+
+
+@pytest.mark.parametrize("width", BAD_WIDTHS + (-1,), ids=repr)
+def test_crisp_validation_reports_a_width_that_is_not_a_natural_int(width):
+    for fields in ({"inner": width, "prnt": {"v": 0}}, {"outer": width}):
+        problems = validate_place_graph(with_place(**fields).place).problems
+        assert problems[0] == "interface widths must be natural numbers"
+        assert problems.count(problems[0]) == 1
