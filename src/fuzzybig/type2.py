@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .crisp import Interface, Port, Signature, _freeze_ids
-from .errors import ValidationReport
+from .errors import FrameMismatchError, ValidationReport
 from .fuzzy import (
     FuzzyBigraph,
     FuzzyLinkGraph,
@@ -29,7 +29,6 @@ from .fuzzy import (
     _Bigraph,
     _Graph,
     _as_relation,
-    _inequality_sides,
     _port_relation,
     _prnt_domain,
     _require_apart,
@@ -38,6 +37,7 @@ from .fuzzy import (
     _require_link_composable,
     _require_place_composable,
     _require_same_interfaces,
+    _translated_sides,
     _verdict,
     _widths,
     identity_bigraph,
@@ -439,6 +439,8 @@ def make_type2_translation(
 
     Following the published constraint, the relations depend only on the
     target's memberships: every pair (x, x') holds the membership of x'.
+    So every row is the same row, which the checker reads once (see
+    ``check_type2_support_translation``).
     """
 
     def canonical(a: FuzzySet, b: FuzzySet) -> FuzzyRelation:
@@ -691,6 +693,39 @@ def _membership_mismatch(rel: FuzzyRelation, a: FuzzySet, b: FuzzySet):
     )
 
 
+def _shared_row_leq(f_rel, g_rel, sources: dict, legs: dict, routed, targets: dict) -> bool:
+    """Whether ``g_rel`` pulled back along a canonical relation stays below
+    ``f_rel`` pushed forward along one.  Each x in ``sources`` pulls back
+    the row of its key: the join of ``weight ∧ g_rel(q, t)`` over the
+    sources q in ``legs``, which give ``(weight, key)``; g's other entries
+    are copied.  f's entries off ``routed`` are copied, and x reaches a t
+    in ``targets`` (raw memberships) at M(x) ∧ targets[t], M(x) the join
+    of x's entries on ``routed``.
+    """
+    frame = f_rel.frame
+    leq, meet, join, bottom = frame._leq, frame._meet, frame._join, frame.bottom.raw
+    joined, rows, pulled = {}, {}, []
+    for (x, y), d in f_rel.items():
+        if y in routed:
+            joined[x] = join(joined.get(x, bottom), d.raw)
+    for (q, t), d in g_rel.items():
+        leg = legs.get(q)
+        if leg is None:
+            pulled.append((q, ((t, d.raw),)))
+        else:
+            row = rows.setdefault(leg[1], {})
+            row[t] = join(row.get(t, bottom), meet(leg[0], d.raw))
+    pulled += ((x, rows.get(key, {}).items()) for x, key in sources.items())
+    at = f_rel.degree
+    for x, row in pulled:
+        m = joined.get(x, bottom)
+        for t, r in row:
+            e = targets.get(t)
+            if not leq(r, at(x, t).raw if e is None else meet(m, e)):
+                return False
+    return True
+
+
 def check_type2_support_translation(
     rho_nodes: FuzzyRelation,
     rho_edges: FuzzyRelation,
@@ -704,6 +739,13 @@ def check_type2_support_translation(
     links, reading only the relations' stored entries.  Support
     equivalence is reported when some bijective renaming of f reproduces g
     degree for degree.
+
+    A relation that passes its membership check has the canonical entries,
+    so its rows are all one row.  The checks it feeds (control and parent;
+    link when both pass) read that row, ``⋁ μ_g(b) ∧ g(b, t)``, against
+    ``M(x) ∧ μ_g(t)``, M(x) the join of f(x, y) over f's nodes or edges:
+    meet distributes over join in a frame, so the verdicts are the routed
+    ones.  Any other relation is routed entry by entry.
     """
     _require_same_interfaces(f, g)
     frame = f.frame
@@ -733,16 +775,40 @@ def check_type2_support_translation(
 
     rho_ports = _port_relation(rho_nodes, f.link.ports, g.link.ports)
     leq = frame._leq
-    (prnt_pulled, prnt_pushed), (link_pulled, link_pushed) = _inequality_sides(
-        f, g, rho_nodes, rho_ports, rho_edges
-    )
+    node_ok, edge_ok = (check.ok for check in checks)
+    if node_ok:
+        # Empty supports pass the membership checks over any frame.
+        if g.frame != frame:
+            raise FrameMismatchError(
+                f"cannot translate relations over {frame.name} and {g.frame.name}"
+            )
+        members = {v: d.raw for v, d in g.nodes.items()}
+        sources, legs = dict.fromkeys(f.nodes.support), {v: (m, None) for v, m in members.items()}
+        prnt_ok = _shared_row_leq(
+            f.place.prnt, g.place.prnt, sources, legs, f.nodes.support, members
+        )
+        ctrl_ok = _shared_row_leq(f.ctrl, g.ctrl, sources, legs, (), {})
+    else:
+        pulled, pushed = _translated_sides(
+            f.place.prnt, g.place.prnt, rho_nodes, rho_nodes,
+            range(f.place.inner), range(f.place.outer),
+        )
+        prnt_ok, ctrl_ok = pulled.leq(pushed), rho_nodes.then(g.ctrl).leq(f.ctrl)
+    if node_ok and edge_ok:
+        # A port's row is its index's: each port pair keeps the index.
+        link_ok = _shared_row_leq(
+            f.link.link, g.link.link, {p: p[1] for p in f.link.ports},
+            {(w, i): (members[w], i) for w, i in g.link.ports}, f.edges.support,
+            {e: d.raw for e, d in g.edges.items()},
+        )
+    else:
+        pulled, pushed = _translated_sides(
+            f.link.link, g.link.link, rho_ports, rho_edges, f.link.inner, f.link.outer
+        )
+        link_ok = pulled.leq(pushed)
     checks += [
         # g's controls pulled along the node relation stay below f's.
-        _verdict(
-            "control preservation",
-            rho_nodes.then(g.ctrl).leq(f.ctrl),
-            "pulled-back control degrees exceed f's",
-        ),
+        _verdict("control preservation", ctrl_ok, "pulled-back control degrees exceed f's"),
         # The bound holds by construction: each stored port pair carries its
         # node pair's degree, and an index-matched pair left out has its node
         # pair at bottom, which lies below anything.
@@ -756,16 +822,8 @@ def check_type2_support_translation(
         ),
         # g's parents and links, pulled back along the relations, stay below
         # f's pushed forward.
-        _verdict(
-            "parent inequality",
-            prnt_pulled.leq(prnt_pushed),
-            "translated parent degrees exceed the bound",
-        ),
-        _verdict(
-            "link inequality",
-            link_pulled.leq(link_pushed),
-            "translated link degrees exceed the bound",
-        ),
+        _verdict("parent inequality", prnt_ok, "translated parent degrees exceed the bound"),
+        _verdict("link inequality", link_ok, "translated link degrees exceed the bound"),
     ]
 
     witness = find_support_equivalence(f, g)

@@ -46,6 +46,9 @@ class DiamondFrame(Frame):
     def _top_raw(self):
         return frozenset("ab")
 
+    def _format(self, raw) -> str:
+        return "{" + ",".join(sorted(raw)) + "}"
+
 
 def assert_checked_rebuild(*relations: FuzzyRelation) -> None:
     """Each relation survives a rebuild through the public checked

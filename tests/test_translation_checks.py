@@ -14,7 +14,7 @@ raised errors must agree.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzybig import (
@@ -35,6 +35,7 @@ from fuzzybig import (
     translate_fuzzy,
     translate_type2,
 )
+from fuzzybig import fuzzy, type2
 from fuzzybig.errors import FrameMismatchError
 from fuzzybig.fuzzy import _translated_sides, derive_ports
 from fuzzybig.generators import (
@@ -43,9 +44,10 @@ from fuzzybig.generators import (
     random_interface,
     random_type2_bigraph,
 )
+from fuzzybig.type2 import _membership_mismatch
 
 import translation_oracle
-from helpers import ALL_FRAMES, d, make_h
+from helpers import ALL_FRAMES, DiamondFrame, d, make_h
 from test_type2 import (
     SIG,
     U,
@@ -76,10 +78,15 @@ def _outcome(check, rho_nodes, rho_edges, f, g):
     )
 
 
-def _relation(rng, kind: str, canonical: FuzzyRelation) -> FuzzyRelation:
+def _relation(rng, kind: str, canonical: FuzzyRelation, levels=None) -> FuzzyRelation:
     """The canonical relation, or one with entries dropped, degrees changed,
-    no entries at all, or arbitrary entries on the same carriers."""
+    no entries at all, or arbitrary entries on the same carriers.  New
+    degrees come from ``levels`` when it is given."""
     frame = canonical.frame
+
+    def degree():
+        return rng.choice(levels) if levels else random_degree(rng, frame, positive=True)
+
     entries = canonical.entry_dict()
     keys = sorted(entries)
     if kind == "dropped" and keys:
@@ -87,14 +94,12 @@ def _relation(rng, kind: str, canonical: FuzzyRelation) -> FuzzyRelation:
             del entries[key]
     elif kind == "changed" and keys:
         for key in rng.sample(keys, rng.randint(1, len(keys))):
-            entries[key] = random_degree(rng, frame, positive=True)
+            entries[key] = degree()
     elif kind == "empty":
         entries = {}
     elif kind == "arbitrary":
         grid = [(a, b) for a in sorted(canonical.domain) for b in sorted(canonical.codomain)]
-        entries = {
-            pair: random_degree(rng, frame, positive=True) for pair in grid if rng.random() < 0.5
-        }
+        entries = {pair: degree() for pair in grid if rng.random() < 0.5}
     return FuzzyRelation(frame, canonical.domain, canonical.codomain, entries)
 
 
@@ -127,6 +132,150 @@ def test_the_checker_reports_what_the_dense_oracle_reports(
     assert _outcome(check_type2_support_translation, rho_nodes, rho_edges, f, g) == _outcome(
         dense_check_type2_support_translation, rho_nodes, rho_edges, f, g
     )
+
+
+# --- canonical relations, read from one shared row ---------------------------------
+#
+# A relation that passes its membership check is read from one shared row
+# instead of routed.  The diamond is a frame off a chain, where a meet can
+# be a degree neither operand holds, so distributivity is what the shared
+# row rests on there.
+
+DIAMOND = DiamondFrame()
+SHARED_ROW_FRAMES = (*ALL_FRAMES, DIAMOND)
+PAIRS = ("renamed", "rewired", "unrelated")
+# Both relations canonical, or one canonical beside one altered.
+CANONICAL_FORMS = (
+    ("canonical", "canonical"),
+    ("canonical", "changed"),
+    ("canonical", "dropped"),
+    ("changed", "canonical"),
+    ("dropped", "canonical"),
+)
+
+
+def _shared_row_case(rng, frame, pair: str, n_nodes: int, n_edges: int):
+    """f, g on f's interfaces, and the positive degrees they are drawn from.
+    Zero counts give empty supports and edge-only graphs; a node whose
+    control is ``Z`` has no ports."""
+    if frame is DIAMOND:
+        levels = [frame.value(frozenset(s)) for s in ("a", "b", "ab")]
+    else:
+        texts = {U.name: ("1/4", "1/2", "1"), "chain:5": ("1", "2", "4"), "two-point": ("1",)}
+        levels = [frame.parse_degree(t) for t in texts[frame.name]]
+    f = _levelled_bigraph(rng, frame, n_nodes, n_edges, levels)
+    if pair == "unrelated":
+        counts = rng.randint(0, 5), rng.randint(0, 3)
+        g = _levelled_bigraph(rng, frame, *counts, levels, (f.inner, f.outer))
+    else:
+        g = _shuffled_copy(rng, f)
+        if pair == "rewired":
+            g = _rewired(rng, g)
+    return f, g, levels
+
+
+def _drawn_relations(rng, kinds, f, g, levels):
+    canonical = make_type2_translation(f, g)
+    return [_relation(rng, kind, rel, levels) for kind, rel in zip(kinds, canonical)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(SHARED_ROW_FRAMES),
+    st.sampled_from(PAIRS),
+    st.sampled_from(CANONICAL_FORMS),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+# empty supports, and an edge-only pair
+@example(DIAMOND, "renamed", CANONICAL_FORMS[0], 0, 0, 1)
+@example(DIAMOND, "renamed", CANONICAL_FORMS[0], 0, 3, 1)
+def test_canonical_relations_check_as_the_dense_oracle_checks(
+    frame, pair, kinds, n_nodes, n_edges, seed
+):
+    rng = random.Random(seed)
+    f, g, levels = _shared_row_case(rng, frame, pair, n_nodes, n_edges)
+    rho_nodes, rho_edges = _drawn_relations(rng, kinds, f, g, levels)
+    assert _outcome(check_type2_support_translation, rho_nodes, rho_edges, f, g) == _outcome(
+        dense_check_type2_support_translation, rho_nodes, rho_edges, f, g
+    )
+
+
+class _Routed(Exception):
+    """Raised where the checker routes relations entry by entry."""
+
+
+def _refuse_routing(*_args):
+    raise _Routed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(SHARED_ROW_FRAMES),
+    st.sampled_from(PAIRS),
+    st.sampled_from(RELATION_KINDS),
+    st.sampled_from(RELATION_KINDS),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_only_relations_off_their_target_memberships_are_routed(
+    frame, pair, node_kind, edge_kind, n_nodes, n_edges, seed
+):
+    rng = random.Random(seed)
+    f, g, levels = _shared_row_case(rng, frame, pair, n_nodes, n_edges)
+    rho_nodes, rho_edges = _drawn_relations(rng, (node_kind, edge_kind), f, g, levels)
+    expected = _outcome(dense_check_type2_support_translation, rho_nodes, rho_edges, f, g)
+    matched = all(ok for _name, ok, _detail in expected[1][:2])
+    with pytest.MonkeyPatch.context() as patch:
+        # ``fuzzy._inequality_sides`` routes through ``fuzzy._translated_sides``
+        for module in (fuzzy, type2):
+            patch.setattr(module, "_translated_sides", _refuse_routing)
+        patch.setattr(FuzzyRelation, "then", _refuse_routing)
+        if matched:
+            assert _outcome(check_type2_support_translation, rho_nodes, rho_edges, f, g) == expected
+        else:
+            with pytest.raises(_Routed):
+                check_type2_support_translation(rho_nodes, rho_edges, f, g)
+
+
+def _displaced(canonical: FuzzyRelation) -> FuzzyRelation:
+    """The canonical relation with its first pair moved onto a target that
+    is no member, so it keeps its size and its degrees."""
+    entries = canonical.entry_dict()
+    if not entries:
+        return canonical
+    (x, y), degree = min(entries.items())
+    del entries[(x, y)]
+    entries[(x, "zz")] = degree
+    return FuzzyRelation(canonical.frame, canonical.domain, canonical.codomain | {"zz"}, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(SHARED_ROW_FRAMES),
+    st.sampled_from(PAIRS),
+    st.sampled_from((*RELATION_KINDS, "displaced")),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_relation_on_its_target_memberships_is_the_canonical_relation(
+    frame, pair, kind, n_nodes, n_edges, seed
+):
+    # the shared row is sound only for the canonical relation's entries
+    rng = random.Random(seed)
+    f, g, levels = _shared_row_case(rng, frame, pair, n_nodes, n_edges)
+    for canonical, a, b in zip(make_type2_translation(f, g), (f.nodes, f.edges), (g.nodes, g.edges)):
+        if kind == "displaced":
+            rel = _displaced(canonical)
+        else:
+            rel = _relation(rng, kind, canonical, levels)
+        if _membership_mismatch(rel, a, b) is None:
+            assert (rel.domain, rel.codomain, rel.entry_dict()) == (
+                canonical.domain, canonical.codomain, canonical.entry_dict()
+            )
 
 
 def _grid_case():

@@ -548,11 +548,17 @@ def test_type2_link_graph_rejects_non_string_names():
 LEVELS = {U.name: ("1/2", "1"), "chain:5": ("2", "4"), "two-point": ("1",)}
 
 
-def _levelled_bigraph(rng, frame, n_nodes, n_edges):
-    """A type-2 bigraph whose degrees all come from the frame's levels."""
-    levels = [frame.parse_degree(t) for t in LEVELS[frame.name]]
-    inner = Interface(rng.randint(0, 2), rng.sample(["x0", "x1"], rng.randint(0, 2)))
-    outer = Interface(rng.randint(1, 2), rng.sample(["y0", "y1"], rng.randint(0, 2)))
+def _levelled_bigraph(rng, frame, n_nodes, n_edges, levels=None, interfaces=None):
+    """A type-2 bigraph whose degrees all come from ``levels`` (by default
+    the frame's levels), on the given ``(inner, outer)`` or drawn ones."""
+    if levels is None:
+        levels = [frame.parse_degree(t) for t in LEVELS[frame.name]]
+    if interfaces is None:
+        interfaces = (
+            Interface(rng.randint(0, 2), rng.sample(["x0", "x1"], rng.randint(0, 2))),
+            Interface(rng.randint(1, 2), rng.sample(["y0", "y1"], rng.randint(0, 2))),
+        )
+    inner, outer = interfaces
     nodes = [f"v{i}" for i in range(n_nodes)]
     members = {v: rng.choice(levels) for v in nodes}
     ctrl = {(v, rng.choice(sorted(SIG.controls))): rng.choice(levels) for v in nodes}
