@@ -31,7 +31,6 @@ from .crisp import (
     _within,
 )
 from .errors import (
-    FrameMismatchError,
     InterfaceMismatchError,
     NameClashError,
     NotCrispError,
@@ -40,7 +39,7 @@ from .errors import (
     ValidationReport,
 )
 from .lattice import TWO_POINT, Frame
-from .relations import FuzzyRelation, _outside, _route, identity_relation
+from .relations import FuzzyRelation, FuzzySet, _outside, _route, identity_relation
 
 
 def derive_ports(signature: Signature, ctrl: FuzzyRelation) -> frozenset[Port]:
@@ -530,38 +529,57 @@ def _require_cover(rho: SupportTranslation, nodes, edges, carrier: str) -> None:
         raise ValueError(f"edge renaming does not cover exactly the edge {carrier}")
 
 
-def _renamed(f, rho: SupportTranslation, nodes, edges):
-    """``f`` with its control, parent and link relations renamed along
-    ``rho``, every degree copied, and each part rebuilt through its public
-    constructor from the renamed ``nodes`` and ``edges``."""
-    node, place_elem, point, target = _element_renaming(rho.node_map, rho.edge_map)
-    ctrl = f.ctrl.translate(node)
-    place = type(f.place)(
-        f.frame,
-        f.signature,
-        f.place.inner,
-        f.place.outer,
-        nodes,
-        ctrl,
-        f.place.prnt.translate(place_elem, place_elem),
-    )
-    link = type(f.link)(
-        f.frame,
-        f.signature,
-        f.link.inner,
-        f.link.outer,
-        nodes,
-        edges,
-        ctrl,
-        f.link.link.translate(point, target),
-    )
-    return type(f)(place, link)
+def _transported(f, rho: SupportTranslation, nodes, edges):
+    """``f`` renamed along ``rho``, every degree copied, with ``nodes`` and
+    ``edges`` as its renamed node and edge fields: identifier sets, or
+    fuzzy sets over the renamed identifiers.
+
+    ``f`` passed every check of its constructors, and a bijective renaming
+    keeps all of them but three: the images must be identifier strings,
+    node and edge images must stay apart, and edge images must not meet an
+    outer name.  Those are made, with the constructors' messages; the rest
+    of ``f``, ports included, is carried along the renaming as it stands,
+    and each part is rebuilt from its ``_fields``.
+    """
+    node_ids = nodes.support if isinstance(nodes, FuzzySet) else nodes
+    edge_ids = edges.support if isinstance(edges, FuzzySet) else edges
+    _freeze_ids(node_ids, "node")
+    _freeze_ids(edge_ids, "edge")
+    place, link = f.place, f.link
+    _require_apart(node_ids, edge_ids, link.outer)
+    frame, node_map = f.frame, rho.node_map
+    # Sites and roots are ints, which no node name equals, and edges never
+    # share a name with outer names.
+    place_elem, target = node_map.get, rho.edge_map.get
+    ports = frozenset((node_map[v], i) for v, i in link.ports)
+    ctrl = {(node_map[v], k): d for (v, k), d in f.ctrl.items()}
+    prnt = {(place_elem(c, c), place_elem(p, p)): d for (c, p), d in place.prnt.items()}
+    links = {
+        ((node_map[q[0]], q[1]) if isinstance(q, tuple) else q, target(t, t)): d
+        for (q, t), d in link.link.items()
+    }
+    renamed = {
+        "nodes": nodes,
+        "edges": edges,
+        "ctrl": FuzzyRelation._trusted(frame, node_ids, f.ctrl.codomain, ctrl),
+        "prnt": FuzzyRelation._trusted(
+            frame, *_prnt_domain(place.inner, place.outer, node_ids), prnt
+        ),
+        "link": FuzzyRelation._trusted(frame, link.inner | ports, edge_ids | link.outer, links),
+        "ports": ports,
+    }
+    parts = []
+    for part in (place, link):
+        fields = [renamed[n] if n in renamed else getattr(part, n) for n in part._fields]
+        parts.append(type(part)._trusted(*fields))
+    return type(f)._trusted(*parts)
 
 
 def translate_fuzzy(f: FuzzyBigraph, rho: SupportTranslation) -> FuzzyBigraph:
     """Apply a support translation, copying every degree across."""
     _require_cover(rho, f.nodes, f.edges, "set")
-    return _renamed(f, rho, rho.node_map.values(), rho.edge_map.values())
+    nodes, edges = frozenset(rho.node_map.values()), frozenset(rho.edge_map.values())
+    return _transported(f, rho, nodes, edges)
 
 
 @dataclass
@@ -594,37 +612,6 @@ class TranslationReport:
         return "\n".join([head] + [f"  {c}" for c in self.checks])
 
 
-def _translated_sides(f_rel, g_rel, rho_sources, rho_targets, inner, outer):
-    """The two sides of a translation inequality: g's relation pulled back
-    along the renaming of its sources, and f's relation pushed forward
-    along the renaming of its targets (interface positions map to
-    themselves).
-
-    Both sides are routed with the interface positions as ``_route``'s
-    internal sets, which is how they map to themselves: g's entries leaving
-    an inner position are copied, and so are f's entries reaching an outer
-    one.  Routed and copied keys cannot collide, because sites and roots
-    are ints while nodes are strings, ports are tuples while names are
-    strings, and edges never share a name with outer names.
-
-    ``_route`` does not check degrees, so the four relations must share
-    one frame; this is where the checkers require it.
-    """
-    frame, bottom = f_rel.frame, f_rel.frame.bottom
-    for rel in (g_rel, rho_sources, rho_targets):
-        if rel.frame != frame:
-            raise FrameMismatchError(
-                f"cannot translate relations over {frame.name} and {rel.frame.name}"
-            )
-    inner, outer = frozenset(inner), frozenset(outer)
-    pulled = _route(rho_sources, g_rel, (), inner, bottom, (), ())
-    pushed = _route(f_rel, rho_targets, outer, (), bottom, (), ())
-    return (
-        FuzzyRelation._trusted(frame, inner | rho_sources.domain, g_rel.codomain, pulled),
-        FuzzyRelation._trusted(frame, f_rel.domain, rho_targets.codomain | outer, pushed),
-    )
-
-
 def _verdict(name: str, ok: bool, failure: str) -> TranslationCheck:
     """A check that carries its ``failure`` detail only when it fails."""
     return TranslationCheck(name, ok, "" if ok else failure)
@@ -637,58 +624,25 @@ def _require_same_interfaces(f, g) -> None:
         )
 
 
-def _port_relation(rho_nodes: FuzzyRelation, f_ports, g_ports) -> FuzzyRelation:
-    """The port relation a node relation induces: each index-matched pair of
-    ports inherits its node pair's degree, read off the node relation's
-    stored entries.  A pair whose image is no port of g is left out."""
-    indices: dict = {}
-    for v, i in f_ports:
-        indices.setdefault(v, []).append(i)
-    entries = {}
-    for (v, w), d in rho_nodes.items():
-        for i in indices.get(v, ()):
-            if (w, i) in g_ports:
-                entries[((v, i), (w, i))] = d
-    return FuzzyRelation._trusted(rho_nodes.frame, f_ports, g_ports, entries)
-
-
-def _inequality_sides(f, g, rho_nodes, rho_ports, rho_edges):
-    """The sides of the parent inequality and then of the link inequality,
-    each as ``_translated_sides`` gives them."""
-    return (
-        _translated_sides(
-            f.place.prnt, g.place.prnt, rho_nodes, rho_nodes,
-            range(f.place.inner), range(f.place.outer),
-        ),
-        _translated_sides(
-            f.link.link, g.link.link, rho_ports, rho_edges, f.link.inner, f.link.outer
-        ),
-    )
-
-
 def check_support_translation(
     rho: SupportTranslation, f: FuzzyBigraph, g: FuzzyBigraph
 ) -> TranslationReport:
     """Verify that ``rho`` is a support translation from f to g.
 
-    Builds the induced crisp-valued relations on nodes, edges and ports and
-    checks control preservation, port well-definedness, and the two
-    inequalities tying the translated parent and link relations of f to
-    those of g.
+    Checks control preservation along the crisp-valued node relation,
+    port well-definedness, and the two inequalities tying the parent and
+    link relations of f, renamed along ``rho``, to those of g.
     """
     _require_same_interfaces(f, g)
-    top = f.frame.top
-    relations = []
     for what, table, f_ids, g_ids in (
         ("node", rho.node_map, f.nodes, g.nodes),
         ("edge", rho.edge_map, f.edges, g.edges),
     ):
         if set(table) != f_ids or set(table.values()) != g_ids:
             raise ValueError(f"{what} renaming is not a bijection from f's {what}s to g's")
-        relations.append(
-            FuzzyRelation(f.frame, f_ids, g_ids, dict.fromkeys(table.items(), top))
-        )
-    rho_nodes, rho_edges = relations
+    rho_nodes = FuzzyRelation(
+        f.frame, f.nodes, g.nodes, dict.fromkeys(rho.node_map.items(), f.frame.top)
+    )
 
     # 1. control preservation: every translated control degree of f is
     #    dominated by g's.
@@ -708,22 +662,20 @@ def check_support_translation(
     # is only built when the check fails.
     ports_detail = "" if ok_ports else f"image {sorted(mapped)} differs from {sorted(g_ports)}"
 
-    # 3. g's parents and links, pulled back along rho, dominate f's pushed
-    #    forward.
-    (prnt_pulled, prnt_pushed), (link_pulled, link_pushed) = _inequality_sides(
-        f, g, rho_nodes, _port_relation(rho_nodes, f_ports, g_ports), rho_edges
-    )
+    # 3. f's parents and links, renamed along rho, stay below g's: rho is a
+    #    bijection at top, so routing a relation along it renames its entries.
+    _node, place_elem, point, target = _element_renaming(rho.node_map, rho.edge_map)
     return TranslationReport([
         _verdict("control preservation", not bad, f"degree drops at {sorted(bad)}"),
         TranslationCheck("port bijection", ok_ports, ports_detail),
         _verdict(
             "parent relation",
-            prnt_pushed.leq(prnt_pulled),
+            f.prnt.translate(place_elem, place_elem).leq(g.prnt),
             "translated parent degrees are not dominated",
         ),
         _verdict(
             "link relation",
-            link_pushed.leq(link_pulled),
+            f.link.link.translate(point, target).leq(g.link.link),
             "translated link degrees are not dominated",
         ),
     ])

@@ -229,9 +229,8 @@ def _route(f_rel, g_rel, f_internal, g_internal, kappa, f_drop, g_drop) -> dict:
     Degrees are compared as raw carrier values through the frame's hooks,
     fetched once.  Nothing is re-checked: every stored degree was checked
     when its relation was built, and every caller has already required
-    one frame for both relations and ``kappa`` (``FuzzyRelation.then``,
-    ``fuzzy._require_compatible`` before each compose, and
-    ``fuzzy._translated_sides``).
+    one frame for both relations and ``kappa`` (``FuzzyRelation.then``, and
+    ``fuzzy._require_compatible`` before each compose).
     """
     frame = f_rel.frame
     leq, meet, join = frame._leq, frame._meet, frame._join

@@ -25,11 +25,11 @@ from .fuzzy import (
     FuzzyLinkGraph,
     FuzzyPlaceGraph,
     SupportTranslation,
+    TranslationCheck,
     TranslationReport,
     _Bigraph,
     _Graph,
     _as_relation,
-    _port_relation,
     _prnt_domain,
     _require_apart,
     _require_bigraph_composable,
@@ -37,7 +37,7 @@ from .fuzzy import (
     _require_link_composable,
     _require_place_composable,
     _require_same_interfaces,
-    _translated_sides,
+    _transported,
     _verdict,
     _widths,
     identity_bigraph,
@@ -381,54 +381,15 @@ def identity_type2_bigraph(
 
 
 def translate_type2(f: Type2FuzzyBigraph, rho: SupportTranslation) -> Type2FuzzyBigraph:
-    """Rename nodes and edges of a type-2 bigraph, copying every degree.
-
-    ``f`` passed every check of its constructors, and a bijective renaming
-    keeps all of them but three: the images must be identifier strings,
-    node and edge images must stay apart, and edge images must not meet an
-    outer name.  Those are made, with the constructors' messages; the rest
-    of ``f``, ports included, is carried along the renaming as it stands.
-    """
+    """Rename nodes and edges of a type-2 bigraph, copying every degree:
+    each membership follows its element (see ``fuzzy._transported``)."""
     _require_cover(rho, f.nodes.support, f.link.edge_support, "support")
     node_map, edge_map = rho.node_map, rho.edge_map
-    frame, place, link = f.frame, f.place, f.link
-    nodes = FuzzySet._trusted(frame, {node_map[v]: d for v, d in f.nodes.items()})
-    _freeze_ids(nodes.support, "node")
-    edges = FuzzySet._trusted(frame, {edge_map[e]: d for e, d in f.edges.items()})
-    _freeze_ids(edges.support, "edge")
-    _require_apart(nodes.support, edges.support, link.outer)
-    ctrl = FuzzyRelation._trusted(
-        frame,
-        nodes.support,
-        f.ctrl.codomain,
-        {(node_map[v], k): d for (v, k), d in f.ctrl.items()},
-    )
-    # Sites and roots are ints, which no node name equals.
-    place_elem = node_map.get
-    prnt = FuzzyRelation._trusted(
-        frame,
-        *_prnt_domain(place.inner, place.outer, nodes.support),
-        {(place_elem(c, c), place_elem(p, p)): d for (c, p), d in place.prnt.items()},
-    )
-    ports = frozenset((node_map[v], i) for v, i in link.ports)
-    target = edge_map.get
-    links = FuzzyRelation._trusted(
-        frame,
-        link.inner | ports,
-        edges.support | link.outer,
-        {
-            ((node_map[q[0]], q[1]) if isinstance(q, tuple) else q, target(t, t)): d
-            for (q, t), d in link.link.items()
-        },
-    )
-    return Type2FuzzyBigraph._trusted(
-        Type2FuzzyPlaceGraph._trusted(
-            frame, f.signature, place.inner, place.outer, nodes, ctrl, prnt, place.degree
-        ),
-        Type2FuzzyLinkGraph._trusted(
-            frame, f.signature, link.inner, link.outer, nodes, edges, ctrl, links, ports,
-            link.degree,
-        ),
+    return _transported(
+        f,
+        rho,
+        FuzzySet._trusted(f.frame, {node_map[v]: d for v, d in f.nodes.items()}),
+        FuzzySet._trusted(f.frame, {edge_map[e]: d for e, d in f.edges.items()}),
     )
 
 
@@ -666,62 +627,92 @@ class Type2TranslationReport(TranslationReport):
 
 def _membership_mismatch(rel: FuzzyRelation, a: FuzzySet, b: FuzzySet):
     """The first pair ``(x, y)`` of supp a × supp b, in sorted order, at
-    which ``rel`` does not carry y's membership in ``b``, or ``None``.
-
-    ``rel``'s entries lie on the supports, and every membership in ``b`` is
-    above bottom, so ``rel`` matches iff each stored entry carries its
-    target's membership and every pair is stored.  Only a relation that
-    fails this is walked pair by pair, to name the first mismatch.  Raw
-    degrees are compared through the frame's hook when both sides share
-    one frame; across frames no degree matches, so a relation with
-    entries is walked at once.
-    """
-    membership = b.membership
-    if len(rel) == len(a) * len(b) and (not rel or rel.frame == b.frame):
-        eq = b.frame._eq
-        for (_x, y), d in rel.items():
-            m = membership(y)
-            if d is not m and not eq(d.raw, m.raw):
-                break
-        else:
-            return None
+    which ``rel`` does not carry y's membership in ``b``, or ``None``."""
+    membership, targets = b.membership, sorted(b.support)
     return next(
-        (x, y)
-        for x in sorted(a.support)
-        for y in sorted(b.support)
-        if rel.degree(x, y) != membership(y)
+        (
+            (x, y)
+            for x in sorted(a.support)
+            for y in targets
+            if rel.degree(x, y) != membership(y)
+        ),
+        None,
     )
 
 
-def _shared_row_leq(f_rel, g_rel, sources: dict, legs: dict, routed, targets: dict) -> bool:
-    """Whether ``g_rel`` pulled back along a canonical relation stays below
-    ``f_rel`` pushed forward along one.  Each x in ``sources`` pulls back
-    the row of its key: the join of ``weight ∧ g_rel(q, t)`` over the
-    sources q in ``legs``, which give ``(weight, key)``; g's other entries
-    are copied.  f's entries off ``routed`` are copied, and x reaches a t
-    in ``targets`` (raw memberships) at M(x) ∧ targets[t], M(x) the join
-    of x's entries on ``routed``.
+def _rows(rel: FuzzyRelation, a: FuzzySet, b: FuzzySet, canonical: bool):
+    """A translation relation from supp a to supp b as rows: the key of each
+    source's row, and for each target the ``(raw weight, key)`` of every
+    row that holds it.  The canonical relation stores every pair at its
+    target's membership, so it is one row, b's memberships; any other
+    relation has a row per source."""
+    if canonical:
+        return dict.fromkeys(a.support), {y: [(d.raw, None)] for y, d in b.items()}
+    held: dict = {y: [] for y in b.support}
+    for (x, y), d in rel.items():
+        held[y].append((d.raw, x))
+    return {x: x for x in a.support}, held
+
+
+def _port_rows(node_rows, f_ports, g_ports):
+    """The rows of the port relation a node relation induces: a port's row
+    is its node's row at the port's index, so each index-matched pair of
+    ports carries its node pair's degree."""
+    keys, held = node_rows
+    return (
+        {(v, i): (keys[v], i) for v, i in f_ports},
+        {(w, i): [(d, (key, i)) for d, key in held[w]] for w, i in g_ports},
+    )
+
+
+def _pulled_below_pushed(f_rel, g_rel, sources, targets) -> bool:
+    """Whether ``g_rel`` pulled back along the rows ``sources`` stays below
+    ``f_rel`` pushed forward along the rows ``targets``, both as
+    :func:`_rows` gives them.  An element no row holds is an interface
+    position, which maps to itself.
+
+    A source x pulls back the row of its key: at each t, the join of
+    ``w ∧ g_rel(q, t)`` over the ``(w, key)`` holding each q.  g's entries
+    leaving an interface position are copied, and so are f's entries onto
+    one.  x reaches a t that rows hold at the join of ``M(x, k) ∧ w`` over
+    the ``(w, k)`` holding t, M(x, k) the join of f_rel(x, y) over the y
+    whose key is k.  Meet distributes over join in a frame, so these are
+    the routed sides, and a canonical relation's one row is built once.
+    Degrees are compared raw, through the frame's hooks.
     """
+    source_keys, source_held = sources
+    target_keys, target_held = targets
     frame = f_rel.frame
     leq, meet, join, bottom = frame._leq, frame._meet, frame._join, frame.bottom.raw
-    joined, rows, pulled = {}, {}, []
-    for (x, y), d in f_rel.items():
-        if y in routed:
-            joined[x] = join(joined.get(x, bottom), d.raw)
+    rows, pulled = {}, []
     for (q, t), d in g_rel.items():
-        leg = legs.get(q)
-        if leg is None:
+        held = source_held.get(q)
+        if held is None:
             pulled.append((q, ((t, d.raw),)))
-        else:
-            row = rows.setdefault(leg[1], {})
-            row[t] = join(row.get(t, bottom), meet(leg[0], d.raw))
-    pulled += ((x, rows.get(key, {}).items()) for x, key in sources.items())
+            continue
+        for w, key in held:
+            row = rows.setdefault(key, {})
+            row[t] = join(row.get(t, bottom), meet(w, d.raw))
+    pulled += ((x, rows.get(key, {}).items()) for x, key in source_keys.items())
+    joined: dict = {}
+    for (x, y), d in f_rel.items():
+        if y in target_keys:
+            reach, key = joined.setdefault(x, {}), target_keys[y]
+            reach[key] = join(reach.get(key, bottom), d.raw)
     at = f_rel.degree
     for x, row in pulled:
-        m = joined.get(x, bottom)
+        reach = joined.get(x, {})
         for t, r in row:
-            e = targets.get(t)
-            if not leq(r, at(x, t).raw if e is None else meet(m, e)):
+            held = target_held.get(t)
+            if held is None:
+                bound = at(x, t).raw
+            else:
+                bound = bottom
+                for w, key in held:
+                    m = reach.get(key)
+                    if m is not None:
+                        bound = join(bound, meet(m, w))
+            if not leq(r, bound):
                 return False
     return True
 
@@ -740,12 +731,10 @@ def check_type2_support_translation(
     equivalence is reported when some bijective renaming of f reproduces g
     degree for degree.
 
-    A relation that passes its membership check has the canonical entries,
-    so its rows are all one row.  The checks it feeds (control and parent;
-    link when both pass) read that row, ``⋁ μ_g(b) ∧ g(b, t)``, against
-    ``M(x) ∧ μ_g(t)``, M(x) the join of f(x, y) over f's nodes or edges:
-    meet distributes over join in a frame, so the verdicts are the routed
-    ones.  Any other relation is routed entry by entry.
+    Control preservation and both inequalities read the relations as rows
+    (:func:`_pulled_below_pushed`).  A relation that passes its membership
+    check has the canonical entries, so it is read as one row; any other
+    relation has a row per source.
     """
     _require_same_interfaces(f, g)
     frame = f.frame
@@ -753,77 +742,69 @@ def check_type2_support_translation(
         ("node", rho_nodes, f.nodes, g.nodes),
         ("edge", rho_edges, f.edges, g.edges),
     )
-    # Both relations are validated before any membership is compared: a
-    # mismatching relation walks the whole support grid.
+    # One walk per relation checks that its entries lie on the supports and
+    # whether they are the canonical ones.  Every membership in b is above
+    # bottom, so they are iff each stored entry carries its target's
+    # membership and every pair is stored.  Raw degrees are compared through
+    # the frame's hook when both sides share one frame; across frames no
+    # degree matches.  Both relations are validated before any verdict: a
+    # mismatch is named by walking the whole support grid.
+    canonical = []
     for what, rel, a, b in relations:
         if not isinstance(rel, FuzzyRelation) or rel.frame != frame:
             raise ValueError(f"{what} relation is not a fuzzy relation over {frame.name}")
-        for (x, y), _d in rel.items():
+        eq, membership = b.frame._eq, b.membership
+        matched = len(rel) == len(a) * len(b) and (not rel or b.frame == frame)
+        for (x, y), d in rel.items():
             if x not in a.support or y not in b.support:
                 raise ValueError(f"{what} relation entry ({x!r}, {y!r}) is off-carrier")
+            if matched:
+                m = membership(y)
+                matched = d is m or eq(d.raw, m.raw)
+        canonical.append(matched)
+    checks = [
+        TranslationCheck(
+            f"{what} relation matches target memberships",
+            ok,
+            "" if ok else f"first mismatch at {_membership_mismatch(rel, a, b)}",
+        )
+        for (what, rel, a, b), ok in zip(relations, canonical)
+    ]
 
-    checks = []
-    for what, rel, a, b in relations:
-        bad = _membership_mismatch(rel, a, b)
-        checks.append(
-            _verdict(
-                f"{what} relation matches target memberships",
-                bad is None,
-                f"first mismatch at {bad}",
-            )
+    # Empty supports pass the membership checks over any frame, and rows
+    # compare raw degrees without checking their frames.
+    if g.frame != frame:
+        raise FrameMismatchError(
+            f"cannot translate relations over {frame.name} and {g.frame.name}"
         )
-
-    rho_ports = _port_relation(rho_nodes, f.link.ports, g.link.ports)
-    leq = frame._leq
-    node_ok, edge_ok = (check.ok for check in checks)
-    if node_ok:
-        # Empty supports pass the membership checks over any frame.
-        if g.frame != frame:
-            raise FrameMismatchError(
-                f"cannot translate relations over {frame.name} and {g.frame.name}"
-            )
-        members = {v: d.raw for v, d in g.nodes.items()}
-        sources, legs = dict.fromkeys(f.nodes.support), {v: (m, None) for v, m in members.items()}
-        prnt_ok = _shared_row_leq(
-            f.place.prnt, g.place.prnt, sources, legs, f.nodes.support, members
-        )
-        ctrl_ok = _shared_row_leq(f.ctrl, g.ctrl, sources, legs, (), {})
-    else:
-        pulled, pushed = _translated_sides(
-            f.place.prnt, g.place.prnt, rho_nodes, rho_nodes,
-            range(f.place.inner), range(f.place.outer),
-        )
-        prnt_ok, ctrl_ok = pulled.leq(pushed), rho_nodes.then(g.ctrl).leq(f.ctrl)
-    if node_ok and edge_ok:
-        # A port's row is its index's: each port pair keeps the index.
-        link_ok = _shared_row_leq(
-            f.link.link, g.link.link, {p: p[1] for p in f.link.ports},
-            {(w, i): (members[w], i) for w, i in g.link.ports}, f.edges.support,
-            {e: d.raw for e, d in g.edges.items()},
-        )
-    else:
-        pulled, pushed = _translated_sides(
-            f.link.link, g.link.link, rho_ports, rho_edges, f.link.inner, f.link.outer
-        )
-        link_ok = pulled.leq(pushed)
+    node_rows, edge_rows = (
+        _rows(rel, a, b, ok) for (_what, rel, a, b), ok in zip(relations, canonical)
+    )
+    port_rows = _port_rows(node_rows, f.link.ports, g.link.ports)
     checks += [
         # g's controls pulled along the node relation stay below f's.
-        _verdict("control preservation", ctrl_ok, "pulled-back control degrees exceed f's"),
-        # The bound holds by construction: each stored port pair carries its
-        # node pair's degree, and an index-matched pair left out has its node
-        # pair at bottom, which lies below anything.
         _verdict(
-            "port relation bound",
-            all(
-                leq(rho_nodes.degree(v, w).raw, d.raw)
-                for ((v, _i), (w, _j)), d in rho_ports.items()
-            ),
-            "a port pair falls below its node degree",
+            "control preservation",
+            _pulled_below_pushed(f.ctrl, g.ctrl, node_rows, ({}, {})),
+            "pulled-back control degrees exceed f's",
         ),
+        # The bound holds by construction: a port row is its node's row at
+        # the port's index, so each port pair carries its node pair's degree,
+        # and an index-matched pair no row holds has its node pair at
+        # bottom, which lies below anything.
+        TranslationCheck("port relation bound", True),
         # g's parents and links, pulled back along the relations, stay below
         # f's pushed forward.
-        _verdict("parent inequality", prnt_ok, "translated parent degrees exceed the bound"),
-        _verdict("link inequality", link_ok, "translated link degrees exceed the bound"),
+        _verdict(
+            "parent inequality",
+            _pulled_below_pushed(f.place.prnt, g.place.prnt, node_rows, node_rows),
+            "translated parent degrees exceed the bound",
+        ),
+        _verdict(
+            "link inequality",
+            _pulled_below_pushed(f.link.link, g.link.link, port_rows, edge_rows),
+            "translated link degrees exceed the bound",
+        ),
     ]
 
     witness = find_support_equivalence(f, g)

@@ -4,7 +4,8 @@ The library's type-2 checker reads only the relations' stored entries;
 ``type2_oracle.dense_check_type2_support_translation`` evaluates every
 constraint over all pairs of the two supports, and
 ``type2_oracle.dense_translated_sides`` builds the inequalities' sides from
-identity relations, unions and ``then``.  Reports and sides must agree.
+identity relations, unions and ``then``.  Reports must agree, and so must
+the row kernel's verdict and the order of those sides.
 
 The fuzzy checker and both renamings are compared with the per-flavour
 versions kept in ``translation_oracle``: reports, translated graphs and
@@ -35,9 +36,9 @@ from fuzzybig import (
     translate_fuzzy,
     translate_type2,
 )
-from fuzzybig import fuzzy, type2
+from fuzzybig import type2
 from fuzzybig.errors import FrameMismatchError
-from fuzzybig.fuzzy import _translated_sides, derive_ports
+from fuzzybig.fuzzy import derive_ports
 from fuzzybig.generators import (
     random_degree,
     random_fuzzy_bigraph,
@@ -137,9 +138,9 @@ def test_the_checker_reports_what_the_dense_oracle_reports(
 # --- canonical relations, read from one shared row ---------------------------------
 #
 # A relation that passes its membership check is read from one shared row
-# instead of routed.  The diamond is a frame off a chain, where a meet can
-# be a degree neither operand holds, so distributivity is what the shared
-# row rests on there.
+# instead of a row per source.  The diamond is a frame off a chain, where a
+# meet can be a degree neither operand holds, so distributivity is what the
+# shared row rests on there.
 
 DIAMOND = DiamondFrame()
 SHARED_ROW_FRAMES = (*ALL_FRAMES, DIAMOND)
@@ -203,7 +204,7 @@ def test_canonical_relations_check_as_the_dense_oracle_checks(
 
 
 class _Routed(Exception):
-    """Raised where the checker routes relations entry by entry."""
+    """Raised where the checker would route relations entry by entry."""
 
 
 def _refuse_routing(*_args):
@@ -220,24 +221,18 @@ def _refuse_routing(*_args):
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_only_relations_off_their_target_memberships_are_routed(
+def test_no_relation_is_routed_entry_by_entry(
     frame, pair, node_kind, edge_kind, n_nodes, n_edges, seed
 ):
+    # canonical or not, every relation is read as rows
     rng = random.Random(seed)
     f, g, levels = _shared_row_case(rng, frame, pair, n_nodes, n_edges)
     rho_nodes, rho_edges = _drawn_relations(rng, (node_kind, edge_kind), f, g, levels)
     expected = _outcome(dense_check_type2_support_translation, rho_nodes, rho_edges, f, g)
-    matched = all(ok for _name, ok, _detail in expected[1][:2])
     with pytest.MonkeyPatch.context() as patch:
-        # ``fuzzy._inequality_sides`` routes through ``fuzzy._translated_sides``
-        for module in (fuzzy, type2):
-            patch.setattr(module, "_translated_sides", _refuse_routing)
+        patch.setattr(type2, "_route", _refuse_routing)
         patch.setattr(FuzzyRelation, "then", _refuse_routing)
-        if matched:
-            assert _outcome(check_type2_support_translation, rho_nodes, rho_edges, f, g) == expected
-        else:
-            with pytest.raises(_Routed):
-                check_type2_support_translation(rho_nodes, rho_edges, f, g)
+        assert _outcome(check_type2_support_translation, rho_nodes, rho_edges, f, g) == expected
 
 
 def _displaced(canonical: FuzzyRelation) -> FuzzyRelation:
@@ -324,39 +319,72 @@ def _carrier(elements) -> frozenset:
     return elements.support if isinstance(elements, FuzzySet) else elements
 
 
-def _random_relation(rng, frame, domain, codomain, crisp: bool) -> FuzzyRelation:
-    """Each pair of ``domain x codomain`` with probability one half, at top
-    (as the fuzzy checker's renamings are) or at a random positive degree."""
+def _random_relation(rng, domain, codomain, levels) -> FuzzyRelation:
+    """Each pair of ``domain x codomain`` with probability one half, at a
+    degree drawn from ``levels``."""
     entries = {
-        (a, b): frame.top if crisp else random_degree(rng, frame, positive=True)
+        (a, b): rng.choice(levels)
         for a in sorted(domain)
         for b in sorted(codomain, key=repr)
         if rng.random() < 0.5
     }
-    return FuzzyRelation(frame, domain, codomain, entries)
+    return FuzzyRelation(levels[0].frame, domain, codomain, entries)
+
+
+def _dense_port_relation(rho_nodes: FuzzyRelation, f_ports, g_ports) -> FuzzyRelation:
+    """Each index-matched pair of ports at its node pair's degree."""
+    entries = {
+        ((v, i), (w, j)): rho_nodes.degree(v, w)
+        for v, i in f_ports
+        for w, j in g_ports
+        if i == j and not rho_nodes.degree(v, w).is_bottom()
+    }
+    return FuzzyRelation(rho_nodes.frame, f_ports, g_ports, entries)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from(ALL_FRAMES),
-    st.sampled_from(("fuzzy", "type2")),
+    st.sampled_from(SHARED_ROW_FRAMES),
+    st.sampled_from(PAIRS),
+    st.sampled_from(("arbitrary", "crisp", "canonical")),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_translated_sides_equal_the_identity_union_formulas(frame, flavour, seed):
+def test_the_row_kernel_decides_as_the_identity_union_formulas(
+    frame, pair, kind, n_nodes, n_edges, seed
+):
     rng = random.Random(seed)
-    inner, outer = random_interface(rng, 2, 2), random_interface(rng, 2, 2)
-    make = random_fuzzy_bigraph if flavour == "fuzzy" else random_type2_bigraph
-    f = make(rng, frame, SIG, inner, outer, "f_")
-    g = make(rng, frame, SIG, inner, outer, "g_")
-    crisp = flavour == "fuzzy"
-    rho_nodes = _random_relation(rng, frame, _carrier(f.nodes), _carrier(g.nodes), crisp)
-    rho_ports = _random_relation(rng, frame, f.link.ports, g.link.ports, crisp)
-    rho_edges = _random_relation(rng, frame, _carrier(f.edges), _carrier(g.edges), crisp)
-    for args in (
-        (f.place.prnt, g.place.prnt, rho_nodes, rho_nodes, range(inner.width), range(outer.width)),
-        (f.link.link, g.link.link, rho_ports, rho_edges, inner.names, outer.names),
-    ):
-        assert _translated_sides(*args) == dense_translated_sides(*args)
+    f, g, levels = _shared_row_case(rng, frame, pair, n_nodes, n_edges)
+    if kind == "canonical":
+        rho_nodes, rho_edges = make_type2_translation(f, g)
+    else:
+        drawn = [frame.top] if kind == "crisp" else levels
+        rho_nodes = _random_relation(rng, f.nodes.support, g.nodes.support, drawn)
+        rho_edges = _random_relation(rng, f.edges.support, g.edges.support, drawn)
+    rho_ports = _dense_port_relation(rho_nodes, f.link.ports, g.link.ports)
+    no_targets = FuzzyRelation(frame, (), (), {})
+    # a canonical relation reads alike as one row and as a row per source
+    for one_row in (True, False) if kind == "canonical" else (False,):
+        node_rows = type2._rows(rho_nodes, f.nodes, g.nodes, one_row)
+        edge_rows = type2._rows(rho_edges, f.edges, g.edges, one_row)
+        port_rows = type2._port_rows(node_rows, f.link.ports, g.link.ports)
+        for rows, args in (
+            ((node_rows, ({}, {})), (f.ctrl, g.ctrl, rho_nodes, no_targets, (), SIG.controls)),
+            (
+                (node_rows, node_rows),
+                (
+                    f.place.prnt, g.place.prnt, rho_nodes, rho_nodes,
+                    range(f.place.inner), range(f.place.outer),
+                ),
+            ),
+            (
+                (port_rows, edge_rows),
+                (f.link.link, g.link.link, rho_ports, rho_edges, f.link.inner, f.link.outer),
+            ),
+        ):
+            lhs, rhs = dense_translated_sides(*args)
+            assert type2._pulled_below_pushed(*args[:2], *rows) == lhs.leq(rhs)
 
 
 # --- one renaming and one fuzzy checker for both flavours ---------------------

@@ -4,9 +4,11 @@ bigraphs shared one renaming and one checker kernel, kept verbatim.
 ``translate_fuzzy`` and ``translate_type2`` rename each part and rebuild
 it through its public constructor, one flavour each.  The fuzzy checker
 builds the induced port relation from ``SupportTranslation.port_image``
-through the checked ``FuzzyRelation`` constructor.  The test suite
-compares the library with these on sampled inputs: reports, translated
-graphs and raised errors must agree.
+through the checked ``FuzzyRelation`` constructor, and takes the
+inequalities' sides from ``type2_oracle.dense_translated_sides``, so it
+uses no library routing.  The test suite compares the library with these
+on sampled inputs: reports, translated graphs and raised errors must
+agree.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from fuzzybig.fuzzy import (
     SupportTranslation,
     TranslationCheck,
     TranslationReport,
-    _translated_sides,
 )
 from fuzzybig.relations import FuzzyRelation
 from fuzzybig.type2 import Type2FuzzyBigraph, Type2FuzzyLinkGraph, Type2FuzzyPlaceGraph
+
+from type2_oracle import dense_translated_sides
 
 
 def translate_fuzzy(f: FuzzyBigraph, rho: SupportTranslation) -> FuzzyBigraph:
@@ -158,7 +161,7 @@ def check_support_translation(
     )
 
     # 3a. parent inequality: g's parents, pulled back along rho, dominate f's.
-    lhs, rhs = _translated_sides(
+    lhs, rhs = dense_translated_sides(
         f.prnt, g.prnt, rho_nodes, rho_nodes, range(f.place.inner), range(f.place.outer)
     )
     ok_prnt = rhs.leq(lhs)
@@ -171,7 +174,7 @@ def check_support_translation(
     )
 
     # 3b. link inequality, same shape on points and links.
-    lhs, rhs = _translated_sides(
+    lhs, rhs = dense_translated_sides(
         f.link.link, g.link.link, rho_ports, rho_edges, f.link.inner, f.link.outer
     )
     ok_link = rhs.leq(lhs)
