@@ -167,8 +167,8 @@ def check_category_laws(
 
     Each two-arrow composite is built once and shared by the pair and
     triple checks, and dropped after its last use; the two sides of an
-    associativity check are always built afresh.  Only the pairs are held,
-    never the list of triples.
+    associativity check are always built afresh.  Neither the pairs nor the
+    triples are listed.
     """
     report = CategoryLawReport(arrow_count=len(system.arrows))
     eq = system.payload_eq
@@ -223,37 +223,51 @@ def check_category_laws(
                 )
 
     # Arrows are unhashable, so pairs, triples and the memo go by position.
+    # The composable pairs and triples are numbered in arrow order and never
+    # listed: prefix counts map a number to its arrows, and only the checked
+    # numbers are mapped.
     arrows = system.arrows
     by_source: dict = {}
     for k, h in enumerate(arrows):
         by_source.setdefault(h.source, []).append(k)
-    pairs = [(i, j) for i, f in enumerate(arrows) for j in by_source.get(f.target, ())]
-    # The composable triples, in pair order, are never built: triple t
-    # extends pair p = bisect_right(starts, t) - 1 by the (t - starts[p])-th
-    # arrow leaving that pair's end.  Only the drawn indices are mapped.
-    starts = list(accumulate(
-        (len(by_source.get(arrows[j].target, ())) for _, j in pairs), initial=0
-    ))
-    checked_pairs, picks = pairs, range(starts[-1])
+    # For each object, the prefix sums of the out-degrees at the ends of the
+    # arrows leaving it: the triples through each such arrow, in order.
+    onward = {
+        obj: list(accumulate((len(by_source.get(arrows[j].target, ())) for j in out), initial=0))
+        for obj, out in by_source.items()
+    }
+    # Arrow i starts pair_starts[i+1] - pair_starts[i] pairs, and likewise
+    # for triples.
+    pair_starts = list(accumulate((len(by_source.get(f.target, ())) for f in arrows), initial=0))
+    triple_starts = list(accumulate((onward.get(f.target, (0,))[-1] for f in arrows), initial=0))
+    checked_pairs, picks = range(pair_starts[-1]), range(triple_starts[-1])
     if samples is not None:
-        # pairs first, then triple indices: random.sample draws the same
-        # positions from range(n) as from any sequence of length n
+        # pairs first, then triples: random.sample draws the same positions
+        # from range(n) as from any sequence of length n
         rng = random.Random(seed)
-        if len(pairs) > samples:
-            checked_pairs = rng.sample(pairs, samples)
+        if len(checked_pairs) > samples:
+            checked_pairs = rng.sample(checked_pairs, samples)
         if len(picks) > samples:
             picks = rng.sample(picks, samples)
 
+    def pair_at(p):
+        i = bisect_right(pair_starts, p) - 1
+        return i, by_source[arrows[i].target][p - pair_starts[i]]
+
     def triple_at(t):
-        p = bisect_right(starts, t) - 1
-        i, j = pairs[p]
-        return i, j, by_source[arrows[j].target][t - starts[p]]
+        i = bisect_right(triple_starts, t) - 1
+        t -= triple_starts[i]
+        starts = onward[arrows[i].target]
+        m = bisect_right(starts, t) - 1
+        j = by_source[arrows[i].target][m]
+        return i, j, by_source[arrows[j].target][t - starts[m]]
 
     # The checks below fetch g . f for each checked pair, and g . f and
     # h . g for each drawn triple; counting those fetches up front lets the
     # memo drop each composite after its last one.
     uses: dict = {}
-    for i, j in checked_pairs:
+    for p in checked_pairs:
+        i, j = pair_at(p)
         uses[j, i] = uses.get((j, i), 0) + 1
     for t in picks:
         i, j, k = triple_at(t)
@@ -278,7 +292,8 @@ def check_category_laws(
             memo.pop(key, None)
         return gf
 
-    for i, j in checked_pairs:
+    for p in checked_pairs:
+        i, j = pair_at(p)
         f, g = arrows[i], arrows[j]
         gf = composite_at(j, i)
         if gf is None:

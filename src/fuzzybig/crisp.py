@@ -93,7 +93,7 @@ def _freeze_ids(ids: Iterable[str], what: str) -> frozenset[str]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PlaceGraph:
     """A forest over the nodes: ``prnt`` sends sites and nodes to nodes and roots."""
 
@@ -129,21 +129,10 @@ class PlaceGraph:
     def roots(self) -> range:
         return range(self.outer)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PlaceGraph)
-            and self.signature == other.signature
-            and self.inner == other.inner
-            and self.outer == other.outer
-            and self.nodes == other.nodes
-            and dict(self.ctrl) == dict(other.ctrl)
-            and dict(self.prnt) == dict(other.prnt)
-        )
-
     __hash__ = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LinkGraph:
     """A hypergraph over the nodes: ``link`` sends points to edges and outer names."""
 
@@ -186,38 +175,25 @@ class LinkGraph:
     def points(self) -> frozenset:
         return self.inner | self.ports
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinkGraph)
-            and self.signature == other.signature
-            and self.inner == other.inner
-            and self.outer == other.outer
-            and self.nodes == other.nodes
-            and self.edges == other.edges
-            and dict(self.ctrl) == dict(other.ctrl)
-            and dict(self.link) == dict(other.link)
-        )
-
     __hash__ = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True, eq=False)
-class Bigraph:
-    """A place graph and a link graph over one shared node set."""
+class _Parts:
+    """The accessors every bigraph flavour reads through its ``place`` and
+    ``link`` parts, which share one signature and one node set."""
 
-    place: PlaceGraph
-    link: LinkGraph
+    __slots__ = ()
 
     @property
     def signature(self) -> Signature:
         return self.place.signature
 
     @property
-    def nodes(self) -> frozenset[str]:
+    def nodes(self):
         return self.place.nodes
 
     @property
-    def edges(self) -> frozenset[str]:
+    def edges(self):
         return self.link.edges
 
     @property
@@ -228,12 +204,13 @@ class Bigraph:
     def outer(self) -> Interface:
         return Interface(self.place.outer, self.link.outer)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Bigraph)
-            and self.place == other.place
-            and self.link == other.link
-        )
+
+@dataclass(frozen=True)
+class Bigraph(_Parts):
+    """A place graph and a link graph over one shared node set."""
+
+    place: PlaceGraph
+    link: LinkGraph
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -375,12 +352,6 @@ def _within(pairs: Mapping, domain: frozenset, codomain: frozenset) -> bool:
     return pairs.keys() <= domain and codomain.issuperset(pairs.values())
 
 
-def _ports(signature: Signature, ctrl: Mapping) -> frozenset:
-    """A node's ports are those of its one control, which the signature lists."""
-    arity = signature.arity
-    return frozenset([(v, i) for v, k in ctrl.items() for i in range(arity[k])])
-
-
 def _sound_ports(b: Bigraph) -> frozenset | None:
     """The ports of ``b`` if it passes, in their order, the checks ``fuzzify``
     makes on its shared-control path, else ``None``."""
@@ -394,7 +365,7 @@ def _sound_ports(b: Bigraph) -> frozenset | None:
         and nodes.isdisjoint(l.edges) and l.edges.isdisjoint(l.outer)
     ):
         return None
-    ports = _ports(p.signature, ctrl)
+    ports = l.ports
     return ports if _within(l.link, l.inner | ports, l.edges | l.outer) else None
 
 

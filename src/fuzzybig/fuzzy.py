@@ -27,7 +27,7 @@ from .crisp import (
     _element_renaming,
     _freeze_ids,
     _is_nat,
-    _ports,
+    _Parts,
     _within,
 )
 from .errors import (
@@ -206,9 +206,10 @@ class FuzzyLinkGraph(_Graph):
         )
 
 
-class _Bigraph(_Graph):
+class _Bigraph(_Graph, _Parts):
     """A place part and a link part sharing frame, signature, nodes and
-    controls: the fields, checks and accessors of the graded bigraphs."""
+    controls: the fields and checks of the graded bigraphs, and the
+    accessors crisp ones lack."""
 
     __slots__ = ("place", "link")
 
@@ -228,28 +229,8 @@ class _Bigraph(_Graph):
         return self.place.frame
 
     @property
-    def signature(self) -> Signature:
-        return self.place.signature
-
-    @property
-    def nodes(self):
-        return self.place.nodes
-
-    @property
-    def edges(self):
-        return self.link.edges
-
-    @property
     def ctrl(self) -> FuzzyRelation:
         return self.place.ctrl
-
-    @property
-    def inner(self) -> Interface:
-        return Interface(self.place.inner, self.link.inner)
-
-    @property
-    def outer(self) -> Interface:
-        return Interface(self.place.outer, self.link.outer)
 
 
 class FuzzyBigraph(_Bigraph):
@@ -717,7 +698,7 @@ def _fuzzify_link(l: LinkGraph, frame: Frame, ctrl: FuzzyRelation | None) -> Fuz
     _require_apart(l.nodes, l.edges, l.outer)
     if ctrl is None:
         ctrl = _at_top(frame, l.nodes, l.signature.controls, l.ctrl)
-    ports = _ports(l.signature, l.ctrl)
+    ports = l.ports
     link = _at_top(frame, l.inner | ports, l.edges | l.outer, l.link)
     return FuzzyLinkGraph._trusted(
         frame, l.signature, l.inner, l.outer, l.nodes, l.edges, ctrl, link, ports

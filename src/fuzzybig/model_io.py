@@ -55,8 +55,8 @@ from .type2 import (
 FILE_EXTENSION = ".fbg.json"
 
 # The record kind of each graph class, with its validator.  Serialization,
-# validation and DOT export find a graph's row by ``isinstance``; ``KINDS``
-# lists the kinds in this order.
+# validation and DOT export find a graph's row by ``isinstance``, and the
+# decoder a record's classes by kind; ``KINDS`` lists the kinds in this order.
 _KIND_OF = (
     (PlaceGraph, "crisp-place", validate_place_graph),
     (LinkGraph, "crisp-link", validate_link_graph),
@@ -70,6 +70,7 @@ _KIND_OF = (
 )
 
 KINDS = tuple(kind for _cls, kind, _validator in _KIND_OF)
+_CLASS_OF = {kind: cls for cls, kind, _validator in _KIND_OF}
 
 
 def _kind_of(graph) -> tuple:
@@ -570,9 +571,8 @@ class _Flavour:
     ``nodes`` decodes the node list into the node set and, for crisp
     records, the control map; graded flavours keep controls in a ``ctrl``
     relation.  ``entries`` decodes a relation field (crisp maps or graded
-    triples), ``check_refs`` rejects identifiers the record never declared,
-    and ``place``, ``link`` and ``pair`` are the public classes of the
-    parts.  The degree fields are the interface degrees of the place and
+    triples), and ``check_refs`` rejects identifiers the record never
+    declared.  The degree fields are the interface degrees of the place and
     link parts and, on a bigraph, their meet.  The ``write_`` fields are
     the writer's side of ``nodes``, ``edges`` and ``entries``.
     """
@@ -584,9 +584,6 @@ class _Flavour:
     write_edges: Callable
     write_entries: Callable
     check_refs: Callable
-    place: type
-    link: type
-    pair: type
     ctrl: tuple = ()
     place_degree: tuple = ()
     link_degree: tuple = ()
@@ -602,9 +599,6 @@ _FLAVOURS = {
         write_edges=_Writer.names,
         write_entries=lambda w, mapping: w.rows(mapping.items(), w.encode),
         check_refs=_check_crisp_refs,
-        place=PlaceGraph,
-        link=LinkGraph,
-        pair=Bigraph,
     ),
     "fuzzy": _Flavour(
         nodes=lambda value, degrees, signature, path: (_decode_ids(value, degrees, path), None),
@@ -614,9 +608,6 @@ _FLAVOURS = {
         write_edges=_Writer.names,
         write_entries=_Writer.relation,
         check_refs=lambda f, path: _check_ctrl_refs(f["ctrl"], f["nodes"], path),
-        place=FuzzyPlaceGraph,
-        link=FuzzyLinkGraph,
-        pair=FuzzyBigraph,
         ctrl=("ctrl",),
     ),
     "type2": _Flavour(
@@ -630,9 +621,6 @@ _FLAVOURS = {
         write_edges=lambda w, edges: w.rows(edges.items(), w.degree),
         write_entries=_Writer.relation,
         check_refs=lambda f, path: _check_ctrl_refs(f["ctrl"], f["nodes"].support, path),
-        place=Type2FuzzyPlaceGraph,
-        link=Type2FuzzyLinkGraph,
-        pair=Type2FuzzyBigraph,
         ctrl=("ctrl",),
         place_degree=("beta",),
         link_degree=("delta",),
@@ -668,8 +656,8 @@ def _layout(fl: _Flavour, relations: tuple) -> tuple:
 
 def _decode_record(kind: str, obj: dict, degrees: _Degrees, signature: Signature, path: str):
     """Decode one graph record: the part table says which fields it has,
-    the flavour table how each of them is written and which classes it
-    builds."""
+    the flavour table how each of them is written, and the kind table which
+    classes it builds."""
     flavour, _, part = kind.partition("-")
     fl = _FLAVOURS[flavour]
     relations, decode_interface, _write_interface = _PARTS[part]
@@ -706,19 +694,19 @@ def _decode_record(kind: str, obj: dict, degrees: _Degrees, signature: Signature
     parts = []
     try:
         if "prnt" in fields:
-            parts.append(fl.place(
+            parts.append(_CLASS_OF[f"{flavour}-place"](
                 *head, inner.width, outer.width, nodes, ctrl, fields["prnt"],
                 *[fields[key] for key in place_degree],
             ))
             ctrl = parts[0].ctrl
         if "link" in fields:
-            parts.append(fl.link(
+            parts.append(_CLASS_OF[f"{flavour}-link"](
                 *head, inner.names, outer.names, nodes, fields["edges"], ctrl, fields["link"],
                 *[fields[key] for key in link_degree],
             ))
         if len(parts) == 1:
             return parts[0]
-        bigraph = fl.pair(*parts)
+        bigraph = _CLASS_OF[kind](*parts)
     except ValueError as exc:
         raise ParseError(str(exc), path) from None
     for key in meet_degree:

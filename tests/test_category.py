@@ -211,6 +211,21 @@ def test_sampled_laws_hold_only_the_pairs_in_memory():
     assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
+def test_sampled_laws_list_neither_pairs_nor_triples():
+    """These 4,000 arrows have ~5.3 million composable pairs (~0.7 GB traced
+    as a list with their triple offsets); a sample of 50 must not list them."""
+    system = random_arrow_system(random.Random(42), U, SIG, arrow_count=4000)
+    tracemalloc.start()
+    try:
+        report = check_category_laws(system, samples=50, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok, str(report)
+    assert report.pairs_checked + report.skipped_overlaps >= 50
+    assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
 def test_laws_drop_each_composite_after_its_last_use():
     """2,000 drawn pairs and triples on 400 arrows: the memo held every pair
     composite until the check returned, ~39 MiB traced; dropped after
