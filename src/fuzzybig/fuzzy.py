@@ -311,42 +311,50 @@ def _require_bigraph_composable(g, f, f_support, g_support) -> None:
 # --- composition ------------------------------------------------------------
 
 
-def compose_fuzzy_place(g: FuzzyPlaceGraph, f: FuzzyPlaceGraph) -> FuzzyPlaceGraph:
-    """Composite ``g . f`` of fuzzy place graphs f: k->m and g: m->n.
+def _composed_place(g, f, f_ids, g_ids, kappa, f_drop, g_drop) -> tuple:
+    """The fields of the place composite ``g . f`` of either kind, in
+    ``_fields`` order and short of a degree.
 
     f-internal and g-internal parent entries are copied; a child of f whose
     parent mass sits on a root j of f is routed into g through site j, at
-    the join over j of the meet of the two legs.
+    the join over j of the meet of the two legs.  ``f_ids`` and ``g_ids``
+    are the node identifiers, and ``kappa`` and the drops guard the route
+    (see ``relations._route``); a fuzzy composite is unguarded.
     """
+    nodes = f.nodes.union(g.nodes)
+    ids = nodes.support if isinstance(nodes, FuzzySet) else nodes
+    entries = _route(f.prnt, g.prnt, f_ids, g_ids, kappa, f_drop, g_drop)
+    prnt = FuzzyRelation._trusted(f.frame, *_prnt_domain(f.inner, g.outer, ids), entries)
+    return f.frame, f.signature, f.inner, g.outer, nodes, f.ctrl.union(g.ctrl), prnt
+
+
+def _composed_link(g, f, f_edge_ids, kappa) -> tuple:
+    """The fields of the link composite ``g . f`` of either kind, in
+    ``_fields`` order and short of a degree; ``f_edge_ids`` are f's edge
+    identifiers, and ``kappa`` guards f's entries and g's routed legs."""
+    edges = f.edges.union(g.edges)
+    edge_ids = edges.support if isinstance(edges, FuzzySet) else edges
+    # A node's ports follow from its own control row (and membership), and
+    # the node sets are disjoint, so the composite's ports are f's and g's.
+    ports = f.ports | g.ports
+    entries = _route(f.link, g.link, f_edge_ids, g.ports, kappa, (), ())
+    link = FuzzyRelation._trusted(f.frame, f.inner | ports, edge_ids | g.outer, entries)
+    nodes = f.nodes.union(g.nodes)
+    return f.frame, f.signature, f.inner, g.outer, nodes, edges, f.ctrl.union(g.ctrl), link, ports
+
+
+def compose_fuzzy_place(g: FuzzyPlaceGraph, f: FuzzyPlaceGraph) -> FuzzyPlaceGraph:
+    """Composite ``g . f`` of fuzzy place graphs f: k->m and g: m->n."""
     _require_place_composable(g, f, f.nodes, g.nodes)
-    nodes = f.nodes | g.nodes
-    entries = _route(f.prnt, g.prnt, f.nodes, g.nodes, f.frame.bottom, (), ())
-    prnt = FuzzyRelation._trusted(f.frame, *_prnt_domain(f.inner, g.outer, nodes), entries)
     return FuzzyPlaceGraph._trusted(
-        f.frame, f.signature, f.inner, g.outer, nodes, f.ctrl.union(g.ctrl), prnt
+        *_composed_place(g, f, f.nodes, g.nodes, f.frame.bottom, (), ())
     )
 
 
 def compose_fuzzy_link(g: FuzzyLinkGraph, f: FuzzyLinkGraph) -> FuzzyLinkGraph:
     """Composite ``g . f`` of fuzzy link graphs f: X->Y and g: Y->Z."""
     _require_link_composable(g, f, f.nodes | f.edges, g.nodes | g.edges, f.edges)
-    edges = f.edges | g.edges
-    # A node's ports follow from its own control row, and the node sets are
-    # disjoint, so the composite's ports are f's and g's.
-    ports = f.ports | g.ports
-    entries = _route(f.link, g.link, f.edges, g.ports, f.frame.bottom, (), ())
-    link = FuzzyRelation._trusted(f.frame, f.inner | ports, edges | g.outer, entries)
-    return FuzzyLinkGraph._trusted(
-        f.frame,
-        f.signature,
-        f.inner,
-        g.outer,
-        f.nodes | g.nodes,
-        edges,
-        f.ctrl.union(g.ctrl),
-        link,
-        ports,
-    )
+    return FuzzyLinkGraph._trusted(*_composed_link(g, f, f.edges, f.frame.bottom))
 
 
 def compose_fuzzy(g: FuzzyBigraph, f: FuzzyBigraph) -> FuzzyBigraph:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from .category import ArrowSystem, type2_arrow_system
@@ -145,22 +146,18 @@ def random_fuzzy_chain(
     max_edges: int = 4,
 ) -> list[FuzzyBigraph]:
     """``length`` composable fuzzy bigraphs with pairwise disjoint supports."""
-    interfaces = [
-        random_interface(rng, max_width, max_names) for _ in range(length + 1)
-    ]
-    return [
-        random_fuzzy_bigraph(
-            rng,
-            frame,
-            signature,
-            interfaces[i],
-            interfaces[i + 1],
-            prefix=f"{prefix}{i}_",
-            max_nodes=max_nodes,
-            max_edges=max_edges,
-        )
-        for i in range(length)
-    ]
+    build = partial(
+        random_fuzzy_bigraph, rng, frame, signature, max_nodes=max_nodes, max_edges=max_edges
+    )
+    return _chain(rng, length, max_width, max_names, prefix, build)
+
+
+def _chain(rng: random.Random, length: int, max_width: int, max_names: int, prefix: str, build):
+    """``build(inner, outer, prefix)`` between ``length + 1`` random
+    interfaces, each graph with its own prefix.  Every interface is drawn
+    before any graph, so a seed gives the chain it always gave."""
+    interfaces = [random_interface(rng, max_width, max_names) for _ in range(length + 1)]
+    return [build(interfaces[i], interfaces[i + 1], f"{prefix}{i}_") for i in range(length)]
 
 
 def _coherent_bound(frame: Frame, degrees) -> FrameValue:
@@ -256,23 +253,17 @@ def random_type2_chain(
     max_edges: int = 3,
     coherent: bool = True,
 ) -> list[Type2FuzzyBigraph]:
-    interfaces = [
-        random_interface(rng, max_width, max_names) for _ in range(length + 1)
-    ]
-    return [
-        random_type2_bigraph(
-            rng,
-            frame,
-            signature,
-            interfaces[i],
-            interfaces[i + 1],
-            prefix=f"{prefix}{i}_",
-            max_nodes=max_nodes,
-            max_edges=max_edges,
-            coherent=coherent,
-        )
-        for i in range(length)
-    ]
+    """``length`` composable type-2 bigraphs with pairwise disjoint supports."""
+    build = partial(
+        random_type2_bigraph,
+        rng,
+        frame,
+        signature,
+        max_nodes=max_nodes,
+        max_edges=max_edges,
+        coherent=coherent,
+    )
+    return _chain(rng, length, max_width, max_names, prefix, build)
 
 
 def random_arrow_system(

@@ -414,12 +414,12 @@ def _object(fields: dict, depth: int) -> str:
     return "{" + step + ("," + step).join(members) + _indent(depth) + "}"
 
 
-def _in_key_order(rows: list) -> str:
-    """The texts of ``(sort key, ..., row text)`` rows as a field's array,
-    in the order ``sorted_items`` gives.  No two rows share their keys, so
-    their texts are never compared."""
+def _in_key_order(rows: list) -> list:
+    """The texts of ``(sort key, ..., row text)`` rows, in the order
+    ``sorted_items`` gives.  No two rows share their keys, so their texts
+    are never compared."""
     rows.sort()
-    return _array([row[-1] for row in rows], 3)
+    return [row[-1] for row in rows]
 
 
 _ROW_OPEN, _ROW_SEP, _ROW_CLOSE = "[" + _indent(5), "," + _indent(5), _indent(4) + "]"
@@ -434,7 +434,9 @@ class _Writer:
     by identity, because hashing a degree costs more than formatting it;
     each one seen is kept alive with its text, so no identity is reused
     while the call runs.  Only strings are looked up by value: ``1`` and
-    ``True`` are equal keys but different JSON.
+    ``True`` are equal keys but different JSON.  A DOT export labels its
+    rows with ``degree`` too: the frames write degrees in digits and ``/``,
+    which need no escape, so a degree's JSON string is its DOT label.
     """
 
     def __init__(self):
@@ -517,7 +519,7 @@ class _Writer:
         for x, value in items:
             key, text = element(x)
             rows.append((key, f"{_ROW_OPEN}{text}{_ROW_SEP}{write(value)}{_ROW_CLOSE}"))
-        return _in_key_order(rows)
+        return _array(_in_key_order(rows), 3)
 
     def relation(self, relation: FuzzyRelation) -> str:
         element, degree = self.element, self.degree
@@ -529,7 +531,7 @@ class _Writer:
                 key_a, key_b,
                 f"{_ROW_OPEN}{text_a}{_ROW_SEP}{text_b}{_ROW_SEP}{degree(d)}{_ROW_CLOSE}",
             ))
-        return _in_key_order(rows)
+        return _array(_in_key_order(rows), 3)
 
     def record(self, graph) -> str:
         """One graph record, two levels deep: the fields ``_decode_record``
@@ -882,30 +884,6 @@ class _SortKeys(dict):
         return key
 
 
-def _dot_labels(frame: Frame) -> Callable:
-    """``degree -> quoted label``, formatting each degree once per export.
-
-    Degrees are looked up by identity, as ``_Writer.degree`` does, and
-    each one seen is kept alive with its label.
-    """
-    labels: dict = {}
-
-    def label(degree) -> str:
-        seen = labels.get(id(degree))
-        if seen is None:
-            seen = labels[id(degree)] = (degree, _q(frame.format_degree(degree)))
-        return seen[1]
-
-    return label
-
-
-def _sorted_rows(lines: list, rows: list) -> None:
-    """Append the lines of ``(sort key, ..., line)`` rows in key order; no
-    two rows share their keys, so their lines are never compared."""
-    rows.sort()
-    lines.extend(row[-1] for row in rows)
-
-
 def _dot_place_fuzzy(place, type2: bool) -> str:
     frame = place.frame
     nodes = sorted(place.node_support if type2 else place.nodes)
@@ -930,13 +908,13 @@ def _dot_place_fuzzy(place, type2: bool) -> str:
             label = f"{v} ({frame.format_degree(place.nodes.membership(v))})"
         lines.append(f"  {node_id} [label={_q(label)}, shape=ellipse];")
 
-    keys, label_of = _SortKeys(), _dot_labels(frame)
+    keys, label_of = _SortKeys(), _Writer().degree
     rows = [
         (keys[child], keys[parent],
          f"  {children[child]} -> {parents[parent]} [label={label_of(degree)}];")
         for (child, parent), degree in place.prnt.items()
     ]
-    _sorted_rows(lines, rows)
+    lines += _in_key_order(rows)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -984,12 +962,12 @@ def _dot_link(graph, flavour: str) -> str:
     if crisp:
         rows = [(keys[q], f"  {points[q]} -- {targets[t]};") for q, t in graph.link.items()]
     else:
-        label_of = _dot_labels(frame)
+        label_of = _Writer().degree
         rows = [
             (keys[q], keys[t], f"  {points[q]} -- {targets[t]} [label={label_of(degree)}];")
             for (q, t), degree in graph.link.items()
         ]
-    _sorted_rows(lines, rows)
+    lines += _in_key_order(rows)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -30,6 +30,8 @@ from .fuzzy import (
     _Bigraph,
     _Graph,
     _as_relation,
+    _composed_link,
+    _composed_place,
     _prnt_domain,
     _require_apart,
     _require_bigraph_composable,
@@ -44,7 +46,7 @@ from .fuzzy import (
     skeleton_is_acyclic,
 )
 from .lattice import Frame, FrameValue
-from .relations import FuzzyRelation, FuzzySet, _route
+from .relations import FuzzyRelation, FuzzySet
 
 
 def type2_ports(signature: Signature, nodes: FuzzySet, ctrl: FuzzyRelation) -> frozenset[Port]:
@@ -297,25 +299,12 @@ def compose_type2_place(
     kappa; g-internal entries need only the child's membership (the
     defining case places no degree threshold there).
     """
-    _require_place_composable(g, f, f.node_support, g.node_support)
-    frame = f.frame
+    f_ids, g_ids = f.node_support, g.node_support
+    _require_place_composable(g, f, f_ids, g_ids)
     kappa = f.degree.meet(g.degree)
-    nodes = f.nodes.union(g.nodes)
-    entries = _route(
-        f.prnt,
-        g.prnt,
-        f.node_support,
-        g.node_support,
-        kappa,
-        _below(kappa, f.nodes),
-        _below(kappa, g.nodes),
-    )
-    prnt = FuzzyRelation._trusted(
-        frame, *_prnt_domain(f.inner, g.outer, nodes.support), entries
-    )
-    return Type2FuzzyPlaceGraph._trusted(
-        frame, f.signature, f.inner, g.outer, nodes, f.ctrl.union(g.ctrl), prnt, kappa
-    )
+    f_drop, g_drop = _below(kappa, f.nodes), _below(kappa, g.nodes)
+    fields = _composed_place(g, f, f_ids, g_ids, kappa, f_drop, g_drop)
+    return Type2FuzzyPlaceGraph._trusted(*fields, kappa)
 
 
 def compose_type2_link(
@@ -327,33 +316,10 @@ def compose_type2_link(
     at or above kappa; g-internal entries are copied unguarded, and no
     entry is guarded by membership.
     """
-    _require_link_composable(
-        g,
-        f,
-        f.node_support | f.edge_support,
-        g.node_support | g.edge_support,
-        f.edge_support,
-    )
-    frame = f.frame
+    f_support, g_support = f.node_support | f.edge_support, g.node_support | g.edge_support
+    _require_link_composable(g, f, f_support, g_support, f.edge_support)
     kappa = f.degree.meet(g.degree)
-    edges = f.edges.union(g.edges)
-    # A node's ports follow from its own control row and membership, and
-    # the node sets are disjoint, so the composite's ports are f's and g's.
-    ports = f.ports | g.ports
-    entries = _route(f.link, g.link, f.edge_support, g.ports, kappa, (), ())
-    link = FuzzyRelation._trusted(frame, f.inner | ports, edges.support | g.outer, entries)
-    return Type2FuzzyLinkGraph._trusted(
-        frame,
-        f.signature,
-        f.inner,
-        g.outer,
-        f.nodes.union(g.nodes),
-        edges,
-        f.ctrl.union(g.ctrl),
-        link,
-        ports,
-        kappa,
-    )
+    return Type2FuzzyLinkGraph._trusted(*_composed_link(g, f, f.edge_support, kappa), kappa)
 
 
 def compose_type2(g: Type2FuzzyBigraph, f: Type2FuzzyBigraph) -> Type2FuzzyBigraph:

@@ -36,7 +36,7 @@ from fuzzybig import (
     translate_fuzzy,
     translate_type2,
 )
-from fuzzybig import type2
+from fuzzybig import fuzzy, type2
 from fuzzybig.errors import FrameMismatchError
 from fuzzybig.fuzzy import derive_ports
 from fuzzybig.generators import (
@@ -230,7 +230,8 @@ def test_no_relation_is_routed_entry_by_entry(
     rho_nodes, rho_edges = _drawn_relations(rng, (node_kind, edge_kind), f, g, levels)
     expected = _outcome(dense_check_type2_support_translation, rho_nodes, rho_edges, f, g)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(type2, "_route", _refuse_routing)
+        # type2 routes only through the composers' kernels in fuzzy
+        patch.setattr(fuzzy, "_route", _refuse_routing)
         patch.setattr(FuzzyRelation, "then", _refuse_routing)
         assert _outcome(check_type2_support_translation, rho_nodes, rho_edges, f, g) == expected
 

@@ -17,24 +17,38 @@ from fuzzybig import (
     Type2FuzzyBigraph,
     Type2FuzzyLinkGraph,
     Type2FuzzyPlaceGraph,
+    TWO_POINT,
     UNIT_INTERVAL,
     check_type2_support_translation,
     compose_fuzzy,
+    compose_fuzzy_link,
+    compose_fuzzy_place,
     compose_type2,
     compose_type2_link,
     compose_type2_place,
     embed_bigraph,
     find_support_equivalence,
     fuzzify,
+    identity_bigraph,
     identity_type2_bigraph,
     make_type2_translation,
     translate_type2,
     type2_ports,
     type2_support,
 )
-from fuzzybig.errors import InterfaceMismatchError, SupportOverlapError
+from fuzzybig.errors import (
+    InterfaceMismatchError,
+    SignatureMismatchError,
+    SupportOverlapError,
+)
 from fuzzybig.fuzzy import SupportTranslation
-from fuzzybig.generators import random_interface, random_type2_bigraph, random_type2_chain
+from fuzzybig.generators import (
+    DEFAULT_SIGNATURE,
+    random_fuzzy_chain,
+    random_interface,
+    random_type2_bigraph,
+    random_type2_chain,
+)
 from fuzzybig.type2 import validate_type2_place
 
 from helpers import ALL_FRAMES, DiamondFrame, assert_checked_rebuild, d, make_h
@@ -212,20 +226,32 @@ def test_identity_style_link_keeps_entries_at_or_above_mu():
 
 
 def test_crisp_embeddings_compose_like_fuzzy():
-    rng = random.Random(14)
     sig = Signature({"K": 2, "L": 1, "M": 0})
-    for trial in range(30):
-        h = make_h()
-        f = fuzzify(h, U)
-        ident = identity_type2_bigraph(f.outer, U, sig)
-        embedded = embed_bigraph(f)
-        composite = compose_type2(ident, embedded)
-        assert composite == embedded
-        # against the fuzzy composite of the same shapes
-        from fuzzybig import identity_bigraph
+    f = fuzzify(make_h(), U)
+    embedded = embed_bigraph(f)
+    composite = compose_type2(identity_type2_bigraph(f.outer, U, sig), embedded)
+    assert composite == embedded
+    # against the fuzzy composite of the same shapes
+    fuzzy_composite = compose_fuzzy(identity_bigraph(f.outer, U, sig), f)
+    assert composite.place.prnt == fuzzy_composite.prnt
 
-        fuzzy_composite = compose_fuzzy(identity_bigraph(f.outer, U, sig), f)
-        assert composite.place.prnt == fuzzy_composite.prnt
+    # At kappa = bottom with full memberships nothing is guarded, so the
+    # type-2 composite is the embedded fuzzy one.  Pairs whose embedding
+    # the type-2 port rule refuses are skipped.
+    rng = random.Random(14)
+    agreed = 0
+    for frame in ALL_FRAMES:
+        bottom = frame.bottom
+        for _trial in range(60):
+            a, b = random_fuzzy_chain(rng, frame, DEFAULT_SIGNATURE, 2)
+            try:
+                expected = embed_bigraph(compose_fuzzy(b, a), bottom, bottom)
+                left, right = embed_bigraph(b, bottom, bottom), embed_bigraph(a, bottom, bottom)
+            except ValueError:
+                continue
+            assert compose_type2(left, right) == expected
+            agreed += 1
+    assert agreed >= 60
 
 
 def test_width_mismatch_raises():
@@ -233,6 +259,25 @@ def test_width_mismatch_raises():
     g = Type2FuzzyPlaceGraph(U, SIG, 3, 1, FuzzySet(U), {}, {}, U.top)
     with pytest.raises(InterfaceMismatchError):
         compose_type2_place(g, f)
+
+
+@pytest.mark.parametrize("compose, identity", [
+    (compose_fuzzy_place, lambda *a: identity_bigraph(*a).place),
+    (compose_fuzzy_link, lambda *a: identity_bigraph(*a).link),
+    (compose_type2_place, lambda *a: identity_type2_bigraph(*a).place),
+    (compose_type2_link, lambda *a: identity_type2_bigraph(*a).link),
+], ids=["fuzzy-place", "fuzzy-link", "type2-place", "type2-link"])
+def test_part_composers_check_frames_and_signatures_before_kappa(compose, identity):
+    # A type-2 composer that met the interface degrees first would raise
+    # FrameMismatchError from the meet instead.
+    face = Interface(1, frozenset({"x"}))
+    f = identity(face, U, SIG)
+    with pytest.raises(SignatureMismatchError) as caught:
+        compose(identity(face, TWO_POINT, SIG), f)
+    assert str(caught.value) == "frames differ: unit-interval vs two-point"
+    other = Signature({"K": 2})
+    with pytest.raises(SignatureMismatchError, match="^signatures differ$"):
+        compose(identity(face, U, other), f)
 
 
 def test_support_overlap_raises():
