@@ -25,7 +25,7 @@ from .lattice import Frame, FrameValue
 from .type2 import Type2FuzzyBigraph, compose_type2, identity_type2_bigraph
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FuzzyArrow:
     """An arrow between two objects, carrying a payload and a degree."""
 
@@ -33,16 +33,7 @@ class FuzzyArrow:
     target: object
     payload: object
     degree: FrameValue
-    name: str = ""
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FuzzyArrow)
-            and self.source == other.source
-            and self.target == other.target
-            and self.payload == other.payload
-            and self.degree == other.degree
-        )
+    name: str = field(default="", compare=False)
 
     __hash__ = None  # type: ignore[assignment]
 

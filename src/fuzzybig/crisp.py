@@ -353,8 +353,8 @@ def _within(pairs: Mapping, domain: frozenset, codomain: frozenset) -> bool:
 
 
 def _sound_ports(b: Bigraph) -> frozenset | None:
-    """The ports of ``b`` if it passes, in their order, the checks ``fuzzify``
-    makes on its shared-control path, else ``None``."""
+    """The ports of ``b`` if it passes the checked graded constructors'
+    checks, in ``fuzzify``'s order, else ``None``."""
     p, l = b.place, b.link
     nodes, ctrl = p.nodes, p.ctrl
     if not (

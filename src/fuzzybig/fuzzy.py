@@ -28,7 +28,6 @@ from .crisp import (
     _freeze_ids,
     _is_nat,
     _Parts,
-    _within,
 )
 from .errors import (
     InterfaceMismatchError,
@@ -39,7 +38,7 @@ from .errors import (
     ValidationReport,
 )
 from .lattice import TWO_POINT, Frame
-from .relations import FuzzyRelation, FuzzySet, _outside, _route, identity_relation
+from .relations import FuzzyRelation, FuzzySet, _route, identity_relation
 
 
 def derive_ports(signature: Signature, ctrl: FuzzyRelation) -> frozenset[Port]:
@@ -672,63 +671,39 @@ def check_support_translation(
 
 # --- the crisp bridge ---------------------------------------------------------
 #
-# Crisp graphs are not checked when they are built, so the bridge is where a
-# map key off its domain is caught.  Their identifier sets are already
-# frozen sets of strings (the crisp constructors freeze and check them), so
-# each map is read once: its keys and targets are checked against the
-# domain and codomain, and its pairs are stored at top as they stand.
+# Crisp graphs are not checked when they are built, so the bridge hands each
+# map to the checked graded constructor, which catches a key off its domain.
+# The pairs go in lazily: the constructor checks widths and identifiers
+# before it reads a single pair.
 
 
-def _at_top(frame: Frame, domain: frozenset, codomain: frozenset, pairs) -> FuzzyRelation:
-    """The relation holding every ``a -> b`` of the crisp map ``pairs`` at top.
-
-    A pair off ``domain x codomain`` raises the checked constructor's
-    message; the first such pair in map order is the one named.
-    """
-    if not _within(pairs, domain, codomain):
-        for a, b in pairs.items():
-            if a not in domain or b not in codomain:
-                raise _outside(a, b)
-    store = dict.fromkeys(pairs.items(), frame.top)
-    return FuzzyRelation._trusted(frame, domain, codomain, store)
+def _at_top(frame: Frame, pairs: Mapping):
+    """Every ``a -> b`` of the crisp map ``pairs`` as a top-degree entry."""
+    top = frame.top
+    return (((a, b), top) for a, b in pairs.items())
 
 
 def fuzzify_place(p: PlaceGraph, frame: Frame = TWO_POINT) -> FuzzyPlaceGraph:
-    inner, outer = _widths(p.inner, p.outer)
-    ctrl = _at_top(frame, p.nodes, p.signature.controls, p.ctrl)
-    prnt = _at_top(frame, *_prnt_domain(inner, outer, p.nodes), p.prnt)
-    return FuzzyPlaceGraph._trusted(frame, p.signature, inner, outer, p.nodes, ctrl, prnt)
-
-
-def _fuzzify_link(l: LinkGraph, frame: Frame, ctrl: FuzzyRelation | None) -> FuzzyLinkGraph:
-    """``fuzzify_link``, reusing ``ctrl`` when the place part already built
-    this very control relation."""
-    _require_apart(l.nodes, l.edges, l.outer)
-    if ctrl is None:
-        ctrl = _at_top(frame, l.nodes, l.signature.controls, l.ctrl)
-    ports = l.ports
-    link = _at_top(frame, l.inner | ports, l.edges | l.outer, l.link)
-    return FuzzyLinkGraph._trusted(
-        frame, l.signature, l.inner, l.outer, l.nodes, l.edges, ctrl, link, ports
+    return FuzzyPlaceGraph(
+        frame, p.signature, p.inner, p.outer, p.nodes,
+        _at_top(frame, p.ctrl), _at_top(frame, p.prnt),
     )
 
 
 def fuzzify_link(l: LinkGraph, frame: Frame = TWO_POINT) -> FuzzyLinkGraph:
-    return _fuzzify_link(l, frame, None)
+    return FuzzyLinkGraph(
+        frame, l.signature, l.inner, l.outer, l.nodes, l.edges,
+        _at_top(frame, l.ctrl), _at_top(frame, l.link),
+    )
 
 
 def fuzzify(b: Bigraph, frame: Frame = TWO_POINT) -> FuzzyBigraph:
     """Embed a crisp bigraph: every map entry becomes a top-degree pair.
 
-    Parts that agree on signature, nodes and controls share one control
-    relation.  Parts that disagree are checked one by one, and
-    :class:`FuzzyBigraph` names the disagreement.
+    Each part is checked on its own, and :class:`FuzzyBigraph` names any
+    disagreement between them.
     """
-    p, l = b.place, b.link
-    place = fuzzify_place(p, frame)
-    if l.signature == p.signature and l.nodes == p.nodes and l.ctrl == p.ctrl:
-        return FuzzyBigraph._trusted(place, _fuzzify_link(l, frame, place.ctrl))
-    return FuzzyBigraph(place, fuzzify_link(l, frame))
+    return FuzzyBigraph(fuzzify_place(b.place, frame), fuzzify_link(b.link, frame))
 
 
 def _functional_at_top(rel: FuzzyRelation, what: str) -> dict:
@@ -759,31 +734,21 @@ def _functional_at_top(rel: FuzzyRelation, what: str) -> dict:
 # they stand.
 
 
-def _place_at_top(p: FuzzyPlaceGraph, ctrl: dict) -> PlaceGraph:
+def defuzzify_place(p: FuzzyPlaceGraph) -> PlaceGraph:
+    ctrl = _functional_at_top(p.ctrl, "control relation")
     prnt = _functional_at_top(p.prnt, "parent relation")
     return PlaceGraph._trusted(p.signature, p.inner, p.outer, p.nodes, ctrl, prnt)
 
 
-def _link_at_top(l: FuzzyLinkGraph, ctrl: dict) -> LinkGraph:
+def defuzzify_link(l: FuzzyLinkGraph) -> LinkGraph:
+    ctrl = _functional_at_top(l.ctrl, "control relation")
     link = _functional_at_top(l.link, "link relation")
     return LinkGraph._trusted(l.signature, l.inner, l.outer, l.nodes, l.edges, ctrl, link)
 
 
-def defuzzify_place(p: FuzzyPlaceGraph) -> PlaceGraph:
-    return _place_at_top(p, _functional_at_top(p.ctrl, "control relation"))
-
-
-def defuzzify_link(l: FuzzyLinkGraph) -> LinkGraph:
-    return _link_at_top(l, _functional_at_top(l.ctrl, "control relation"))
-
-
 def defuzzify(f: FuzzyBigraph) -> Bigraph:
-    """Lower a fuzzy bigraph whose relations are functional at degree top.
-
-    Both parts hold one control relation, so it is lowered once.
-    """
-    ctrl = _functional_at_top(f.ctrl, "control relation")
-    return Bigraph(_place_at_top(f.place, ctrl), _link_at_top(f.link, ctrl))
+    """Lower a fuzzy bigraph whose relations are functional at degree top."""
+    return Bigraph(defuzzify_place(f.place), defuzzify_link(f.link))
 
 
 # --- validation ----------------------------------------------------------------

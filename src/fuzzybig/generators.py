@@ -29,7 +29,7 @@ from .lattice import (
     UnitIntervalFrame,
 )
 from .relations import FuzzySet
-from .type2 import Type2FuzzyBigraph, Type2FuzzyLinkGraph, Type2FuzzyPlaceGraph
+from .type2 import Type2FuzzyBigraph, Type2FuzzyLinkGraph, Type2FuzzyPlaceGraph, type2_ports
 
 DEFAULT_SIGNATURE = Signature({"K": 2, "L": 1, "M": 0})
 NAME_POOL = ("a", "b", "c")
@@ -232,8 +232,6 @@ def random_type2_bigraph(
 
 def _type2_link_entries(link: FuzzyLinkGraph, signature: Signature, nodes: FuzzySet):
     """Restrict link entries to the type-2 port set (join-attaining control)."""
-    from .type2 import type2_ports
-
     ports = type2_ports(signature, nodes, link.ctrl)
     allowed = link.inner | ports
     return {

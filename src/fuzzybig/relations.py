@@ -49,11 +49,6 @@ def _entry_dict(entries) -> dict:
     return out
 
 
-def _outside(a, b) -> ValueError:
-    """The error for an entry ``(a, b)`` off a relation's domain/codomain."""
-    return ValueError(f"relation entry ({a!r}, {b!r}) lies outside its domain/codomain")
-
-
 class FuzzyRelation:
     """A degree-valued map on ``domain x codomain`` with finite support.
 
@@ -83,7 +78,9 @@ class FuzzyRelation:
                 frame.check_value(degree)
                 low = at_bottom[id(degree)] = leq(degree.raw, bottom)
             if a not in domain or b not in codomain:
-                raise _outside(a, b)
+                raise ValueError(
+                    f"relation entry ({a!r}, {b!r}) lies outside its domain/codomain"
+                )
         if any(at_bottom.values()):
             self._entries = {
                 key: d for key, d in entries.items() if not at_bottom[id(d)]

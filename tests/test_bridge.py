@@ -95,6 +95,10 @@ FUZZIFY_FAULTS = {
         with_place(outer=-1, ctrl={"v": "Q"}),
         "interface widths must be natural numbers",
     ),
+    "width before an unhashable parent": (
+        with_place(inner=-1, prnt={"v": []}),
+        "interface widths must be natural numbers",
+    ),
     "control key off the nodes": (
         with_place(ctrl={"v": "K", "ghost": "K"}),
         outside("ghost", "K"),
@@ -136,6 +140,10 @@ FUZZIFY_FAULTS = {
     ),
     "overlap before collision": (
         with_link(edges={"v", "y"}),
+        "node and edge identifiers overlap: ['v']",
+    ),
+    "overlap before an unhashable link": (
+        with_link(edges={"e", "v"}, link={"x": [], ("v", 0): "y"}),
         "node and edge identifiers overlap: ['v']",
     ),
     "link control off the signature": (

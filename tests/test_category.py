@@ -43,6 +43,19 @@ def _toy_system():
     )
 
 
+def test_arrows_are_equal_by_endpoints_payload_and_degree_but_not_name():
+    f = FuzzyArrow("A", "B", "f", d("1/2"), "f")
+    assert f == FuzzyArrow("A", "B", "f", d("1/2"), "renamed")
+    assert f == FuzzyArrow("A", "B", "f", d("1/2"))
+    assert f != FuzzyArrow("A", "B", "f", d("1/3"), "f")
+    assert f != FuzzyArrow("A", "B", "g", d("1/2"), "f")
+    assert f != FuzzyArrow("C", "B", "f", d("1/2"), "f")
+    assert f != FuzzyArrow("A", "C", "f", d("1/2"), "f")
+    assert f != "f"
+    with pytest.raises(TypeError):
+        hash(f)
+
+
 def test_compose_meets_degrees():
     system = _toy_system()
     f, g, _h = system.arrows
