@@ -754,42 +754,25 @@ def defuzzify(f: FuzzyBigraph) -> Bigraph:
 # --- validation ----------------------------------------------------------------
 
 
-def skeleton_pairs(prnt: FuzzyRelation, nodes: frozenset[str]) -> set[tuple[str, str]]:
-    """Node-to-node pairs holding a positive parent degree."""
-    return {
-        (c, p) for (c, p), _d in prnt.items() if c in nodes and p in nodes
-    }
-
-
 def skeleton_is_acyclic(prnt: FuzzyRelation, nodes: frozenset[str]) -> bool:
-    """Depth-first cycle check of the positive node-to-node parent pairs.
-
-    The search keeps an explicit stack, so nesting depth is not bounded by
-    the interpreter's recursion limit.
+    """Kahn's check of the positive node-to-node parent pairs: a node is
+    removed once no remaining node names it as a parent, and the pairs are
+    acyclic iff every node is removed.  Nothing recurses, so nesting depth
+    is not bounded by the interpreter's recursion limit.
     """
-    succ: dict[str, list[str]] = {}
-    for c, p in skeleton_pairs(prnt, nodes):
-        succ.setdefault(c, []).append(p)
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
-    for start in sorted(succ):
-        if state.get(start) == 2:
-            continue
-        state[start] = 1
-        stack = [(start, iter(succ[start]))]
-        while stack:
-            v, pending = stack[-1]
-            for w in pending:
-                mark = state.get(w)
-                if mark == 1:
-                    return False
-                if mark is None:
-                    state[w] = 1
-                    stack.append((w, iter(succ.get(w, ()))))
-                    break
-            else:
-                state[v] = 2
-                stack.pop()
-    return True
+    children = dict.fromkeys(nodes, 0)
+    parents: dict[str, list[str]] = {}
+    for (c, p), _d in prnt.items():
+        if c in nodes and p in nodes:
+            children[p] += 1
+            parents.setdefault(c, []).append(p)
+    removed = [v for v, count in children.items() if count == 0]
+    for v in removed:  # grows while walked: a parent joins at its last child
+        for p in parents.get(v, ()):
+            children[p] -= 1
+            if children[p] == 0:
+                removed.append(p)
+    return len(removed) == len(nodes)
 
 
 def validate_fuzzy_place(

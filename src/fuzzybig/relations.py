@@ -64,26 +64,24 @@ class FuzzyRelation:
         self.codomain = codomain = frozenset(codomain)
         if type(entries) is not dict:
             entries = _entry_dict(entries)
-        # Each entry's degree is checked against the frame, then its pair
-        # against the domain.  A model repeats a few degree objects many
-        # times, and degrees are immutable, so each distinct object is
-        # checked once, by its id: ``entries`` holds every degree, so no id
-        # is reused while the loop runs.  Bottom is found through the
-        # frame's order hook, which also serves frames off a chain.
+        # Entries are checked in entry order, each degree's frame before its
+        # pair's domain; ``check_value``'s fast path is inlined, as this runs
+        # per entry.  Bottom is found through the frame's order hook, which
+        # also serves frames off a chain.
         leq, bottom = frame._leq, frame.bottom.raw
-        at_bottom: dict = {}
+        has_bottom = False
         for (a, b), degree in entries.items():
-            low = at_bottom.get(id(degree))
-            if low is None:
+            if type(degree) is not FrameValue or degree.frame is not frame:
                 frame.check_value(degree)
-                low = at_bottom[id(degree)] = leq(degree.raw, bottom)
             if a not in domain or b not in codomain:
                 raise ValueError(
                     f"relation entry ({a!r}, {b!r}) lies outside its domain/codomain"
                 )
-        if any(at_bottom.values()):
+            if leq(degree.raw, bottom):
+                has_bottom = True
+        if has_bottom:
             self._entries = {
-                key: d for key, d in entries.items() if not at_bottom[id(d)]
+                key: d for key, d in entries.items() if not leq(d.raw, bottom)
             }
         else:
             self._entries = dict(entries)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fuzzybig import TWO_POINT, UNIT_INTERVAL, chain, frame_from_name, join_all, meet
 from fuzzybig.errors import FrameMismatchError
-from fuzzybig.lattice import _MAX_DEGREE_DIGITS, FiniteChainFrame, FrameValue
+from fuzzybig.lattice import _MAX_DEGREE_DIGITS, FiniteChainFrame, Frame, FrameValue
 from helpers import DiamondFrame
 
 CHAIN5 = chain(5)
@@ -320,3 +320,24 @@ def test_degree_equality_off_a_chain_is_unchanged():
             assert (x != y) is not _equal_as_before(x, y)
             if x == y:
                 assert hash(x) == hash(y)
+
+
+class _DiamondWithoutMeetOrJoin(Frame):
+    """The diamond lattice with only the order hooks.  The chain rule would
+    give {a} ∧ {b} = {b} here, where the meet is the bottom {}."""
+
+    name = "diamond-without-meet"
+    _contains = DiamondFrame._contains
+    _leq = DiamondFrame._leq
+    _bottom_raw = DiamondFrame._bottom_raw
+    _top_raw = DiamondFrame._top_raw
+    _format = DiamondFrame._format
+
+
+def test_a_frame_without_meet_and_join_hooks_refuses_to_combine():
+    frame = _DiamondWithoutMeetOrJoin()
+    a, b = frame.value(frozenset("a")), frame.value(frozenset("b"))
+    with pytest.raises(NotImplementedError):
+        frame.meet(a, b)
+    with pytest.raises(NotImplementedError):
+        frame.join(a, b)

@@ -192,7 +192,7 @@ def test_with_entry_and_with_membership_check_the_frame():
     assert FuzzySet(U, {"a": d("1/2")}).with_membership("a", U.bottom) == FuzzySet(U)
 
 
-# --- the entry checker: each distinct degree object is checked once ------------
+# --- the entry checker: every entry is checked, in entry order -----------------
 
 
 def test_a_bottom_degree_that_is_not_the_frames_own_bottom_is_dropped():

@@ -16,14 +16,18 @@ from fuzzybig import (
     LinkGraph,
     PlaceGraph,
     UNIT_INTERVAL,
+    embed_place,
     validate_fuzzy_link,
     validate_fuzzy_place,
     validate_link_graph,
     validate_place_graph,
 )
+from fuzzybig.fuzzy import skeleton_is_acyclic
+from fuzzybig.generators import random_degree
+from fuzzybig.type2 import validate_type2_place
 
 import validation_oracle
-from helpers import H_SIGNATURE
+from helpers import ALL_FRAMES, H_SIGNATURE
 
 U = UNIT_INTERVAL
 SEEDS = range(120)
@@ -123,3 +127,65 @@ def test_validators_keep_their_report_order_on_graphs_with_many_faults():
     text = "\n".join(seen)
     assert [kind for kind in KINDS if kind not in text] == []
     assert longest >= 10  # many faults in one report, not one per graph
+
+
+CYCLE = "the positive part of the parent relation has a cycle"
+
+
+def skeleton_place(rng, frame) -> FuzzyPlaceGraph:
+    """Each site and node takes up to three parents among the nodes after
+    it and the roots, so several parents per child close no cycle; then
+    maybe a self-loop, a back edge or a ring through many nodes is added.
+    Any entry but the ring's may sit at bottom, which no cycle may use."""
+    nodes = [f"v{i}" for i in range(rng.randint(0, 14))]
+    inner, outer = rng.randint(0, 3), rng.randint(1, 3)
+    prnt = {}
+    for child in [*range(inner), *nodes]:
+        later = nodes[nodes.index(child) + 1:] if child in nodes else nodes
+        above = [*later, *range(outer)]
+        for parent in rng.sample(above, min(len(above), rng.randint(0, 3))):
+            prnt[(child, parent)] = random_degree(rng, frame)
+    fault = rng.choice(["none", "self-loop", "back edge", "ring"]) if nodes else "none"
+    if fault == "self-loop":
+        v = rng.choice(nodes)
+        prnt[(v, v)] = random_degree(rng, frame)
+    elif fault == "back edge":
+        low, high = sorted(rng.choices(range(len(nodes)), k=2))
+        prnt[(nodes[high], nodes[low])] = random_degree(rng, frame)
+    elif fault == "ring":
+        ring = rng.sample(nodes, rng.randint(1, len(nodes)))
+        for child, parent in zip(ring, ring[1:] + ring[:1]):
+            prnt[(child, parent)] = random_degree(rng, frame, positive=True)
+    ctrl = {(v, rng.choice("KLM")): frame.top for v in nodes}
+    return FuzzyPlaceGraph(frame, H_SIGNATURE, inner, outer, nodes, ctrl, prnt)
+
+
+def deep_chain_places(frame, depth=10_000) -> list[FuzzyPlaceGraph]:
+    """A chain of ``depth`` nested nodes under one root, and the same chain
+    with its outermost node also parented by its innermost."""
+    nodes = [f"n{i}" for i in range(depth)]
+    prnt = {(nodes[i], nodes[i + 1]): frame.top for i in range(depth - 1)}
+    prnt[(nodes[-1], 0)] = frame.top
+    ctrl = {(v, "K"): frame.top for v in nodes}
+    chain = FuzzyPlaceGraph(frame, H_SIGNATURE, 0, 1, nodes, ctrl, prnt)
+    looped = FuzzyPlaceGraph(
+        frame, H_SIGNATURE, 0, 1, nodes, ctrl, {**prnt, (nodes[-1], nodes[0]): frame.top}
+    )
+    return [chain, looped]
+
+
+def test_the_cycle_check_agrees_with_a_depth_first_search():
+    verdicts = []
+    for frame in ALL_FRAMES:
+        graphs = [skeleton_place(random.Random(seed), frame) for seed in range(400)]
+        for graph in graphs + deep_chain_places(frame):
+            acyclic = validation_oracle.skeleton_is_acyclic(graph.prnt, graph.nodes)
+            assert skeleton_is_acyclic(graph.prnt, graph.nodes) is acyclic
+            problems = validate_fuzzy_place(graph).problems
+            assert problems == validation_oracle.validate_fuzzy_place(graph).problems
+            assert validate_type2_place(embed_place(graph)).problems == (
+                [] if acyclic else [CYCLE]
+            )
+            verdicts.append(acyclic)
+        assert verdicts[-2:] == [True, False]
+    assert verdicts.count(True) >= 300 and verdicts.count(False) >= 300

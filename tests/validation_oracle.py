@@ -1,16 +1,18 @@
 """The crisp and fuzzy place and link validators as they stood before they
-sorted only the faulty elements, kept verbatim.
+sorted only the faulty elements, kept verbatim, and the depth-first cycle
+check of the fuzzy place skeleton as it stood before Kahn's algorithm.
 
-Each walks every node or point in sorted order and tests it.  The test
-suite compares the library's reports with these, problem by problem and
-in order.
+Each validator walks every node or point in sorted order and tests it.
+The test suite compares the library's reports with these, problem by
+problem and in order, and its cycle verdicts with this search's.
 """
 
 from __future__ import annotations
 
 from fuzzybig.crisp import LinkGraph, PlaceGraph, _rooted_nodes
 from fuzzybig.errors import ValidationReport
-from fuzzybig.fuzzy import FuzzyLinkGraph, FuzzyPlaceGraph, skeleton_is_acyclic
+from fuzzybig.fuzzy import FuzzyLinkGraph, FuzzyPlaceGraph
+from fuzzybig.relations import FuzzyRelation
 
 
 def validate_place_graph(p: PlaceGraph, subject: str = "place graph") -> ValidationReport:
@@ -88,6 +90,37 @@ def validate_link_graph(l: LinkGraph, subject: str = "link graph") -> Validation
         if target not in links:
             report.add(f"link target {target!r} is neither an edge nor an outer name")
     return report
+
+
+def skeleton_is_acyclic(prnt: FuzzyRelation, nodes: frozenset[str]) -> bool:
+    """Depth-first cycle check of the positive node-to-node parent pairs.
+
+    The search keeps an explicit stack, so nesting depth is not bounded by
+    the interpreter's recursion limit.
+    """
+    succ: dict[str, list[str]] = {}
+    for c, p in {(c, p) for (c, p), _d in prnt.items() if c in nodes and p in nodes}:
+        succ.setdefault(c, []).append(p)
+    state: dict[str, int] = {}  # 1 = on stack, 2 = done
+    for start in sorted(succ):
+        if state.get(start) == 2:
+            continue
+        state[start] = 1
+        stack = [(start, iter(succ[start]))]
+        while stack:
+            v, pending = stack[-1]
+            for w in pending:
+                mark = state.get(w)
+                if mark == 1:
+                    return False
+                if mark is None:
+                    state[w] = 1
+                    stack.append((w, iter(succ.get(w, ()))))
+                    break
+            else:
+                state[v] = 2
+                stack.pop()
+    return True
 
 
 def validate_fuzzy_place(
