@@ -15,6 +15,8 @@ the two-point frame therefore reproduces the crisp algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby, product
+from operator import itemgetter
 from typing import Mapping
 
 from .crisp import (
@@ -49,14 +51,14 @@ def derive_ports(signature: Signature, ctrl: FuzzyRelation) -> frozenset[Port]:
     is the smallest one safe for all positive possibilities.
     """
     arity = signature.arity
-    widest: dict[str, int] = {}
-    for (v, control), _degree in ctrl.items():
-        ar = arity.get(control)
-        if ar is None:
-            ar = signature.arity_of(control)  # raises: unknown control
-        if ar > widest.get(v, -1):
-            widest[v] = ar
-    return frozenset((v, i) for v, ar in widest.items() for i in range(ar))
+    pairs = list(map(itemgetter(0), ctrl.items()))
+    if not arity.keys() >= set(map(itemgetter(1), pairs)):  # name the first unknown control
+        signature.arity_of(next(k for _v, k in pairs if k not in arity))
+    pairs.sort(key=itemgetter(1))  # each control's nodes together, to make their ports at once
+    ports: list = []
+    for control, group in groupby(pairs, itemgetter(1)):
+        ports += product(map(itemgetter(0), group), range(arity[control]))
+    return frozenset(ports)
 
 
 def _as_relation(frame: Frame, entries, domain, codomain) -> FuzzyRelation:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -37,6 +38,7 @@ from .fuzzy import (
     FuzzyBigraph,
     FuzzyLinkGraph,
     FuzzyPlaceGraph,
+    _prnt_domain,
     validate_fuzzy_bigraph,
     validate_fuzzy_link,
     validate_fuzzy_place,
@@ -192,6 +194,19 @@ class _Degrees:
         self.known[text] = degree
         return degree
 
+    def relation(self, entries: dict, domain: frozenset, codomain: frozenset):
+        """Decoded graded rows as the relation a graph constructor builds
+        from them, when set operations show it would refuse and drop none:
+        every pair lies in ``domain x codomain``, and no degree read so far
+        is bottom.  Otherwise the rows, for the constructor to check."""
+        bottom = self.frame.bottom
+        if any(degree is bottom for degree in self.known.values()) or not (
+            domain.issuperset(map(itemgetter(0), entries))
+            and codomain.issuperset(map(itemgetter(1), entries))
+        ):
+            return entries
+        return FuzzyRelation._trusted(self.frame, domain, codomain, entries)
+
 
 def _decode_degree(degrees: _Degrees, value, path: str):
     try:
@@ -200,14 +215,13 @@ def _decode_degree(degrees: _Degrees, value, path: str):
         raise ParseError(str(fault), path) from None
 
 
-# Row endpoints.  Every endpoint sort accepts a plain string as it stands,
-# so the row loops call these only for other values.
+# Row endpoints.  The row loops take a string as it stands, and in link rows
+# a well-formed port, and call these for other values; JSON decodes to exact
+# ``str``, ``int`` and ``list`` values, so ``type(...) is`` checks suffice.
 
 
 def _string(value):
-    if not isinstance(value, str):
-        raise _Fault("expected a string")
-    return value
+    raise _Fault("expected a string")
 
 
 def _place_elem(value):
@@ -219,17 +233,7 @@ def _place_elem(value):
 
 
 def _point(value):
-    if isinstance(value, str):
-        return value
     if isinstance(value, list):
-        if (
-            len(value) == 2
-            and isinstance(value[0], str)
-            and isinstance(value[1], int)
-            and not isinstance(value[1], bool)
-            and value[1] >= 0
-        ):
-            return (value[0], value[1])
         raise _Fault("a port is written [node, index]")
     raise _Fault("expected an inner name or a port [node, index]")
 
@@ -265,7 +269,9 @@ def _decode_crisp_nodes(value, degrees: _Degrees, signature: Signature, path: st
         for i, row in enumerate(rows):
             if type(row) is not list or len(row) != 2:
                 raise _Fault(_shape(row, "a crisp node is written [id, control]"))
-            ident, control = _string(row[0]), _string(row[1])
+            ident, control = row
+            if type(ident) is not str or type(control) is not str:
+                raise _Fault("expected a string")
             if ident in ctrl:
                 raise _Fault(f"duplicate node {ident!r}")
             if control not in signature.arity:
@@ -284,7 +290,9 @@ def _decode_graded_ids(value, degrees: _Degrees, path: str) -> FuzzySet:
         for i, row in enumerate(rows):
             if type(row) is not list or len(row) != 2:
                 raise _Fault(_shape(row, "a graded identifier is written [id, degree]"))
-            ident = _string(row[0])
+            ident = row[0]
+            if type(ident) is not str:
+                raise _Fault("expected a string")
             if ident in entries:
                 raise _Fault(f"duplicate identifier {ident!r}")
             degree = degrees.parse(row[1])
@@ -301,6 +309,7 @@ def _decode_graded_ids(value, degrees: _Degrees, path: str) -> FuzzySet:
 
 def _decode_pairs(value, degrees: _Degrees, decode_a, decode_b, path: str) -> dict:
     rows = _expect_array(value, path)
+    ports = decode_a is _point
     out: dict = {}
     try:
         for i, row in enumerate(rows):
@@ -308,7 +317,8 @@ def _decode_pairs(value, degrees: _Degrees, decode_a, decode_b, path: str) -> di
                 raise _Fault(_shape(row, "expected [from, to]"))
             a, b = row
             if type(a) is not str:
-                a = decode_a(a)
+                port = ports and type(a) is list and len(a) == 2 and type(a[0]) is str
+                a = tuple(a) if port and type(a[1]) is int and a[1] >= 0 else decode_a(a)
             if a in out:
                 raise _Fault(f"duplicate entry for {a!r}")
             out[a] = b if type(b) is str else decode_b(b)
@@ -322,26 +332,32 @@ def _decode_triples(value, degrees: _Degrees, decode_a, decode_b, path: str) -> 
     count as duplicates and are checked against the relation's domain."""
     rows = _expect_array(value, path)
     known, parse_degree = degrees.known, degrees.parse
+    ports = decode_a is _point
     out: dict = {}
     try:
         for i, row in enumerate(rows):
             if type(row) is not list or len(row) != 3:
                 raise _Fault(_shape(row, "expected [from, to, degree]"))
             a, b, text = row
-            key = (
-                a if type(a) is str else decode_a(a),
-                b if type(b) is str else decode_b(b),
-            )
+            if type(a) is not str:
+                port = ports and type(a) is list and len(a) == 2 and type(a[0]) is str
+                a = tuple(a) if port and type(a[1]) is int and a[1] >= 0 else decode_a(a)
+            key = a, b if type(b) is str else decode_b(b)
             if key in out:
                 raise _Fault(f"duplicate entry for {key!r}")
-            degree = known.get(text) if type(text) is str else None
-            out[key] = degree if degree is not None else parse_degree(text)
+            try:
+                out[key] = known[text]
+            except (KeyError, TypeError):  # a text not seen yet, or no string
+                out[key] = parse_degree(text)
     except _Fault as fault:
         raise ParseError(str(fault), f"{path}[{i}]") from None
     return out
 
 
 def _check_place_refs(prnt: dict, nodes: frozenset, path: str) -> None:
+    # Sites and roots are the ``int`` elements outside the node set.
+    if {int}.issuperset(map(type, (prnt.keys() | prnt.values()) - nodes)):
+        return
     for child, parent in prnt.items():
         for elem in (child, parent):
             if isinstance(elem, str) and elem not in nodes:
@@ -349,6 +365,10 @@ def _check_place_refs(prnt: dict, nodes: frozenset, path: str) -> None:
 
 
 def _check_link_refs(link: dict, nodes, edges, inner, outer, path: str) -> None:
+    ports = link.keys() - inner  # every point outside the inner names is a port
+    if {tuple}.issuperset(map(type, ports)) and nodes.issuperset(map(itemgetter(0), ports)):
+        if not set(link.values()).difference(edges, outer):
+            return
     for point, target in link.items():
         if isinstance(point, tuple):
             if point[0] not in nodes:
@@ -362,7 +382,9 @@ def _check_link_refs(link: dict, nodes, edges, inner, outer, path: str) -> None:
 
 
 def _check_crisp_refs(fields: dict, path: str) -> None:
-    """Crisp constructors accept dangling identifiers; a file may not."""
+    """Crisp constructors accept dangling identifiers; a file may not.  The
+    refs checks find a fault by set operations, which run in C, and only
+    then walk the rows in order, to name the fault the rows meet first."""
     if "prnt" in fields:
         _check_place_refs(fields["prnt"], fields["nodes"], f"{path}.prnt")
     if "link" in fields:
@@ -377,6 +399,8 @@ def _check_crisp_refs(fields: dict, path: str) -> None:
 
 
 def _check_ctrl_refs(ctrl: dict, nodes: frozenset, path: str) -> None:
+    if nodes.issuperset(map(itemgetter(0), ctrl)):
+        return
     for (v, _k) in ctrl:
         if v not in nodes:
             raise ParseError(f"undeclared node {v!r}", f"{path}.ctrl")
@@ -430,49 +454,53 @@ class _Writer:
     """Encoded identifiers and degrees for one ``serialize`` call.
 
     Identifiers recur across a record's fields, and a few degrees across
-    all its rows, so each is encoded once per call.  Degrees are looked up
-    by identity, because hashing a degree costs more than formatting it;
-    each one seen is kept alive with its text, so no identity is reused
-    while the call runs.  Only strings are looked up by value: ``1`` and
-    ``True`` are equal keys but different JSON.  A DOT export labels its
-    rows with ``degree`` too: the frames write degrees in digits and ``/``,
-    which need no escape, so a degree's JSON string is its DOT label.
+    all its rows, so each is encoded once per call, and the row loops read
+    both tables themselves.  Degrees are looked up by identity, because
+    hashing a degree costs more than formatting it; each one seen is kept
+    alive, so no identity is reused while the call runs.  Only strings are
+    looked up by value: ``1`` and ``True`` are equal keys but different
+    JSON, and ``("v", 1)`` and ``("v", True)`` equal ports.  A DOT export
+    labels its rows from the degree table too: the frames write degrees in
+    digits and ``/``, which need no escape, so a degree's JSON string is
+    its DOT label.
     """
 
     def __init__(self):
-        self.strings: dict = {}
-        self.degrees: dict = {}
+        self.strings: dict = {}  # string -> (sort key, JSON text)
+        self.degrees: dict = {}  # id(degree) -> JSON text
+        self.kept: list = []
+
+    def element(self, element) -> tuple:
+        """An element's sort key and its JSON text in a row, for an element
+        the string table does not hold yet.  A port is written in place,
+        and only as ``parse`` reads it back: a node identifier and a
+        natural-number index."""
+        if type(element) is str:
+            made = self.strings[element] = ((1, element, 0, 0), encode_basestring(element))
+            return made
+        if type(element) is tuple and len(element) == 2:
+            node, index = element
+            if type(node) is not str or type(index) is not int or index < 0:
+                raise ValueError(f"cannot serialize: port {element!r} is not "
+                                 "a node identifier and a natural-number index")
+            text = (self.strings.get(node) or self.element(node))[1]
+            return (2, node, 0, index), f"{_PORT_OPEN}{text}{_PORT_SEP}{index}{_PORT_CLOSE}"
+        return element_sort_key(element), self.encode(element)
 
     def encode(self, value) -> str:
         """A string, number or ``(node, index)`` port, as JSON in a row."""
-        if type(value) is str:
-            seen = self.strings.get(value)
-            if seen is None:
-                seen = self.strings[value] = (
-                    element_sort_key(value), encode_basestring(value)
-                )
-            return seen[1]
+        if type(value) is str or type(value) is tuple:
+            return (self.strings.get(value) or self.element(value))[1]
         if type(value) is int:
             return int.__repr__(value)
-        if type(value) is tuple:
-            node, index = self.encode(value[0]), self.encode(value[1])
-            return f"{_PORT_OPEN}{node}{_PORT_SEP}{index}{_PORT_CLOSE}"
         return json.dumps(value, ensure_ascii=False)
 
-    def element(self, element) -> tuple:
-        """An element's sort key and its JSON text in a row."""
-        if type(element) is str:
-            seen = self.strings.get(element)
-            if seen is not None:
-                return seen
-        return element_sort_key(element), self.encode(element)
-
     def degree(self, degree) -> str:
-        seen = self.degrees.get(id(degree))
-        if seen is None:
-            text = self.encode(degree.frame.format_degree(degree))
-            seen = self.degrees[id(degree)] = (degree, text)
-        return seen[1]
+        text = self.degrees.get(id(degree))
+        if text is None:
+            text = self.degrees[id(degree)] = self.encode(degree.frame.format_degree(degree))
+            self.kept.append(degree)
+        return text
 
     def names(self, names, depth: int = 3) -> str:
         return _array([self.encode(name) for name in sorted(names)], depth)
@@ -514,22 +542,23 @@ class _Writer:
         """``[element, text]`` rows of ``(element, value)`` items, where
         ``write`` gives a value's text: a crisp map's target or a graded
         set's membership."""
-        element = self.element
+        strings, element = self.strings, self.element
         rows = []
         for x, value in items:
-            key, text = element(x)
+            key, text = strings.get(x) or element(x)
             rows.append((key, f"{_ROW_OPEN}{text}{_ROW_SEP}{write(value)}{_ROW_CLOSE}"))
         return _array(_in_key_order(rows), 3)
 
     def relation(self, relation: FuzzyRelation) -> str:
-        element, degree = self.element, self.degree
+        strings, degrees, element = self.strings, self.degrees, self.element
         rows = []
         for (a, b), d in relation.items():
-            key_a, text_a = element(a)
-            key_b, text_b = element(b)
+            key_a, text_a = strings.get(a) or element(a)
+            key_b, text_b = strings.get(b) or element(b)
+            text_d = degrees.get(id(d)) or self.degree(d)
             rows.append((
                 key_a, key_b,
-                f"{_ROW_OPEN}{text_a}{_ROW_SEP}{text_b}{_ROW_SEP}{degree(d)}{_ROW_CLOSE}",
+                f"{_ROW_OPEN}{text_a}{_ROW_SEP}{text_b}{_ROW_SEP}{text_d}{_ROW_CLOSE}",
             ))
         return _array(_in_key_order(rows), 3)
 
@@ -687,22 +716,33 @@ def _decode_record(kind: str, obj: dict, degrees: _Degrees, signature: Signature
     fl.check_refs(fields, path)
     for key in place_degree + link_degree:
         fields[key] = _decode_degree(degrees, obj[key], at(key))
+    inner, outer, nodes = fields["inner"], fields["outer"], fields["nodes"]
+    if fl.ctrl:
+        support = nodes.support if isinstance(nodes, FuzzySet) else nodes
+        fields["ctrl"] = degrees.relation(fields["ctrl"], support, signature.controls)
+        if "prnt" in fields:
+            domain = _prnt_domain(inner.width, outer.width, support)
+            fields["prnt"] = degrees.relation(fields["prnt"], *domain)
 
-    # The public constructors check the rest, and their faults are the
-    # record's.  Graded ones take the frame first, and a bigraph's link part
-    # takes the place part's control relation as it stands.
+    # The graded constructors check the rest, and their faults are the
+    # record's; a bigraph's link part takes the place part's control
+    # relation as it stands.  Crisp constructors would only re-freeze and
+    # copy what the decoder built, so crisp parts wrap it, each its own map.
     head = (degrees.frame, signature) if fl.ctrl else (signature,)
-    inner, outer, nodes, ctrl = fields["inner"], fields["outer"], fields["nodes"], fields["ctrl"]
+    place_cls, link_cls = _CLASS_OF[f"{flavour}-place"], _CLASS_OF[f"{flavour}-link"]
+    if not fl.ctrl:
+        place_cls, link_cls = place_cls._trusted, link_cls._trusted
+    ctrl = fields["ctrl"]
     parts = []
     try:
         if "prnt" in fields:
-            parts.append(_CLASS_OF[f"{flavour}-place"](
+            parts.append(place_cls(
                 *head, inner.width, outer.width, nodes, ctrl, fields["prnt"],
                 *[fields[key] for key in place_degree],
             ))
-            ctrl = parts[0].ctrl
+            ctrl = parts[0].ctrl if fl.ctrl else dict(ctrl)
         if "link" in fields:
-            parts.append(_CLASS_OF[f"{flavour}-link"](
+            parts.append(link_cls(
                 *head, inner.names, outer.names, nodes, fields["edges"], ctrl, fields["link"],
                 *[fields[key] for key in link_degree],
             ))
@@ -862,57 +902,50 @@ def _emit_crisp_place(lines: list, place: PlaceGraph, children: dict, child, ind
 
 
 class _DotIds(dict):
-    """Quoted DOT ids of link points or targets.  The export fills in the
-    ids its declaration lines quote; an element no line declared (a crisp
-    link may name a port beyond its node's arity, or a target that is no
-    edge or outer name) is quoted on its first use."""
+    """Sort keys and quoted DOT ids of link points or targets.  The export
+    fills in the elements its declaration lines quote; an element no line
+    declared (a crisp link may name a port beyond its node's arity, or a
+    target that is no edge or outer name) gets both on its first use."""
 
-    def __init__(self, name_of: Callable):
+    def __init__(self, name_of: Callable, key_of: Callable):
         super().__init__()
-        self.name_of = name_of
+        self.name_of, self.key_of = name_of, key_of
 
-    def __missing__(self, element) -> str:
-        made = self[element] = _q(self.name_of(element))
+    def __missing__(self, element) -> tuple:
+        made = self[element] = (self.key_of(element), _q(self.name_of(element)))
         return made
-
-
-class _SortKeys(dict):
-    """``element_sort_key`` of each element, computed on its first use."""
-
-    def __missing__(self, element):
-        key = self[element] = element_sort_key(element)
-        return key
 
 
 def _dot_place_fuzzy(place, type2: bool) -> str:
     frame = place.frame
     nodes = sorted(place.node_support if type2 else place.nodes)
     # The parent relation relates sites and nodes to roots and nodes, so
-    # its every row names elements declared below.
+    # its every row names elements declared below, by sort key and id.
     children: dict = {}
     parents: dict = {}
     lines = ["digraph place {"]
     for root in range(place.outer):
-        root_id = parents[root] = _q(f"root_{root}")
+        _key, root_id = parents[root] = ((0, "", root, 0), _q(f"root_{root}"))
         lines.append(f"  {root_id} [label={_q(f'root {root}')}, shape=box, style=dashed];")
     for site in range(place.inner):
-        site_id = children[site] = _q(f"site_{site}")
+        _key, site_id = children[site] = ((0, "", site, 0), _q(f"site_{site}"))
         lines.append(
             f"  {site_id} [label={_q(f'site {site}')}, "
             "shape=box, style=filled, fillcolor=lightgrey];"
         )
     for v in nodes:
-        node_id = parents[v] = children[v] = _q(f"node_{v}")
+        _key, node_id = parents[v] = children[v] = ((1, v, 0, 0), _q(f"node_{v}"))
         label = v
         if type2:
             label = f"{v} ({frame.format_degree(place.nodes.membership(v))})"
         lines.append(f"  {node_id} [label={_q(label)}, shape=ellipse];")
 
-    keys, label_of = _SortKeys(), _Writer().degree
+    writer = _Writer()
+    labels = writer.degrees
     rows = [
-        (keys[child], keys[parent],
-         f"  {children[child]} -> {parents[parent]} [label={label_of(degree)}];")
-        for (child, parent), degree in place.prnt.items()
+        (children[c][0], parents[p][0], f"  {children[c][1]} -> {parents[p][1]} "
+         f"[label={labels.get(id(d)) or writer.degree(d)}];")
+        for (c, p), d in place.prnt.items()
     ]
     lines += _in_key_order(rows)
     lines.append("}")
@@ -924,18 +957,22 @@ def _dot_link(graph, flavour: str) -> str:
     frame = None if crisp else graph.frame
     nodes = sorted(graph.node_support if type2 else graph.nodes)
     edge_ids = graph.edge_support if type2 else graph.edges
-    points = _DotIds(lambda q: f"port_{q[0]}_{q[1]}" if isinstance(q, tuple) else f"inner_{q}")
-    targets = _DotIds(lambda t: f"edge_{t}" if t in edge_ids else f"outer_{t}")
+    points = _DotIds(
+        lambda q: f"port_{q[0]}_{q[1]}" if isinstance(q, tuple) else f"inner_{q}",
+        element_sort_key,
+    )
+    # Only a crisp link names undeclared targets, and its rows sort by point.
+    targets = _DotIds(lambda t: f"edge_{t}" if t in edge_ids else f"outer_{t}", lambda t: None)
     node_ids: dict = {}
 
     lines = ["graph link {"]
     for name in sorted(graph.inner):
-        inner_id = points[name] = _q(f"inner_{name}")
+        _key, inner_id = points[name] = ((1, name, 0, 0), _q(f"inner_{name}"))
         lines.append(f"  {inner_id} [label={_q(name)}, shape=plaintext];")
     # an outer name that is also an edge (a crisp graph may have one) is
     # linked to as the edge
     for name in sorted(graph.outer):
-        outer_id = targets[name] = _q(f"outer_{name}")
+        _key, outer_id = targets[name] = ((1, name, 0, 0), _q(f"outer_{name}"))
         lines.append(f"  {outer_id} [label={_q(name)}, shape=plaintext];")
     for v in nodes:
         if crisp:
@@ -950,22 +987,23 @@ def _dot_link(graph, flavour: str) -> str:
         label = e
         if type2:
             label = f"{e} ({frame.format_degree(graph.edges.membership(e))})"
-        edge_id = targets[e] = _q(f"edge_{e}")
+        _key, edge_id = targets[e] = ((1, e, 0, 0), _q(f"edge_{e}"))
         lines.append(f"  {edge_id} [label={_q(label)}, shape=diamond];")
     for port in sorted(graph.ports):
         v, i = port
-        port_id = points[port] = _q(f"port_{v}_{i}")
+        _key, port_id = points[port] = ((2, v, 0, i), _q(f"port_{v}_{i}"))
         lines.append(f"  {port_id} [label={_q(f'{v}.{i}')}, shape=point];")
         lines.append(f"  {node_ids[v]} -- {port_id} [style=dotted];")
 
-    keys = _SortKeys()
     if crisp:
-        rows = [(keys[q], f"  {points[q]} -- {targets[t]};") for q, t in graph.link.items()]
+        rows = [(points[q][0], f"  {points[q][1]} -- {targets[t][1]};") for q, t in graph.link.items()]
     else:
-        label_of = _Writer().degree
+        writer = _Writer()
+        labels = writer.degrees
         rows = [
-            (keys[q], keys[t], f"  {points[q]} -- {targets[t]} [label={label_of(degree)}];")
-            for (q, t), degree in graph.link.items()
+            (points[q][0], targets[t][0], f"  {points[q][1]} -- {targets[t][1]} "
+             f"[label={labels.get(id(d)) or writer.degree(d)}];")
+            for (q, t), d in graph.link.items()
         ]
     lines += _in_key_order(rows)
     lines.append("}")

@@ -79,6 +79,45 @@ def test_node_without_positive_control_has_no_ports():
     assert derive_ports(SIG, g.ctrl) == frozenset()
 
 
+def _widest_arity_ports(signature, ctrl):
+    """``derive_ports`` as one loop over the entries, keeping each node's
+    widest arity: the reference the grouped version is checked against."""
+    arity = signature.arity
+    widest = {}
+    for (v, control), _degree in ctrl.items():
+        ar = arity.get(control)
+        if ar is None:
+            ar = signature.arity_of(control)  # raises: unknown control
+        if ar > widest.get(v, -1):
+            widest[v] = ar
+    return frozenset((v, i) for v, ar in widest.items() for i in range(ar))
+
+
+def test_ports_agree_with_the_widest_arity_loop():
+    """Several controls per node, arity 0, and unknown controls, which are
+    named in entry order, not in the order of their names."""
+    rng = random.Random(11)
+    controls = ["K", "L", "M", "N", "Z", "A"]  # N, Z and A are unknown
+    for trial in range(400):
+        nodes = [f"v{i}" for i in range(rng.randint(0, 8))]
+        known = controls[:3] + (["N"] if trial % 2 else [])
+        sig = Signature({k: ar for k, ar in zip(known, (2, 1, 3, 0))})
+        pool = known + (["Z", "A"] if trial % 5 == 0 else [])
+        entries = {}
+        for v in nodes:
+            for k in rng.sample(pool, rng.randint(0, min(3, len(pool)))):
+                entries[(v, k)] = U.top
+        ctrl = FuzzyRelation(U, nodes, set(pool), entries)
+        try:
+            expected = _widest_arity_ports(sig, ctrl)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                derive_ports(sig, ctrl)
+            assert str(got.value) == str(exc)
+            continue
+        assert derive_ports(sig, ctrl) == expected
+
+
 # --- place composition ----------------------------------------------------
 
 
