@@ -269,9 +269,11 @@ def _require_disjoint_nodes(f_nodes, g_nodes) -> None:
         raise SupportOverlapError(f"supports overlap on nodes {sorted(shared)}")
 
 
-def _require_disjoint_support(f_sup, g_sup) -> None:
-    shared = f_sup & g_sup
-    if shared:
+def _require_disjoint_support(f_nodes, f_edges, g_nodes, g_edges) -> None:
+    # The supports are built only to name an overlap.
+    if not (f_nodes.isdisjoint(g_nodes) and f_nodes.isdisjoint(g_edges)
+            and f_edges.isdisjoint(g_nodes) and f_edges.isdisjoint(g_edges)):
+        shared = (f_nodes | f_edges) & (g_nodes | g_edges)
         raise SupportOverlapError(f"supports overlap on {sorted(shared)}")
 
 
@@ -285,7 +287,7 @@ def _require_place_composable(g, f, f_nodes, g_nodes) -> None:
     _require_disjoint_nodes(f_nodes, g_nodes)
 
 
-def _require_link_composable(g, f, f_support, g_support, f_edges) -> None:
+def _require_link_composable(g, f, f_nodes, f_edges, g_nodes, g_edges) -> None:
     """Preconditions of ``g . f`` on link graphs of either fuzzy kind."""
     _require_compatible(g, f)
     if f.outer != g.inner:
@@ -293,7 +295,7 @@ def _require_link_composable(g, f, f_support, g_support, f_edges) -> None:
             "link interface mismatch: expected inner names "
             f"{{{','.join(sorted(f.outer))}}}, got {{{','.join(sorted(g.inner))}}}"
         )
-    _require_disjoint_support(f_support, g_support)
+    _require_disjoint_support(f_nodes, f_edges, g_nodes, g_edges)
     clash = f_edges & g.outer
     if clash:
         raise NameClashError(
@@ -301,15 +303,23 @@ def _require_link_composable(g, f, f_support, g_support, f_edges) -> None:
         )
 
 
-def _require_bigraph_composable(g, f, f_support, g_support) -> None:
+def _require_bigraph_composable(g, f, f_nodes, f_edges, g_nodes, g_edges) -> None:
     if f.outer != g.inner:
         raise InterfaceMismatchError(
             f"interface mismatch: expected {f.outer}, got {g.inner}"
         )
-    _require_disjoint_support(f_support, g_support)
+    _require_disjoint_support(f_nodes, f_edges, g_nodes, g_edges)
 
 
 # --- composition ------------------------------------------------------------
+
+
+def _composed_ctrl(g, f, ids) -> FuzzyRelation:
+    """f's controls and g's over ``ids``, the union of their node sets; the
+    composers have required those disjoint, which ``union`` would repeat."""
+    entries = f.ctrl.entry_dict()
+    entries.update(g.ctrl._entries)
+    return FuzzyRelation._trusted(f.frame, ids, f.ctrl.codomain, entries)
 
 
 def _composed_place(g, f, f_ids, g_ids, kappa, f_drop, g_drop) -> tuple:
@@ -326,22 +336,23 @@ def _composed_place(g, f, f_ids, g_ids, kappa, f_drop, g_drop) -> tuple:
     ids = nodes.support if isinstance(nodes, FuzzySet) else nodes
     entries = _route(f.prnt, g.prnt, f_ids, g_ids, kappa, f_drop, g_drop)
     prnt = FuzzyRelation._trusted(f.frame, *_prnt_domain(f.inner, g.outer, ids), entries)
-    return f.frame, f.signature, f.inner, g.outer, nodes, f.ctrl.union(g.ctrl), prnt
+    return f.frame, f.signature, f.inner, g.outer, nodes, _composed_ctrl(g, f, ids), prnt
 
 
 def _composed_link(g, f, f_edge_ids, kappa) -> tuple:
     """The fields of the link composite ``g . f`` of either kind, in
     ``_fields`` order and short of a degree; ``f_edge_ids`` are f's edge
     identifiers, and ``kappa`` guards f's entries and g's routed legs."""
-    edges = f.edges.union(g.edges)
+    nodes, edges = f.nodes.union(g.nodes), f.edges.union(g.edges)
+    ids = nodes.support if isinstance(nodes, FuzzySet) else nodes
     edge_ids = edges.support if isinstance(edges, FuzzySet) else edges
     # A node's ports follow from its own control row (and membership), and
     # the node sets are disjoint, so the composite's ports are f's and g's.
     ports = f.ports | g.ports
     entries = _route(f.link, g.link, f_edge_ids, g.ports, kappa, (), ())
     link = FuzzyRelation._trusted(f.frame, f.inner | ports, edge_ids | g.outer, entries)
-    nodes = f.nodes.union(g.nodes)
-    return f.frame, f.signature, f.inner, g.outer, nodes, edges, f.ctrl.union(g.ctrl), link, ports
+    ctrl = _composed_ctrl(g, f, ids)
+    return f.frame, f.signature, f.inner, g.outer, nodes, edges, ctrl, link, ports
 
 
 def compose_fuzzy_place(g: FuzzyPlaceGraph, f: FuzzyPlaceGraph) -> FuzzyPlaceGraph:
@@ -354,13 +365,13 @@ def compose_fuzzy_place(g: FuzzyPlaceGraph, f: FuzzyPlaceGraph) -> FuzzyPlaceGra
 
 def compose_fuzzy_link(g: FuzzyLinkGraph, f: FuzzyLinkGraph) -> FuzzyLinkGraph:
     """Composite ``g . f`` of fuzzy link graphs f: X->Y and g: Y->Z."""
-    _require_link_composable(g, f, f.nodes | f.edges, g.nodes | g.edges, f.edges)
+    _require_link_composable(g, f, f.nodes, f.edges, g.nodes, g.edges)
     return FuzzyLinkGraph._trusted(*_composed_link(g, f, f.edges, f.frame.bottom))
 
 
 def compose_fuzzy(g: FuzzyBigraph, f: FuzzyBigraph) -> FuzzyBigraph:
     """Componentwise composite of fuzzy bigraphs f: I->J and g: J->K."""
-    _require_bigraph_composable(g, f, f.nodes | f.edges, g.nodes | g.edges)
+    _require_bigraph_composable(g, f, f.nodes, f.edges, g.nodes, g.edges)
     return FuzzyBigraph._trusted(
         compose_fuzzy_place(g.place, f.place),
         compose_fuzzy_link(g.link, f.link),
@@ -391,7 +402,7 @@ def tensor_fuzzy_place(f: FuzzyPlaceGraph, g: FuzzyPlaceGraph) -> FuzzyPlaceGrap
 def tensor_fuzzy_link(f: FuzzyLinkGraph, g: FuzzyLinkGraph) -> FuzzyLinkGraph:
     """Tensor ``f ⊗ g``: disjoint union of every component."""
     _require_compatible(g, f)
-    _require_disjoint_support(f.nodes | f.edges, g.nodes | g.edges)
+    _require_disjoint_support(f.nodes, f.edges, g.nodes, g.edges)
     clash = f.inner & g.inner
     if clash:
         raise NameClashError(f"inner names clash: {sorted(clash)}")

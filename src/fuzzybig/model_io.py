@@ -488,12 +488,13 @@ class _Writer:
         return element_sort_key(element), self.encode(element)
 
     def encode(self, value) -> str:
-        """A string, number or ``(node, index)`` port, as JSON in a row."""
+        """A string, integer or ``(node, index)`` port, as JSON in a row;
+        ``parse`` reads no other value back (``None``, a float, a bool)."""
         if type(value) is str or type(value) is tuple:
             return (self.strings.get(value) or self.element(value))[1]
         if type(value) is int:
             return int.__repr__(value)
-        return json.dumps(value, ensure_ascii=False)
+        raise ValueError(f"cannot serialize: {value!r} is not a string, an integer or a port")
 
     def degree(self, degree) -> str:
         text = self.degrees.get(id(degree))

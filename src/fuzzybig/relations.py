@@ -215,11 +215,16 @@ def _route(f_rel, g_rel, f_internal, g_internal, kappa, f_drop, g_drop) -> dict:
     any other target is an interface position, and the entry is routed
     through every entry of g leaving that position, at the meet of the two
     legs, parallel routes joining.  Entries of g whose source lies in
-    ``g_internal`` are copied last.  Above bottom, ``kappa`` guards the
-    type-2 composite: f's entries and g's routed legs must reach it.  The
-    sources in ``f_drop`` and ``g_drop`` (type-2 nodes whose membership
-    falls below kappa) lose their entries.  Operand entries are already
+    ``g_internal`` are copied.  Above bottom, ``kappa`` guards the type-2
+    composite: f's entries and g's routed legs must reach it.  The sources
+    in ``f_drop`` and ``g_drop`` (type-2 nodes whose membership falls below
+    a kappa above bottom) lose their entries.  Operand entries are already
     normal, so the result is too.
+
+    Copies are whole-dict copies, which reuse the stored key hashes; the
+    entries that are routed or dropped are then deleted from them.  The
+    callers' composability checks keep every copied key apart from every
+    routed one: f's copies end in f's nodes or edges, g's start at g's.
 
     Degrees are compared as raw carrier values through the frame's hooks,
     fetched once.  Nothing is re-checked: every stored degree was checked
@@ -232,25 +237,37 @@ def _route(f_rel, g_rel, f_internal, g_internal, kappa, f_drop, g_drop) -> dict:
     bottom = frame.bottom.raw
     k = kappa.raw
     guarded = k != bottom
+    f_entries, g_entries = f_rel._entries, g_rel._entries
+    f_walk = []
+    for key, d in f_entries.items():
+        if key[1] not in f_internal or guarded and (key[0] in f_drop or not leq(k, d.raw)):
+            f_walk.append(key)
+    g_walk = []
     legs: dict = {}
-    kept = []
-    # Copied entries keep their key tuples.
-    for key, d in g_rel._entries.items():
+    for key, d in g_entries.items():
         b = key[0]
-        if b in g_internal:
-            if b not in g_drop:
-                kept.append((key, d))
-        elif not guarded or leq(k, d.raw):
-            legs.setdefault(b, []).append((key[1], d, d.raw))
+        if b not in g_internal:
+            g_walk.append(key)
+            if not guarded or leq(k, d.raw):
+                legs.setdefault(b, []).append((key[1], d, d.raw))
+    g_gone = g_walk + [key for key in g_entries if key[0] in g_drop] if g_drop else g_walk
+    # A walked key can equal a routed one (f's root j and g's root j), so
+    # every walked key leaves the copies before any route lands.
     out: dict = {}
-    for key, d1 in f_rel._entries.items():
+    if f_internal:
+        out.update(f_entries)
+        for key in f_walk:
+            del out[key]
+    if g_internal:
+        out.update(g_entries)
+        for key in g_gone:
+            del out[key]
+    for key in f_walk:
+        d1 = f_entries[key]
         a, b = key
-        if a in f_drop or (guarded and not leq(k, d1.raw)):
-            continue
-        if b in f_internal:
-            out[key] = d1
-            continue
         r1 = d1.raw
+        if guarded and (a in f_drop or not leq(k, r1)):
+            continue
         for c, d2, r2 in legs.get(b, ()):
             # A hook that returns an operand's raw value keeps that
             # operand's degree.  On a chain it always does; off a chain a
@@ -265,15 +282,13 @@ def _route(f_rel, g_rel, f_internal, g_internal, kappa, f_drop, g_drop) -> dict:
             else:
                 deg = frame.value(r)
             ac = (a, c)
-            prev = out.get(ac)
-            if prev is None:
-                out[ac] = deg
+            prev = out.setdefault(ac, deg)
+            if prev is deg:
                 continue
             p = prev.raw
             r = join(p, deg.raw)
             if r is not p:
                 out[ac] = deg if r is deg.raw else frame.value(r)
-    out.update(kept)
     return out
 
 

@@ -316,8 +316,7 @@ def compose_type2_link(
     at or above kappa; g-internal entries are copied unguarded, and no
     entry is guarded by membership.
     """
-    f_support, g_support = f.node_support | f.edge_support, g.node_support | g.edge_support
-    _require_link_composable(g, f, f_support, g_support, f.edge_support)
+    _require_link_composable(g, f, f.node_support, f.edge_support, g.node_support, g.edge_support)
     kappa = f.degree.meet(g.degree)
     return Type2FuzzyLinkGraph._trusted(*_composed_link(g, f, f.edge_support, kappa), kappa)
 
@@ -325,10 +324,7 @@ def compose_type2_link(
 def compose_type2(g: Type2FuzzyBigraph, f: Type2FuzzyBigraph) -> Type2FuzzyBigraph:
     """Pairwise composite; the result's degree is the meet of the inputs'."""
     _require_bigraph_composable(
-        g,
-        f,
-        f.nodes.support | f.link.edge_support,
-        g.nodes.support | g.link.edge_support,
+        g, f, f.nodes.support, f.link.edge_support, g.nodes.support, g.link.edge_support
     )
     return Type2FuzzyBigraph._trusted(
         compose_type2_place(g.place, f.place),

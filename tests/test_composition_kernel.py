@@ -1,0 +1,355 @@
+"""The composition kernel against dense oracles, and the composers'
+preconditions.
+
+``compose_fuzzy`` and ``compose_type2``, their part composers and
+``FuzzyRelation.then`` all route through ``relations._route``, which copies
+the pass-through entries and walks only those that meet the interface.
+Here each composite is compared with an oracle that evaluates every pair
+of the composite's grid: a dense sup-min for fuzzy composites and
+``FuzzyRelation.then``, and ``type2_oracle.refilter_place`` /
+``refilter_link`` for type-2 ones.  The operands are drawn over every frame
+and over ``helpers.DiamondFrame``, whose meets can fall to bottom and whose
+joins can be new values; type-2 degrees and memberships come from the same
+pool, so the guard drops entries.  Interfaces are drawn so that an f root
+index often equals a g root index and g's inner names often equal its
+outer names, where a routed key can equal a walked one.
+
+The precondition tests pin the support-overlap message for every pairing
+of an f node or edge with a g node or edge, and check that a composite's
+controls are its operands' controls together.
+"""
+
+import random
+
+import pytest
+
+from fuzzybig import (
+    FuzzyBigraph,
+    FuzzyLinkGraph,
+    FuzzyPlaceGraph,
+    FuzzyRelation,
+    FuzzySet,
+    Interface,
+    Signature,
+    Type2FuzzyBigraph,
+    Type2FuzzyLinkGraph,
+    Type2FuzzyPlaceGraph,
+    UNIT_INTERVAL as U,
+    compose_fuzzy,
+    compose_fuzzy_link,
+    compose_fuzzy_place,
+    compose_type2,
+    compose_type2_link,
+    compose_type2_place,
+    derive_ports,
+    embed_bigraph,
+    embed_link,
+    tensor_fuzzy_link,
+)
+from fuzzybig.errors import SupportOverlapError
+from fuzzybig.relations import element_sort_key
+
+from helpers import ALL_FRAMES, DiamondFrame, d
+from type2_oracle import refilter_link, refilter_place
+
+SIG = Signature({"K": 2, "L": 1, "M": 0})
+DIAMOND = DiamondFrame()
+FRAMES = (*ALL_FRAMES, DIAMOND)
+
+
+def _pool(frame) -> list:
+    """The positive degrees operands draw from: the whole frame but bottom,
+    or a few levels of the unit interval."""
+    if frame is DIAMOND:
+        return [frame.value(frozenset(s)) for s in ("a", "b", "ab")]
+    if frame.name == "unit-interval":
+        return [d(s) for s in ("1/4", "1/2", "2/3", "3/4", "1")]
+    if frame.name == "two-point":
+        return [frame.top]
+    return [frame.value(i) for i in range(1, frame.size)]
+
+
+def _names(prefix: str, count: int) -> frozenset:
+    return frozenset(f"{prefix}{i}" for i in range(count))
+
+
+def _interfaces(rng) -> tuple:
+    """Interfaces k -> m -> n; g's inner names equal its outer names, and
+    its widths match, half the time."""
+    inner = Interface(rng.randint(0, 2), _names("x", rng.randint(0, 2)))
+    mid = Interface(rng.randint(1, 3), _names("y", rng.randint(1, 3)))
+    outer = mid if rng.random() < 0.5 else Interface(rng.randint(1, 3), _names("z", rng.randint(1, 3)))
+    return inner, mid, outer
+
+
+def _rows(rng, pool, sources, targets_of) -> dict:
+    """Up to two entries per source, onto targets drawn from
+    ``targets_of(i)`` for the i-th source."""
+    out = {}
+    for i, source in enumerate(sources):
+        targets = targets_of(i)
+        for target in rng.sample(targets, rng.randint(0, min(2, len(targets)))):
+            out[(source, target)] = rng.choice(pool)
+    return out
+
+
+def _parts(rng, frame, inner: Interface, outer: Interface, prefix: str) -> tuple:
+    """Random rows for a bigraph ``inner -> outer``: nodes, edges, one
+    control per node, an acyclic parent map and a link map."""
+    pool = _pool(frame)
+    nodes = [f"{prefix}v{i}" for i in range(rng.randint(0, 4))]
+    edges = [f"{prefix}e{i}" for i in range(rng.randint(0, 3))]
+    ctrl = {(v, rng.choice(sorted(SIG.controls))): rng.choice(pool) for v in nodes}
+    roots = list(range(outer.width))
+    prnt = _rows(rng, pool, nodes, lambda i: nodes[i + 1 :] + roots)
+    prnt.update(_rows(rng, pool, range(inner.width), lambda i: nodes + roots))
+    ctrl_rel = FuzzyRelation(frame, nodes, SIG.controls, ctrl)
+    points = sorted(inner.names) + sorted(derive_ports(SIG, ctrl_rel))
+    link_targets = edges + sorted(outer.names)
+    link = _rows(rng, pool, points, lambda i: link_targets)
+    return nodes, edges, ctrl, prnt, link
+
+
+def _fuzzy(rng, frame, inner, outer, prefix) -> FuzzyBigraph:
+    nodes, edges, ctrl, prnt, link = _parts(rng, frame, inner, outer, prefix)
+    return FuzzyBigraph(
+        FuzzyPlaceGraph(frame, SIG, inner.width, outer.width, nodes, ctrl, prnt),
+        FuzzyLinkGraph(frame, SIG, inner.names, outer.names, nodes, edges, ctrl, link),
+    )
+
+
+def _type2(rng, frame, inner, outer, prefix) -> Type2FuzzyBigraph:
+    nodes, edges, ctrl, prnt, link = _parts(rng, frame, inner, outer, prefix)
+    pool = _pool(frame)
+    members = FuzzySet(frame, {v: rng.choice(pool) for v in nodes})
+    edge_members = FuzzySet(frame, {e: rng.choice(pool) for e in edges})
+    degrees = pool + [frame.bottom]
+    return Type2FuzzyBigraph(
+        Type2FuzzyPlaceGraph(
+            frame, SIG, inner.width, outer.width, members, ctrl, prnt, rng.choice(degrees)
+        ),
+        Type2FuzzyLinkGraph(
+            frame, SIG, inner.names, outer.names, members, edge_members, ctrl, link,
+            rng.choice(degrees),
+        ),
+    )
+
+
+def _pair(rng, frame, make, trial: int) -> tuple:
+    inner, mid, outer = _interfaces(rng)
+    return make(rng, frame, inner, mid, f"f{trial}_"), make(rng, frame, mid, outer, f"g{trial}_")
+
+
+def _ordered(elements) -> list:
+    return sorted(elements, key=element_sort_key)
+
+
+def dense_sup_min(f_rel, g_rel, middle, f_kept, g_kept) -> dict:
+    """Every pair of the composite's grid by the sup-min rule: f's entries
+    onto ``f_kept`` as they stand, f's sources into g's targets at the join
+    over ``middle`` of the meet of the two legs, and g's entries from
+    ``g_kept`` as they stand; bottom is left out."""
+    frame = f_rel.frame
+    out = {}
+    targets = _ordered(g_rel.codomain)
+    for x in _ordered(f_rel.domain):
+        for z in _ordered(f_kept):
+            degree = f_rel.degree(x, z)
+            if not degree.is_bottom():
+                out[(x, z)] = degree
+        for z in targets:
+            degree = frame.join_all(f_rel.degree(x, m).meet(g_rel.degree(m, z)) for m in middle)
+            if not degree.is_bottom():
+                out[(x, z)] = degree
+    for x in _ordered(g_kept):
+        for z in targets:
+            degree = g_rel.degree(x, z)
+            if not degree.is_bottom():
+                out[(x, z)] = degree
+    return out
+
+
+def _relations(graph) -> list:
+    """The relations a graph of either kind holds, bigraph or part."""
+    parts = [graph.place, graph.link] if hasattr(graph, "place") else [graph]
+    out = []
+    for part in parts:
+        out.append(part.ctrl)
+        out.append(part.prnt if hasattr(part, "prnt") else part.link)
+    return out
+
+
+def _snapshot(*graphs) -> list:
+    return [(rel, rel.entry_dict()) for graph in graphs for rel in _relations(graph)]
+
+
+def _assert_fresh(composite, snapshot) -> None:
+    """The composite shares no entry dict with an operand, and every
+    operand relation still holds the entries it held before."""
+    operand_dicts = [id(rel._entries) for rel, _ in snapshot]
+    for rel in _relations(composite):
+        assert id(rel._entries) not in operand_dicts
+    for rel, entries in snapshot:
+        assert rel.entry_dict() == entries
+
+
+def _fuzzy_expected(g, f) -> tuple:
+    place = dense_sup_min(f.place.prnt, g.place.prnt, range(f.place.outer), f.nodes, g.nodes)
+    link = dense_sup_min(f.link.link, g.link.link, f.link.outer, f.edges, g.link.ports)
+    return place, link
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=lambda frame: frame.name)
+def test_fuzzy_composites_match_the_dense_sup_min(frame):
+    rng = random.Random(24)
+    for trial in range(60):
+        f, g = _pair(rng, frame, _fuzzy, trial)
+        place, link = _fuzzy_expected(g, f)
+        before = _snapshot(f, g)
+        composite = compose_fuzzy(g, f)
+        assert composite.place.prnt.entry_dict() == place
+        assert composite.link.link.entry_dict() == link
+        parts = compose_fuzzy_place(g.place, f.place), compose_fuzzy_link(g.link, f.link)
+        assert parts == (composite.place, composite.link)
+        for composed in (composite, *parts):
+            _assert_fresh(composed, before)
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=lambda frame: frame.name)
+def test_type2_composites_match_the_refilter_oracles(frame):
+    rng = random.Random(24)
+    guarded = 0
+    for trial in range(60):
+        f, g = _pair(rng, frame, _type2, trial)
+        before = _snapshot(f, g)
+        composite = compose_type2(g, f)
+        assert composite.place.prnt.entry_dict() == refilter_place(g.place, f.place)
+        assert composite.link.link.entry_dict() == refilter_link(g.link, f.link)
+        parts = compose_type2_place(g.place, f.place), compose_type2_link(g.link, f.link)
+        assert parts == (composite.place, composite.link)
+        for composed in (composite, *parts):
+            _assert_fresh(composed, before)
+        # The guard drops entries: the fuzzy composite of the same rows,
+        # which has no guard, holds more.
+        plain = compose_fuzzy(_untyped(g), _untyped(f))
+        kept = len(composite.place.prnt) + len(composite.link.link)
+        guarded += len(plain.place.prnt) + len(plain.link.link) > kept
+    if frame.name != "two-point":
+        assert guarded >= 10
+
+
+def _untyped(b: Type2FuzzyBigraph) -> FuzzyBigraph:
+    """The fuzzy bigraph of a type-2 one's rows, memberships dropped."""
+    nodes, edges = b.nodes.support, b.link.edge_support
+    return FuzzyBigraph(
+        FuzzyPlaceGraph(b.frame, SIG, b.place.inner, b.place.outer, nodes, b.ctrl, b.place.prnt),
+        FuzzyLinkGraph(b.frame, SIG, b.link.inner, b.link.outer, nodes, edges, b.ctrl, b.link.link),
+    )
+
+
+def test_then_matches_the_dense_sup_min_on_the_diamond():
+    rng = random.Random(24)
+    pool = _pool(DIAMOND)
+    for trial in range(60):
+        left, mid, right = (_names(p, rng.randint(1, 4)) for p in "lmr")
+        r = FuzzyRelation(DIAMOND, left, mid, _rows(rng, pool, sorted(left), lambda i: sorted(mid)))
+        s = FuzzyRelation(DIAMOND, mid, right, _rows(rng, pool, sorted(mid), lambda i: sorted(right)))
+        before = (r.entry_dict(), s.entry_dict())
+        out = r.then(s)
+        assert out.entry_dict() == dense_sup_min(r, s, _ordered(mid), (), ())
+        assert (out.domain, out.codomain) == (r.domain, s.codomain)
+        assert out._entries is not r._entries and out._entries is not s._entries
+        assert (r.entry_dict(), s.entry_dict()) == before
+
+
+def test_a_routed_key_may_equal_a_walked_key():
+    # f sends u to roots 0 and 1 and g swaps them, so each routed key is the
+    # key of the other walked entry; likewise through g's names y0 <-> y1.
+    frame = DIAMOND
+    a, b, top = (frame.value(frozenset(s)) for s in ("a", "b", "ab"))
+    ctrl = {("u", "L"): top}
+    f = FuzzyBigraph(
+        FuzzyPlaceGraph(frame, SIG, 0, 2, {"u"}, ctrl, {("u", 0): a, ("u", 1): b}),
+        FuzzyLinkGraph(
+            frame, SIG, (), ("y0", "y1"), {"u"}, (), ctrl,
+            {(("u", 0), "y0"): a, (("u", 0), "y1"): b},
+        ),
+    )
+    swap = {(0, 1): top, (1, 0): top}
+    g = FuzzyBigraph(
+        FuzzyPlaceGraph(frame, SIG, 2, 2, (), {}, swap),
+        FuzzyLinkGraph(
+            frame, SIG, ("y0", "y1"), ("y0", "y1"), (), (), {},
+            {("y0", "y1"): top, ("y1", "y0"): top},
+        ),
+    )
+    composite = compose_fuzzy(g, f)
+    assert composite.place.prnt.entry_dict() == {("u", 1): a, ("u", 0): b}
+    assert composite.link.link.entry_dict() == {(("u", 0), "y1"): a, (("u", 0), "y0"): b}
+    # Below every degree, the guard keeps every entry.
+    bottom = frame.bottom
+    embedded = compose_type2(embed_bigraph(g, bottom, bottom), embed_bigraph(f, bottom, bottom))
+    assert embedded.place.prnt.entry_dict() == {("u", 1): a, ("u", 0): b}
+    assert embedded.link.link.entry_dict() == {(("u", 0), "y1"): a, (("u", 0), "y0"): b}
+
+
+# --- preconditions ---------------------------------------------------------------
+
+OVERLAPS = {
+    "f node on g node": ("v", None, "['v']"),
+    "f node on g edge": ("w", "v", "['v']"),
+    "f edge on g node": ("e", None, "['e']"),
+    "f edge on g edge": ("w", "e", "['e']"),
+    "both, sorted": ("v", "e", "['e', 'v']"),
+}
+
+
+def _overlap_pair(g_node: str, g_edge) -> tuple:
+    """Composable fuzzy bigraphs ``<0,{}> -> <1,{y}> -> <1,{z}>``: f holds
+    node v and edge e, g holds ``g_node`` and, if given, ``g_edge``."""
+    top = U.top
+    f_ctrl = {("v", "L"): top}
+    f = FuzzyBigraph(
+        FuzzyPlaceGraph(U, SIG, 0, 1, {"v"}, f_ctrl, {("v", 0): top}),
+        FuzzyLinkGraph(U, SIG, (), ("y",), {"v"}, ("e",), f_ctrl, {(("v", 0), "e"): top}),
+    )
+    g_ctrl = {(g_node, "L"): top}
+    g_edges = () if g_edge is None else (g_edge,)
+    g_link = {("y", "z"): top, ((g_node, 0), g_edge or "z"): top}
+    g = FuzzyBigraph(
+        FuzzyPlaceGraph(U, SIG, 1, 1, {g_node}, g_ctrl, {(g_node, 0): top, (0, 0): top}),
+        FuzzyLinkGraph(U, SIG, ("y",), ("z",), {g_node}, g_edges, g_ctrl, g_link),
+    )
+    return f, g
+
+
+@pytest.mark.parametrize("case", OVERLAPS, ids=str)
+def test_every_support_overlap_pairing_raises_one_message(case):
+    g_node, g_edge, shared = OVERLAPS[case]
+    f, g = _overlap_pair(g_node, g_edge)
+    message = f"supports overlap on {shared}"
+    calls = {
+        "compose_fuzzy": lambda: compose_fuzzy(g, f),
+        "compose_fuzzy_link": lambda: compose_fuzzy_link(g.link, f.link),
+        "tensor_fuzzy_link": lambda: tensor_fuzzy_link(f.link, g.link),
+        "compose_type2": lambda: compose_type2(embed_bigraph(g), embed_bigraph(f)),
+        "compose_type2_link": lambda: compose_type2_link(embed_link(g.link), embed_link(f.link)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(SupportOverlapError) as caught:
+            call()
+        assert type(caught.value) is SupportOverlapError, name
+        assert str(caught.value) == message, name
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=lambda frame: frame.name)
+def test_a_composite_holds_its_operands_controls_together(frame):
+    rng = random.Random(7)
+    for trial in range(30):
+        for make, compose in ((_fuzzy, compose_fuzzy), (_type2, compose_type2)):
+            f, g = _pair(rng, frame, make, trial)
+            composite = compose(g, f)
+            expected = f.ctrl.union(g.ctrl)
+            assert composite.ctrl == expected
+            assert composite.place.ctrl == expected
+            assert composite.link.ctrl == expected

@@ -22,6 +22,7 @@ from fuzzybig import (
     Interface,
     LinkGraph,
     ModelDocument,
+    PlaceGraph,
     Signature,
     TWO_POINT,
     UNIT_INTERVAL,
@@ -187,4 +188,25 @@ def test_serialize_refuses_a_link_port_parse_would_refuse(point):
     )
     fine = LinkGraph(sig, {"x"}, {"y"}, {"v"}, {"e"}, {"v": "K"}, {"x": "e", ("v", 1): "y"})
     doc = ModelDocument(TWO_POINT, sig, {"g": fine})
+    assert parse(serialize(doc)) == doc
+
+
+@pytest.mark.parametrize(
+    "part, target", [("place", None), ("place", 1.5), ("place", True), ("link", None)]
+)
+def test_serialize_refuses_a_map_target_parse_would_refuse(part, target):
+    sig = Signature({"K": 2})
+    if part == "place":
+        graph = PlaceGraph(sig, 0, 1, {"v"}, {"v": "K"}, {"v": target})
+    else:
+        graph = LinkGraph(sig, {"x"}, {"y"}, {"v"}, {"e"}, {"v": "K"}, {"x": target})
+    with pytest.raises(ValueError) as err:
+        serialize(ModelDocument(TWO_POINT, sig, {"g": graph}))
+    assert str(err.value) == f"cannot serialize: {target!r} is not a string, an integer or a port"
+    # String and integer targets still round-trip.
+    fine = {
+        "place": PlaceGraph(sig, 1, 1, {"v", "w"}, {"v": "K", "w": "K"}, {0: "v", "v": "w", "w": 0}),
+        "link": LinkGraph(sig, {"x"}, {"y"}, {"v"}, {"e"}, {"v": "K"}, {"x": "e", ("v", 0): "y"}),
+    }
+    doc = ModelDocument(TWO_POINT, sig, {"g": fine[part]})
     assert parse(serialize(doc)) == doc

@@ -46,8 +46,9 @@ def refilter_place(g, f) -> dict:
                     continue
                 if kappa.leq(leg1) and kappa.leq(leg2):
                     routes.append(leg1.meet(leg2))
-            if routes:
-                out[(child, target)] = frame.join_all(routes)
+            joined = frame.join_all(routes)
+            if not joined.is_bottom():  # off a chain, meets can fall to bottom
+                out[(child, target)] = joined
     for child in sorted(g.node_support):
         if not kappa.leq(g.nodes.membership(child)):
             continue
@@ -78,8 +79,9 @@ def refilter_link(g, f) -> dict:
                     continue
                 if kappa.leq(leg1) and kappa.leq(leg2):
                     routes.append(leg1.meet(leg2))
-            if routes:
-                out[(point, target)] = frame.join_all(routes)
+            joined = frame.join_all(routes)
+            if not joined.is_bottom():  # off a chain, meets can fall to bottom
+                out[(point, target)] = joined
     for point in sorted(g.ports):
         for target in g_links:
             deg = g.link.degree(point, target)
