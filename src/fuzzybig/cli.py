@@ -32,7 +32,6 @@ from .fuzzy import (
     fuzzify,
     fuzzify_link,
     fuzzify_place,
-    support,
     tensor_fuzzy,
     tensor_fuzzy_link,
     tensor_fuzzy_place,
@@ -256,17 +255,8 @@ def _support_payload(name: str, graph) -> dict:
                 elem: graph.frame.format_degree(d) for elem, d in fset.sorted_items()
             },
         }
-    if isinstance(graph, (FuzzyBigraph, FuzzyLinkGraph, FuzzyPlaceGraph)):
-        sup = support(graph)
-        return {
-            "graph": name,
-            "nodes": sorted(sup.nodes),
-            "edges": sorted(sup.edges),
-        }
-    if isinstance(graph, (Bigraph, LinkGraph, PlaceGraph)):
-        edges = graph.edges if not isinstance(graph, PlaceGraph) else frozenset()
-        return {"graph": name, "nodes": sorted(graph.nodes), "edges": sorted(edges)}
-    raise ModelError(f"no support for {type(graph).__name__}")
+    edges = () if isinstance(graph, (PlaceGraph, FuzzyPlaceGraph)) else graph.edges
+    return {"graph": name, "nodes": sorted(graph.nodes), "edges": sorted(edges)}
 
 
 def _cmd_support(args) -> int:

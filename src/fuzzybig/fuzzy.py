@@ -15,8 +15,6 @@ the two-point frame therefore reproduces the crisp algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, product
-from operator import itemgetter
 from typing import Mapping
 
 from .crisp import (
@@ -26,7 +24,6 @@ from .crisp import (
     PlaceGraph,
     Port,
     Signature,
-    _element_renaming,
     _freeze_ids,
     _is_nat,
     _Parts,
@@ -51,14 +48,10 @@ def derive_ports(signature: Signature, ctrl: FuzzyRelation) -> frozenset[Port]:
     is the smallest one safe for all positive possibilities.
     """
     arity = signature.arity
-    pairs = list(map(itemgetter(0), ctrl.items()))
-    if not arity.keys() >= set(map(itemgetter(1), pairs)):  # name the first unknown control
-        signature.arity_of(next(k for _v, k in pairs if k not in arity))
-    pairs.sort(key=itemgetter(1))  # each control's nodes together, to make their ports at once
-    ports: list = []
-    for control, group in groupby(pairs, itemgetter(1)):
-        ports += product(map(itemgetter(0), group), range(arity[control]))
-    return frozenset(ports)
+    try:
+        return frozenset((v, i) for (v, k), _d in ctrl.items() for i in range(arity[k]))
+    except KeyError as unknown:  # arity_of raises for the first one, in entry order
+        signature.arity_of(unknown.args[0])
 
 
 def _as_relation(frame: Frame, entries, domain, codomain) -> FuzzyRelation:
@@ -654,29 +647,26 @@ def check_support_translation(
         if not d.leq(pulled.degree(v, k))
     ]
 
-    # 2. the port bijection (v, i) -> (rho(v), i) lands exactly on g's ports.
-    f_ports = f.link.ports
-    g_ports = g.link.ports
-    mapped = {rho.port_image(p) for p in f_ports}
+    # 2. and 3. f renamed along rho: its ports land exactly on g's, and its
+    #    parents and links stay below g's.  The images are g's identifiers
+    #    and f's outer names are g's, so the renaming's own checks pass.
+    renamed = _transported(f, rho, g.nodes, g.edges)
+    mapped, g_ports = renamed.link.ports, g.link.ports
     ok_ports = mapped == g_ports
     # Listing every port costs milliseconds on a large pair, so the detail
     # is only built when the check fails.
     ports_detail = "" if ok_ports else f"image {sorted(mapped)} differs from {sorted(g_ports)}"
-
-    # 3. f's parents and links, renamed along rho, stay below g's: rho is a
-    #    bijection at top, so routing a relation along it renames its entries.
-    _node, place_elem, point, target = _element_renaming(rho.node_map, rho.edge_map)
     return TranslationReport([
         _verdict("control preservation", not bad, f"degree drops at {sorted(bad)}"),
         TranslationCheck("port bijection", ok_ports, ports_detail),
         _verdict(
             "parent relation",
-            f.prnt.translate(place_elem, place_elem).leq(g.prnt),
+            renamed.prnt.leq(g.prnt),
             "translated parent degrees are not dominated",
         ),
         _verdict(
             "link relation",
-            f.link.link.translate(point, target).leq(g.link.link),
+            renamed.link.link.leq(g.link.link),
             "translated link degrees are not dominated",
         ),
     ])

@@ -584,13 +584,27 @@ class _Writer:
         for key in edges:
             fields[key] = fl.write_edges(self, graph.edges)
         for key in fl.ctrl:
-            fields[key] = fl.write_entries(self, graph.ctrl)
+            fields[key] = fl.write_entries(self, graph.ctrl, key)
         for key, source in parts.items():
-            fields[key] = fl.write_entries(self, getattr(source, key))
+            fields[key] = fl.write_entries(self, getattr(source, key), key)
         for keys, source in ((place_degree, place), (link_degree, link), (meet_degree, graph)):
             for key in keys:
                 fields[key] = self.degree(source.degree)
         return _object(fields, 2)
+
+
+def _write_crisp_map(w: _Writer, mapping, key: str) -> str:
+    """A crisp map's rows.  An int or a port is written only where ``parse``
+    reads it back: the reader's decoder for its end of a ``key`` row takes
+    it (``_ENDPOINTS``), or it is a port that a link row's loop takes first."""
+    for decode, side in zip(_ENDPOINTS[key], (mapping, mapping.values())):
+        for x in side:
+            if type(x) is int or type(x) is tuple and decode is not _point:
+                try:
+                    decode(x)
+                except _Fault as fault:
+                    raise ValueError(f"cannot serialize: {key} row holds {x!r}: {fault}") from None
+    return w.rows(mapping.items(), w.encode)
 
 
 # --- record tables --------------------------------------------------------------
@@ -603,8 +617,7 @@ class _Flavour:
     ``nodes`` decodes the node list into the node set and, for crisp
     records, the control map; graded flavours keep controls in a ``ctrl``
     relation.  ``entries`` decodes a relation field (crisp maps or graded
-    triples), and ``check_refs`` rejects identifiers the record never
-    declared.  The degree fields are the interface degrees of the place and
+    triples).  The degree fields are the interface degrees of the place and
     link parts and, on a bigraph, their meet.  The ``write_`` fields are
     the writer's side of ``nodes``, ``edges`` and ``entries``.
     """
@@ -615,7 +628,6 @@ class _Flavour:
     write_nodes: Callable
     write_edges: Callable
     write_entries: Callable
-    check_refs: Callable
     ctrl: tuple = ()
     place_degree: tuple = ()
     link_degree: tuple = ()
@@ -629,8 +641,7 @@ _FLAVOURS = {
         entries=_decode_pairs,
         write_nodes=_Writer.crisp_nodes,
         write_edges=_Writer.names,
-        write_entries=lambda w, mapping: w.rows(mapping.items(), w.encode),
-        check_refs=_check_crisp_refs,
+        write_entries=_write_crisp_map,
     ),
     "fuzzy": _Flavour(
         nodes=lambda value, degrees, signature, path: (_decode_ids(value, degrees, path), None),
@@ -638,8 +649,7 @@ _FLAVOURS = {
         entries=_decode_triples,
         write_nodes=lambda w, nodes, ctrl: w.names(nodes),
         write_edges=_Writer.names,
-        write_entries=_Writer.relation,
-        check_refs=lambda f, path: _check_ctrl_refs(f["ctrl"], f["nodes"], path),
+        write_entries=lambda w, relation, _key: w.relation(relation),
         ctrl=("ctrl",),
     ),
     "type2": _Flavour(
@@ -651,8 +661,7 @@ _FLAVOURS = {
         entries=_decode_triples,
         write_nodes=lambda w, nodes, ctrl: w.rows(nodes.items(), w.degree),
         write_edges=lambda w, edges: w.rows(edges.items(), w.degree),
-        write_entries=_Writer.relation,
-        check_refs=lambda f, path: _check_ctrl_refs(f["ctrl"], f["nodes"].support, path),
+        write_entries=lambda w, relation, _key: w.relation(relation),
         ctrl=("ctrl",),
         place_degree=("beta",),
         link_degree=("delta",),
@@ -714,16 +723,19 @@ def _decode_record(kind: str, obj: dict, degrees: _Degrees, signature: Signature
         fields[key] = fl.edges(obj[key], degrees, at(key))
     for key in fl.ctrl + relations:
         fields[key] = fl.entries(obj[key], degrees, *_ENDPOINTS[key], at(key))
-    fl.check_refs(fields, path)
-    for key in place_degree + link_degree:
-        fields[key] = _decode_degree(degrees, obj[key], at(key))
     inner, outer, nodes = fields["inner"], fields["outer"], fields["nodes"]
     if fl.ctrl:
         support = nodes.support if isinstance(nodes, FuzzySet) else nodes
         fields["ctrl"] = degrees.relation(fields["ctrl"], support, signature.controls)
+        if not isinstance(fields["ctrl"], FuzzyRelation):  # it may name an undeclared node
+            _check_ctrl_refs(fields["ctrl"], support, path)
         if "prnt" in fields:
             domain = _prnt_domain(inner.width, outer.width, support)
             fields["prnt"] = degrees.relation(fields["prnt"], *domain)
+    else:
+        _check_crisp_refs(fields, path)
+    for key in place_degree + link_degree:
+        fields[key] = _decode_degree(degrees, obj[key], at(key))
 
     # The graded constructors check the rest, and their faults are the
     # record's; a bigraph's link part takes the place part's control

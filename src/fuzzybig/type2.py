@@ -54,20 +54,23 @@ def type2_ports(signature: Signature, nodes: FuzzySet, ctrl: FuzzyRelation) -> f
 
     For each node with positive membership, the control attaining the join
     of the node's control degrees decides the port count; ties are broken
-    by the lexicographically least control name.
+    by the lexicographically least control name.  Off a chain no control
+    may attain the join, and the first such node in control-entry order
+    raises ``ValueError``.
     """
     rows: dict[str, list[tuple[str, FrameValue]]] = {}
     for (v, control), degree in ctrl.items():
         rows.setdefault(v, []).append((control, degree))
     ports = set()
-    for v in nodes.support:
-        row = rows.get(v)
-        if not row:
+    for v, row in rows.items():
+        if v not in nodes.support:
             continue
         best = row[0][1]
         for _k, d in row[1:]:
             best = best.join(d)
-        chosen = min(k for k, d in row if d == best)
+        chosen = min((k for k, d in row if d == best), default=None)
+        if chosen is None:
+            raise ValueError(f"node {v!r}: none of its controls attains the join of their degrees")
         ports.update((v, i) for i in range(signature.arity_of(chosen)))
     return frozenset(ports)
 
@@ -189,13 +192,8 @@ def type2_support(g, *, literal_off_sort_top: bool = False) -> FuzzySet:
     if isinstance(g, Type2FuzzyPlaceGraph):
         return g.nodes
     if isinstance(g, (Type2FuzzyLinkGraph, Type2FuzzyBigraph)):
-        entries = dict(g.nodes.items())
-        if literal_off_sort_top:
-            top = g.frame.top
-            entries = {v: top for v in entries}
-        for e, d in g.edges.items():
-            entries[e] = d
-        return FuzzySet(g.frame, entries)
+        nodes = _full_set(g.frame, g.nodes.support) if literal_off_sort_top else g.nodes
+        return nodes.union(g.edges)
     raise TypeError(f"no type-2 support for {type(g).__name__}")
 
 

@@ -804,3 +804,83 @@ def test_run_puts_the_collector_back_as_it_found_it(monkeypatch, capsys, enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert after is enabled
+
+
+# --- compose and tensor: crisp parts, and the faults of the two files -----------
+
+
+def _save(path, graphs, frame=U, signature=H_SIGNATURE):
+    save_document(ModelDocument(frame, signature, graphs), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("part", ["place", "link"])
+@pytest.mark.parametrize("op", ["compose", "tensor"])
+def test_crisp_parts_compose_and_tensor_through_the_bridge(tmp_path, capsys, op, part):
+    from fuzzybig import UNIT_INTERFACE, identity_crisp, load_document
+
+    h = getattr(make_h(), part)
+    if op == "compose":  # id . h
+        other = getattr(identity_crisp(make_h().outer, H_SIGNATURE), part)
+        left, right = _save(tmp_path / "l.fbg.json", {"id": other}), _save(tmp_path / "r.fbg.json", {"h": h})
+    else:  # h (x) unit
+        other = getattr(identity_crisp(UNIT_INTERFACE, H_SIGNATURE), part)
+        left, right = _save(tmp_path / "l.fbg.json", {"h": h}), _save(tmp_path / "r.fbg.json", {"u": other})
+    out_path = str(tmp_path / "out.fbg.json")
+    status, out, err = invoke(capsys, op, "--left", left, "--right", right, "--out", out_path)
+    assert (status, out, err) == (0, f"wrote {out_path}\n", "")
+    assert load_document(out_path).graph("result") == h
+
+
+def test_compose_of_files_over_different_frames_exits_one(tmp_path, capsys):
+    from fuzzybig import TWO_POINT
+
+    left = _save(tmp_path / "l.fbg.json", {"h": make_h()})
+    right = _save(tmp_path / "r.fbg.json", {"h": make_h()}, frame=TWO_POINT)
+    status, out, err = invoke(capsys, "compose", "--left", left, "--right", right, "--out", str(tmp_path / "o"))
+    assert (status, out, err) == (1, "", "error: frames differ: unit-interval vs two-point\n")
+
+
+def test_tensor_of_files_with_different_signatures_exits_one(tmp_path, capsys):
+    from fuzzybig import UNIT_INTERFACE, identity_crisp
+
+    sig = Signature({"K": 2})
+    left = _save(tmp_path / "l.fbg.json", {"h": make_h()})
+    right = _save(tmp_path / "r.fbg.json", {"u": identity_crisp(UNIT_INTERFACE, sig)}, signature=sig)
+    status, out, err = invoke(capsys, "tensor", "--left", left, "--right", right, "--out", str(tmp_path / "o"))
+    assert (status, out, err) == (1, "", "error: signatures differ between the two files\n")
+
+
+def test_compose_of_a_place_graph_with_a_link_graph_exits_one(tmp_path, capsys):
+    h = make_h()
+    left = _save(tmp_path / "l.fbg.json", {"p": h.place})
+    right = _save(tmp_path / "r.fbg.json", {"l": h.link})
+    status, out, err = invoke(capsys, "compose", "--left", left, "--right", right, "--out", str(tmp_path / "o"))
+    assert (status, out, err) == (1, "", "error: cannot compose a PlaceGraph with a LinkGraph\n")
+
+
+def test_a_two_graph_file_without_a_name_flag_exits_one(tmp_path, capsys):
+    h = make_h()
+    both = _save(tmp_path / "both.fbg.json", {"a": h, "b": h})
+    status, out, err = invoke(capsys, "tensor", "--left", both, "--right", both, "--out", str(tmp_path / "o"))
+    assert (status, out, err) == (
+        1, "", "error: the left file holds 2 graphs; pick one with a name flag\n"
+    )
+
+
+def test_an_unwritable_out_path_exits_three(tmp_path, capsys):
+    from fuzzybig import identity_crisp
+
+    h = make_h()
+    left = _save(tmp_path / "l.fbg.json", {"id": identity_crisp(h.outer, H_SIGNATURE)})
+    right = _save(tmp_path / "r.fbg.json", {"h": h})
+    out_path = tmp_path / "no-such-directory" / "out.fbg.json"
+    status, out, err = invoke(capsys, "compose", "--left", left, "--right", right, "--out", str(out_path))
+    assert (status, out) == (3, "")
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert not out_path.parent.exists()
+
+
+def test_validate_on_a_file_without_graphs_says_so(tmp_path, capsys):
+    path = _save(tmp_path / "empty.fbg.json", {})
+    assert invoke(capsys, "validate", path) == (0, "no graphs to validate\n", "")

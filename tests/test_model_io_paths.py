@@ -19,6 +19,7 @@ from types import MappingProxyType
 import pytest
 
 from fuzzybig import (
+    Bigraph,
     Interface,
     LinkGraph,
     ModelDocument,
@@ -26,6 +27,8 @@ from fuzzybig import (
     Signature,
     TWO_POINT,
     UNIT_INTERVAL,
+    embed_bigraph,
+    fuzzify,
     parse,
     serialize,
 )
@@ -210,3 +213,47 @@ def test_serialize_refuses_a_map_target_parse_would_refuse(part, target):
     }
     doc = ModelDocument(TWO_POINT, sig, {"g": fine[part]})
     assert parse(serialize(doc)) == doc
+
+
+# --- the writer writes an int or a port only where parse reads one ----------------
+
+
+@pytest.mark.parametrize("part, end, value", [
+    ("link", "target", 3),
+    ("link", "target", ("v", 0)),
+    ("link", "point", 3),
+    ("place", "child", ("v", 0)),
+    ("place", "parent", ("v", 0)),
+])
+def test_serialize_refuses_an_endpoint_of_a_sort_parse_reads_not_there(part, end, value):
+    sig = Signature({"K": 2})
+
+    def graph(x):
+        if part == "place":
+            return PlaceGraph(sig, 0, 1, {"v"}, {"v": "K"}, {"v": 0, x: 0} if end == "child" else {"v": x})
+        return LinkGraph(sig, {"x"}, {"y"}, {"v"}, {"e"}, {"v": "K"}, {"x": x} if end == "target" else {x: "y"})
+
+    with pytest.raises(ValueError) as err:
+        serialize(ModelDocument(TWO_POINT, sig, {"g": graph(value)}))
+    # The same row written by hand: the writer names the fault parse finds.
+    text = serialize(ModelDocument(TWO_POINT, sig, {"g": graph("@")}))
+    with pytest.raises(ParseError) as read:
+        parse(text.replace('"@"', json.dumps(value)))
+    field = "prnt" if part == "place" else "link"
+    assert str(err.value) == f"cannot serialize: {field} row holds {value!r}: {read.value.message}"
+
+
+@pytest.mark.parametrize("frame", ALL_FRAMES, ids=lambda f: f.name)
+def test_every_endpoint_sort_parse_reads_still_round_trips(frame):
+    # Parent rows: a site and nodes as children, a node and a root as parents.
+    # Link rows: an inner name and ports as points, an edge and an outer name
+    # as targets.
+    sig = Signature({"K": 2})
+    ctrl = {"v": "K", "w": "K"}
+    place = PlaceGraph(sig, 1, 1, {"v", "w"}, ctrl, {0: "v", "v": "w", "w": 0})
+    link = LinkGraph(sig, {"x"}, {"y"}, {"v", "w"}, {"e"}, ctrl, {"x": "e", ("v", 0): "y", ("w", 1): "e"})
+    crisp = Bigraph(place, link)
+    fuzzy = fuzzify(crisp, frame)
+    for graph in (place, link, crisp, fuzzy, fuzzy.place, fuzzy.link, embed_bigraph(fuzzy)):
+        doc = ModelDocument(frame, sig, {"g": graph})
+        assert parse(serialize(doc)) == doc

@@ -11,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzybig import (
+    FuzzyBigraph,
+    FuzzyLinkGraph,
+    FuzzyPlaceGraph,
     FuzzySet,
     Interface,
     Signature,
@@ -98,6 +101,56 @@ def test_ports_tie_breaks_lexicographically():
 def test_all_bottom_control_row_gives_no_ports():
     nodes = fset(v="1")
     assert type2_ports(SIG, nodes, _rel(nodes, {})) == frozenset()
+
+
+def _diamond_node(controls):
+    """Node ``v`` holding each control at its diamond degree ("a", "b" or
+    "ab"), as the fuzzy bigraph embed_bigraph takes and as the type-2 link
+    graph's constructor takes it."""
+    frame = DiamondFrame()
+    ctrl = {("v", k): frame.value(frozenset(raw)) for k, raw in controls.items()}
+    f = FuzzyBigraph(
+        FuzzyPlaceGraph(frame, SIG, 0, 1, {"v"}, ctrl, {("v", 0): frame.top}),
+        FuzzyLinkGraph(frame, SIG, (), (), {"v"}, (), ctrl, {}),
+    )
+    members = FuzzySet(frame, {"v": frame.top})
+
+    def build():
+        return Type2FuzzyLinkGraph(frame, SIG, (), (), members, FuzzySet(frame), ctrl, {}, frame.top)
+
+    return f, build
+
+
+def test_a_node_whose_controls_do_not_attain_their_join_is_named():
+    # Off a chain, K at {a} and L at {b} join at {a,b}, which neither holds.
+    f, build = _diamond_node({"K": "a", "L": "b"})
+    message = "node 'v': none of its controls attains the join of their degrees"
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        embed_bigraph(f)
+    assert str(err.value) == message
+
+
+def test_the_first_such_node_in_control_entry_order_is_named():
+    from fuzzybig import FuzzyRelation
+
+    frame = DiamondFrame()
+    a, b = frame.value(frozenset("a")), frame.value(frozenset("b"))
+    nodes = FuzzySet(frame, {v: frame.top for v in "vwxyz"})
+    entries = {(v, k): degree for v in "zyxwv" for k, degree in (("K", a), ("L", b))}
+    ctrl = FuzzyRelation(frame, nodes.support, SIG.controls, entries)
+    with pytest.raises(ValueError, match="^node 'z': "):
+        type2_ports(SIG, nodes, ctrl)
+
+
+def test_a_diamond_node_whose_join_is_attained_keeps_its_ports():
+    # K at {a} lies below M at {a,b}, which attains the join: M's 3 ports.
+    f, build = _diamond_node({"K": "a", "M": "ab"})
+    ports = {("v", 0), ("v", 1), ("v", 2)}
+    assert build().ports == ports
+    assert embed_bigraph(f).link.ports == ports
 
 
 # --- support ----------------------------------------------------------------
