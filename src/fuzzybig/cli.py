@@ -277,6 +277,12 @@ def _cmd_support(args) -> int:
     return EXIT_OK
 
 
+def _clipped(text: str) -> str:
+    """``text`` cut to 100 characters, ending in "..." if cut: a renaming-file
+    fault quotes no more of a value, whatever the file holds."""
+    return text if len(text) <= 100 else text[:97] + "..."
+
+
 def _load_rho(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -292,7 +298,7 @@ def _load_rho(path: str) -> dict:
     except (ValueError, RecursionError) as exc:
         # nested too deeply for the decoder, an integer too long to convert,
         # or a key repeated in one object
-        raise ParseError(f"invalid JSON in renaming file: {exc}") from None
+        raise ParseError(f"invalid JSON in renaming file: {_clipped(str(exc))}") from None
     if not isinstance(data, dict) or set(data) - {"nodes", "edges"}:
         raise ParseError("renaming file must be an object with nodes/edges")
     return data
@@ -354,7 +360,7 @@ def _rho_entries(rho: dict, part: str, domain, codomain, frame, rows: bool) -> d
     accepted too.  Every fault, including an identifier the graphs do not
     have, is a parse error at the part (``$.nodes``), at an object member
     by its source (``$.nodes.v0``) or at a row by its position
-    (``$.nodes[1]``).
+    (``$.nodes[1]``).  Quoted values are :func:`_clipped`.
     """
     value = rho.get(part, {})
     keyed = isinstance(value, dict)
@@ -369,7 +375,7 @@ def _rho_entries(rho: dict, part: str, domain, codomain, frame, rows: bool) -> d
         )
 
     def at(i: int) -> str:
-        return f"$.{part}.{listed[i][0]}" if keyed else f"$.{part}[{i}]"
+        return f"$.{part}.{_clipped(listed[i][0])}" if keyed else f"$.{part}[{i}]"
 
     what = part[:-1]
     entries = {}
@@ -379,17 +385,18 @@ def _rho_entries(rho: dict, part: str, domain, codomain, frame, rows: bool) -> d
         a, b, text = row
         for ident, pool, side in ((a, domain, "source"), (b, codomain, "target")):
             if not isinstance(ident, str):
-                raise ParseError(
-                    f"renaming {what} identifiers are strings, got {ident!r}", at(i)
-                )
+                got = _clipped(repr(ident))
+                raise ParseError(f"renaming {what} identifiers are strings, got {got}", at(i))
             if ident not in pool:
-                raise ParseError(f"renaming mentions unknown {side} {what} {ident!r}", at(i))
+                name = _clipped(repr(ident))
+                raise ParseError(f"renaming mentions unknown {side} {what} {name}", at(i))
         if (a, b) in entries:
-            raise ParseError(f"renaming row {i} repeats the pair {(a, b)!r}", at(i))
+            pair = _clipped(repr((a, b)))
+            raise ParseError(f"renaming row {i} repeats the pair {pair}", at(i))
         try:
             entries[(a, b)] = frame.top if text is None else frame.parse_degree(text)
         except ValueError as exc:
-            raise ParseError(f"renaming row {i}: {exc}", at(i)) from None
+            raise ParseError(f"renaming row {i}: {_clipped(str(exc))}", at(i)) from None
     return entries
 
 

@@ -519,14 +519,15 @@ class _Writer:
             {"names": self.names(interface.names, 4), "width": self.width(interface.width)}, 3
         )
 
-    def crisp_nodes(self, nodes, ctrl) -> str:
-        """``[node, control]`` rows; nodes are strings, so need no sort key.
+    def crisp_nodes(self, nodes, part) -> str:
+        """``[node, control]`` rows of a crisp ``part``; nodes are strings,
+        so need no sort key.
 
-        A node the control map leaves out (the public crisp constructors
-        accept such a graph, and ``validate`` reports it) has no row to
-        write, and raises ``ValueError`` naming it.
+        A node with no control, or with one the part's signature lacks (the
+        public crisp constructors accept both), has no row ``parse`` reads
+        back, and raises ``ValueError`` naming it.
         """
-        encode = self.encode
+        encode, ctrl = self.encode, part.ctrl
         try:
             rows = [
                 f"{_ROW_OPEN}{encode(v)}{_ROW_SEP}{encode(ctrl[v])}{_ROW_CLOSE}"
@@ -537,6 +538,11 @@ class _Writer:
             raise ValueError(
                 f"cannot serialize: control map is not total: node {v!r} has no control"
             ) from None
+        if not part.signature.arity.keys() >= {ctrl[v] for v in nodes}:
+            v = min(v for v in nodes if ctrl[v] not in part.signature.arity)
+            raise ValueError(
+                f"cannot serialize: node {v!r} has control {ctrl[v]!r}, which the signature lacks"
+            )
         return _array(rows, 3)
 
     def rows(self, items, write) -> str:
@@ -579,7 +585,7 @@ class _Writer:
             "kind": self.encode(kind),
             "inner": write_interface(self, graph.inner),
             "outer": write_interface(self, graph.outer),
-            "nodes": fl.write_nodes(self, graph.nodes, (place or link).ctrl),
+            "nodes": fl.write_nodes(self, graph.nodes, place or link),
         }
         for key in edges:
             fields[key] = fl.write_edges(self, graph.edges)
@@ -647,7 +653,7 @@ _FLAVOURS = {
         nodes=lambda value, degrees, signature, path: (_decode_ids(value, degrees, path), None),
         edges=_decode_ids,
         entries=_decode_triples,
-        write_nodes=lambda w, nodes, ctrl: w.names(nodes),
+        write_nodes=lambda w, nodes, _part: w.names(nodes),
         write_edges=_Writer.names,
         write_entries=lambda w, relation, _key: w.relation(relation),
         ctrl=("ctrl",),
@@ -659,7 +665,7 @@ _FLAVOURS = {
         ),
         edges=_decode_graded_ids,
         entries=_decode_triples,
-        write_nodes=lambda w, nodes, ctrl: w.rows(nodes.items(), w.degree),
+        write_nodes=lambda w, nodes, _part: w.rows(nodes.items(), w.degree),
         write_edges=lambda w, edges: w.rows(edges.items(), w.degree),
         write_entries=lambda w, relation, _key: w.relation(relation),
         ctrl=("ctrl",),

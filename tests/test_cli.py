@@ -419,6 +419,29 @@ def test_type2_renaming_row_with_a_list_element_is_a_parse_error(tmp_path, capsy
     assert err == "parse error: $.nodes[0]: renaming node identifiers are strings, got ['v0']\n"
 
 
+@pytest.mark.parametrize("nodes", [
+    {"v0": list(range(200_000))},       # a target that is no string
+    {"v0": "w" * 200_000},              # an unknown target
+    {"v" * 200_000: "v0"},              # an unknown source, which names the path too
+    [["v0", "v0", [0] * 200_000]],      # a degree that is no string
+    [["v0", "v0", "9" * 200_000]],      # a degree off the frame
+])
+def test_a_renaming_fault_quotes_only_the_start_of_a_long_value(tmp_path, capsys, nodes):
+    _f, pf = _type2_pair(tmp_path)
+    status, out, err = _check_rho(capsys, tmp_path, {"nodes": nodes}, pf, pf)
+    assert (status, out) == (3, "")
+    assert err.startswith("parse error: $.nodes") and err.endswith("...\n")
+    assert len(err.encode()) < 1024
+
+
+def test_a_long_value_in_a_renaming_fault_is_cut_to_a_fixed_length(tmp_path, capsys):
+    _f, pf = _type2_pair(tmp_path)
+    status, _out, err = _check_rho(capsys, tmp_path, {"nodes": {"v0": list(range(200_000))}}, pf, pf)
+    assert status == 3
+    quoted = repr(list(range(200_000)))[:97] + "..."
+    assert err == f"parse error: $.nodes.v0: renaming node identifiers are strings, got {quoted}\n"
+
+
 def test_fuzzy_renaming_with_non_object_nodes_is_a_parse_error(tmp_path, capsys):
     f = fuzzify(make_h(), U)
     pf = tmp_path / "f.fbg.json"

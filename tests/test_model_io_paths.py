@@ -243,6 +243,32 @@ def test_serialize_refuses_an_endpoint_of_a_sort_parse_reads_not_there(part, end
     assert str(err.value) == f"cannot serialize: {field} row holds {value!r}: {read.value.message}"
 
 
+@pytest.mark.parametrize("part", ["place", "link", "bigraph"])
+@pytest.mark.parametrize("control", [3, "Z"])
+def test_serialize_refuses_a_crisp_control_the_signature_lacks(part, control):
+    sig = Signature({"K": 2})
+
+    def graph(c):
+        ctrl = {"v": "K", "w": c}
+        place = PlaceGraph(sig, 0, 1, {"v", "w"}, ctrl, {"v": 0, "w": 0})
+        link = LinkGraph(sig, set(), set(), {"v", "w"}, set(), ctrl, {})
+        return {"place": place, "link": link, "bigraph": Bigraph(place, link)}[part]
+
+    with pytest.raises(ValueError) as err:
+        serialize(ModelDocument(TWO_POINT, sig, {"g": graph(control)}))
+    assert str(err.value) == (
+        f"cannot serialize: node 'w' has control {control!r}, which the signature lacks"
+    )
+    # The same row written by hand is one that parse refuses.
+    fine = ModelDocument(TWO_POINT, sig, {"g": graph("K")})
+    written = json.loads(serialize(fine))
+    assert written["graphs"]["g"]["nodes"][1] == ["w", "K"]
+    written["graphs"]["g"]["nodes"][1][1] = control
+    with pytest.raises(ParseError):
+        parse(json.dumps(written))
+    assert parse(serialize(fine)) == fine
+
+
 @pytest.mark.parametrize("frame", ALL_FRAMES, ids=lambda f: f.name)
 def test_every_endpoint_sort_parse_reads_still_round_trips(frame):
     # Parent rows: a site and nodes as children, a node and a root as parents.

@@ -854,6 +854,50 @@ def test_rings_that_refinement_cannot_split_are_settled_promptly():
     assert found is not None and translate_type2(f, found) == g
 
 
+def _cycles(sizes, hub=False):
+    """Nodes of the arity-2 control K in directed cycles of the given sizes:
+    edge e_i joins port (v_i, 0) to port (v_{i+1}, 1) of the next node round
+    its cycle.  Every degree is top, and every node is a child of root 0 or,
+    with ``hub``, of one shared node h."""
+    names, edges, link = [], {}, {}
+    for size in sizes:
+        ring = [f"v{len(names) + i}" for i in range(size)]
+        for i, v in enumerate(ring):
+            e = f"e{len(names) + i}"
+            edges[e] = U.top
+            link[((v, 0), e)] = link[((ring[(i + 1) % size], 1), e)] = U.top
+        names += ring
+    parent = "h" if hub else 0
+    members = {v: U.top for v in names}
+    ctrl = {(v, "K"): U.top for v in names}
+    prnt = {(v, parent): U.top for v in names}
+    if hub:
+        members["h"], ctrl[("h", "Z")], prnt[("h", 0)] = U.top, U.top, U.top
+    return _rebuilt_type2(
+        U, Interface(0), Interface(1), members, edges, ctrl, prnt, link, U.top, U.top
+    )
+
+
+@pytest.mark.parametrize("hub", [False, True], ids=["root", "hub"])
+@pytest.mark.parametrize("m, bound", [(4, 0.1), (50, 1.0)])
+def test_cycles_that_refinement_cannot_split_are_decided_piece_by_piece(m, bound, hub):
+    # refinement gives every node one colour and every edge another; f is
+    # m + 1 six-cycles, which m six-cycles and two three-cycles are no
+    # renaming of, and a shuffled copy of f is
+    f = _cycles([6] * (m + 1), hub)
+    rng = random.Random(m)
+    for g, equivalent in (
+        (_shuffled_copy(rng, _cycles([6] * m + [3, 3], hub)), False),
+        (_shuffled_copy(rng, f), True),
+    ):
+        start = time.perf_counter()
+        found = find_support_equivalence(f, g)
+        assert time.perf_counter() - start < bound
+        assert (found is not None) == equivalent
+        if found is not None:
+            assert translate_type2(f, found) == g
+
+
 WITNESS_SCRIPT = """
 import random
 from fuzzybig import find_support_equivalence
