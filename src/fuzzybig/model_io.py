@@ -485,12 +485,13 @@ class _Writer:
                                  "a node identifier and a natural-number index")
             text = (self.strings.get(node) or self.element(node))[1]
             return (2, node, 0, index), f"{_PORT_OPEN}{text}{_PORT_SEP}{index}{_PORT_CLOSE}"
-        return element_sort_key(element), self.encode(element)
+        text = self.encode(element)  # first, to refuse what parse would
+        return element_sort_key(element), text
 
     def encode(self, value) -> str:
         """A string, integer or ``(node, index)`` port, as JSON in a row;
         ``parse`` reads no other value back (``None``, a float, a bool)."""
-        if type(value) is str or type(value) is tuple:
+        if type(value) is str or type(value) is tuple and len(value) == 2:
             return (self.strings.get(value) or self.element(value))[1]
         if type(value) is int:
             return int.__repr__(value)

@@ -371,41 +371,52 @@ def make_type2_translation(
     return canonical(f.nodes, g.nodes), canonical(f.edges, g.edges)
 
 
-def _support_structure(b: Type2FuzzyBigraph, codes: dict):
-    """``b`` as a vertex-coloured, arc-labelled digraph, for the
-    equivalence search.
-
-    Vertices are tagged by sort, so an inner name never meets a node of the
-    same spelling: ``("node", v)`` and ``("edge", e)`` are seeded with their
-    membership (and, for a node, its control row), while the interface
-    elements ``("site", i)``, ``("root", j)``, ``("inner", x)`` and
-    ``("outer", y)`` keep one fixed colour each.  A vertex is the position
-    of its tag in sorted order, so vertices compare as their tags do.
-    Every parent and link entry is an arc labelled by its degree (and a
-    port's index).  Degrees enter by their frame keys (``Frame._key``): the
-    search compares both graphs' frames first, so equal keys are equal
-    degrees, and no ``FrameValue`` is hashed.  Seeds and labels are
-    numbered through ``codes``, which both graphs share, so refinement
-    compares small integers only.  Returns the sorted tags, the seed colour
-    of each vertex, and per vertex a table from each neighbour to the codes
-    of the arcs between them; a code is twice the label's number, plus one
-    on the outgoing side.
+def _support_labels(b: Type2FuzzyBigraph, codes: dict):
+    """The labels of :func:`_support_structure`, numbered through ``codes``
+    (which f and g share) before anything is sorted or indexed: the seed
+    code of each tag ``("node", v)`` (membership and control row) and
+    ``("edge", e)`` (membership), and the label code of each parent entry
+    (degree), then of each link entry (degree and port index, ``None`` for
+    an inner name), in entry order.  Degrees enter by their frame keys
+    (``Frame._key``): the search compares both graphs' frames first, so
+    equal keys are equal degrees, and no ``FrameValue`` is hashed.
     """
-    key = b.frame._key
+    key, number = b.frame._key, codes.setdefault
     rows: dict = {}
     for (v, control), degree in b.ctrl.items():
         rows.setdefault(v, set()).add((control, key(degree.raw)))
-    seed = {("node", v): ("node", key(d.raw), frozenset(rows.get(v, ()))) for v, d in b.nodes.items()}
-    seed.update((("edge", e), ("edge", key(d.raw))) for e, d in b.edges.items())
-    for sort, elements in (
-        ("site", range(b.place.inner)),
-        ("root", range(b.place.outer)),
-        ("inner", b.link.inner),
-        ("outer", b.link.outer),
-    ):
-        seed.update(((sort, x), (sort, x)) for x in elements)
-    tags = sorted(seed)
-    colours = [codes.setdefault(seed[tag], len(codes)) for tag in tags]
+    seeds = {
+        ("node", v): number(("node", key(d.raw), frozenset(rows.get(v, ()))), len(codes))
+        for v, d in b.nodes.items()
+    }
+    seeds.update(
+        (("edge", e), number(("edge", key(d.raw)), len(codes))) for e, d in b.edges.items()
+    )
+    arcs = [number(("prnt", key(d.raw)), len(codes)) for d in b.place.prnt._entries.values()]
+    arcs += [
+        number(("link", q[1] if isinstance(q, tuple) else None, key(d.raw)), len(codes))
+        for (q, _), d in b.link.link._entries.items()
+    ]
+    return seeds, arcs
+
+
+def _support_structure(b: Type2FuzzyBigraph, labels: tuple, fixed: dict):
+    """``b`` as a vertex-coloured, arc-labelled digraph, from its
+    :func:`_support_labels`.  Vertices are tagged by sort, so an inner name
+    never meets a node of the same spelling.  Nodes and edges take their
+    seed codes, and the interface elements ``("site", i)``, ``("root", j)``,
+    ``("inner", x)`` and ``("outer", y)`` the colours in ``fixed``, one
+    each.  A vertex is the position of its tag in sorted order, so vertices
+    compare as their tags do.  Every parent and link entry is an arc with
+    its label's code.  Returns the sorted tags, the seed colour of each
+    vertex, and per vertex a table from each neighbour to the codes of the
+    arcs between them; a code is twice the label's number, plus one on the
+    outgoing side.
+    """
+    seeds, arcs = labels
+    seeds.update(fixed)
+    tags = sorted(seeds)
+    colours = [seeds[tag] for tag in tags]
     index: dict = {sort: {} for sort in ("site", "root", "inner", "outer", "node", "edge")}
     for vertex, (sort, x) in enumerate(tags):
         index[sort][x] = vertex
@@ -414,16 +425,14 @@ def _support_structure(b: Type2FuzzyBigraph, codes: dict):
     nodes, inner = index["node"], index["inner"]
     children, parents = {**index["site"], **nodes}, {**nodes, **index["root"]}
     targets = {**index["edge"], **index["outer"]}
-    arcs = [(children[c], parents[p], ("prnt", key(d.raw))) for (c, p), d in b.place.prnt.items()]
-    arcs += [
-        (nodes[q[0]], targets[t], ("link", q[1], key(d.raw)))
-        if isinstance(q, tuple)
-        else (inner[q], targets[t], ("link", None, key(d.raw)))
-        for (q, t), d in b.link.link.items()
+    ends = [(children[c], parents[p]) for c, p in b.place.prnt._entries]
+    ends += [
+        (nodes[q[0]] if isinstance(q, tuple) else inner[q], targets[t])
+        for q, t in b.link.link._entries
     ]
     adjacency: list = [{} for _ in tags]
-    for source, target, label in arcs:
-        code = 2 * codes.setdefault(label, len(codes))
+    for (source, target), code in zip(ends, arcs):
+        code *= 2
         adjacency[source].setdefault(target, set()).add(code + 1)
         adjacency[target].setdefault(source, set()).add(code)
     return tags, colours, adjacency
@@ -493,7 +502,9 @@ def find_support_equivalence(
 ) -> SupportTranslation | None:
     """Search for a bijective renaming under which g is exactly the image of f.
 
-    Colour refinement (:func:`_refined_colours`) first splits nodes and
+    If f and g differ in the multiset of their labels
+    (:func:`_support_labels`), there is none, and nothing more is built.
+    Colour refinement (:func:`_refined_colours`) then splits nodes and
     edges into classes that any such renaming must preserve; if f and g
     disagree on the size of a class, there is none.  A vertex alone in its
     class is fixed: its image is forced.  If all are, that map is checked in
@@ -504,13 +515,30 @@ def find_support_equivalence(
     the pairs already made.  So the witness does not depend on the hash
     seed.  Returns ``None`` when no renaming exists.
     """
-    if (f.frame, f.signature, f.inner, f.outer, f.place.degree, f.link.degree) != (
-        g.frame, g.signature, g.inner, g.outer, g.place.degree, g.link.degree
-    ):
+    # Widths and names straight from the parts: ``inner`` and ``outer``
+    # build and check an ``Interface`` on every read.
+    f_shape, g_shape = (
+        (b.frame, b.signature, b.place.inner, b.place.outer, b.link.inner, b.link.outer,
+         b.place.degree, b.link.degree)
+        for b in (f, g)
+    )
+    if f_shape != g_shape:
         return None
     codes: dict = {}
-    f_tags, f_col, f_adj = _support_structure(f, codes)
-    g_tags, g_col, g_adj = _support_structure(g, codes)
+    f_labels, g_labels = _support_labels(f, codes), _support_labels(g, codes)
+    (f_seeds, f_arcs), (g_seeds, g_arcs) = f_labels, g_labels
+    # Exact: a renaming carries every seed and label over unchanged, so if
+    # f and g hold different multisets of either, none exists.
+    if sorted(f_seeds.values()) != sorted(g_seeds.values()) or sorted(f_arcs) != sorted(g_arcs):
+        return None
+    # f and g share their interface, so its colours are numbered once.
+    interface = (("site", range(f.place.inner)), ("root", range(f.place.outer)),
+                 ("inner", f.link.inner), ("outer", f.link.outer))
+    fixed = {
+        (sort, x): codes.setdefault((sort, x), len(codes)) for sort, xs in interface for x in xs
+    }
+    f_tags, f_col, f_adj = _support_structure(f, f_labels, fixed)
+    g_tags, g_col, g_adj = _support_structure(g, g_labels, fixed)
     refined = _refined_colours(f_col, f_adj, g_col, g_adj)
     if refined is None:
         return None

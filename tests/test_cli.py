@@ -6,7 +6,17 @@ import sys
 
 import pytest
 
-from fuzzybig import ModelDocument, Signature, UNIT_INTERVAL, cli, save_document
+from fuzzybig import (
+    FuzzySet,
+    ModelDocument,
+    Signature,
+    Type2FuzzyBigraph,
+    Type2FuzzyLinkGraph,
+    Type2FuzzyPlaceGraph,
+    UNIT_INTERVAL,
+    cli,
+    save_document,
+)
 from fuzzybig.cli import run
 from fuzzybig.fuzzy import fuzzify, translate_fuzzy, SupportTranslation
 
@@ -114,6 +124,22 @@ def test_support_command(capsys):
     status, out, _err = invoke(capsys, "support", H_PATH)
     assert status == 0
     assert "v0" in out and "e0" in out
+
+
+def test_support_text_on_type2_records_lists_each_element_at_its_membership(tmp_path, capsys):
+    sig, half, top = Signature({"K": 1}), U.parse_degree("1/2"), U.top
+    nodes = FuzzySet(U, {"w": half, "a": top})
+    ctrl = {("w", "K"): top, ("a", "K"): top}
+    place = Type2FuzzyPlaceGraph(U, sig, 0, 1, nodes, ctrl, {("w", 0): half, ("a", 0): top}, half)
+    link = Type2FuzzyLinkGraph(
+        U, sig, set(), set(), nodes, FuzzySet(U, {"e": U.parse_degree("3/4")}), ctrl,
+        {(("w", 0), "e"): half}, half,
+    )
+    path = tmp_path / "type2.fbg.json"
+    save_document(ModelDocument(U, sig, {"p": place, "b": Type2FuzzyBigraph(place, link)}), path)
+    status, out, _err = invoke(capsys, "support", str(path))
+    assert status == 0
+    assert out == "b:\n  a: 1\n  e: 3/4\n  w: 1/2\np:\n  a: 1\n  w: 1/2\n"
 
 
 def test_translate_check_command(tmp_path, capsys):

@@ -28,6 +28,7 @@ from fuzzybig import (
     identity_translation,
     support,
     tensor_fuzzy,
+    tensor_fuzzy_link,
     tensor_fuzzy_place,
     translate_fuzzy,
     validate_fuzzy_bigraph,
@@ -283,9 +284,20 @@ def test_tensor_shifts_sites_and_roots():
 def test_tensor_name_clash_raises():
     f = identity_link({"y"}, U, SIG)
     with pytest.raises(NameClashError):
-        from fuzzybig import tensor_fuzzy_link
-
         tensor_fuzzy_link(f, f)
+
+
+@pytest.mark.parametrize("f_outer, g_outer, message", [
+    ("y", "y", "outer names clash: ['y']"),
+    ("z", "e", "edge identifiers collide with outer names: ['e']"),
+])
+def test_tensor_link_names_each_clash_past_the_inner_names(f_outer, g_outer, message):
+    f = link_graph(("a",), (f_outer,), (), ("e",), {}, {})
+    g = link_graph(("b",), (g_outer,), (), (), {}, {})
+    for left, right in ((f, g), (g, f)):
+        with pytest.raises(NameClashError) as err:
+            tensor_fuzzy_link(left, right)
+        assert str(err.value) == message
 
 
 # --- support and translations ------------------------------------------------------

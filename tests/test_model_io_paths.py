@@ -215,6 +215,22 @@ def test_serialize_refuses_a_map_target_parse_would_refuse(part, target):
     assert parse(serialize(doc)) == doc
 
 
+@pytest.mark.parametrize("part, value", [
+    ("control", ("a", "b", "c")),
+    ("point", ("v",)),
+    ("point", ("v", 0, 1)),
+])
+def test_serialize_refuses_a_tuple_that_is_no_port(part, value):
+    sig = Signature({"K": 2})
+    if part == "control":
+        graph = PlaceGraph(sig, 0, 1, {"v"}, {"v": value}, {"v": 0})
+    else:
+        graph = LinkGraph(sig, {"x"}, {"y"}, {"v"}, {"e"}, {"v": "K"}, {value: "e"})
+    with pytest.raises(ValueError) as err:
+        serialize(ModelDocument(TWO_POINT, sig, {"g": graph}))
+    assert str(err.value) == f"cannot serialize: {value!r} is not a string, an integer or a port"
+
+
 # --- the writer writes an int or a port only where parse reads one ----------------
 
 

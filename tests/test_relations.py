@@ -53,6 +53,19 @@ def test_frame_mismatch_rejected():
         rel({"a"}, {"b"}, {("a", "b"): TWO_POINT.top})
 
 
+@pytest.mark.parametrize("operation, message", [
+    ("then", "cannot compose relations over unit-interval and two-point"),
+    ("union", "cannot union relations over different frames"),
+    ("leq", "cannot compare relations over different frames"),
+])
+def test_relation_operations_refuse_another_frame(operation, message):
+    r = rel({"a"}, {"b"}, {("a", "b"): d("1/2")})
+    other = FuzzyRelation(TWO_POINT, {"b"}, {"c"}, {("b", "c"): TWO_POINT.top})
+    with pytest.raises(FrameMismatchError) as err:
+        getattr(r, operation)(other)
+    assert str(err.value) == message
+
+
 def test_then_is_sup_min():
     r = rel({"a"}, {"m1", "m2"}, {("a", "m1"): d("3/4"), ("a", "m2"): d("1/2")})
     s = rel({"m1", "m2"}, {"z"}, {("m1", "z"): d("1/4"), ("m2", "z"): d("1/2")})

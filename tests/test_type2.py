@@ -52,6 +52,7 @@ from fuzzybig.generators import (
     random_type2_bigraph,
     random_type2_chain,
 )
+from fuzzybig import type2
 from fuzzybig.type2 import validate_type2_place
 
 from helpers import ALL_FRAMES, DiamondFrame, assert_checked_rebuild, d, make_h
@@ -773,6 +774,70 @@ def test_support_equivalence_agrees_with_the_brute_force_oracle(
         assert (found is None) == (expected is None)
         if found is not None:
             assert translate_type2(a, found) == b
+
+
+# A node of each control, a parent chain, both port indices of K in use and
+# an inner name: every kind of label the search numbers occurs.
+LABELLED = dict(
+    frame=U, inner=Interface(0, {"x"}), outer=Interface(1, {"y"}),
+    members={"v0": d("1/2"), "v1": U.top, "v2": d("1/2")},
+    edges={"e0": d("1/2"), "e1": U.top},
+    ctrl={("v0", "K"): U.top, ("v1", "K"): d("1/2"), ("v2", "L"): U.top},
+    prnt={("v0", "v1"): d("1/2"), ("v1", 0): U.top, ("v2", 0): d("1/2")},
+    link={(("v0", 0), "e0"): d("1/2"), (("v1", 1), "e0"): U.top,
+          (("v2", 0), "e1"): d("1/2"), ("x", "e1"): U.top, (("v0", 1), "y"): U.top},
+    beta=d("1/2"), delta=d("1/2"),
+)
+
+
+def _one_label_changed(b, kind):
+    """``b`` with the first entry (in ``repr`` order) of one kind of label
+    changed: a degree moved between 1/2 and 1, or a link entry moved from
+    port 0 to the node's free port 1."""
+    parts = _parts(b)
+    if kind == "port index":
+        table = parts["link"]
+        node, target = min(
+            (q[0], t) for q, t in table
+            if isinstance(q, tuple) and q[1] == 0 and (q[0], "K") in parts["ctrl"]
+            and ((q[0], 1), t) not in table
+        )
+        table[((node, 1), target)] = table.pop(((node, 0), target))
+    else:
+        table = parts[kind]
+        key = min(table, key=repr)
+        table[key] = U.top if table[key] == d("1/2") else d("1/2")
+    return _rebuilt_type2(**parts)
+
+
+@pytest.mark.parametrize("kind", ["members", "edges", "ctrl", "prnt", "link", "port index"])
+def test_a_changed_label_is_refused_before_the_structure_is_built(kind, monkeypatch):
+    f = _rebuilt_type2(**LABELLED)
+    copy = _shuffled_copy(random.Random(3), f)
+    g = _one_label_changed(copy, kind)
+    assert brute_force_equivalence(f, g) is None
+
+    def unbuilt(*args):
+        raise AssertionError("the search structure was built")
+
+    monkeypatch.setattr(type2, "_support_structure", unbuilt)
+    with pytest.raises(AssertionError):
+        find_support_equivalence(f, copy)
+    for a, b in ((f, g), (g, f)):
+        assert find_support_equivalence(a, b) is None
+
+
+def test_a_rewired_copy_keeping_every_label_is_refused_after_the_build(monkeypatch):
+    # two parent or link entries swap targets: the label multisets agree,
+    # so only refinement and the search can answer
+    rng = random.Random(0)
+    f = _levelled_bigraph(rng, U, 4, 2)
+    g = _rewired(rng, _shuffled_copy(rng, f))
+    assert brute_force_equivalence(f, g) is None
+    built, build = [], type2._support_structure
+    monkeypatch.setattr(type2, "_support_structure", lambda *args: built.append(args) or build(*args))
+    assert find_support_equivalence(f, g) is None
+    assert len(built) == 2
 
 
 def test_an_inner_name_spelled_like_a_node_stays_an_inner_name():
