@@ -20,6 +20,7 @@ value, so that broken models read from files can be diagnosed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -214,6 +215,12 @@ class Bigraph(_Parts):
 
     __hash__ = None  # type: ignore[assignment]
 
+    @cached_property
+    def _checked_ports(self) -> frozenset | None:
+        """``_sound_ports(self)``, kept on the graph once asked: the graph is
+        frozen, so the answer cannot change.  Not a field."""
+        return _sound_ports(self)
+
 
 def is_hypergraph(vertices: Iterable, edge_family: Iterable[Iterable]) -> bool:
     """True iff every family member is nonempty and their union is the vertex set."""
@@ -371,8 +378,8 @@ def _sound_ports(b: Bigraph) -> frozenset | None:
 
 def _compose_maps(g: Bigraph, f: Bigraph) -> Bigraph | None:
     """``g . f`` as maps, or ``None`` where the bridge refuses the operands."""
-    g_ports = _sound_ports(g)
-    f_ports = None if g_ports is None else _sound_ports(f)
+    g_ports = g._checked_ports
+    f_ports = None if g_ports is None else f._checked_ports
     fp, fl, gp, gl = f.place, f.link, g.place, g.link
     if (
         f_ports is None or fp.outer != gp.inner or fl.outer != gl.inner

@@ -297,7 +297,9 @@ def _require_link_composable(g, f, f_nodes, f_edges, g_nodes, g_edges) -> None:
 
 
 def _require_bigraph_composable(g, f, f_nodes, f_edges, g_nodes, g_edges) -> None:
-    if f.outer != g.inner:
+    # Widths and names straight from the parts: each read of ``inner`` or
+    # ``outer`` builds and checks an ``Interface``, so only the message does.
+    if f.place.outer != g.place.inner or f.link.outer != g.link.inner:
         raise InterfaceMismatchError(
             f"interface mismatch: expected {f.outer}, got {g.inner}"
         )
@@ -612,7 +614,8 @@ def _verdict(name: str, ok: bool, failure: str) -> TranslationCheck:
 
 
 def _require_same_interfaces(f, g) -> None:
-    if f.inner != g.inner or f.outer != g.outer:
+    fp, fl, gp, gl = f.place, f.link, g.place, g.link
+    if (fp.inner, fp.outer, fl.inner, fl.outer) != (gp.inner, gp.outer, gl.inner, gl.outer):
         raise InterfaceMismatchError(
             f"interface mismatch: {f.inner}->{f.outer} vs {g.inner}->{g.outer}"
         )

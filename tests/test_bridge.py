@@ -7,7 +7,7 @@ compares the two.
 """
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cache
 
 import pytest
@@ -35,7 +35,7 @@ from fuzzybig import (
     tensor_crisp,
     validate_place_graph,
 )
-from fuzzybig import fuzzy
+from fuzzybig import crisp, fuzzy
 from fuzzybig.errors import (
     InterfaceMismatchError,
     ModelError,
@@ -122,6 +122,10 @@ FUZZIFY_FAULTS = {
     "parent value off the parents": (
         with_place(prnt={0: "v", "v": 1}),
         outside("v", 1),
+    ),
+    "parent value an undeclared node": (
+        with_place(prnt={0: "v", "v": "ghost"}),
+        outside("v", "ghost"),
     ),
     "place fault before a link fault": (
         Bigraph(
@@ -524,6 +528,45 @@ def test_universe_pairs_compose_without_the_bridge(monkeypatch):
     monkeypatch.setattr(fuzzy, "fuzzify", refuse)
     for f, g in enumerate_composable_pairs(4):
         assert compose_crisp(g, f) == compose_direct(g, f)
+
+
+# --- the sound-operand check is kept on each graph ------------------------------
+
+
+def test_universe_pairs_compose_alike_on_fresh_and_on_checked_operands():
+    pairs = list(enumerate_composable_pairs(5))
+    assert len(pairs) == 2830
+    for f, g in pairs:
+        assert "_checked_ports" not in vars(f) and "_checked_ports" not in vars(g)
+    for _sweep in range(2):
+        for f, g in pairs:
+            assert compose_crisp(g, f) == compose_direct(g, f)
+    operands = {id(b): b for pair in pairs for b in pair}.values()
+    for b in operands:
+        assert vars(b)["_checked_ports"] == crisp._sound_ports(b) == b.link.ports
+
+
+@pytest.mark.parametrize("case", sorted(FUZZIFY_FAULTS))
+def test_an_unsound_operand_is_refused_alike_every_time(case):
+    bigraph, message = FUZZIFY_FAULTS[case]
+    # a copy, so that no other test's composition has stored an answer on it
+    fresh = replace(bigraph)
+    for g, f in ((G_AFTER, fresh), (fresh, F_BEFORE)):
+        first, second = raised(compose_crisp, g, f), raised(compose_crisp, g, f)
+        assert first == second == raised(bridged, g, f) == (ValueError, message)
+    assert vars(fresh)["_checked_ports"] is None is crisp._sound_ports(fresh)
+
+
+def test_the_stored_answer_is_no_field():
+    b, twin = base(), base()
+    before = (repr(b), [f.name for f in fields(b)])
+    composite = compose_crisp(G_AFTER, b)
+    assert composite == compose_direct(G_AFTER, b) and "_checked_ports" not in vars(composite)
+    assert "_checked_ports" in vars(b) and "_checked_ports" not in vars(twin)
+    assert b == twin and twin == b
+    assert (repr(b), [f.name for f in fields(b)]) == before == (repr(twin), ["place", "link"])
+    copy = replace(b)
+    assert copy == b and "_checked_ports" not in vars(copy)
 
 
 # --- widths are natural ints, never converted ------------------------------------

@@ -132,6 +132,23 @@ def test_corrupted_degree_is_rejected_with_a_witness():
     assert any(victim.name in v.witness for v in report.violations)
 
 
+def test_the_report_lists_each_violation_under_a_count():
+    system = _toy_system()
+    identities = {**system.identities, "A": FuzzyArrow("A", "A", "", d("1/2"), "idA")}
+    report = check_category_laws(
+        ArrowSystem(U, "ABC", system.arrows, system.compose_payloads, identities)
+    )
+    assert str(report) == "\n".join([
+        "arrows: 3",
+        "identity checks: 6",
+        "pairs checked: 3",
+        "triples checked: 3",
+        "violations: 2",
+        "  - identity degree: identity at A has degree 1/2",
+        "  - identity law: identity composite differs from h",
+    ])
+
+
 def test_sampled_mode_is_deterministic():
     system = random_arrow_system(random.Random(9), U, SIG, arrow_count=12)
     a = check_category_laws(system, samples=30, seed=5)

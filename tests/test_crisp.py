@@ -47,6 +47,24 @@ def test_h_bigraph_is_a_valid_forest():
     assert h.inner == Interface(3, frozenset({"x1", "x2"}))
 
 
+@pytest.mark.parametrize("arity, error, message", [
+    ({1: 0}, TypeError, "control names are strings, got 1"),
+    ({"K": 1, "L": -1}, ValueError, "arity of 'L' must be a natural number"),
+    ({"K": True}, ValueError, "arity of 'K' must be a natural number"),
+])
+def test_a_signature_refuses_a_bad_control_or_arity(arity, error, message):
+    with pytest.raises(error) as err:
+        Signature(arity)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("width", [-1, 1.5, "1", True, None], ids=repr)
+def test_an_interface_refuses_a_width_that_is_not_a_natural_number(width):
+    with pytest.raises(ValueError) as err:
+        Interface(width, frozenset({"x"}))
+    assert str(err.value) == "interface width must be a natural number"
+
+
 def test_self_parent_is_an_acyclicity_violation():
     sig = Signature({"K": 0})
     place = PlaceGraph(sig, 0, 1, {"v"}, {"v": "K"}, {"v": "v"})

@@ -400,6 +400,53 @@ def test_translation_interface_mismatch_rejected():
         check_support_translation(identity_translation(f), f, g)
 
 
+# Each part of an interface, changed alone: (inner, outer) of the other graph.
+ONE_PART_CHANGED = {
+    "inner width": (Interface(2, frozenset({"x"})), Interface(1, frozenset({"y"}))),
+    "outer width": (Interface(1, frozenset({"x"})), Interface(2, frozenset({"y"}))),
+    "inner names": (Interface(1, frozenset({"w"})), Interface(1, frozenset({"y"}))),
+    "outer names": (Interface(1, frozenset({"x"})), Interface(1, frozenset({"z"}))),
+}
+
+
+@pytest.mark.parametrize("part", sorted(ONE_PART_CHANGED))
+def test_translation_interface_mismatch_messages_are_pinned(part):
+    from fuzzybig import check_type2_support_translation, embed_bigraph, make_type2_translation
+
+    inner, outer = Interface(1, frozenset({"x"})), Interface(1, frozenset({"y"}))
+    f = small_bigraph("a", inner, outer, d("1/2"), d("1/2"))
+    g = small_bigraph("a", *ONE_PART_CHANGED[part], d("1/2"), d("1/2"))
+    message = f"interface mismatch: {inner}->{outer} vs {g.inner}->{g.outer}"
+    with pytest.raises(InterfaceMismatchError) as err:
+        check_support_translation(identity_translation(f), f, g)
+    assert str(err.value) == message
+    f2, g2 = embed_bigraph(f), embed_bigraph(g)
+    with pytest.raises(InterfaceMismatchError) as err:
+        check_type2_support_translation(*make_type2_translation(f2, f2), f2, g2)
+    assert str(err.value) == message
+    if part == "inner width":
+        assert message == "interface mismatch: ⟨1,{x}⟩->⟨1,{y}⟩ vs ⟨2,{x}⟩->⟨1,{y}⟩"
+
+
+@pytest.mark.parametrize("inner, message", [
+    (Interface(2, frozenset({"y"})), "interface mismatch: expected ⟨1,{y}⟩, got ⟨2,{y}⟩"),
+    (Interface(1, frozenset({"q"})), "interface mismatch: expected ⟨1,{y}⟩, got ⟨1,{q}⟩"),
+])
+def test_composition_interface_mismatch_messages_are_pinned(inner, message):
+    from fuzzybig import compose_crisp, compose_type2, embed_bigraph
+
+    f = small_bigraph("a", Interface(1, frozenset({"x"})), Interface(1, frozenset({"y"})), U.top, U.top)
+    g = small_bigraph("b", inner, Interface(1, frozenset({"z"})), U.top, U.top)
+    for compose, left, right in (
+        (compose_fuzzy, g, f),
+        (compose_type2, embed_bigraph(g), embed_bigraph(f)),
+        (compose_crisp, defuzzify(g), defuzzify(f)),
+    ):
+        with pytest.raises(InterfaceMismatchError) as err:
+            compose(left, right)
+        assert str(err.value) == message
+
+
 # --- fuzzify / defuzzify --------------------------------------------------------------
 
 

@@ -444,6 +444,22 @@ def test_off_carrier_relation_entries_are_rejected():
         check_type2_support_translation(bad, rel_e, f, g)
 
 
+def test_a_relation_off_the_frame_is_refused():
+    from fuzzybig import FuzzyRelation
+
+    f = _bigraph(fset(v="1"), FuzzySet(U), U.top, U.top, prnt={("v", 0): U.top})
+    g = translate_type2(f, SupportTranslation({"v": "w"}, {}))
+    rel_v, rel_e = make_type2_translation(f, g)
+    two_point = FuzzyRelation(TWO_POINT, {"v"}, {"w"}, {("v", "w"): TWO_POINT.top})
+    for args, message in (
+        ((dict(rel_v.items()), rel_e), "node relation is not a fuzzy relation over unit-interval"),
+        ((rel_v, two_point), "edge relation is not a fuzzy relation over unit-interval"),
+    ):
+        with pytest.raises(ValueError) as err:
+            check_type2_support_translation(*args, f, g)
+        assert str(err.value) == message
+
+
 def test_find_support_equivalence_handles_symmetric_nodes():
     f = _bigraph(fset(v0="1/2", v1="1/2"), FuzzySet(U), U.top, U.top,
                  ctrl={("v0", "Z"): U.top, ("v1", "Z"): d("1/2")},
@@ -961,6 +977,59 @@ def test_cycles_that_refinement_cannot_split_are_decided_piece_by_piece(m, bound
         assert (found is not None) == equivalent
         if found is not None:
             assert translate_type2(f, found) == g
+
+
+def _twisted(turns):
+    """Triangles of nodes of the arity-2 control K, one per entry of
+    ``turns``: node i of a triangle is the child of node i + 1, and edge i
+    joins port (i, 0) to port (i + turn, 1).  Every node has one parent,
+    one child and one edge at each port, so refinement splits no triangle
+    from another; one of turn 1 is no renaming of one of turn 2."""
+    names, edges, prnt, link = [], {}, {}, {}
+    for turn in turns:
+        ring = [f"v{len(names) + i}" for i in range(3)]
+        for i, v in enumerate(ring):
+            e = f"e{len(names) + i}"
+            edges[e] = U.top
+            prnt[(v, ring[(i + 1) % 3])] = U.top
+            link[((v, 0), e)] = link[((ring[(i + turn) % 3], 1), e)] = U.top
+        names += ring
+    return _rebuilt_type2(
+        U, Interface(0), Interface(1), {v: U.top for v in names}, edges,
+        {(v, "K"): U.top for v in names}, prnt, link, U.top, U.top,
+    )
+
+
+def _searched(f, g, monkeypatch):
+    """find_support_equivalence(f, g), and whether it went on to match
+    pieces: neither the labels nor refinement answered."""
+    calls, pieces = [], type2._pieces
+    monkeypatch.setattr(type2, "_pieces", lambda *args: calls.append(args) or pieces(*args))
+    return find_support_equivalence(f, g), bool(calls)
+
+
+def test_a_triangle_no_renaming_fits_is_refused_after_backtracking(monkeypatch):
+    # the labels and the refined classes agree, so each depth of the search
+    # runs out of candidates in turn and the one piece of g does not fit
+    f, g = _twisted([1]), _twisted([2])
+    for a, b in ((f, g), (g, f)):
+        assert brute_force_equivalence(a, b) is None
+        assert _searched(a, b, monkeypatch) == (None, True)
+
+
+def test_a_piece_is_matched_after_another_piece_of_its_group_does_not_fit(monkeypatch):
+    # f's first triangle (turn 1) is tried against g's first (turn 2) in
+    # vain, then fits g's second; the oracle settles each pair of pieces,
+    # since a renaming maps pieces onto pieces
+    f, g = _twisted([1, 2]), _twisted([2, 1])
+    one, two = _twisted([1]), _twisted([2])
+    assert brute_force_equivalence(one, _shuffled_copy(random.Random(1), one)) is not None
+    assert brute_force_equivalence(two, _shuffled_copy(random.Random(2), two)) is not None
+    assert brute_force_equivalence(one, two) is None
+    for a, b in ((f, g), (g, f)):
+        found, searched = _searched(a, b, monkeypatch)
+        assert searched and found is not None
+        assert translate_type2(a, found) == b
 
 
 WITNESS_SCRIPT = """
