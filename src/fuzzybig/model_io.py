@@ -5,7 +5,8 @@ graphs, stored in a restricted JSON profile (objects, arrays, strings and
 plain integers).  Degrees always travel as strings ("3/10" or "0.3") and
 are converted to exact values, never floats.  Serialization is canonical:
 keys and entry lists are sorted, so equal documents produce identical
-bytes and ``parse(serialize(doc)) == doc``.
+bytes, and ``parse(serialize(doc)) == doc`` for every document ``serialize``
+accepts: it refuses, in the reader's words, what ``parse`` would not read back.
 
 The DOT export renders the place view (the parent forest, with roots as
 dashed containers and sites as shaded leaves) and the link view (the
@@ -150,6 +151,13 @@ def _expect_width(value, path: str, what: str = "width") -> int:
     if width > _MAX_WIDTH:
         raise ParseError(f"{what} {width} exceeds the limit of {_MAX_WIDTH}", path)
     return width
+
+
+def _decode_frame(value, path: str) -> Frame:
+    try:
+        return frame_from_name(_expect_string(value, path))
+    except ValueError as exc:
+        raise ParseError(str(exc), path) from None
 
 
 def _expect_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -> None:
@@ -381,21 +389,15 @@ def _check_link_refs(link: dict, nodes, edges, inner, outer, path: str) -> None:
             )
 
 
-def _check_crisp_refs(fields: dict, path: str) -> None:
-    """Crisp constructors accept dangling identifiers; a file may not.  The
-    refs checks find a fault by set operations, which run in C, and only
-    then walk the rows in order, to name the fault the rows meet first."""
-    if "prnt" in fields:
-        _check_place_refs(fields["prnt"], fields["nodes"], f"{path}.prnt")
-    if "link" in fields:
-        _check_link_refs(
-            fields["link"],
-            fields["nodes"],
-            fields["edges"],
-            fields["inner"].names,
-            fields["outer"].names,
-            f"{path}.link",
-        )
+def _check_crisp_refs(nodes: frozenset, parts: dict, path: str) -> None:
+    """Crisp parts, under ``prnt`` and ``link``, may hold dangling identifiers;
+    a file may not.  The refs checks find a fault by set operations, which run
+    in C, and only then walk the rows in order, to name the one met first."""
+    if "prnt" in parts:
+        _check_place_refs(parts["prnt"].prnt, nodes, f"{path}.prnt")
+    if "link" in parts:
+        link = parts["link"]
+        _check_link_refs(link.link, nodes, link.edges, link.inner, link.outer, f"{path}.link")
 
 
 def _check_ctrl_refs(ctrl: dict, nodes: frozenset, path: str) -> None:
@@ -444,6 +446,15 @@ def _in_key_order(rows: list) -> list:
     are never compared."""
     rows.sort()
     return [row[-1] for row in rows]
+
+
+def _refused(check, *args):
+    """A check of the reader's, run on what the writer is given: a fault
+    ``parse`` would find is refused in the reader's own words."""
+    try:
+        return check(*args)
+    except ParseError as exc:
+        raise ValueError(f"cannot serialize: {exc.message}") from None
 
 
 _ROW_OPEN, _ROW_SEP, _ROW_CLOSE = "[" + _indent(5), "," + _indent(5), _indent(4) + "]"
@@ -509,16 +520,10 @@ class _Writer:
 
     def width(self, width: int, what: str = "width") -> str:
         """A place width or a control arity, which ``parse`` must read back."""
-        if width > _MAX_WIDTH:
-            raise ValueError(
-                f"cannot serialize: {what} {width} exceeds the limit of {_MAX_WIDTH}"
-            )
-        return self.encode(width)
+        return self.encode(_refused(_expect_width, width, "$", what))
 
-    def interface(self, interface: Interface) -> str:
-        return _object(
-            {"names": self.names(interface.names, 4), "width": self.width(interface.width)}, 3
-        )
+    def interface(self, width: int, names) -> str:
+        return _object({"names": self.names(names, 4), "width": self.width(width)}, 3)
 
     def crisp_nodes(self, nodes, part) -> str:
         """``[node, control]`` rows of a crisp ``part``; nodes are strings,
@@ -570,9 +575,10 @@ class _Writer:
             ))
         return _array(_in_key_order(rows), 3)
 
-    def record(self, graph) -> str:
+    def record(self, graph, doc: ModelDocument) -> str:
         """One graph record, two levels deep: the fields ``_decode_record``
-        reads, from its tables."""
+        reads, from its tables.  ``parse`` reads it over the document's frame
+        and signature, and a crisp bigraph's parts from one node list."""
         kind, _validator = _kind_of(graph)
         if kind is None:
             raise TypeError(f"cannot serialize {type(graph).__name__}")
@@ -582,10 +588,17 @@ class _Writer:
         edges, place_degree, link_degree, meet_degree = _layout(fl, relations)
         parts = dict(zip(relations, (graph.place, graph.link) if part == "bigraph" else (graph,)))
         place, link = parts.get("prnt"), parts.get("link")
+        if fl.ctrl and graph.frame != doc.frame:
+            raise ValueError(f"cannot serialize: a graph over {graph.frame.name} in a "
+                             f"document over {doc.frame.name}")
+        if any(p.signature != doc.signature for p in parts.values()):
+            raise ValueError("cannot serialize: a graph whose signature is not the document's")
+        if not fl.ctrl and place and link and (place.nodes, place.ctrl) != (link.nodes, link.ctrl):
+            raise ValueError("cannot serialize: place and link parts disagree on nodes or controls")
         fields = {
             "kind": self.encode(kind),
-            "inner": write_interface(self, graph.inner),
-            "outer": write_interface(self, graph.outer),
+            "inner": write_interface(self, *[p.inner for p in parts.values()]),
+            "outer": write_interface(self, *[p.outer for p in parts.values()]),
             "nodes": fl.write_nodes(self, graph.nodes, place or link),
         }
         for key in edges:
@@ -597,6 +610,9 @@ class _Writer:
         for keys, source in ((place_degree, place), (link_degree, link), (meet_degree, graph)):
             for key in keys:
                 fields[key] = self.degree(source.degree)
+        if not fl.ctrl:
+            _refused(_check_crisp_refs, graph.nodes, parts, "$")
+            _refused(_check_ctrl_refs, (place or link).ctrl.items(), graph.nodes, "$")
         return _object(fields, 2)
 
 
@@ -739,8 +755,6 @@ def _decode_record(kind: str, obj: dict, degrees: _Degrees, signature: Signature
         if "prnt" in fields:
             domain = _prnt_domain(inner.width, outer.width, support)
             fields["prnt"] = degrees.relation(fields["prnt"], *domain)
-    else:
-        _check_crisp_refs(fields, path)
     for key in place_degree + link_degree:
         fields[key] = _decode_degree(degrees, obj[key], at(key))
 
@@ -766,6 +780,8 @@ def _decode_record(kind: str, obj: dict, degrees: _Degrees, signature: Signature
                 *head, inner.names, outer.names, nodes, fields["edges"], ctrl, fields["link"],
                 *[fields[key] for key in link_degree],
             ))
+        if not fl.ctrl:
+            _check_crisp_refs(nodes, dict(zip(relations, parts)), path)
         if len(parts) == 1:
             return parts[0]
         bigraph = _CLASS_OF[kind](*parts)
@@ -807,11 +823,7 @@ def parse(text: str) -> ModelDocument:
         raise ParseError(f"invalid JSON: {exc}") from None
     root = _expect_object(data, "$")
     _expect_keys(root, "$", ("frame", "signature", "graphs"))
-    frame_name = _expect_string(root["frame"], "$.frame")
-    try:
-        frame = frame_from_name(frame_name)
-    except ValueError as exc:
-        raise ParseError(str(exc), "$.frame") from None
+    frame = _decode_frame(root["frame"], "$.frame")
     sig_obj = _expect_object(root["signature"], "$.signature")
     _expect_keys(sig_obj, "$.signature", ("controls",))
     controls = _expect_object(sig_obj["controls"], "$.signature.controls")
@@ -837,8 +849,8 @@ def serialize(doc: ModelDocument) -> str:
     writer = _Writer()
     controls = {name: writer.width(ar, "arity") for name, ar in doc.signature.arity.items()}
     root = {
-        "frame": writer.encode(doc.frame.name),
-        "graphs": _object({name: writer.record(g) for name, g in doc.graphs.items()}, 1),
+        "frame": writer.encode(_refused(_decode_frame, doc.frame.name, "$").name),
+        "graphs": _object({name: writer.record(g, doc) for name, g in doc.graphs.items()}, 1),
         "signature": _object({"controls": _object(controls, 2)}, 1),
     }
     return _object(root, 0) + "\n"

@@ -27,10 +27,13 @@ from fuzzybig import (
     Signature,
     TWO_POINT,
     UNIT_INTERVAL,
+    chain,
     embed_bigraph,
+    export_dot,
     fuzzify,
     parse,
     serialize,
+    validate_graph,
 )
 from fuzzybig.errors import ParseError
 
@@ -251,11 +254,15 @@ def test_serialize_refuses_an_endpoint_of_a_sort_parse_reads_not_there(part, end
 
     with pytest.raises(ValueError) as err:
         serialize(ModelDocument(TWO_POINT, sig, {"g": graph(value)}))
-    # The same row written by hand: the writer names the fault parse finds.
-    text = serialize(ModelDocument(TWO_POINT, sig, {"g": graph("@")}))
-    with pytest.raises(ParseError) as read:
-        parse(text.replace('"@"', json.dumps(value)))
+    # The same row written by hand, from a graph that is fine: the writer
+    # names the fault parse finds.
+    fine, index = {"child": (0, 0), "parent": (0, 1), "target": ("e", 1), "point": ("x", 0)}[end]
+    written = json.loads(serialize(ModelDocument(TWO_POINT, sig, {"g": graph(fine)})))
     field = "prnt" if part == "place" else "link"
+    [row] = [row for row in written["graphs"]["g"][field] if row[index] == fine]
+    row[index] = value
+    with pytest.raises(ParseError) as read:
+        parse(json.dumps(written))
     assert str(err.value) == f"cannot serialize: {field} row holds {value!r}: {read.value.message}"
 
 
@@ -299,3 +306,116 @@ def test_every_endpoint_sort_parse_reads_still_round_trips(frame):
     for graph in (place, link, crisp, fuzzy, fuzzy.place, fuzzy.link, embed_bigraph(fuzzy)):
         doc = ModelDocument(frame, sig, {"g": graph})
         assert parse(serialize(doc)) == doc
+
+
+# --- the writer refuses what parse would refuse or read back as another graph ----
+
+K2 = Signature({"K": 2})
+KL = Signature({"K": 2, "L": 1})
+
+
+def _place(sig=K2, inner=0, nodes=("v",), ctrl=None, prnt=None):
+    ctrl = {"v": "K"} if ctrl is None else ctrl
+    return PlaceGraph(sig, inner, 1, set(nodes), ctrl, {"v": 0} if prnt is None else prnt)
+
+
+def _link(sig=K2, nodes=("v",), ctrl=None, link=None):
+    ctrl = {"v": "K"} if ctrl is None else ctrl
+    return LinkGraph(sig, {"x"}, {"y"}, set(nodes), {"e"}, ctrl, {"x": "e"} if link is None else link)
+
+
+def _fuzzy(frame, sig=K2):
+    return fuzzify(Bigraph(_place(sig), _link(sig)), frame)
+
+
+# (case, document frame and signature, graph, the refusal after "cannot serialize: ")
+WRITER_FAULTS = [
+    # Written, then refused by parse: the writer quotes the reader.
+    ("undeclared parent", TWO_POINT, K2, _place(prnt={"v": "u"}), "undeclared node 'u'"),
+    ("undeclared child", TWO_POINT, K2, _place(prnt={"v": 0, "u": 0}), "undeclared node 'u'"),
+    ("dangling target", TWO_POINT, K2, _link(link={"x": "z"}),
+     "link target 'z' is neither an edge nor an outer name"),
+    ("undeclared port node", TWO_POINT, K2, _link(link={("u", 0): "e"}),
+     "port of undeclared node 'u'"),
+    ("undeclared inner name", TWO_POINT, K2, _link(link={"z": "e"}), "undeclared inner name 'z'"),
+    ("parts with other nodes", TWO_POINT, K2,
+     Bigraph(_place(), _link(nodes=("v", "w"), ctrl={"v": "K", "w": "K"})),
+     "place and link parts disagree on nodes or controls"),
+    ("negative width", TWO_POINT, K2, _place(inner=-1), "expected a natural number"),
+    ("chain:5 graph in a two-point document", TWO_POINT, K2, _fuzzy(chain(5)).place,
+     "a graph over chain:5 in a document over two-point"),
+    # Read back as a different graph.
+    ("control of an undeclared node", TWO_POINT, K2, _place(ctrl={"v": "K", "u": "K"}),
+     "undeclared node 'u'"),
+    ("parts with other controls", TWO_POINT, KL,
+     Bigraph(_place(KL), _link(KL, ctrl={"v": "L"})),
+     "place and link parts disagree on nodes or controls"),
+    ("crisp graph with another signature", TWO_POINT, K2, _place(KL),
+     "a graph whose signature is not the document's"),
+    ("fuzzy graph with another signature", TWO_POINT, K2, _fuzzy(TWO_POINT, KL),
+     "a graph whose signature is not the document's"),
+    ("unit-interval graph in a chain:5 document", chain(5), K2, _fuzzy(UNIT_INTERVAL).link,
+     "a graph over unit-interval in a document over chain:5"),
+]
+
+
+@pytest.mark.parametrize(
+    "frame, sig, graph, refusal", [case[1:] for case in WRITER_FAULTS],
+    ids=[case[0] for case in WRITER_FAULTS],
+)
+def test_serialize_refuses_what_parse_refuses_or_reads_back_as_another_graph(
+    frame, sig, graph, refusal
+):
+    with pytest.raises(ValueError) as err:
+        serialize(ModelDocument(frame, sig, {"g": graph}))
+    assert str(err.value) == f"cannot serialize: {refusal}"
+
+
+def test_the_refusals_name_what_parse_finds_in_the_same_rows():
+    """Each refs refusal is the reader's message for the row written by hand."""
+    fine = json.loads(serialize(ModelDocument(TWO_POINT, K2, {"g": Bigraph(_place(), _link())})))
+    record = fine["graphs"]["g"]
+    for rows, row, end, value, case in [
+        ("prnt", 0, 1, "u", "undeclared parent"),
+        ("prnt", 0, 0, "u", "undeclared child"),
+        ("link", 0, 1, "z", "dangling target"),
+        ("link", 0, 0, ["u", 0], "undeclared port node"),
+        ("link", 0, 0, "z", "undeclared inner name"),
+    ]:
+        edited = copy.deepcopy(fine)
+        edited["graphs"]["g"][rows][row][end] = value
+        assert record[rows][row][end] != value
+        with pytest.raises(ParseError) as read:
+            parse(json.dumps(edited))
+        [refusal] = [c[-1] for c in WRITER_FAULTS if c[0] == case]
+        assert read.value.message == refusal
+
+
+# --- statements reached only through these calls, pinned by their text ---------
+
+
+def test_serialize_and_validate_graph_refuse_an_object_that_is_no_graph():
+    with pytest.raises(TypeError) as err:
+        serialize(ModelDocument(TWO_POINT, K2, {"g": object()}))
+    assert str(err.value) == "cannot serialize object"
+    with pytest.raises(TypeError) as err:
+        validate_graph(object(), "g")
+    assert str(err.value) == "no validator for object"
+
+
+def test_the_crisp_place_view_anchors_a_root_with_no_children():
+    graph = PlaceGraph(K2, 0, 2, {"v"}, {"v": "K"}, {"v": 0})
+    dot = export_dot(ModelDocument(TWO_POINT, K2, {"g": graph}), "g", "place")
+    assert '    "root_1_anchor" [shape=point, style=invis];' in dot.splitlines()
+    assert "root_0_anchor" not in dot
+
+
+@pytest.mark.parametrize("point, message", [
+    (True, "booleans are not model elements"),
+    (1.5, "unsupported element 1.5"),
+])
+def test_the_crisp_link_view_refuses_a_point_that_is_no_element(point, message):
+    graph = _link(link={"x": "e", point: "y"})
+    with pytest.raises(TypeError) as err:
+        export_dot(ModelDocument(TWO_POINT, K2, {"g": graph}), "g", "link")
+    assert str(err.value) == message
