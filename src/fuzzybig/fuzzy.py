@@ -208,7 +208,9 @@ class _Bigraph(_Graph, _Parts):
     __slots__ = ("place", "link")
 
     @staticmethod
-    def _require_agreement(place, link, node_set: str) -> None:
+    def _agreeing_link(place, link, node_set: str):
+        """``link``, once it agrees with ``place``, holding the place part's
+        node set and control relation: a bigraph keeps each of them once."""
         if place.frame != link.frame:
             raise ValueError("place and link parts use different frames")
         if place.signature != link.signature:
@@ -217,6 +219,12 @@ class _Bigraph(_Graph, _Parts):
             raise ValueError(f"place and link parts disagree on the {node_set}")
         if place.ctrl != link.ctrl:
             raise ValueError("place and link parts disagree on the control relation")
+        if link.nodes is place.nodes and link.ctrl is place.ctrl:
+            return link
+        shared = {"nodes": place.nodes, "ctrl": place.ctrl}
+        return type(link)._trusted(
+            *[shared[n] if n in shared else getattr(link, n) for n in link._fields]
+        )
 
     @property
     def frame(self) -> Frame:
@@ -233,8 +241,7 @@ class FuzzyBigraph(_Bigraph):
     __slots__ = ()
 
     def __init__(self, place: FuzzyPlaceGraph, link: FuzzyLinkGraph):
-        self._require_agreement(place, link, "node set")
-        self._store(place, link)
+        self._store(place, self._agreeing_link(place, link, "node set"))
 
     @property
     def prnt(self) -> FuzzyRelation:

@@ -22,11 +22,15 @@ from typing import Iterable
 from .errors import FrameMismatchError
 
 
+_MAX_SHARED = 4096  # degrees per frame; past it, each ``value`` is a new object
+
+
 class FrameValue:
     """An element of a frame, tagged with the frame it belongs to.
 
     Values are immutable and only combine with values of the same frame;
-    mixing frames raises :class:`FrameMismatchError`.
+    mixing frames raises :class:`FrameMismatchError`.  ``Frame.value``
+    shares one object per degree; equality and hashing stay by value.
     """
 
     __slots__ = ("frame", "raw")
@@ -119,7 +123,7 @@ class Frame:
         return a == b
 
     # A hashable stand-in for a raw value: two keys are equal exactly when
-    # their raw values are.
+    # their raw values are.  ``value`` shares degrees by it.
     def _key(self, raw):
         return raw
 
@@ -137,20 +141,40 @@ class Frame:
 
     # --- public surface ---------------------------------------------------
     def value(self, raw) -> FrameValue:
-        """Wrap a raw carrier element, rejecting anything off the carrier."""
+        """Wrap a raw carrier element, rejecting anything off the carrier;
+        a degree handed out before comes back as the same object."""
         raw = self._coerce(raw)
         if not self._contains(raw):
             raise ValueError(f"{raw!r} is not a degree of frame {self.name}")
-        return FrameValue(self, raw)
+        return self._shared(raw)
 
-    # Degrees are immutable, so each frame keeps one bottom and one top.
+    # Degrees are immutable, so each frame keeps one object per degree
+    # (Filliâtre & Conchon's hash-consing), up to ``_MAX_SHARED``: the table
+    # lives as long as the frame, and files may hold any number of degrees.
+    # Keys hold the raw type, so a caller's ``Fraction`` subclass reaches
+    # no other caller.
+    @cached_property
+    def _degrees(self) -> dict:
+        return {}
+
+    def _shared(self, raw) -> FrameValue:
+        degrees = self._degrees
+        key = (type(raw), self._key(raw))
+        known = degrees.get(key)
+        if known is None:
+            known = FrameValue(self, raw)
+            if len(degrees) < _MAX_SHARED:
+                degrees[key] = known
+        return known
+
+    # Bottom stays outside the table: relations never store it.
     @cached_property
     def bottom(self) -> FrameValue:
         return FrameValue(self, self._bottom_raw())
 
     @cached_property
     def top(self) -> FrameValue:
-        return FrameValue(self, self._top_raw())
+        return self._shared(self._top_raw())
 
     def check_value(self, v: FrameValue) -> None:
         if type(v) is FrameValue and v.frame is self:

@@ -175,10 +175,12 @@ class _Degrees:
     A model file repeats a handful of degree texts thousands of times, so
     each distinct text goes through the frame's parser once per call.  Only
     texts that parsed are kept: a bad text fails, with the same message, at
-    every occurrence.  The table lives for one call only, because the input
-    is untrusted and a table kept across calls would grow with every file
-    read.  Bottom is stored as the frame's own bottom, so that memberships
-    at bottom are found by identity.
+    every occurrence.  The text table lives for one call only, because the
+    input is untrusted and a table kept across calls would grow with every
+    file read.  The degrees it holds are the frame's shared ones, whose
+    table is bounded, so two reads of one file share their degree objects
+    while that table has room.  Bottom is stored as the frame's own bottom, so that
+    memberships at bottom are found by identity.
     """
 
     __slots__ = ("frame", "known")
@@ -467,13 +469,14 @@ class _Writer:
     Identifiers recur across a record's fields, and a few degrees across
     all its rows, so each is encoded once per call, and the row loops read
     both tables themselves.  Degrees are looked up by identity, because
-    hashing a degree costs more than formatting it; each one seen is kept
-    alive, so no identity is reused while the call runs.  Only strings are
-    looked up by value: ``1`` and ``True`` are equal keys but different
-    JSON, and ``("v", 1)`` and ``("v", True)`` equal ports.  A DOT export
-    labels its rows from the degree table too: the frames write degrees in
-    digits and ``/``, which need no escape, so a degree's JSON string is
-    its DOT label.
+    hashing a degree costs more than formatting it; frames share their
+    degrees, so the table holds about one entry per distinct degree.  Each
+    one seen is kept alive, so no identity is reused while the call runs.
+    Only strings are looked up by value: ``1`` and ``True`` are equal keys
+    but different JSON, and ``("v", 1)`` and ``("v", True)`` equal ports.
+    A DOT export labels its rows from the degree table too: the frames
+    write degrees in digits and ``/``, which need no escape, so a degree's
+    JSON string is its DOT label.
     """
 
     def __init__(self):
@@ -847,6 +850,9 @@ def parse(text: str) -> ModelDocument:
 def serialize(doc: ModelDocument) -> str:
     """Canonical text: sorted keys, sorted entries, LF endings."""
     writer = _Writer()
+    for name in doc.graphs:  # JSON writes a graph's name as an object key
+        if not isinstance(name, str):
+            raise ValueError(f"cannot serialize: graph name {name!r} is not a string")
     controls = {name: writer.width(ar, "arity") for name, ar in doc.signature.arity.items()}
     root = {
         "frame": writer.encode(_refused(_decode_frame, doc.frame.name, "$").name),

@@ -166,8 +166,7 @@ class Type2FuzzyBigraph(_Bigraph):
     __slots__ = ()
 
     def __init__(self, place: Type2FuzzyPlaceGraph, link: Type2FuzzyLinkGraph):
-        self._require_agreement(place, link, "fuzzy node set")
-        self._store(place, link)
+        self._store(place, self._agreeing_link(place, link, "fuzzy node set"))
 
     @property
     def degree(self) -> FrameValue:

@@ -14,6 +14,8 @@ from fuzzybig import (
     embed_link,
     embed_place,
     fuzzify,
+    support,
+    type2_support,
 )
 from fuzzybig.type2 import Type2FuzzyBigraph, Type2FuzzyLinkGraph, Type2FuzzyPlaceGraph
 
@@ -100,3 +102,12 @@ def test_the_parts_of_a_bigraph_must_agree(check):
     with pytest.raises(ValueError) as caught:
         Type2FuzzyBigraph(embed_place(place), embed_link(link))
     assert str(caught.value) == MESSAGES[check].format("fuzzy node")
+
+
+def test_the_supports_refuse_an_object_that_is_no_graph():
+    with pytest.raises(TypeError) as caught:
+        support(object())
+    assert str(caught.value) == "no support for object"
+    with pytest.raises(TypeError) as caught:
+        type2_support(object())
+    assert str(caught.value) == "no type-2 support for object"

@@ -1,15 +1,40 @@
-"""Frame lattice laws and degree parsing."""
+"""Frame lattice laws, degree parsing, and the degrees a frame shares."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fuzzybig import TWO_POINT, UNIT_INTERVAL, chain, frame_from_name, join_all, meet
+from fuzzybig import (
+    TWO_POINT,
+    UNIT_INTERVAL,
+    FuzzyBigraph,
+    FuzzySet,
+    Interface,
+    ModelDocument,
+    Type2FuzzyBigraph,
+    Type2FuzzyLinkGraph,
+    chain,
+    frame_from_name,
+    join_all,
+    meet,
+    parse,
+    serialize,
+)
 from fuzzybig.errors import FrameMismatchError
-from fuzzybig.lattice import _MAX_DEGREE_DIGITS, FiniteChainFrame, Frame, FrameValue
-from helpers import DiamondFrame
+from fuzzybig.generators import random_fuzzy_bigraph, random_type2_bigraph
+from fuzzybig.lattice import (
+    _MAX_DEGREE_DIGITS,
+    _MAX_SHARED,
+    FiniteChainFrame,
+    Frame,
+    FrameValue,
+    TwoPointFrame,
+    UnitIntervalFrame,
+)
+from helpers import H_SIGNATURE, DiamondFrame
 
 CHAIN5 = chain(5)
 
@@ -341,3 +366,119 @@ def test_a_frame_without_meet_and_join_hooks_refuses_to_combine():
         frame.meet(a, b)
     with pytest.raises(NotImplementedError):
         frame.join(a, b)
+
+
+# --- shared degrees ----------------------------------------------------------
+#
+# Each test builds its own frames: the property tests above may fill the
+# tables of the module's frames.
+
+
+INNER = Interface(2, frozenset({"x0", "x1"}))
+OUTER = Interface(2, frozenset({"y0", "y1"}))
+
+
+def _degrees(g) -> list:
+    """Every degree of a graded bigraph, in field order."""
+    rels = [g.place.ctrl, g.place.prnt, g.link.link]
+    out = [x for rel in rels for _key, x in rel.items()]
+    if isinstance(g, Type2FuzzyBigraph):
+        out += [x for fset in (g.place.nodes, g.link.edges) for _elem, x in fset.items()]
+        out += [g.place.degree, g.link.degree]
+    return out
+
+
+def test_a_degree_is_handed_out_as_one_object():
+    for frame, raws in (
+        (UnitIntervalFrame(), [0, "1/3", Fraction(1, 2), 1]),
+        (FiniteChainFrame(5), range(5)),
+        (TwoPointFrame(), [False, True, 0, 1]),
+        (DiamondFrame(), [frozenset(), frozenset("a"), frozenset("ab")]),
+    ):
+        for raw in raws:
+            assert frame.value(raw) is frame.value(raw)
+
+
+def test_equal_unit_interval_degrees_are_one_object():
+    u = UnitIntervalFrame()
+    assert u.value(1) is u.top
+    assert u.value("1/2") is u.value(Fraction(2, 4)) is u.parse_degree("0.5")
+    assert u.value(0) is not u.bottom and u.value(0) == u.bottom
+
+
+def test_sharing_keeps_every_refusal():
+    u, c = UnitIntervalFrame(), FiniteChainFrame(5)
+    assert u.value(1) is u.value(1) and c.value(1) is c.value(1)
+    with pytest.raises(ValueError):
+        c.value(True)
+    with pytest.raises(TypeError):
+        u.value(True)
+    with pytest.raises(TypeError):
+        u.value(1.0)
+
+
+def test_a_degree_is_shared_only_with_raw_values_of_its_type():
+    u = UnitIntervalFrame()
+    third = u.value(_Third(1, 3))
+    plain = u.value(Fraction(1, 3))
+    assert plain is not third and plain == third and hash(plain) == hash(third)
+    assert type(plain.raw) is Fraction and u.value(Fraction(1, 3)) is plain
+    assert type(third.raw) is _Third and u.value(_Third(1, 3)) is third
+
+
+def test_the_table_stops_growing_at_its_bound():
+    u = UnitIntervalFrame()
+    n = _MAX_SHARED + 10
+    shared = [u.value(Fraction(i, n)) for i in range(n)]
+    assert len(u._degrees) == _MAX_SHARED
+    assert all(u.value(Fraction(i, n)) is shared[i] for i in range(_MAX_SHARED))
+    late = Fraction(n - 1, n)
+    assert u.value(late) is not u.value(late)
+    assert u.value(late) == shared[-1] and hash(u.value(late)) == hash(shared[-1])
+    assert u.top == u.value(1) and u.top.is_top()
+    assert len(u._degrees) == _MAX_SHARED
+
+
+def test_two_parses_of_one_file_yield_the_same_degree_objects():
+    # A chain's table holds at most its size, so no earlier test fills it.
+    frame = chain(9)
+    g = random_type2_bigraph(random.Random(3), frame, H_SIGNATURE, INNER, OUTER, "", 40, 20)
+    text = serialize(ModelDocument(frame, H_SIGNATURE, {"g": g}))
+    first, second = (parse(text).graphs["g"] for _ in range(2))
+    degrees = []
+    for a, b in zip(_degrees(first), _degrees(second)):
+        assert a is b
+        degrees.append(a)
+    assert len(degrees) > 100
+    assert len({id(x) for x in degrees}) == len(set(degrees)) <= frame.size
+
+
+# --- one node set and one control relation per bigraph -----------------------
+
+def _copied_link(link):
+    """An equal link part that shares no node set or relation with ``link``."""
+    frame = link.frame
+    if isinstance(link, Type2FuzzyLinkGraph):
+        nodes = FuzzySet(frame, dict(link.nodes.items()))
+        more = {"degree": link.degree}
+    else:
+        nodes, more = set(link.nodes), {}
+    return type(link)(
+        frame, link.signature, link.inner, link.outer, nodes, link.edges,
+        link.ctrl.entry_dict(), link.link.entry_dict(), **more,
+    )
+
+
+# The parts' agreement and its messages are pinned in test_graph_classes.py.
+@pytest.mark.parametrize("make, bigraph", [
+    (random_fuzzy_bigraph, FuzzyBigraph),
+    (random_type2_bigraph, Type2FuzzyBigraph),
+], ids=["fuzzy", "type2"])
+def test_a_bigraph_built_from_equal_parts_keeps_one_node_set_and_control_relation(make, bigraph):
+    g = make(random.Random(4), UnitIntervalFrame(), H_SIGNATURE, INNER, OUTER, "", 8, 4)
+    place, link = g.place, _copied_link(g.link)
+    assert link.nodes is not place.nodes and link.ctrl is not place.ctrl
+    b = bigraph(place, link)
+    assert b.place is place and b.link.nodes is place.nodes and b.link.ctrl is place.ctrl
+    assert b.link == link and b == g
+    assert bigraph(place, b.link).link is b.link  # nothing left to share: kept as given

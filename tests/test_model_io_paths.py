@@ -371,6 +371,19 @@ def test_serialize_refuses_what_parse_refuses_or_reads_back_as_another_graph(
     assert str(err.value) == f"cannot serialize: {refusal}"
 
 
+@pytest.mark.parametrize("names, refusal", [
+    ((1,), "graph name 1 is not a string"),
+    ((1, "a"), "graph name 1 is not a string"),
+    ((None,), "graph name None is not a string"),
+], ids=repr)
+def test_serialize_refuses_a_graph_name_that_is_no_string(names, refusal):
+    """JSON object keys are strings, so ``parse`` reads no other name back."""
+    graphs = dict.fromkeys(names, _place())
+    with pytest.raises(ValueError) as err:
+        serialize(ModelDocument(TWO_POINT, K2, graphs))
+    assert str(err.value) == f"cannot serialize: {refusal}"
+
+
 def test_the_refusals_name_what_parse_finds_in_the_same_rows():
     """Each refs refusal is the reader's message for the row written by hand."""
     fine = json.loads(serialize(ModelDocument(TWO_POINT, K2, {"g": Bigraph(_place(), _link())})))

@@ -4,11 +4,12 @@ Small graphs of all nine kinds are taken apart into their constructor
 arguments and mutated one to three times: identifiers dropped from or added
 to one field only, controls changed, dropped or given to undeclared nodes,
 map endpoints swapped for values of other sorts, widths and degrees changed,
-one part of a crisp bigraph changed alone, and the document's frame and
-signature swapped.  Every mutant the public constructors accept must then
-either be refused by ``serialize`` with ``ValueError("cannot serialize:
-...")`` or be read back by ``parse`` as the document it was: the round-trip
-property of Claessen and Hughes, "QuickCheck" (ICFP 2000).
+one part of a crisp bigraph changed alone, the document's frame and
+signature swapped, and its graph named by values other than one string.
+Every mutant the public constructors accept must then either be refused by
+``serialize`` with ``ValueError("cannot serialize: ...")`` or be read back
+by ``parse`` as the document it was: the round-trip property of Claessen
+and Hughes, "QuickCheck" (ICFP 2000).
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ ATOMS = IDENTIFIERS + [
 CONTROLS = ["K", "L", "M", "N", "Z", 3, None, ("a", "b")]
 WIDTHS = [-1, 0, 1, 3, True, 1.5, 70_000]
 SHARED = ("frame", "signature", "nodes", "ctrl")  # one field of a bigraph's two parts
+GRAPH_NAMES = ["g", "a", "", "ü", 1, 0, None, True, 1.5, ("g",)]
 
 
 def _fields(part) -> dict:
@@ -188,9 +190,15 @@ def _document(rng, part, doc):
     return None
 
 
+def _names(rng, part, doc):
+    """The graph under one or two names, strings or not."""
+    doc["names"] = rng.sample(GRAPH_NAMES, rng.randint(1, 2))
+    return None
+
+
 MUTATIONS = (
     [_identifiers] * 3 + [_endpoint] * 4 + [_control] * 2
-    + [_width, _degree, _signature, _frame, _document]
+    + [_width, _degree, _signature, _frame, _document, _names]
 )
 
 
@@ -205,7 +213,7 @@ def mutants(seed: int = SEED, count: int = MAX_INPUTS, time_box: float = TIME_BO
         bigraph = isinstance(graph, (Bigraph, FuzzyBigraph, Type2FuzzyBigraph))
         parts = [graph.place, graph.link] if bigraph else [graph]
         specs = [(type(p), _fields(p)) for p in parts]
-        doc = {"frame": frame, "signature": H_SIGNATURE}
+        doc = {"frame": frame, "signature": H_SIGNATURE, "names": ["g"]}
         for _ in range(rng.randint(1, 3)):
             index = rng.randrange(len(specs))
             fields = specs[index][1]
@@ -222,7 +230,7 @@ def mutants(seed: int = SEED, count: int = MAX_INPUTS, time_box: float = TIME_BO
         except Exception:  # a mutant the constructors refuse
             continue
         made += 1
-        yield ModelDocument(doc["frame"], doc["signature"], {"g": graph})
+        yield ModelDocument(doc["frame"], doc["signature"], dict.fromkeys(doc["names"], graph))
 
 
 def outcome(doc: ModelDocument) -> str:
