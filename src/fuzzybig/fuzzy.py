@@ -449,8 +449,8 @@ def _no_controls(frame: Frame, signature: Signature) -> FuzzyRelation:
 
 
 def identity_place(width: int, frame: Frame, signature: Signature) -> FuzzyPlaceGraph:
-    ident = identity_relation(frame, range(width))
     width, _ = _widths(width, width)
+    ident = identity_relation(frame, range(width))
     return FuzzyPlaceGraph._trusted(
         frame, signature, width, width, frozenset(), _no_controls(frame, signature), ident
     )

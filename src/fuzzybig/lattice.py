@@ -16,7 +16,7 @@ every lattice law checked by the test suite is an exact equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import FrameMismatchError
@@ -395,14 +395,13 @@ class FiniteChainFrame(_NativeChain):
 UNIT_INTERVAL = UnitIntervalFrame()
 TWO_POINT = TwoPointFrame()
 
-_CHAINS: dict[int, FiniteChainFrame] = {}
 
-
+# Files may name any number of chains; an evicted frame still works, since
+# frames compare and hash by name.
+@lru_cache(maxsize=64)
 def chain(n: int) -> FiniteChainFrame:
     """The finite chain frame with ``n`` elements (cached)."""
-    if n not in _CHAINS:
-        _CHAINS[n] = FiniteChainFrame(n)
-    return _CHAINS[n]
+    return FiniteChainFrame(n)
 
 
 def frame_from_name(name: str) -> Frame:

@@ -149,6 +149,47 @@ def test_the_report_lists_each_violation_under_a_count():
     ])
 
 
+class _JoiningSystem(ArrowSystem):
+    """An arrow system whose composites carry the join of the degrees."""
+
+    def compose(self, g, f):
+        gf = super().compose(g, f)
+        return FuzzyArrow(gf.source, gf.target, gf.payload, f.degree.join(g.degree), gf.name)
+
+
+def test_a_composite_degree_other_than_the_meet_breaks_the_degree_law_on_payloads():
+    generated = random_arrow_system(random.Random(4), U, SIG, arrow_count=8)
+    system = _JoiningSystem(
+        U, generated.objects, generated.arrows, generated.compose_payloads, {},
+        generated.payload_degree,
+    )
+    report = check_category_laws(system)
+    assert report.pairs_checked > 0
+    assert {v.law for v in report.violations} == {"degree law"}
+    assert all(v.witness.startswith("composite payload of ") for v in report.violations)
+
+
+def test_an_identity_must_start_and_end_at_its_object():
+    with pytest.raises(ValueError, match=r"^identity for A has wrong endpoints$"):
+        ArrowSystem(U, "AB", (), lambda g, f: None, {"A": FuzzyArrow("A", "B", "", U.top)})
+
+
+def test_an_identity_composite_that_overlaps_is_counted_and_skipped():
+    system = _toy_system()
+
+    def compose_payloads(gp, fp):
+        if not (gp and fp):
+            raise SupportOverlapError("an identity payload")
+        return fp + gp
+
+    report = check_category_laws(
+        ArrowSystem(U, "ABC", system.arrows, compose_payloads, system.identities)
+    )
+    assert report.ok, str(report)
+    assert (report.identity_checks, report.skipped_overlaps) == (6, 6)
+    assert (report.pairs_checked, report.triples_checked) == (3, 3)
+
+
 def test_sampled_mode_is_deterministic():
     system = random_arrow_system(random.Random(9), U, SIG, arrow_count=12)
     a = check_category_laws(system, samples=30, seed=5)

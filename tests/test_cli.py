@@ -203,6 +203,12 @@ def test_laws_rejects_a_zero_count_as_a_usage_error(capsys, option):
     )
 
 
+def test_laws_rejects_a_count_that_is_no_int_as_a_usage_error(capsys):
+    status, out, err = invoke(capsys, "laws", H_PATH, "--arrows", "abc")
+    assert (status, out) == (2, "")
+    assert err.endswith("fbg laws: error: argument --arrows: invalid int value: 'abc'\n")
+
+
 def test_export_dot_views(capsys):
     status, out, _err = invoke(capsys, "export-dot", H_PATH, "--view", "place")
     assert status == 0 and out.startswith("digraph place {")
@@ -267,6 +273,26 @@ def test_missing_file_exits_three(capsys):
     status, _out, err = invoke(capsys, "validate", "no-such-file.fbg.json")
     assert status == 3
     assert "cannot read" in err
+
+
+def test_a_renaming_file_that_is_a_directory_exits_three(tmp_path, capsys):
+    status, out, err = invoke(capsys, "translate-check", "--rho", str(tmp_path), H_PATH, H_PATH)
+    assert (status, out) == (3, "")
+    assert err.startswith(f"error: cannot read {tmp_path}: ")
+
+
+def test_run_reads_its_arguments_from_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["fbg", "validate", H_PATH])
+    assert run() == 0
+    assert capsys.readouterr().out == "h: valid\n"
+
+
+@pytest.mark.parametrize("argv, status", [(["validate", H_PATH], 0), (["frobnicate"], 2)])
+def test_main_exits_with_the_status_run_returns(monkeypatch, capsys, argv, status):
+    monkeypatch.setattr(sys, "argv", ["fbg", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == status
 
 
 def test_parse_error_exits_three(tmp_path, capsys):

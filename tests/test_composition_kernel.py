@@ -45,6 +45,7 @@ from fuzzybig import (
     embed_bigraph,
     embed_link,
     tensor_fuzzy_link,
+    tensor_fuzzy_place,
 )
 from fuzzybig.errors import SupportOverlapError
 from fuzzybig.relations import element_sort_key
@@ -340,6 +341,15 @@ def test_every_support_overlap_pairing_raises_one_message(case):
             call()
         assert type(caught.value) is SupportOverlapError, name
         assert str(caught.value) == message, name
+
+
+def test_bare_place_parts_name_their_node_overlap():
+    f, g = _overlap_pair("v", None)
+    for call in (lambda: compose_fuzzy_place(g.place, f.place),
+                 lambda: tensor_fuzzy_place(f.place, g.place)):
+        with pytest.raises(SupportOverlapError) as caught:
+            call()
+        assert str(caught.value) == "supports overlap on nodes ['v']"
 
 
 @pytest.mark.parametrize("frame", FRAMES, ids=lambda frame: frame.name)

@@ -1,6 +1,7 @@
 """Crisp bigraphs: hypergraph predicate, validity, composition, tensor."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -45,6 +46,31 @@ def test_h_bigraph_is_a_valid_forest():
     # two rooted trees: every node reaches one of the two roots
     assert h.place.outer == 2
     assert h.inner == Interface(3, frozenset({"x1", "x2"}))
+
+
+def test_sites_and_roots_count_the_widths():
+    h = make_h()
+    assert (h.place.sites, h.place.roots) == (range(3), range(2))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"signature": Signature({"K": 2, "L": 1, "M": 0, "N": 0})},
+     "place and link graphs use different signatures"),
+    ({"ctrl": {"v0": "K", "v1": "L", "v2": "M", "v3": "K", "v4": "L", "v5": "K"}},
+     "place and link graphs disagree on the control map"),
+], ids=["signature", "control map"])
+def test_a_bigraph_whose_link_part_disagrees_is_reported(changes, message):
+    h = make_h()
+    b = Bigraph(h.place, replace(h.link, **changes))
+    assert message in validate_bigraph(b).problems
+
+
+def test_rename_refuses_an_identifier_the_bigraph_lacks():
+    h = make_h()
+    with pytest.raises(ValueError, match=r"^renaming mentions unknown nodes: \['w', 'x'\]$"):
+        rename_crisp(h, {"x": "y", "w": "z"}, {})
+    with pytest.raises(ValueError, match=r"^renaming mentions unknown edges: \['f'\]$"):
+        rename_crisp(h, {}, {"f": "g"})
 
 
 @pytest.mark.parametrize("arity, error, message", [

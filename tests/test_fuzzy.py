@@ -130,6 +130,14 @@ def test_place_identity_laws():
     assert compose_fuzzy_place(f2, identity_place(2, U, SIG)) == f2
 
 
+@pytest.mark.parametrize("width", [1.5, "2", None, -1, True], ids=repr)
+def test_a_place_identity_refuses_a_width_that_is_no_natural_number(width):
+    with pytest.raises(ValueError) as caught:
+        identity_place(width, U, SIG)
+    assert str(caught.value) == "interface widths must be natural numbers"
+    assert type(caught.value) is ValueError
+
+
 def test_place_composition_routes_through_the_interface():
     # frozen example: f: 0->1 with prnt(u,0)=0.8; g: 1->1 with prnt(0,w)=0.5,
     # prnt(w,0)=top; composite carries prnt(u,w)=0.5 and prnt(w,0)=top.

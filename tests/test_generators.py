@@ -5,7 +5,10 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from fuzzybig import (
+    Interface,
     TWO_POINT,
     UNIT_INTERVAL,
     chain,
@@ -18,9 +21,12 @@ from fuzzybig import (
 from fuzzybig.generators import (
     DEFAULT_SIGNATURE,
     random_degree,
+    random_fuzzy_bigraph,
     random_fuzzy_chain,
     random_type2_chain,
 )
+
+from helpers import DiamondFrame
 
 
 def test_random_degrees_live_in_their_frames():
@@ -30,6 +36,15 @@ def test_random_degrees_live_in_their_frames():
             value = random_degree(rng, frame)
             assert frame.bottom.leq(value) and value.leq(frame.top)
             assert not random_degree(rng, frame, positive=True).is_bottom()
+
+
+def test_the_generators_refuse_what_they_cannot_build():
+    rng = random.Random(0)
+    with pytest.raises(TypeError, match="^no generator for frame diamond$"):
+        random_degree(rng, DiamondFrame())
+    with pytest.raises(ValueError, match="^generator needs outer width >= 1 and an outer name$"):
+        random_fuzzy_bigraph(rng, UNIT_INTERVAL, DEFAULT_SIGNATURE, Interface(1, frozenset()),
+                             Interface(1, frozenset()), "p")
 
 
 def test_generated_chains_are_valid_and_composable():

@@ -51,6 +51,30 @@ def test_trusted_stores_every_field(graph):
     assert copy == graph
 
 
+def _reprs() -> dict:
+    f, link, fuzzy, t, t_link, type2 = h_graphs()
+    cases = [
+        (f, "FuzzyPlaceGraph(3->2, 6 nodes, unit-interval)"),
+        (link, "FuzzyLinkGraph(['x1', 'x2']->['y'], 6 nodes, 2 edges, unit-interval)"),
+        (fuzzy, "FuzzyBigraph(⟨3,{x1,x2}⟩->⟨2,{y}⟩, unit-interval)"),
+        (t, "Type2FuzzyPlaceGraph(3->2, 6 nodes, degree 1)"),
+        (t_link, "Type2FuzzyLinkGraph(['x1', 'x2']->['y'], degree 1)"),
+        (type2, "Type2FuzzyBigraph(⟨3,{x1,x2}⟩->⟨2,{y}⟩, degree 1)"),
+        (f.prnt, "FuzzyRelation(9 entries, 9x8, unit-interval)"),
+        (t.nodes, "FuzzySet(6 elements, unit-interval)"),
+    ]
+    return {text.partition("(")[0]: (value, text) for value, text in cases}
+
+
+REPRS = _reprs()
+
+
+@pytest.mark.parametrize("name", sorted(REPRS))
+def test_each_graph_and_relation_has_a_one_line_repr(name):
+    value, text = REPRS[name]
+    assert repr(value) == text
+
+
 def _relinked(graph: FuzzyLinkGraph, **changes) -> FuzzyLinkGraph:
     """A fuzzy link graph like ``graph`` but for the given constructor arguments."""
     fields = {name: getattr(graph, name) for name in LINK[:-1]}

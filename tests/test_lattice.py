@@ -1,6 +1,9 @@
 """Frame lattice laws, degree parsing, and the degrees a frame shares."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,7 @@ from fuzzybig import (
     Type2FuzzyLinkGraph,
     chain,
     frame_from_name,
+    join,
     join_all,
     meet,
     parse,
@@ -148,6 +152,44 @@ def test_degree_out_of_range_rejected():
         CHAIN5.parse_degree("5")
     with pytest.raises(ValueError):
         TWO_POINT.parse_degree("2")
+
+
+@pytest.mark.parametrize("frame, text, message", [
+    (UNIT_INTERVAL, "1e", "'1e' is not an exact rational: "),
+    (CHAIN5, "x", "'x' is not a chain element"),
+], ids=["unit-interval", "chain"])
+def test_degree_text_that_names_no_number_is_refused(frame, text, message):
+    with pytest.raises(ValueError) as caught:
+        frame.parse_degree(text)
+    assert str(caught.value).startswith(message)
+
+
+def test_two_point_admits_only_its_two_degrees():
+    assert TWO_POINT.value(0) == TWO_POINT.bottom and TWO_POINT.value(1) == TWO_POINT.top
+    with pytest.raises(ValueError, match=r"^2 is not a degree of frame two-point$"):
+        TWO_POINT.value(2)
+
+
+def test_a_two_point_file_may_list_a_row_at_bottom():
+    """A row at ``"0"`` parses, and is dropped like every bottom entry."""
+    text = """{"frame": "two-point", "signature": {"controls": {"K": 0, "L": 0}}, "graphs": {"p": {
+        "kind": "fuzzy-place", "inner": 0, "outer": 1, "nodes": ["v"],
+        "ctrl": [["v", "K", "1"], ["v", "L", "0"]], "prnt": [["v", 0, "1"]]}}}"""
+    p = parse(text).graphs["p"]
+    assert p.ctrl.entry_dict() == {("v", "K"): TWO_POINT.top}
+
+
+def test_a_degree_is_immutable():
+    with pytest.raises(AttributeError, match="^FrameValue is immutable$"):
+        d("1/2").raw = Fraction(1, 3)
+
+
+def test_the_frame_and_module_operations_agree_with_the_value_methods():
+    low, high = d("1/3"), d("2/3")
+    assert UNIT_INTERVAL.leq(low, high) and not UNIT_INTERVAL.leq(high, low)
+    assert join(low, high) is high and join(high, low) is high
+    with pytest.raises(FrameMismatchError):
+        UNIT_INTERVAL.leq(TWO_POINT.top, high)
 
 
 def test_floats_are_rejected():
@@ -368,6 +410,27 @@ def test_a_frame_without_meet_and_join_hooks_refuses_to_combine():
         frame.join(a, b)
 
 
+class _FrameWithoutHooks(Frame):
+    """A frame that overrides none of the hooks."""
+
+    name = "without-hooks"
+
+
+def test_a_frame_without_hooks_refuses_every_use_of_them():
+    frame = _FrameWithoutHooks()
+    raw = FrameValue(frame, 0)
+    for use in (
+        lambda: frame.value(0),  # _contains
+        lambda: raw.leq(raw),  # _leq
+        lambda: frame.bottom,  # _bottom_raw
+        lambda: frame.top,  # _top_raw
+        lambda: frame.parse_degree("0"),  # _parse
+        lambda: frame.format_degree(raw),  # _format
+    ):
+        with pytest.raises(NotImplementedError):
+            use()
+
+
 # --- shared degrees ----------------------------------------------------------
 #
 # Each test builds its own frames: the property tests above may fill the
@@ -451,6 +514,38 @@ def test_two_parses_of_one_file_yield_the_same_degree_objects():
         degrees.append(a)
     assert len(degrees) > 100
     assert len({id(x) for x in degrees}) == len(set(degrees)) <= frame.size
+
+
+# A child process: evicting the frames this module holds, such as CHAIN5,
+# would break nothing, but would make ``chain(5) is CHAIN5`` false here.
+CHAIN_REGISTRY_SCRIPT = """
+from fuzzybig import Interface, ModelDocument, Signature, chain, compose_fuzzy, identity_bigraph
+from fuzzybig import parse, serialize
+sig = Signature({})
+frame = chain(2)
+text = serialize(ModelDocument(frame, sig, {"id": identity_bigraph(Interface(1, frozenset("x")), frame, sig)}))
+def over(n):
+    return parse(text.replace('"chain:2"', f'"chain:{n}"')).graphs["id"]
+for n in range(2, 20002):
+    g = over(n)
+    if n == 7:
+        early = g
+assert chain.cache_info().currsize <= 64, chain.cache_info()
+assert chain(5) is chain(5)
+late = over(7)
+assert late.frame is not early.frame and late.frame == early.frame
+assert compose_fuzzy(late, early) == early
+print("ok")
+"""
+
+
+def test_a_process_keeps_a_bounded_number_of_chain_frames():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", CHAIN_REGISTRY_SCRIPT],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
 
 # --- one node set and one control relation per bigraph -----------------------

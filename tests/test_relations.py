@@ -135,6 +135,16 @@ def test_fuzzy_set_normal_form_and_union():
         s.union(s)
 
 
+def test_fuzzy_set_refuses_a_repeated_element():
+    with pytest.raises(ValueError, match=r"^duplicate fuzzy-set entry for 'a'$"):
+        FuzzySet(U, [("a", d("1/2")), ("a", d("1/3"))])
+
+
+def test_fuzzy_set_union_refuses_another_frame():
+    with pytest.raises(FrameMismatchError, match="^cannot union fuzzy sets over different frames$"):
+        FuzzySet(U, {"a": d("1/2")}).union(FuzzySet(TWO_POINT, {"b": TWO_POINT.top}))
+
+
 def test_fuzzy_set_translate():
     s = FuzzySet(U, {"a": d("1/2")})
     assert s.translate({"a": "z"}).membership("z") == d("1/2")

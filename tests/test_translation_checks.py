@@ -28,6 +28,7 @@ from fuzzybig import (
     Interface,
     SupportTranslation,
     check_support_translation,
+    identity_translation,
     check_type2_support_translation,
     embed_bigraph,
     fuzzify,
@@ -415,6 +416,14 @@ def test_a_renaming_that_leaves_an_identifier_out_names_what_it_must_cover(
     with pytest.raises(ValueError) as raised:
         translate(f, SupportTranslation(maps["node"], maps["edge"]))
     assert str(raised.value) == message
+
+
+def test_a_report_names_no_check_it_does_not_hold():
+    f = fuzzify(make_h())
+    report = check_support_translation(identity_translation(f), f, f)
+    assert report.check("control preservation").ok
+    with pytest.raises(KeyError):
+        report.check("no such check")
 
 
 def test_the_type2_checker_refuses_operands_over_different_frames():

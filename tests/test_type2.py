@@ -104,6 +104,24 @@ def test_all_bottom_control_row_gives_no_ports():
     assert type2_ports(SIG, nodes, _rel(nodes, {})) == frozenset()
 
 
+def test_a_control_row_off_the_node_support_gives_no_ports():
+    from fuzzybig import FuzzyRelation
+
+    nodes = fset(v="1")
+    ctrl = FuzzyRelation(U, {"v", "w"}, SIG.controls, {("v", "L"): U.top, ("w", "K"): U.top})
+    assert type2_ports(SIG, nodes, ctrl) == {("v", 0)}
+
+
+@pytest.mark.parametrize("nodes", [{"v": U.top}, FuzzySet(TWO_POINT, {"v": TWO_POINT.top})],
+                         ids=["a dict", "another frame"])
+def test_type2_parts_take_their_nodes_as_a_fuzzy_set_over_their_frame(nodes):
+    message = r"^nodes must be a FuzzySet over the same frame$"
+    with pytest.raises(TypeError, match=message):
+        Type2FuzzyPlaceGraph(U, SIG, 0, 1, nodes, {}, {}, U.top)
+    with pytest.raises(TypeError, match=message):
+        Type2FuzzyLinkGraph(U, SIG, (), (), nodes, FuzzySet(U), {}, {}, U.top)
+
+
 def _diamond_node(controls):
     """Node ``v`` holding each control at its diamond degree ("a", "b" or
     "ab"), as the fuzzy bigraph embed_bigraph takes and as the type-2 link

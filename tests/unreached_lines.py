@@ -8,7 +8,10 @@ a statement but never ran, as ``path:line: source``, and their count.  A
 line holds a statement if some compiled code object maps bytecode to it,
 so a statement spread over several lines may be listed under a line of it
 that the tracer reports under another: the list is an upper bound.  Tests
-run in a subprocess are not traced.  The exit status is always 0, because
+run in a subprocess are not traced, so four statements are always listed:
+the three of ``__main__.py`` and the ``main()`` call under ``if __name__ ==
+"__main__"`` at the end of ``cli.py``.  They run only under ``python -m``,
+which starts a new interpreter.  The exit status is always 0, because
 the list is for reading; pytest's own status is printed first.  pytest
 does not collect this file: its name does not start with ``test_``.
 """
