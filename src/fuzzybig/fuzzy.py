@@ -30,6 +30,7 @@ from .crisp import (
 )
 from .errors import (
     InterfaceMismatchError,
+    ModelError,
     NameClashError,
     NotCrispError,
     SignatureMismatchError,
@@ -79,10 +80,20 @@ def _widths(inner, outer) -> tuple[int, int]:
     return inner, outer
 
 
-def _prnt_domain(inner: int, outer: int, carrier: frozenset) -> tuple[frozenset, frozenset]:
-    """Children (sites and nodes) and parents (nodes and roots) of a
-    parent relation."""
+def _prnt_domain(inner: int, outer: int, carrier) -> tuple:
+    """Children (sites and nodes) and parents (nodes and roots) of a parent
+    relation.  ``carrier`` is the node identifiers, or a function of no
+    arguments that gives them; then both sets are such functions too."""
+    if callable(carrier):
+        return (lambda: frozenset(range(inner)) | carrier(),
+                lambda: carrier() | frozenset(range(outer)))
     return frozenset(range(inner)) | carrier, carrier | frozenset(range(outer))
+
+
+def _ids(field) -> frozenset:
+    """The identifiers of a node or edge field: a fuzzy set's support, or
+    the field itself."""
+    return field.support if isinstance(field, FuzzySet) else field
 
 
 def _require_apart(nodes, edges, outer) -> None:
@@ -277,107 +288,120 @@ def _require_disjoint_support(f_nodes, f_edges, g_nodes, g_edges) -> None:
         raise SupportOverlapError(f"supports overlap on {sorted(shared)}")
 
 
-def _require_place_composable(g, f, f_nodes, g_nodes) -> None:
-    """Preconditions of ``g . f`` on place graphs of either fuzzy kind."""
+def _joined(f_field, g_field):
+    """Two node fields, or two edge fields, together, or ``None`` where they
+    overlap, as the union's size shows (a fuzzy set's refuses it itself)."""
+    try:
+        joined = f_field.union(g_field)
+    except ValueError:
+        return None
+    return joined if len(joined) == len(f_field) + len(g_field) else None
+
+
+def _require_place_composable(g, f) -> None:
+    """Preconditions of ``g . f`` on place graphs but those on the nodes."""
     _require_compatible(g, f)
     if f.outer != g.inner:
         raise InterfaceMismatchError(
             f"place interface mismatch: expected inner width {f.outer}, got {g.inner}"
         )
-    _require_disjoint_nodes(f_nodes, g_nodes)
 
 
-def _require_link_composable(g, f, f_nodes, f_edges, g_nodes, g_edges) -> None:
-    """Preconditions of ``g . f`` on link graphs of either fuzzy kind."""
+def _require_link_composable(g, f) -> None:
+    """Preconditions of ``g . f`` on link graphs but those on the supports."""
     _require_compatible(g, f)
     if f.outer != g.inner:
         raise InterfaceMismatchError(
             "link interface mismatch: expected inner names "
             f"{{{','.join(sorted(f.outer))}}}, got {{{','.join(sorted(g.inner))}}}"
         )
-    _require_disjoint_support(f_nodes, f_edges, g_nodes, g_edges)
-    clash = f_edges & g.outer
-    if clash:
-        raise NameClashError(
-            f"edge identifiers collide with outer names: {sorted(clash)}"
-        )
-
-
-def _require_bigraph_composable(g, f, f_nodes, f_edges, g_nodes, g_edges) -> None:
-    # Widths and names straight from the parts: each read of ``inner`` or
-    # ``outer`` builds and checks an ``Interface``, so only the message does.
-    if f.place.outer != g.place.inner or f.link.outer != g.link.inner:
-        raise InterfaceMismatchError(
-            f"interface mismatch: expected {f.outer}, got {g.inner}"
-        )
-    _require_disjoint_support(f_nodes, f_edges, g_nodes, g_edges)
 
 
 # --- composition ------------------------------------------------------------
 
 
-def _composed_ctrl(g, f, ids) -> FuzzyRelation:
-    """f's controls and g's over ``ids``, the union of their node sets; the
-    composers have required those disjoint, which ``union`` would repeat."""
+def _composed_ctrl(g, f, nodes) -> FuzzyRelation:
+    """f's controls and g's over ``nodes``, the union of their node fields;
+    the composers have required those disjoint, which ``union`` would repeat."""
     entries = f.ctrl.entry_dict()
     entries.update(g.ctrl._entries)
-    return FuzzyRelation._trusted(f.frame, ids, f.ctrl.codomain, entries)
+    return FuzzyRelation._trusted(f.frame, lambda: _ids(nodes), f.ctrl.codomain, entries)
 
 
-def _composed_place(g, f, f_ids, g_ids, kappa, f_drop, g_drop) -> tuple:
+def _composed_place(g, f, kappa, f_drop, g_drop) -> tuple:
     """The fields of the place composite ``g . f`` of either kind, in
-    ``_fields`` order and short of a degree.
+    ``_fields`` order and short of a degree, once the nodes are disjoint.
 
     f-internal and g-internal parent entries are copied; a child of f whose
     parent mass sits on a root j of f is routed into g through site j, at
-    the join over j of the meet of the two legs.  ``f_ids`` and ``g_ids``
-    are the node identifiers, and ``kappa`` and the drops guard the route
-    (see ``relations._route``); a fuzzy composite is unguarded.
+    the join over j of the meet of the two legs.  ``kappa`` and the drops
+    guard the route (see ``relations._route``); a fuzzy composite is
+    unguarded.  The composite's sets are built when first read.
     """
-    nodes = f.nodes.union(g.nodes)
-    ids = nodes.support if isinstance(nodes, FuzzySet) else nodes
+    f_ids, g_ids = _ids(f.nodes), _ids(g.nodes)
+    nodes = _joined(f.nodes, g.nodes)
+    if nodes is None:
+        _require_disjoint_nodes(f_ids, g_ids)
     entries = _route(f.prnt, g.prnt, f_ids, g_ids, kappa, f_drop, g_drop)
-    prnt = FuzzyRelation._trusted(f.frame, *_prnt_domain(f.inner, g.outer, ids), entries)
-    return f.frame, f.signature, f.inner, g.outer, nodes, _composed_ctrl(g, f, ids), prnt
+    domains = _prnt_domain(f.inner, g.outer, lambda: _ids(nodes))
+    prnt = FuzzyRelation._trusted(f.frame, *domains, entries)
+    return f.frame, f.signature, f.inner, g.outer, nodes, _composed_ctrl(g, f, nodes), prnt
 
 
-def _composed_link(g, f, f_edge_ids, kappa) -> tuple:
+def _composed_link(g, f, kappa) -> tuple:
     """The fields of the link composite ``g . f`` of either kind, in
-    ``_fields`` order and short of a degree; ``f_edge_ids`` are f's edge
-    identifiers, and ``kappa`` guards f's entries and g's routed legs."""
-    nodes, edges = f.nodes.union(g.nodes), f.edges.union(g.edges)
-    ids = nodes.support if isinstance(nodes, FuzzySet) else nodes
-    edge_ids = edges.support if isinstance(edges, FuzzySet) else edges
+    ``_fields`` order and short of a degree, once the supports are disjoint
+    and f's edges miss g's outer names; ``kappa`` guards the route."""
+    f_ids, f_edge_ids, g_ids, g_edge_ids = map(_ids, (f.nodes, f.edges, g.nodes, g.edges))
+    nodes, edges = _joined(f.nodes, g.nodes), _joined(f.edges, g.edges)
+    # Each operand keeps its nodes and edges apart, so past the unions only
+    # f's nodes and g's edges, and f's edges and g's nodes, may meet.
+    apart = f_ids.isdisjoint(g_edge_ids) and f_edge_ids.isdisjoint(g_ids)
+    if nodes is None or edges is None or not apart:
+        _require_disjoint_support(f_ids, f_edge_ids, g_ids, g_edge_ids)
+    clash = f_edge_ids & g.outer
+    if clash:
+        raise NameClashError(f"edge identifiers collide with outer names: {sorted(clash)}")
     # A node's ports follow from its own control row (and membership), and
     # the node sets are disjoint, so the composite's ports are f's and g's.
-    ports = f.ports | g.ports
+    inner, outer, ports = f.inner, g.outer, f.ports | g.ports
     entries = _route(f.link, g.link, f_edge_ids, g.ports, kappa, (), ())
-    link = FuzzyRelation._trusted(f.frame, f.inner | ports, edge_ids | g.outer, entries)
-    ctrl = _composed_ctrl(g, f, ids)
-    return f.frame, f.signature, f.inner, g.outer, nodes, edges, ctrl, link, ports
+    link = FuzzyRelation._trusted(
+        f.frame, lambda: inner | ports, lambda: _ids(edges) | outer, entries
+    )
+    ctrl = _composed_ctrl(g, f, nodes)
+    return f.frame, f.signature, inner, outer, nodes, edges, ctrl, link, ports
 
 
 def compose_fuzzy_place(g: FuzzyPlaceGraph, f: FuzzyPlaceGraph) -> FuzzyPlaceGraph:
     """Composite ``g . f`` of fuzzy place graphs f: k->m and g: m->n."""
-    _require_place_composable(g, f, f.nodes, g.nodes)
-    return FuzzyPlaceGraph._trusted(
-        *_composed_place(g, f, f.nodes, g.nodes, f.frame.bottom, (), ())
-    )
+    _require_place_composable(g, f)
+    return FuzzyPlaceGraph._trusted(*_composed_place(g, f, f.frame.bottom, (), ()))
 
 
 def compose_fuzzy_link(g: FuzzyLinkGraph, f: FuzzyLinkGraph) -> FuzzyLinkGraph:
     """Composite ``g . f`` of fuzzy link graphs f: X->Y and g: Y->Z."""
-    _require_link_composable(g, f, f.nodes, f.edges, g.nodes, g.edges)
-    return FuzzyLinkGraph._trusted(*_composed_link(g, f, f.edges, f.frame.bottom))
+    _require_link_composable(g, f)
+    return FuzzyLinkGraph._trusted(*_composed_link(g, f, f.frame.bottom))
+
+
+def _composite(cls, compose_place, compose_link, g, f):
+    """The ``cls`` bigraph ``g . f`` from its parts' composites, whose
+    composers check all but the interfaces.  An overlap is named first."""
+    # Widths and names straight from the parts: each read of ``inner`` or
+    # ``outer`` builds and checks an ``Interface``, so only the message does.
+    if f.place.outer != g.place.inner or f.link.outer != g.link.inner:
+        raise InterfaceMismatchError(f"interface mismatch: expected {f.outer}, got {g.inner}")
+    try:
+        return cls._trusted(compose_place(g.place, f.place), compose_link(g.link, f.link))
+    except ModelError:
+        _require_disjoint_support(*map(_ids, (f.nodes, f.edges, g.nodes, g.edges)))
+        raise
 
 
 def compose_fuzzy(g: FuzzyBigraph, f: FuzzyBigraph) -> FuzzyBigraph:
     """Componentwise composite of fuzzy bigraphs f: I->J and g: J->K."""
-    _require_bigraph_composable(g, f, f.nodes, f.edges, g.nodes, g.edges)
-    return FuzzyBigraph._trusted(
-        compose_fuzzy_place(g.place, f.place),
-        compose_fuzzy_link(g.link, f.link),
-    )
+    return _composite(FuzzyBigraph, compose_fuzzy_place, compose_fuzzy_link, g, f)
 
 
 # --- tensor product ----------------------------------------------------------
@@ -395,7 +419,7 @@ def tensor_fuzzy_place(f: FuzzyPlaceGraph, g: FuzzyPlaceGraph) -> FuzzyPlaceGrap
         parent2 = parent + l if isinstance(parent, int) else parent
         entries[(child2, parent2)] = degree
     inner, outer, nodes = k + g.inner, l + g.outer, f.nodes | g.nodes
-    prnt = FuzzyRelation._trusted(f.frame, *_prnt_domain(inner, outer, nodes), entries)
+    prnt = FuzzyRelation._trusted(f.frame, *_prnt_domain(inner, outer, lambda: nodes), entries)
     return FuzzyPlaceGraph._trusted(
         f.frame, f.signature, inner, outer, nodes, f.ctrl.union(g.ctrl), prnt
     )
@@ -544,8 +568,7 @@ def _transported(f, rho: SupportTranslation, nodes, edges):
     of ``f``, ports included, is carried along the renaming as it stands,
     and each part is rebuilt from its ``_fields``.
     """
-    node_ids = nodes.support if isinstance(nodes, FuzzySet) else nodes
-    edge_ids = edges.support if isinstance(edges, FuzzySet) else edges
+    node_ids, edge_ids = _ids(nodes), _ids(edges)
     _freeze_ids(node_ids, "node")
     _freeze_ids(edge_ids, "edge")
     place, link = f.place, f.link

@@ -56,12 +56,12 @@ class FuzzyRelation:
     above bottom.
     """
 
-    __slots__ = ("frame", "domain", "codomain", "_entries")
+    __slots__ = ("frame", "_domain", "_codomain", "_entries")
 
     def __init__(self, frame: Frame, domain, codomain, entries=()):
         self.frame = frame
-        self.domain = domain = frozenset(domain)
-        self.codomain = codomain = frozenset(codomain)
+        self._domain = domain = frozenset(domain)
+        self._codomain = codomain = frozenset(codomain)
         if type(entries) is not dict:
             entries = _entry_dict(entries)
         # Entries are checked in entry order, each degree's frame before its
@@ -93,13 +93,26 @@ class FuzzyRelation:
         For results built from validated relations of ``frame``: every
         degree belongs to the frame and lies strictly above bottom, and
         every key lies in ``domain x codomain``.  Nothing is re-checked.
+        Either set may be a function of no arguments, called when first read.
         """
         rel = cls.__new__(cls)
         rel.frame = frame
-        rel.domain = frozenset(domain)
-        rel.codomain = frozenset(codomain)
+        rel._domain = domain if callable(domain) else frozenset(domain)
+        rel._codomain = codomain if callable(codomain) else frozenset(codomain)
         rel._entries = store
         return rel
+
+    @property
+    def domain(self) -> frozenset:
+        if type(self._domain) is not frozenset:
+            self._domain = frozenset(self._domain())
+        return self._domain
+
+    @property
+    def codomain(self) -> frozenset:
+        if type(self._codomain) is not frozenset:
+            self._codomain = frozenset(self._codomain())
+        return self._codomain
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -138,17 +151,12 @@ class FuzzyRelation:
         """Disjoint union: domains must not overlap, entries are merged."""
         if self.frame != other.frame:
             raise FrameMismatchError("cannot union relations over different frames")
-        shared = self.domain & other.domain
-        if shared:
-            raise ValueError(f"relation domains overlap on {sorted(map(repr, shared))}")
+        a, b, c, d = self.domain, other.domain, self.codomain, other.codomain
+        if not a.isdisjoint(b):
+            raise ValueError(f"relation domains overlap on {sorted(map(repr, a & b))}")
         merged = dict(self._entries)
         merged.update(other._entries)
-        return FuzzyRelation._trusted(
-            self.frame,
-            self.domain | other.domain,
-            self.codomain | other.codomain,
-            merged,
-        )
+        return FuzzyRelation._trusted(self.frame, lambda: a | b, lambda: c | d, merged)
 
     def leq(self, other: "FuzzyRelation") -> bool:
         """Pointwise order: every degree of ``self`` lies below ``other``'s."""
@@ -306,11 +314,10 @@ def identity_relation(frame: Frame, elements) -> FuzzyRelation:
 class FuzzySet:
     """A degree-valued set with finite support (absent elements at bottom).
 
-    ``support``, the frozenset of stored elements, is computed once at
-    construction.
+    ``support``, the frozenset of stored elements, is built when first read.
     """
 
-    __slots__ = ("frame", "_entries", "support")
+    __slots__ = ("frame", "_entries", "_support")
 
     def __init__(self, frame: Frame, entries=()):
         self.frame = frame
@@ -323,7 +330,7 @@ class FuzzySet:
                 raise ValueError(f"duplicate fuzzy-set entry for {element!r}")
             store[element] = degree
         self._entries = store
-        self.support = frozenset(store)
+        self._support = None
 
     @classmethod
     def _trusted(cls, frame: Frame, store: dict) -> "FuzzySet":
@@ -332,8 +339,14 @@ class FuzzySet:
         fset = cls.__new__(cls)
         fset.frame = frame
         fset._entries = store
-        fset.support = frozenset(store)
+        fset._support = None
         return fset
+
+    @property
+    def support(self) -> frozenset:
+        if self._support is None:
+            self._support = frozenset(self._entries)
+        return self._support
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -348,15 +361,15 @@ class FuzzySet:
         return sorted(self._entries.items(), key=lambda kv: element_sort_key(kv[0]))
 
     def union(self, other: "FuzzySet") -> "FuzzySet":
-        """Disjoint union: supports must not overlap.  Both operands were
-        checked when they were built, so the merged memberships are not."""
+        """Disjoint union: supports must not overlap, as the merged size shows.
+        Both operands were checked when built, so the merged memberships are not."""
         if self.frame != other.frame:
             raise FrameMismatchError("cannot union fuzzy sets over different frames")
-        shared = self.support & other.support
-        if shared:
-            raise ValueError(f"fuzzy-set supports overlap on {sorted(map(repr, shared))}")
         merged = dict(self._entries)
         merged.update(other._entries)
+        if len(merged) != len(self._entries) + len(other._entries):
+            shared = self.support & other.support
+            raise ValueError(f"fuzzy-set supports overlap on {sorted(map(repr, shared))}")
         return FuzzySet._trusted(self.frame, merged)
 
     def translate(self, mapping: Mapping) -> "FuzzySet":

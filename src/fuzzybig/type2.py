@@ -32,9 +32,9 @@ from .fuzzy import (
     _as_relation,
     _composed_link,
     _composed_place,
+    _composite,
     _prnt_domain,
     _require_apart,
-    _require_bigraph_composable,
     _require_cover,
     _require_link_composable,
     _require_place_composable,
@@ -61,9 +61,9 @@ def type2_ports(signature: Signature, nodes: FuzzySet, ctrl: FuzzyRelation) -> f
     rows: dict[str, list[tuple[str, FrameValue]]] = {}
     for (v, control), degree in ctrl.items():
         rows.setdefault(v, []).append((control, degree))
-    ports = set()
+    ports, support = set(), nodes.support
     for v, row in rows.items():
-        if v not in nodes.support:
+        if v not in support:
             continue
         best = row[0][1]
         for _k, d in row[1:]:
@@ -296,11 +296,10 @@ def compose_type2_place(
     kappa; g-internal entries need only the child's membership (the
     defining case places no degree threshold there).
     """
-    f_ids, g_ids = f.node_support, g.node_support
-    _require_place_composable(g, f, f_ids, g_ids)
+    _require_place_composable(g, f)
     kappa = f.degree.meet(g.degree)
     f_drop, g_drop = _below(kappa, f.nodes), _below(kappa, g.nodes)
-    fields = _composed_place(g, f, f_ids, g_ids, kappa, f_drop, g_drop)
+    fields = _composed_place(g, f, kappa, f_drop, g_drop)
     return Type2FuzzyPlaceGraph._trusted(*fields, kappa)
 
 
@@ -313,20 +312,14 @@ def compose_type2_link(
     at or above kappa; g-internal entries are copied unguarded, and no
     entry is guarded by membership.
     """
-    _require_link_composable(g, f, f.node_support, f.edge_support, g.node_support, g.edge_support)
+    _require_link_composable(g, f)
     kappa = f.degree.meet(g.degree)
-    return Type2FuzzyLinkGraph._trusted(*_composed_link(g, f, f.edge_support, kappa), kappa)
+    return Type2FuzzyLinkGraph._trusted(*_composed_link(g, f, kappa), kappa)
 
 
 def compose_type2(g: Type2FuzzyBigraph, f: Type2FuzzyBigraph) -> Type2FuzzyBigraph:
     """Pairwise composite; the result's degree is the meet of the inputs'."""
-    _require_bigraph_composable(
-        g, f, f.nodes.support, f.link.edge_support, g.nodes.support, g.link.edge_support
-    )
-    return Type2FuzzyBigraph._trusted(
-        compose_type2_place(g.place, f.place),
-        compose_type2_link(g.link, f.link),
-    )
+    return _composite(Type2FuzzyBigraph, compose_type2_place, compose_type2_link, g, f)
 
 
 def identity_type2_bigraph(
@@ -778,8 +771,9 @@ def check_type2_support_translation(
             raise ValueError(f"{what} relation is not a fuzzy relation over {frame.name}")
         eq, membership = b.frame._eq, b.membership
         matched = len(rel) == len(a) * len(b) and (not rel or b.frame == frame)
+        sources, targets = a.support, b.support
         for (x, y), d in rel.items():
-            if x not in a.support or y not in b.support:
+            if x not in sources or y not in targets:
                 raise ValueError(f"{what} relation entry ({x!r}, {y!r}) is off-carrier")
             if matched:
                 m = membership(y)

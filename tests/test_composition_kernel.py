@@ -15,8 +15,11 @@ index often equals a g root index and g's inner names often equal its
 outer names, where a routed key can equal a walked one.
 
 The precondition tests pin the support-overlap message for every pairing
-of an f node or edge with a g node or edge, and check that a composite's
-controls are its operands' controls together.
+of an f node or edge with a g node or edge, and that an overlap is named
+before any other fault of the pair, and check that a composite's controls
+are its operands' controls together.  A composite's domains, codomains and
+supports are built when first read; the last tests read them first and
+compare them with the sets the checked constructors derive.
 """
 
 import random
@@ -42,12 +45,15 @@ from fuzzybig import (
     compose_type2_link,
     compose_type2_place,
     derive_ports,
+    chain,
     embed_bigraph,
     embed_link,
+    embed_place,
+    tensor_fuzzy,
     tensor_fuzzy_link,
     tensor_fuzzy_place,
 )
-from fuzzybig.errors import SupportOverlapError
+from fuzzybig.errors import ModelError, NameClashError, SignatureMismatchError, SupportOverlapError
 from fuzzybig.relations import element_sort_key
 
 from helpers import ALL_FRAMES, DiamondFrame, d
@@ -305,21 +311,23 @@ OVERLAPS = {
 }
 
 
-def _overlap_pair(g_node: str, g_edge) -> tuple:
-    """Composable fuzzy bigraphs ``<0,{}> -> <1,{y}> -> <1,{z}>``: f holds
-    node v and edge e, g holds ``g_node`` and, if given, ``g_edge``."""
-    top = U.top
+def _overlap_pair(g_node: str, g_edge, *, f_frame=U, g_sig=SIG, g_outer="z") -> tuple:
+    """Composable fuzzy bigraphs ``<0,{}> -> <1,{y}> -> <1,{g_outer}>``, but
+    for the faults the options give: f, over ``f_frame``, holds node v and
+    edge e; g, over ``g_sig``, holds ``g_node`` and, if given, ``g_edge``."""
+    top = f_frame.top
     f_ctrl = {("v", "L"): top}
     f = FuzzyBigraph(
-        FuzzyPlaceGraph(U, SIG, 0, 1, {"v"}, f_ctrl, {("v", 0): top}),
-        FuzzyLinkGraph(U, SIG, (), ("y",), {"v"}, ("e",), f_ctrl, {(("v", 0), "e"): top}),
+        FuzzyPlaceGraph(f_frame, SIG, 0, 1, {"v"}, f_ctrl, {("v", 0): top}),
+        FuzzyLinkGraph(f_frame, SIG, (), ("y",), {"v"}, ("e",), f_ctrl, {(("v", 0), "e"): top}),
     )
+    top = U.top
     g_ctrl = {(g_node, "L"): top}
     g_edges = () if g_edge is None else (g_edge,)
-    g_link = {("y", "z"): top, ((g_node, 0), g_edge or "z"): top}
+    g_link = {("y", g_outer): top, ((g_node, 0), g_edge or g_outer): top}
     g = FuzzyBigraph(
-        FuzzyPlaceGraph(U, SIG, 1, 1, {g_node}, g_ctrl, {(g_node, 0): top, (0, 0): top}),
-        FuzzyLinkGraph(U, SIG, ("y",), ("z",), {g_node}, g_edges, g_ctrl, g_link),
+        FuzzyPlaceGraph(U, g_sig, 1, 1, {g_node}, g_ctrl, {(g_node, 0): top, (0, 0): top}),
+        FuzzyLinkGraph(U, g_sig, ("y",), (g_outer,), {g_node}, g_edges, g_ctrl, g_link),
     )
     return f, g
 
@@ -346,10 +354,44 @@ def test_every_support_overlap_pairing_raises_one_message(case):
 def test_bare_place_parts_name_their_node_overlap():
     f, g = _overlap_pair("v", None)
     for call in (lambda: compose_fuzzy_place(g.place, f.place),
-                 lambda: tensor_fuzzy_place(f.place, g.place)):
+                 lambda: tensor_fuzzy_place(f.place, g.place),
+                 lambda: compose_type2_place(embed_place(g.place), embed_place(f.place))):
         with pytest.raises(SupportOverlapError) as caught:
             call()
+        assert type(caught.value) is SupportOverlapError
         assert str(caught.value) == "supports overlap on nodes ['v']"
+
+
+# A second fault of the pair, and what it raises once the supports are apart.
+SECOND_FAULTS = {
+    "frames differ": (
+        {"f_frame": chain(5)}, SignatureMismatchError, "frames differ: chain:5 vs unit-interval"
+    ),
+    "signatures differ": (
+        {"g_sig": Signature({"K": 2, "L": 1, "M": 0, "N": 1})},
+        SignatureMismatchError,
+        "signatures differ",
+    ),
+    "f edge on a g outer name": (
+        {"g_outer": "e"}, NameClashError, "edge identifiers collide with outer names: ['e']"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SECOND_FAULTS, ids=str)
+def test_a_support_overlap_is_named_before_any_other_fault(case):
+    options, error, message = SECOND_FAULTS[case]
+    for g_node, expected, text in (
+        ("v", SupportOverlapError, "supports overlap on ['v']"),
+        ("w", error, message),
+    ):
+        f, g = _overlap_pair(g_node, None, **options)
+        for call in (lambda: compose_fuzzy(g, f),
+                     lambda: compose_type2(embed_bigraph(g), embed_bigraph(f))):
+            with pytest.raises(ModelError) as caught:
+                call()
+            assert type(caught.value) is expected, (g_node, caught.value)
+            assert str(caught.value) == text
 
 
 @pytest.mark.parametrize("frame", FRAMES, ids=lambda frame: frame.name)
@@ -363,3 +405,77 @@ def test_a_composite_holds_its_operands_controls_together(frame):
             assert composite.ctrl == expected
             assert composite.place.ctrl == expected
             assert composite.link.ctrl == expected
+
+
+# --- sets built when first read --------------------------------------------------
+
+
+def _read_once(owner, name: str, expected) -> None:
+    """``owner.name``, read here, equals ``expected``; a second read returns
+    the same object."""
+    first = getattr(owner, name)
+    assert first == expected, name
+    assert getattr(owner, name) is first, name
+
+
+def _assert_sets_read_right(part) -> None:
+    """Every set of a graph part that a composer may leave unbuilt, read
+    first here: a fuzzy node or edge set's support is its keys, and each
+    relation's domain and codomain are the sets the checked constructors
+    derive from the part's fields."""
+    ids = {}
+    for name in ("nodes", "edges"):
+        field = getattr(part, name, frozenset())
+        if isinstance(field, FuzzySet):
+            _read_once(field, "support", frozenset(dict(field.items())))
+            assert repr(field).startswith("FuzzySet(")
+            field = field.support
+        ids[name] = field
+    nodes = ids["nodes"]
+    _read_once(part.ctrl, "domain", nodes)
+    _read_once(part.ctrl, "codomain", SIG.controls)
+    if hasattr(part, "prnt"):
+        rel = part.prnt
+        domain = frozenset(range(part.inner)) | nodes
+        codomain = nodes | frozenset(range(part.outer))
+    else:
+        rel, domain, codomain = part.link, part.inner | part.ports, ids["edges"] | part.outer
+    _read_once(rel, "domain", domain)
+    _read_once(rel, "codomain", codomain)
+    for shown in (part.ctrl, rel, part):
+        assert repr(shown).startswith(type(shown).__name__ + "(")
+
+
+def _apart_interface(rng, inner: str, outer: str) -> tuple:
+    return tuple(
+        Interface(rng.randint(0, 2), _names(prefix, rng.randint(0, 2))) for prefix in (inner, outer)
+    )
+
+
+@pytest.mark.parametrize("frame", ALL_FRAMES, ids=lambda frame: frame.name)
+def test_sets_built_on_first_read_are_the_derived_ones(frame):
+    rng = random.Random(32)
+    for trial in range(20):
+        for make, compose in ((_fuzzy, compose_fuzzy), (_type2, compose_type2)):
+            f, g = _pair(rng, frame, make, trial)
+            composite = compose(g, f)
+            for part in (composite.place, composite.link):
+                _assert_sets_read_right(part)
+            assert repr(composite).startswith(type(composite).__name__ + "(")
+        a = _fuzzy(rng, frame, *_apart_interface(rng, "p", "q"), f"a{trial}_")
+        b = _fuzzy(rng, frame, *_apart_interface(rng, "r", "s"), f"b{trial}_")
+        tensor = tensor_fuzzy(a, b)
+        for part in (tensor.place, tensor.link):
+            _assert_sets_read_right(part)
+        for r, s in ((a.ctrl, b.ctrl), (a.link.link, b.link.link)):
+            union = r.union(s)
+            _read_once(union, "domain", r.domain | s.domain)
+            _read_once(union, "codomain", r.codomain | s.codomain)
+            assert repr(union).startswith("FuzzyRelation(")
+        x = _type2(rng, frame, *_apart_interface(rng, "p", "q"), f"x{trial}_")
+        y = _type2(rng, frame, *_apart_interface(rng, "r", "s"), f"y{trial}_")
+        for r, s in ((x.nodes, y.nodes), (x.edges, y.edges)):
+            union = r.union(s)
+            _read_once(union, "support", frozenset(dict(union.items())))
+            assert union.support == r.support | s.support
+            assert repr(union).startswith("FuzzySet(")

@@ -102,7 +102,7 @@ def test_union_requires_disjoint_domains():
     merged = r.union(s)
     assert merged.degree("a", "x") == d("1/2")
     assert merged.degree("b", "x") == d("1/3")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^relation domains overlap on \[\"'a'\"\]$"):
         r.union(r)
 
 
@@ -131,7 +131,7 @@ def test_fuzzy_set_normal_form_and_union():
     assert s.membership("b") == U.bottom
     t = FuzzySet(U, {"c": d("1/4")})
     assert (s.union(t)).membership("c") == d("1/4")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^fuzzy-set supports overlap on \[\"'a'\"\]$"):
         s.union(s)
 
 
