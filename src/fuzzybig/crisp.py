@@ -19,7 +19,7 @@ value, so that broken models read from files can be diagnosed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -32,6 +32,14 @@ Port = tuple  # (node identifier, port index)
 def _is_nat(n) -> bool:
     """Whether ``n`` is a natural number: an ``int`` that is not a ``bool``."""
     return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
+def _by_fields(record):
+    """How a frozen record pickles and copies: rebuilt through its class
+    from its fields, each read-only map as a dict, which its constructor
+    wraps again (a ``mappingproxy`` cannot be pickled)."""
+    values = (getattr(record, field.name) for field in fields(record))
+    return type(record), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +58,8 @@ class Signature:
         object.__setattr__(self, "arity", MappingProxyType(table))
         # The control names, as a set: the codomain of every control relation.
         object.__setattr__(self, "controls", frozenset(table))
+
+    __reduce__ = _by_fields
 
     def arity_of(self, control: str) -> int:
         try:
@@ -122,6 +132,8 @@ class PlaceGraph:
         )
         return graph
 
+    __reduce__ = _by_fields
+
     @property
     def sites(self) -> range:
         return range(self.inner)
@@ -163,6 +175,8 @@ class LinkGraph:
             ctrl=MappingProxyType(ctrl), link=MappingProxyType(link),
         )
         return graph
+
+    __reduce__ = _by_fields
 
     @property
     def ports(self) -> frozenset[Port]:

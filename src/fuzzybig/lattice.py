@@ -42,6 +42,10 @@ class FrameValue:
     def __setattr__(self, name, value):
         raise AttributeError("FrameValue is immutable")
 
+    # A copy or an unpickled degree is the one its frame hands out.
+    def __reduce__(self):
+        return self.frame.value, (self.raw,)
+
     # On a chain every meet and join is one of its two operands, so the
     # operand itself is returned; only a genuinely new raw value goes back
     # through the checked ``Frame.value``.
@@ -216,6 +220,20 @@ class Frame:
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, Frame) and self.name == other.name)
+
+    # A frame is a constant: a copy is the frame itself, and a pickled one
+    # comes back as the frame its name resolves to, so degrees come back as
+    # the objects that frame shares.  A frame ``frame_from_name`` does not
+    # know is refused when pickled.
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        frame_from_name(self.name)  # raises for a name it does not know
+        return frame_from_name, (self.name,)
 
     def __hash__(self) -> int:
         return hash(self.name)

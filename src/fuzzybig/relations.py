@@ -56,7 +56,7 @@ class FuzzyRelation:
     above bottom.
     """
 
-    __slots__ = ("frame", "_domain", "_codomain", "_entries")
+    __slots__ = ("frame", "_domain", "_codomain", "_entries", "_floor", "_kept")
 
     def __init__(self, frame: Frame, domain, codomain, entries=()):
         self.frame = frame
@@ -66,10 +66,12 @@ class FuzzyRelation:
             entries = _entry_dict(entries)
         # Entries are checked in entry order, each degree's frame before its
         # pair's domain; ``check_value``'s fast path is inlined, as this runs
-        # per entry.  Bottom is found through the frame's order hook, which
-        # also serves frames off a chain.
-        leq, bottom = frame._leq, frame.bottom.raw
-        has_bottom = False
+        # per entry.  The walk meets every degree through the frame's hook,
+        # which also serves frames off a chain: that meet is the relation's
+        # floor (see ``_clear``), and only where it reaches bottom can an
+        # entry be bottom.
+        leq, meet, bottom = frame._leq, frame._meet, frame.bottom.raw
+        floor = frame._top_raw()
         for (a, b), degree in entries.items():
             if type(degree) is not FrameValue or degree.frame is not frame:
                 frame.check_value(degree)
@@ -77,14 +79,16 @@ class FuzzyRelation:
                 raise ValueError(
                     f"relation entry ({a!r}, {b!r}) lies outside its domain/codomain"
                 )
-            if leq(degree.raw, bottom):
-                has_bottom = True
-        if has_bottom:
+            floor = meet(floor, degree.raw)
+        self._kept = None
+        if leq(floor, bottom):
             self._entries = {
                 key: d for key, d in entries.items() if not leq(d.raw, bottom)
             }
+            self._floor = None
         else:
             self._entries = dict(entries)
+            self._floor = floor
 
     @classmethod
     def _trusted(cls, frame: Frame, domain, codomain, store: dict) -> "FuzzyRelation":
@@ -97,6 +101,7 @@ class FuzzyRelation:
         """
         rel = cls.__new__(cls)
         rel.frame = frame
+        rel._floor = rel._kept = None
         rel._domain = domain if callable(domain) else frozenset(domain)
         rel._codomain = codomain if callable(codomain) else frozenset(codomain)
         rel._entries = store
@@ -214,6 +219,92 @@ class FuzzyRelation:
             f"{len(self.domain)}x{len(self.codomain)}, {self.frame.name})"
         )
 
+    # A copy or an unpickled relation holds built sets and the same entries,
+    # and keeps nothing: what ``_route`` kept is built again when needed.
+    def __reduce__(self):
+        return FuzzyRelation._trusted, (self.frame, self.domain, self.codomain, self._entries)
+
+
+_AS_F, _AS_G = 0, 2  # where a relation's ``_kept`` holds its split as f and as g
+
+
+def _kept(rel: FuzzyRelation, role: int, internal, build):
+    """``build(rel._entries, internal)``: the split of ``rel`` in ``role``
+    (``_AS_F`` or ``_AS_G``) for the internal set ``internal``, kept from
+    the second time it is asked for.
+
+    ``rel._kept`` holds, per role, the internal set last asked for and the
+    split kept for it, so a relation composed once in a role keeps only a
+    reference to that set.  A split is used again only for that very
+    object: a relation shared by two graphs that split its codomain
+    differently is split again, not misread.  Entry dicts are never written
+    once wrapped, so nothing kept goes stale.  With nothing internal
+    (``then``, or a graph without nodes or edges) every entry crosses, and
+    nothing is kept.
+    """
+    if not internal:
+        return build(rel._entries, internal)
+    kept = rel._kept
+    if kept is None:
+        kept = rel._kept = [None, None, None, None]
+    if kept[role] is not internal:
+        kept[role], kept[role + 1] = internal, None
+        return build(rel._entries, internal)
+    split = kept[role + 1]
+    if split is None:
+        split = kept[role + 1] = build(rel._entries, internal)
+    return split
+
+
+def _meet_of(entries: dict, frame: Frame):
+    """The meet of the stored degrees' raw values; top if there are none.
+
+    Degrees are shared per value, so each distinct object is met once."""
+    meet, floor = frame._meet, frame._top_raw()
+    for d in dict(zip(map(id, entries.values()), entries.values())).values():
+        floor = meet(floor, d.raw)
+    return floor
+
+
+_ASKED = object()  # a floor asked for once, not yet computed
+
+
+def _clear(k, held) -> bool:
+    """Whether the raw kappa ``k`` lies below every degree ``held`` (a
+    relation or a fuzzy set) stores, by the floor kept on it: the meet of
+    those degrees, below which no guard can fire.
+
+    The checked constructors keep the floor as they walk the degrees.  For
+    anything else a floor costs a pass over the entries, about as much as
+    the guarded walk it saves, so it is computed on the second call for
+    ``held``; the first reads False, and a value composed once pays nothing
+    for it.
+    """
+    floor = held._floor
+    if floor is None:
+        held._floor = _ASKED
+        return False
+    if floor is _ASKED:
+        floor = held._floor = _meet_of(held._entries, held.frame)
+    return held.frame._leq(k, floor)
+
+
+def _leaving(entries: dict, internal) -> list:
+    """The keys of f whose target is an interface position."""
+    return [key for key in entries if key[1] not in internal]
+
+
+def _entering(entries: dict, internal) -> tuple:
+    """The keys of g whose source is an interface position, and their legs
+    ``(target, degree, raw degree)`` grouped by that position."""
+    walk, legs = [], {}
+    for key, d in entries.items():
+        b = key[0]
+        if b not in internal:
+            walk.append(key)
+            legs.setdefault(b, []).append((key[1], d, d.raw))
+    return walk, legs
+
 
 def _route(f_rel, g_rel, f_internal, g_internal, kappa, f_drop, g_drop) -> dict:
     """Entries of the composite of ``f_rel`` then ``g_rel`` through their
@@ -233,6 +324,10 @@ def _route(f_rel, g_rel, f_internal, g_internal, kappa, f_drop, g_drop) -> dict:
     entries that are routed or dropped are then deleted from them.  The
     callers' composability checks keep every copied key apart from every
     routed one: f's copies end in f's nodes or edges, g's start at g's.
+    Which keys cross is kept on each relation for its internal set (see
+    ``_kept``), so a relation composed again in a role walks only those.
+    A guard runs unless the kept floor shows kappa below every degree it
+    would test (see ``_clear``); then f's split is the kept one too.
 
     Degrees are compared as raw carrier values through the frame's hooks,
     fetched once.  Nothing is re-checked: every stored degree was checked
@@ -246,18 +341,19 @@ def _route(f_rel, g_rel, f_internal, g_internal, kappa, f_drop, g_drop) -> dict:
     k = kappa.raw
     guarded = k != bottom
     f_entries, g_entries = f_rel._entries, g_rel._entries
-    f_walk = []
-    for key, d in f_entries.items():
-        if key[1] not in f_internal or guarded and (key[0] in f_drop or not leq(k, d.raw)):
-            f_walk.append(key)
-    g_walk = []
-    legs: dict = {}
-    for key, d in g_entries.items():
-        b = key[0]
-        if b not in g_internal:
-            g_walk.append(key)
-            if not guarded or leq(k, d.raw):
-                legs.setdefault(b, []).append((key[1], d, d.raw))
+    # No guard on f can fire when nothing is dropped and kappa lies below
+    # f's floor; then f's split is the kept one.  Otherwise f is walked whole.
+    f_guarded = guarded and (bool(f_drop) or not _clear(k, f_rel))
+    if f_guarded:
+        f_walk = [
+            key for key, d in f_entries.items()
+            if key[1] not in f_internal or key[0] in f_drop or not leq(k, d.raw)
+        ]
+    else:
+        f_walk = _kept(f_rel, _AS_F, f_internal, _leaving)
+    g_walk, legs = _kept(g_rel, _AS_G, g_internal, _entering)
+    if guarded and not _clear(k, g_rel):
+        legs = {b: [leg for leg in row if leq(k, leg[2])] for b, row in legs.items()}
     g_gone = g_walk + [key for key in g_entries if key[0] in g_drop] if g_drop else g_walk
     # A walked key can equal a routed one (f's root j and g's root j), so
     # every walked key leaves the copies before any route lands.
@@ -274,7 +370,7 @@ def _route(f_rel, g_rel, f_internal, g_internal, kappa, f_drop, g_drop) -> dict:
         d1 = f_entries[key]
         a, b = key
         r1 = d1.raw
-        if guarded and (a in f_drop or not leq(k, r1)):
+        if f_guarded and (a in f_drop or not leq(k, r1)):
             continue
         for c, d2, r2 in legs.get(b, ()):
             # A hook that returns an operand's raw value keeps that
@@ -317,10 +413,11 @@ class FuzzySet:
     ``support``, the frozenset of stored elements, is built when first read.
     """
 
-    __slots__ = ("frame", "_entries", "_support")
+    __slots__ = ("frame", "_entries", "_support", "_floor")
 
     def __init__(self, frame: Frame, entries=()):
         self.frame = frame
+        meet, floor = frame._meet, frame._top_raw()
         store: dict = {}
         for element, degree in _as_entries(entries):
             frame.check_value(degree)
@@ -329,8 +426,10 @@ class FuzzySet:
             if element in store:
                 raise ValueError(f"duplicate fuzzy-set entry for {element!r}")
             store[element] = degree
+            floor = meet(floor, degree.raw)
         self._entries = store
         self._support = None
+        self._floor = floor
 
     @classmethod
     def _trusted(cls, frame: Frame, store: dict) -> "FuzzySet":
@@ -340,6 +439,7 @@ class FuzzySet:
         fset.frame = frame
         fset._entries = store
         fset._support = None
+        fset._floor = None
         return fset
 
     @property
@@ -394,3 +494,6 @@ class FuzzySet:
 
     def __repr__(self) -> str:
         return f"FuzzySet({len(self._entries)} elements, {self.frame.name})"
+
+    def __reduce__(self):
+        return FuzzySet._trusted, (self.frame, self._entries)

@@ -46,7 +46,7 @@ from .fuzzy import (
     skeleton_is_acyclic,
 )
 from .lattice import Frame, FrameValue
-from .relations import FuzzyRelation, FuzzySet
+from .relations import FuzzyRelation, FuzzySet, _clear
 
 
 def type2_ports(signature: Signature, nodes: FuzzySet, ctrl: FuzzyRelation) -> frozenset[Port]:
@@ -277,11 +277,14 @@ def embed_bigraph(
 
 
 def _below(kappa: FrameValue, fset: FuzzySet) -> set:
-    """Elements of ``fset`` whose membership falls below ``kappa``.
+    """Elements of ``fset`` whose membership falls below ``kappa``: none,
+    without a walk, when kappa lies below the set's kept floor.
 
     Callers have required one frame for both, so raw degrees are compared
     through the frame's hook."""
     leq, k = kappa.frame._leq, kappa.raw
+    if _clear(k, fset):
+        return set()
     return {x for x, d in fset.items() if not leq(k, d.raw)}
 
 

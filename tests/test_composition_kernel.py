@@ -18,8 +18,12 @@ The precondition tests pin the support-overlap message for every pairing
 of an f node or edge with a g node or edge, and that an overlap is named
 before any other fault of the pair, and check that a composite's controls
 are its operands' controls together.  A composite's domains, codomains and
-supports are built when first read; the last tests read them first and
-compare them with the sets the checked constructors derive.
+supports are built when first read; the next tests read them first and
+compare them with the sets the checked constructors derive.  The last
+tests compose operands again, with other partners, in both roles and
+between guards that fire and guards that cannot, where each relation
+routes through the split and the floor it kept, and compare every
+composite with that of freshly rebuilt operands.
 """
 
 import random
@@ -54,7 +58,7 @@ from fuzzybig import (
     tensor_fuzzy_place,
 )
 from fuzzybig.errors import ModelError, NameClashError, SignatureMismatchError, SupportOverlapError
-from fuzzybig.relations import element_sort_key
+from fuzzybig.relations import _AS_F, _AS_G, element_sort_key
 
 from helpers import ALL_FRAMES, DiamondFrame, d
 from type2_oracle import refilter_link, refilter_place
@@ -479,3 +483,156 @@ def test_sets_built_on_first_read_are_the_derived_ones(frame):
             _read_once(union, "support", frozenset(dict(union.items())))
             assert union.support == r.support | s.support
             assert repr(union).startswith("FuzzySet(")
+
+
+# --- what an operand keeps between composes ----------------------------------------
+
+
+def _rebuilt(b):
+    """``b`` built again through the public constructors from its entries:
+    equal to it, and holding nothing an earlier compose kept."""
+    p, l = b.place, b.link
+    if isinstance(b, Type2FuzzyBigraph):
+        nodes = FuzzySet(b.frame, dict(b.nodes.items()))
+        edges = FuzzySet(b.frame, dict(l.edges.items()))
+        return Type2FuzzyBigraph(
+            Type2FuzzyPlaceGraph(
+                b.frame, SIG, p.inner, p.outer, nodes, p.ctrl.entry_dict(),
+                p.prnt.entry_dict(), p.degree,
+            ),
+            Type2FuzzyLinkGraph(
+                b.frame, SIG, l.inner, l.outer, nodes, edges, l.ctrl.entry_dict(),
+                l.link.entry_dict(), l.degree,
+            ),
+        )
+    return FuzzyBigraph(
+        FuzzyPlaceGraph(b.frame, SIG, p.inner, p.outer, p.nodes, p.ctrl.entry_dict(), p.prnt.entry_dict()),
+        FuzzyLinkGraph(
+            b.frame, SIG, l.inner, l.outer, l.nodes, l.edges, l.ctrl.entry_dict(), l.link.entry_dict()
+        ),
+    )
+
+
+def _has_kept_split(rel, role: int) -> bool:
+    """Whether ``rel`` holds a kept split in ``role`` (``_AS_F`` or ``_AS_G``)."""
+    return rel._kept is not None and rel._kept[role + 1] is not None
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=lambda frame: frame.name)
+@pytest.mark.parametrize("make", (_fuzzy, _type2), ids=("fuzzy", "type2"))
+def test_operands_composed_again_give_the_composites_of_fresh_operands(make, frame):
+    """An operand composed again, with the same partner or another, and as
+    f or as g, gives the composite of freshly rebuilt operands each time."""
+    rng = random.Random(33)
+    compose = compose_fuzzy if make is _fuzzy else compose_type2
+    reused = 0
+    for trial in range(25):
+        inner, mid, outer = _interfaces(rng)
+        f = make(rng, frame, inner, mid, f"f{trial}_")
+        g0, g1 = (make(rng, frame, mid, outer, f"g{trial}{i}_") for i in range(2))
+        h = make(rng, frame, outer, Interface(1, _names("w", 2)), f"h{trial}_")
+        for left, right in ((g0, f), (g1, f), (h, g0), (g0, f), (h, g0), (g1, f), (g0, f)):
+            reused += _has_kept_split(right.place.prnt, _AS_F) + _has_kept_split(left.link.link, _AS_G)
+            assert compose(left, right) == compose(_rebuilt(left), _rebuilt(right))
+    assert reused >= 25
+
+
+def _ladder(frame) -> tuple:
+    """Four degrees, low < mid < high < top."""
+    if frame.name == "unit-interval":
+        return tuple(d(s) for s in ("1/4", "1/2", "3/4", "1"))
+    return tuple(frame.value(i) for i in range(1, 5))
+
+
+@pytest.mark.parametrize("frame", (U, chain(5)), ids=lambda frame: frame.name)
+def test_a_guard_that_fires_between_reuses_leaves_the_kept_split_sound(frame):
+    """f is composed twice with g1, whose kappa lies below every degree of
+    f, and so keeps its split; then with g2, whose kappa drops f entries
+    and the f node v; then with g1 again, through the kept split.  Each
+    composite is that of freshly rebuilt operands, and its entries are the
+    refilter oracles'."""
+    low, mid, high, top = _ladder(frame)
+    ctrl = {("v", "K"): top, ("w", "L"): top}
+    nodes = FuzzySet(frame, {"v": mid, "w": high})
+    f = Type2FuzzyBigraph(
+        Type2FuzzyPlaceGraph(
+            frame, SIG, 1, 1, nodes, ctrl,
+            {(0, "v"): high, ("v", "w"): mid, ("v", 0): low, ("w", 0): high}, high,
+        ),
+        Type2FuzzyLinkGraph(
+            frame, SIG, {"x"}, {"y"}, nodes, FuzzySet(frame, {"e": top}), ctrl,
+            {("x", "e"): low, (("v", 0), "y"): high, (("v", 1), "e"): high, (("w", 0), "y"): mid},
+            high,
+        ),
+    )
+
+    def g(degree, prefix):
+        u = f"{prefix}u"
+        g_ctrl, g_nodes = {(u, "L"): top}, FuzzySet(frame, {u: top})
+        return Type2FuzzyBigraph(
+            Type2FuzzyPlaceGraph(
+                frame, SIG, 1, 1, g_nodes, g_ctrl, {(0, u): top, (u, 0): top, (0, 0): mid}, degree
+            ),
+            Type2FuzzyLinkGraph(
+                frame, SIG, {"y"}, {"z"}, g_nodes, FuzzySet(frame, {}), g_ctrl,
+                {("y", "z"): top, ((u, 0), "z"): high}, degree,
+            ),
+        )
+
+    g1, g2 = g(low, "a"), g(top, "b")
+    dropped = []
+    for step, other in enumerate((g1, g1, g2, g1)):
+        if step == 3:
+            assert _has_kept_split(f.place.prnt, _AS_F) and _has_kept_split(f.link.link, _AS_F)
+        composite = compose_type2(other, f)
+        assert composite == compose_type2(_rebuilt(other), _rebuilt(f))
+        assert composite.place.prnt.entry_dict() == refilter_place(other.place, f.place)
+        assert composite.link.link.entry_dict() == refilter_link(other.link, f.link)
+        dropped.append(len(composite.place.prnt) + len(composite.link.link))
+    # g2's kappa drops entries of f, and every parent entry of the node v.
+    assert dropped[2] < dropped[0] == dropped[1] == dropped[3]
+    assert not any(child == "v" for child, _ in compose_type2(g2, f).place.prnt.entry_dict())
+
+
+def test_a_link_relation_two_graphs_split_differently_is_split_for_each():
+    """One link relation is held by two link graphs that split its codomain
+    {e1, e2, y} into edges and outer names differently.  Composed as f with
+    each in turn, it is split for the graph at hand, not by the split an
+    earlier compose kept."""
+    top, half = U.top, d("1/2")
+    ctrl = {("v", "K"): top}
+    link = FuzzyRelation(
+        U, {"x", ("v", 0), ("v", 1)}, {"e1", "e2", "y"},
+        {("x", "e1"): top, (("v", 0), "e2"): half, (("v", 1), "y"): top},
+    )
+    a = FuzzyLinkGraph(U, SIG, {"x"}, {"e2", "y"}, {"v"}, {"e1"}, ctrl, link)
+    b = FuzzyLinkGraph(U, SIG, {"x"}, {"e1", "y"}, {"v"}, {"e2"}, ctrl, link)
+    assert a.link is b.link is link
+
+    def onto_z(inner):
+        return FuzzyLinkGraph(U, SIG, inner, {"z"}, (), (), {}, {(n, "z"): top for n in inner})
+
+    for f, g in ((a, onto_z({"e2", "y"})), (b, onto_z({"e1", "y"})), (a, onto_z({"e2", "y"}))):
+        composite = compose_fuzzy_link(g, f)
+        assert composite.link.entry_dict() == dense_sup_min(
+            f.link, g.link, f.outer, f.edges, g.ports
+        )
+    assert compose_fuzzy_link(onto_z({"e1", "y"}), b).link.entry_dict() == {
+        ("x", "z"): top, (("v", 0), "e2"): half, (("v", 1), "z"): top,
+    }
+
+
+def test_equality_and_repr_ignore_what_a_relation_keeps():
+    rng = random.Random(5)
+    inner, mid, outer = _interfaces(rng)
+    f, g = _type2(rng, U, inner, mid, "f_"), _type2(rng, U, mid, outer, "g_")
+    fresh = (_rebuilt(f), _rebuilt(g))
+    for _ in range(3):
+        compose_type2(g, f)
+    values = [
+        (f, fresh[0]), (g, fresh[1]), (f.place.prnt, fresh[0].place.prnt),
+        (g.link.link, fresh[1].link.link), (f.nodes, fresh[0].nodes),
+    ]
+    for kept, bare in values:
+        assert kept == bare and bare == kept
+        assert repr(kept) == repr(bare)

@@ -1,5 +1,9 @@
-"""The six graded graph classes: their fields, their equality, and the
-agreement a bigraph's parts must reach, in both graded flavours."""
+"""The six graded graph classes: their fields, their equality, the
+agreement a bigraph's parts must reach, in both graded flavours, and their
+copies."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -10,16 +14,21 @@ from fuzzybig import (
     Signature,
     TWO_POINT,
     UNIT_INTERVAL,
+    compose_fuzzy,
+    compose_type2,
     embed_bigraph,
     embed_link,
     embed_place,
     fuzzify,
+    identity_bigraph,
+    identity_type2_bigraph,
     support,
     type2_support,
 )
+from fuzzybig.relations import FuzzyRelation, FuzzySet
 from fuzzybig.type2 import Type2FuzzyBigraph, Type2FuzzyLinkGraph, Type2FuzzyPlaceGraph
 
-from helpers import H_SIGNATURE, d, make_h
+from helpers import ALL_FRAMES, H_SIGNATURE, DiamondFrame, d, make_h
 
 U = UNIT_INTERVAL
 
@@ -135,3 +144,74 @@ def test_the_supports_refuse_an_object_that_is_no_graph():
     with pytest.raises(TypeError) as caught:
         type2_support(object())
     assert str(caught.value) == "no type-2 support for object"
+
+
+# --- copies ------------------------------------------------------------------------
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+def _graded(frame) -> list:
+    """Fuzzified H and its type-2 embedding, each composed three times with
+    an identity first, so that every relation and fuzzy set has kept what
+    composition keeps; and the last composites, whose sets are unbuilt."""
+    f = fuzzify(make_h(), frame)
+    t = embed_bigraph(f)
+    graphs = [f, t, f.place, f.link, t.place, t.link]
+    for g, ident, compose in (
+        (f, identity_bigraph, compose_fuzzy),
+        (t, identity_type2_bigraph, compose_type2),
+    ):
+        unit = ident(g.outer, frame, H_SIGNATURE)
+        for _ in range(3):
+            composite = compose(unit, g)
+        graphs.append(composite)
+    return graphs
+
+
+def _held(value) -> list:
+    """The relations and fuzzy sets a graph of any graded kind holds."""
+    parts = [value.place, value.link] if hasattr(value, "place") else [value]
+    out = []
+    for part in parts:
+        for name in ("nodes", "edges", "ctrl", "prnt", "link"):
+            field = getattr(part, name, None)
+            if isinstance(field, (FuzzyRelation, FuzzySet)):
+                out.append(field)
+    return out
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("frame", ALL_FRAMES, ids=lambda frame: frame.name)
+def test_a_copied_graph_is_equal_and_holds_the_frames_shared_degrees(frame, how):
+    for graph in [make_h(), *_graded(frame)]:
+        copied = COPIES[how](graph)
+        assert copied == graph and graph == copied
+        for held in _held(copied):
+            assert held.frame is frame
+            assert all(frame.value(degree.raw) is degree for _key, degree in held.items())
+            if how != "copy":
+                # Nothing kept is carried over; a copy keeps it again when composed.
+                assert (held._floor, getattr(held, "_kept", None)) == (None, None)
+
+
+def test_a_degree_copies_as_itself():
+    for frame in ALL_FRAMES:
+        for degree in (frame.top, frame.value(frame.top.raw)):
+            for how in COPIES.values():
+                assert how(degree) is frame.top
+        assert COPIES["pickle"](frame.bottom) == frame.bottom
+        assert all(how(frame) is frame for how in COPIES.values())
+
+
+def test_a_frame_pickles_only_by_a_name_it_can_be_found_by():
+    diamond = DiamondFrame()
+    graph = embed_bigraph(fuzzify(make_h(), diamond))
+    assert copy.deepcopy(graph) == graph
+    assert copy.copy(diamond) is diamond and copy.deepcopy(diamond) is diamond
+    with pytest.raises(ValueError, match="unknown frame 'diamond'"):
+        pickle.dumps(graph)
