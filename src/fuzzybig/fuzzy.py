@@ -15,6 +15,7 @@ the two-point frame therefore reproduces the crisp algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Mapping
 
 from .crisp import (
@@ -48,9 +49,13 @@ def derive_ports(signature: Signature, ctrl: FuzzyRelation) -> frozenset[Port]:
     With several positive controls the widest arity wins, so the port set
     is the smallest one safe for all positive possibilities.
     """
-    arity = signature.arity
+    arity, holders = signature.arity, {}
+    for v, k in ctrl._entries:  # the nodes holding each control, controls in entry order
+        holders.setdefault(k, []).append(v)
     try:
-        return frozenset((v, i) for (v, k), _d in ctrl.items() for i in range(arity[k]))
+        return frozenset(chain.from_iterable(
+            zip(nodes, repeat(i)) for k, nodes in holders.items() for i in range(arity[k])
+        ))
     except KeyError as unknown:  # arity_of raises for the first one, in entry order
         signature.arity_of(unknown.args[0])
 

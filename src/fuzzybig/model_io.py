@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -39,7 +40,10 @@ from .fuzzy import (
     FuzzyBigraph,
     FuzzyLinkGraph,
     FuzzyPlaceGraph,
+    _ids,
     _prnt_domain,
+    _require_apart,
+    derive_ports,
     validate_fuzzy_bigraph,
     validate_fuzzy_link,
     validate_fuzzy_place,
@@ -50,6 +54,7 @@ from .type2 import (
     Type2FuzzyBigraph,
     Type2FuzzyLinkGraph,
     Type2FuzzyPlaceGraph,
+    type2_ports,
     validate_type2_bigraph,
     validate_type2_link,
     validate_type2_place,
@@ -177,10 +182,11 @@ class _Degrees:
     texts that parsed are kept: a bad text fails, with the same message, at
     every occurrence.  The text table lives for one call only, because the
     input is untrusted and a table kept across calls would grow with every
-    file read.  The degrees it holds are the frame's shared ones, whose
-    table is bounded, so two reads of one file share their degree objects
-    while that table has room.  Bottom is stored as the frame's own bottom, so that
-    memberships at bottom are found by identity.
+    file read; the frame keeps a bounded one of short texts.  The degrees it
+    holds are the frame's shared ones, whose table is bounded, so two reads
+    of one file share their degree objects while that table has room.
+    Bottom is stored as the frame's own bottom, so that memberships at
+    bottom are found by identity.
     """
 
     __slots__ = ("frame", "known")
@@ -204,18 +210,21 @@ class _Degrees:
         self.known[text] = degree
         return degree
 
-    def relation(self, entries: dict, domain: frozenset, codomain: frozenset):
-        """Decoded graded rows as the relation a graph constructor builds
-        from them, when set operations show it would refuse and drop none:
-        every pair lies in ``domain x codomain``, and no degree read so far
-        is bottom.  Otherwise the rows, for the constructor to check."""
-        bottom = self.frame.bottom
-        if any(degree is bottom for degree in self.known.values()) or not (
-            domain.issuperset(map(itemgetter(0), entries))
-            and codomain.issuperset(map(itemgetter(1), entries))
-        ):
-            return entries
-        return FuzzyRelation._trusted(self.frame, domain, codomain, entries)
+    def meet(self, texts):
+        """The raw meet of the degrees the distinct ``texts`` name, each
+        parsed once; top if there are none.  ``None`` if one is bottom or no
+        degree text: that field is left to its row loop and constructor."""
+        frame = self.frame
+        meet, floor, bottom = frame._meet, frame._top_raw(), frame.bottom
+        for text in texts:
+            try:
+                degree = self.parse(text)
+            except _Fault:
+                return None
+            if degree is bottom:
+                return None
+            floor = meet(floor, degree.raw)
+        return floor
 
 
 def _decode_degree(degrees: _Degrees, value, path: str):
@@ -248,15 +257,133 @@ def _point(value):
     raise _Fault("expected an inner name or a port [node, index]")
 
 
+# --- bulk paths -----------------------------------------------------------------
+#
+# A clean field is decoded in one comprehension, once set operations, which
+# run in C, show that its row loop would read every row and refuse none.  On
+# any anomaly the bulk path returns ``None``, and the field goes, unchanged,
+# to the row loop, which names the first fault with its path: the loops stay
+# the one place that names a fault.  A comprehension over a malformed row
+# raises (a row of another length, an unhashable item), and that, too, only
+# sends the field to its loop.  The sorts are those of ``_ENDPOINTS``: a port
+# is a tuple made by the loop's own test, and other lists are no key.
+
+_MALFORMED = (IndexError, KeyError, TypeError, ValueError)
+_SORTS = {_string: {str}, _place_elem: {str, int}, _point: {str, tuple}}
+
+
+def _bulk_crisp_nodes(rows: list, signature: Signature):
+    """``[id, control]`` rows as the control map: no id repeats, and every
+    control is the signature's, so a string."""
+    if not {list}.issuperset(map(type, rows)):
+        return None
+    try:
+        ctrl = dict(rows)
+        clean = signature.controls.issuperset(ctrl.values())
+    except _MALFORMED:
+        return None
+    return ctrl if clean and len(ctrl) == len(rows) and {str}.issuperset(map(type, ctrl)) else None
+
+
+def _bulk_pairs(rows: list, decode_a, decode_b):
+    """``[from, to]`` rows as a crisp map whose ends have their sorts."""
+    if not {list}.issuperset(map(type, rows)):
+        return None
+    try:
+        if decode_a is _point:
+            out = {
+                (a if type(a) is str else tuple(a) if type(a) is list and len(a) == 2
+                 and type(a[0]) is str and type(a[1]) is int and a[1] >= 0 else None): b
+                for a, b in rows
+            }
+        else:
+            out = dict(rows)
+    except _MALFORMED:
+        return None
+    if (len(out) == len(rows) and _SORTS[decode_a].issuperset(map(type, out))
+            and _SORTS[decode_b].issuperset(map(type, out.values()))):
+        return out
+    return None
+
+
+def _bulk_triples(rows: list, degrees: _Degrees, decode_a, within):
+    """Graded rows as the relation that a graph constructor builds from
+    them, when it would refuse and drop none: no degree is bottom, every
+    pair lies in the relation's domain and codomain, and none repeats.  The
+    relation keeps the meet of its degrees as its floor.
+
+    ``within`` holds the domain and codomain, or for parent rows the node
+    identifiers and the place widths that make them.  Membership proves an
+    element's sort, since a JSON value equal to a string or a port is one;
+    ``true`` and ``1.0`` equal 1, so sites and roots are tested as ``int``
+    values below their widths, and a port index is tested as an ``int``.
+    """
+    if within is None:
+        return None
+    try:  # ``list.__getitem__`` refuses a row that is no list
+        floor = degrees.meet(set(map(list.__getitem__, rows, repeat(2))))
+        if floor is None:
+            return None
+        known = degrees.known
+        if decode_a is _place_elem:
+            nodes, inner, outer = within
+            entries = {
+                (a, b): known[t] for a, b, t in rows
+                if (a in nodes or type(a) is int and 0 <= a < inner)
+                and (b in nodes or type(b) is int and 0 <= b < outer)
+            }
+            domain, codomain = _prnt_domain(inner, outer, lambda: nodes)
+        elif decode_a is _point:
+            domain, codomain = within
+            entries = {
+                (a if type(a) is str else tuple(a) if type(a[1]) is int else None, b): known[t]
+                for a, b, t in rows
+            }
+            if not (domain.issuperset(map(itemgetter(0), entries))
+                    and codomain.issuperset(map(itemgetter(1), entries))):
+                return None
+        else:
+            domain, codomain = within
+            entries = {(a, b): known[t] for a, b, t in rows if a in domain and b in codomain}
+    except _MALFORMED:
+        return None
+    if len(entries) != len(rows):  # a pair outside the sets, or one repeated
+        return None
+    return FuzzyRelation._trusted(degrees.frame, domain, codomain, entries, floor)
+
+
+def _bulk_graded_ids(rows: list, degrees: _Degrees):
+    """``[id, degree]`` rows as the fuzzy set they list, its floor kept."""
+    try:  # ``list.__getitem__`` refuses a row that is no list
+        floor = degrees.meet(set(map(list.__getitem__, rows, repeat(1))))
+        if floor is None:
+            return None
+        known = degrees.known
+        entries = {ident: known[t] for ident, t in rows}
+    except _MALFORMED:
+        return None
+    if len(entries) == len(rows) and {str}.issuperset(map(type, entries)):
+        return FuzzySet._trusted(degrees.frame, entries, floor)
+    return None
+
+
+# --- row decoders: the bulk path, else the row loop ----------------------------
+
+
 def _decode_names(value, path: str, what: str = "name") -> frozenset[str]:
     names = _expect_array(value, path)
-    for i, name in enumerate(names):
-        if not isinstance(name, str):
-            raise ParseError("expected a string", f"{path}[{i}]")
+    if not {str}.issuperset(map(type, names)):
+        _walk_names(names, path)
     out = frozenset(names)
     if len(out) != len(names):
         raise ParseError(f"duplicate {what}", path)
     return out
+
+
+def _walk_names(names: list, path: str) -> None:
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise ParseError("expected a string", f"{path}[{i}]")
 
 
 def _decode_ids(value, degrees: _Degrees, path: str) -> frozenset[str]:
@@ -274,6 +401,13 @@ def _decode_interface(value, path: str) -> Interface:
 
 def _decode_crisp_nodes(value, degrees: _Degrees, signature: Signature, path: str):
     rows = _expect_array(value, path)
+    ctrl = _bulk_crisp_nodes(rows, signature)
+    if ctrl is None:
+        ctrl = _walk_crisp_nodes(rows, signature, path)
+    return frozenset(ctrl), ctrl
+
+
+def _walk_crisp_nodes(rows: list, signature: Signature, path: str) -> dict:
     ctrl: dict = {}
     try:
         for i, row in enumerate(rows):
@@ -289,11 +423,16 @@ def _decode_crisp_nodes(value, degrees: _Degrees, signature: Signature, path: st
             ctrl[ident] = control
     except _Fault as fault:
         raise ParseError(str(fault), f"{path}[{i}]") from None
-    return frozenset(ctrl), ctrl
+    return ctrl
 
 
 def _decode_graded_ids(value, degrees: _Degrees, path: str) -> FuzzySet:
     rows = _expect_array(value, path)
+    fset = _bulk_graded_ids(rows, degrees)
+    return fset if fset is not None else _walk_graded_ids(rows, degrees, path)
+
+
+def _walk_graded_ids(rows: list, degrees: _Degrees, path: str) -> FuzzySet:
     bottom = degrees.frame.bottom
     entries: dict = {}
     try:
@@ -314,11 +453,16 @@ def _decode_graded_ids(value, degrees: _Degrees, path: str) -> FuzzySet:
             entries[ident] = degree
     except _Fault as fault:
         raise ParseError(str(fault), f"{path}[{i}]") from None
-    return FuzzySet._trusted(degrees.frame, entries)
+    return FuzzySet(degrees.frame, entries)
 
 
 def _decode_pairs(value, degrees: _Degrees, decode_a, decode_b, path: str) -> dict:
     rows = _expect_array(value, path)
+    out = _bulk_pairs(rows, decode_a, decode_b)
+    return out if out is not None else _walk_pairs(rows, decode_a, decode_b, path)
+
+
+def _walk_pairs(rows: list, decode_a, decode_b, path: str) -> dict:
     ports = decode_a is _point
     out: dict = {}
     try:
@@ -337,10 +481,17 @@ def _decode_pairs(value, degrees: _Degrees, decode_a, decode_b, path: str) -> di
     return out
 
 
-def _decode_triples(value, degrees: _Degrees, decode_a, decode_b, path: str) -> dict:
-    """Graded rows by their pair, rows at bottom included: the pairs still
-    count as duplicates and are checked against the relation's domain."""
+def _decode_triples(value, degrees: _Degrees, decode_a, decode_b, path: str, within=None):
+    """A graded field as its relation where the bulk path builds it;
+    otherwise its rows by their pair, rows at bottom included (the pairs
+    still count as duplicates and are checked against the relation's
+    domain), for the graph constructor to check."""
     rows = _expect_array(value, path)
+    relation = _bulk_triples(rows, degrees, decode_a, within)
+    return relation if relation is not None else _walk_triples(rows, degrees, decode_a, decode_b, path)
+
+
+def _walk_triples(rows: list, degrees: _Degrees, decode_a, decode_b, path: str) -> dict:
     known, parse_degree = degrees.known, degrees.parse
     ports = decode_a is _point
     out: dict = {}
@@ -364,9 +515,21 @@ def _decode_triples(value, degrees: _Degrees, decode_a, decode_b, path: str) -> 
     return out
 
 
-def _check_place_refs(prnt: dict, nodes: frozenset, path: str) -> None:
+def _place_refs_hold(prnt, nodes: frozenset) -> bool:
     # Sites and roots are the ``int`` elements outside the node set.
-    if {int}.issuperset(map(type, (prnt.keys() | prnt.values()) - nodes)):
+    return {int}.issuperset(map(type, (prnt.keys() | prnt.values()) - nodes))
+
+
+def _link_refs_hold(link, nodes, edges, inner, outer) -> bool:
+    ports = link.keys() - inner  # every point outside the inner names is a port
+    return (
+        {tuple}.issuperset(map(type, ports)) and nodes.issuperset(map(itemgetter(0), ports))
+        and not set(link.values()).difference(edges, outer)
+    )
+
+
+def _check_place_refs(prnt: dict, nodes: frozenset, path: str) -> None:
+    if _place_refs_hold(prnt, nodes):
         return
     for child, parent in prnt.items():
         for elem in (child, parent):
@@ -375,10 +538,8 @@ def _check_place_refs(prnt: dict, nodes: frozenset, path: str) -> None:
 
 
 def _check_link_refs(link: dict, nodes, edges, inner, outer, path: str) -> None:
-    ports = link.keys() - inner  # every point outside the inner names is a port
-    if {tuple}.issuperset(map(type, ports)) and nodes.issuperset(map(itemgetter(0), ports)):
-        if not set(link.values()).difference(edges, outer):
-            return
+    if _link_refs_hold(link, nodes, edges, inner, outer):
+        return
     for point, target in link.items():
         if isinstance(point, tuple):
             if point[0] not in nodes:
@@ -598,6 +759,11 @@ class _Writer:
             raise ValueError("cannot serialize: a graph whose signature is not the document's")
         if not fl.ctrl and place and link and (place.nodes, place.ctrl) != (link.nodes, link.ctrl):
             raise ValueError("cannot serialize: place and link parts disagree on nodes or controls")
+        # A crisp graph whose refs hold has ends of the sorts ``parse`` reads
+        # back, so each map is walked once, to write its rows.  Otherwise the
+        # refusals come in their order: each map's sorts as it is written,
+        # then the refs.
+        checked = bool(fl.ctrl) or _refs_hold(graph.nodes, parts, (place or link).ctrl)
         fields = {
             "kind": self.encode(kind),
             "inner": write_interface(self, *[p.inner for p in parts.values()]),
@@ -607,23 +773,41 @@ class _Writer:
         for key in edges:
             fields[key] = fl.write_edges(self, graph.edges)
         for key in fl.ctrl:
-            fields[key] = fl.write_entries(self, graph.ctrl, key)
+            fields[key] = fl.write_entries(self, graph.ctrl, key, checked)
         for key, source in parts.items():
-            fields[key] = fl.write_entries(self, getattr(source, key), key)
+            fields[key] = fl.write_entries(self, getattr(source, key), key, checked)
         for keys, source in ((place_degree, place), (link_degree, link), (meet_degree, graph)):
             for key in keys:
                 fields[key] = self.degree(source.degree)
-        if not fl.ctrl:
+        if not checked:
             _refused(_check_crisp_refs, graph.nodes, parts, "$")
             _refused(_check_ctrl_refs, (place or link).ctrl.items(), graph.nodes, "$")
         return _object(fields, 2)
 
 
-def _write_crisp_map(w: _Writer, mapping, key: str) -> str:
+def _refs_hold(nodes: frozenset, parts: dict, ctrl) -> bool:
+    """Whether the set operations of the reader's refs checks pass on a
+    crisp graph's maps.  Then every end of a parent row is a node or an
+    ``int``, every point of a link row an inner name or a tuple, and every
+    target a string: no end is of a sort ``_write_crisp_map`` refuses."""
+    place, link = parts.get("prnt"), parts.get("link")
+    try:
+        return bool(
+            (place is None or _place_refs_hold(place.prnt, nodes))
+            and (link is None or _link_refs_hold(link.link, nodes, link.edges, link.inner, link.outer))
+            and nodes.issuperset(map(itemgetter(0), ctrl.items()))
+        )
+    except (IndexError, TypeError):  # an empty tuple, or an end no set holds
+        return False
+
+
+def _write_crisp_map(w: _Writer, mapping, key: str, checked: bool) -> str:
     """A crisp map's rows.  An int or a port is written only where ``parse``
     reads it back: the reader's decoder for its end of a ``key`` row takes
-    it (``_ENDPOINTS``), or it is a port that a link row's loop takes first."""
-    for decode, side in zip(_ENDPOINTS[key], (mapping, mapping.values())):
+    it (``_ENDPOINTS``), or it is a port that a link row's loop takes first.
+    A ``checked`` map's ends are known to be of those sorts."""
+    ends = () if checked else zip(_ENDPOINTS[key], (mapping, mapping.values()))
+    for decode, side in ends:
         for x in side:
             if type(x) is int or type(x) is tuple and decode is not _point:
                 try:
@@ -643,9 +827,10 @@ class _Flavour:
     ``nodes`` decodes the node list into the node set and, for crisp
     records, the control map; graded flavours keep controls in a ``ctrl``
     relation.  ``entries`` decodes a relation field (crisp maps or graded
-    triples).  The degree fields are the interface degrees of the place and
-    link parts and, on a bigraph, their meet.  The ``write_`` fields are
-    the writer's side of ``nodes``, ``edges`` and ``entries``.
+    triples), and ``ports`` is a graded link part's port rule.  The degree
+    fields are the interface degrees of the place and link parts and, on a
+    bigraph, their meet.  The ``write_`` fields are the writer's side of
+    ``nodes``, ``edges`` and ``entries``.
     """
 
     nodes: Callable
@@ -654,6 +839,7 @@ class _Flavour:
     write_nodes: Callable
     write_edges: Callable
     write_entries: Callable
+    ports: Callable | None = None
     ctrl: tuple = ()
     place_degree: tuple = ()
     link_degree: tuple = ()
@@ -675,7 +861,8 @@ _FLAVOURS = {
         entries=_decode_triples,
         write_nodes=lambda w, nodes, _part: w.names(nodes),
         write_edges=_Writer.names,
-        write_entries=lambda w, relation, _key: w.relation(relation),
+        write_entries=lambda w, relation, _key, _checked: w.relation(relation),
+        ports=lambda signature, _nodes, ctrl: derive_ports(signature, ctrl),
         ctrl=("ctrl",),
     ),
     "type2": _Flavour(
@@ -687,7 +874,8 @@ _FLAVOURS = {
         entries=_decode_triples,
         write_nodes=lambda w, nodes, _part: w.rows(nodes.items(), w.degree),
         write_edges=lambda w, edges: w.rows(edges.items(), w.degree),
-        write_entries=lambda w, relation, _key: w.relation(relation),
+        write_entries=lambda w, relation, _key, _checked: w.relation(relation),
+        ports=type2_ports,
         ctrl=("ctrl",),
         place_degree=("beta",),
         link_degree=("delta",),
@@ -747,42 +935,55 @@ def _decode_record(kind: str, obj: dict, degrees: _Degrees, signature: Signature
     fields["nodes"], fields["ctrl"] = fl.nodes(obj["nodes"], degrees, signature, at("nodes"))
     for key in edges:
         fields[key] = fl.edges(obj[key], degrees, at(key))
-    for key in fl.ctrl + relations:
-        fields[key] = fl.entries(obj[key], degrees, *_ENDPOINTS[key], at(key))
     inner, outer, nodes = fields["inner"], fields["outer"], fields["nodes"]
-    if fl.ctrl:
-        support = nodes.support if isinstance(nodes, FuzzySet) else nodes
-        fields["ctrl"] = degrees.relation(fields["ctrl"], support, signature.controls)
-        if not isinstance(fields["ctrl"], FuzzyRelation):  # it may name an undeclared node
-            _check_ctrl_refs(fields["ctrl"], support, path)
-        if "prnt" in fields:
-            domain = _prnt_domain(inner.width, outer.width, support)
-            fields["prnt"] = degrees.relation(fields["prnt"], *domain)
+    node_ids = _ids(nodes)
+    # What a graded field's pairs must lie in, as its constructor derives it
+    # (see ``_bulk_triples``): the link part's ports follow from the control
+    # relation, once the bulk path built it.  That relation names only the
+    # signature's controls, and a file's frame is a chain, on which the
+    # type-2 port rule always finds the join; so neither rule refuses it.
+    within = {"ctrl": (node_ids, signature.controls), "prnt": (node_ids, inner.width, outer.width)}
+    for key in fl.ctrl + relations:
+        if key == "link" and isinstance(fields["ctrl"], FuzzyRelation):
+            ports = fl.ports(signature, nodes, fields["ctrl"])
+            within["link"] = inner.names | ports, _ids(fields["edges"]) | outer.names
+        sets = (within.get(key),) if fl.ctrl else ()
+        fields[key] = fl.entries(obj[key], degrees, *_ENDPOINTS[key], at(key), *sets)
+    if fl.ctrl and not isinstance(fields["ctrl"], FuzzyRelation):  # it may name an undeclared node
+        _check_ctrl_refs(fields["ctrl"], node_ids, path)
     for key in place_degree + link_degree:
         fields[key] = _decode_degree(degrees, obj[key], at(key))
 
-    # The graded constructors check the rest, and their faults are the
-    # record's; a bigraph's link part takes the place part's control
-    # relation as it stands.  Crisp constructors would only re-freeze and
-    # copy what the decoder built, so crisp parts wrap it, each its own map.
+    # Crisp parts are wrapped as they stand, each with its own control map:
+    # their constructors would only re-freeze and copy what the decoder
+    # built.  So is a graded part whose relations the bulk path built: the
+    # decoder has made every check of its constructor but the link part's
+    # ``_require_apart``.  Other graded parts go through their constructors,
+    # whose faults are the record's; a bigraph's link part takes the place
+    # part's control relation as it stands.
     head = (degrees.frame, signature) if fl.ctrl else (signature,)
     place_cls, link_cls = _CLASS_OF[f"{flavour}-place"], _CLASS_OF[f"{flavour}-link"]
-    if not fl.ctrl:
-        place_cls, link_cls = place_cls._trusted, link_cls._trusted
     ctrl = fields["ctrl"]
     parts = []
     try:
         if "prnt" in fields:
-            parts.append(place_cls(
-                *head, inner.width, outer.width, nodes, ctrl, fields["prnt"],
+            prnt = fields["prnt"]
+            wrap = not fl.ctrl or isinstance(ctrl, FuzzyRelation) and isinstance(prnt, FuzzyRelation)
+            parts.append((place_cls._trusted if wrap else place_cls)(
+                *head, inner.width, outer.width, nodes, ctrl, prnt,
                 *[fields[key] for key in place_degree],
             ))
             ctrl = parts[0].ctrl if fl.ctrl else dict(ctrl)
         if "link" in fields:
-            parts.append(link_cls(
-                *head, inner.names, outer.names, nodes, fields["edges"], ctrl, fields["link"],
-                *[fields[key] for key in link_degree],
-            ))
+            link, degree = fields["link"], [fields[key] for key in link_degree]
+            args = (*head, inner.names, outer.names, nodes, fields["edges"], ctrl, link)
+            if not fl.ctrl:
+                parts.append(link_cls._trusted(*args))
+            elif isinstance(link, FuzzyRelation):
+                _require_apart(node_ids, _ids(fields["edges"]), outer.names)
+                parts.append(link_cls._trusted(*args, ports, *degree))
+            else:
+                parts.append(link_cls(*args, *degree))
         if not fl.ctrl:
             _check_crisp_refs(nodes, dict(zip(relations, parts)), path)
         if len(parts) == 1:

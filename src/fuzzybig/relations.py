@@ -91,17 +91,18 @@ class FuzzyRelation:
             self._floor = floor
 
     @classmethod
-    def _trusted(cls, frame: Frame, domain, codomain, store: dict) -> "FuzzyRelation":
+    def _trusted(cls, frame: Frame, domain, codomain, store: dict, floor=None) -> "FuzzyRelation":
         """Wrap an entry dict that is already in normal form.
 
         For results built from validated relations of ``frame``: every
         degree belongs to the frame and lies strictly above bottom, and
         every key lies in ``domain x codomain``.  Nothing is re-checked.
         Either set may be a function of no arguments, called when first read.
+        ``floor``, if given, is the raw meet of the stored degrees.
         """
         rel = cls.__new__(cls)
         rel.frame = frame
-        rel._floor = rel._kept = None
+        rel._floor, rel._kept = floor, None
         rel._domain = domain if callable(domain) else frozenset(domain)
         rel._codomain = codomain if callable(codomain) else frozenset(codomain)
         rel._entries = store
@@ -432,14 +433,15 @@ class FuzzySet:
         self._floor = floor
 
     @classmethod
-    def _trusted(cls, frame: Frame, store: dict) -> "FuzzySet":
+    def _trusted(cls, frame: Frame, store: dict, floor=None) -> "FuzzySet":
         """Wrap a membership dict that is already in normal form: every
-        degree belongs to ``frame`` and lies strictly above bottom."""
+        degree belongs to ``frame`` and lies strictly above bottom.
+        ``floor``, if given, is the raw meet of the memberships."""
         fset = cls.__new__(cls)
         fset.frame = frame
         fset._entries = store
         fset._support = None
-        fset._floor = None
+        fset._floor = floor
         return fset
 
     @property
