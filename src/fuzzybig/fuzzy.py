@@ -231,13 +231,16 @@ class _Bigraph(_Graph, _Parts):
             raise ValueError("place and link parts use different frames")
         if place.signature != link.signature:
             raise ValueError("place and link parts use different signatures")
-        if place.nodes != link.nodes:
+        # Parts built together hold one node set and control relation, which
+        # need no element-by-element comparison.
+        nodes, ctrl = place.nodes, place.ctrl
+        if link.nodes is not nodes and link.nodes != nodes:
             raise ValueError(f"place and link parts disagree on the {node_set}")
-        if place.ctrl != link.ctrl:
+        if link.ctrl is not ctrl and link.ctrl != ctrl:
             raise ValueError("place and link parts disagree on the control relation")
-        if link.nodes is place.nodes and link.ctrl is place.ctrl:
+        if link.nodes is nodes and link.ctrl is ctrl:
             return link
-        shared = {"nodes": place.nodes, "ctrl": place.ctrl}
+        shared = {"nodes": nodes, "ctrl": ctrl}
         return type(link)._trusted(
             *[shared[n] if n in shared else getattr(link, n) for n in link._fields]
         )
@@ -353,12 +356,14 @@ def _composed_place(g, f, kappa, f_drop, g_drop) -> tuple:
     return f.frame, f.signature, f.inner, g.outer, nodes, _composed_ctrl(g, f, nodes), prnt
 
 
-def _composed_link(g, f, kappa) -> tuple:
+def _composed_link(g, f, kappa, shared) -> tuple:
     """The fields of the link composite ``g . f`` of either kind, in
     ``_fields`` order and short of a degree, once the supports are disjoint
-    and f's edges miss g's outer names; ``kappa`` guards the route."""
+    and f's edges miss g's outer names; ``kappa`` guards the route.
+    ``shared``, if given, is the place composite's nodes and controls."""
     f_ids, f_edge_ids, g_ids, g_edge_ids = map(_ids, (f.nodes, f.edges, g.nodes, g.edges))
-    nodes, edges = _joined(f.nodes, g.nodes), _joined(f.edges, g.edges)
+    nodes = shared[0] if shared else _joined(f.nodes, g.nodes)
+    edges = _joined(f.edges, g.edges)
     # Each operand keeps its nodes and edges apart, so past the unions only
     # f's nodes and g's edges, and f's edges and g's nodes, may meet.
     apart = f_ids.isdisjoint(g_edge_ids) and f_edge_ids.isdisjoint(g_ids)
@@ -374,7 +379,7 @@ def _composed_link(g, f, kappa) -> tuple:
     link = FuzzyRelation._trusted(
         f.frame, lambda: inner | ports, lambda: _ids(edges) | outer, entries
     )
-    ctrl = _composed_ctrl(g, f, nodes)
+    ctrl = shared[1] if shared else _composed_ctrl(g, f, nodes)
     return f.frame, f.signature, inner, outer, nodes, edges, ctrl, link, ports
 
 
@@ -384,21 +389,23 @@ def compose_fuzzy_place(g: FuzzyPlaceGraph, f: FuzzyPlaceGraph) -> FuzzyPlaceGra
     return FuzzyPlaceGraph._trusted(*_composed_place(g, f, f.frame.bottom, (), ()))
 
 
-def compose_fuzzy_link(g: FuzzyLinkGraph, f: FuzzyLinkGraph) -> FuzzyLinkGraph:
+def compose_fuzzy_link(g: FuzzyLinkGraph, f: FuzzyLinkGraph, *, _shared=()) -> FuzzyLinkGraph:
     """Composite ``g . f`` of fuzzy link graphs f: X->Y and g: Y->Z."""
     _require_link_composable(g, f)
-    return FuzzyLinkGraph._trusted(*_composed_link(g, f, f.frame.bottom))
+    return FuzzyLinkGraph._trusted(*_composed_link(g, f, f.frame.bottom, _shared))
 
 
 def _composite(cls, compose_place, compose_link, g, f):
     """The ``cls`` bigraph ``g . f`` from its parts' composites, whose
-    composers check all but the interfaces.  An overlap is named first."""
+    composers check all but the interfaces.  An overlap is named first.
+    The link composite shares the place composite's nodes and controls."""
     # Widths and names straight from the parts: each read of ``inner`` or
     # ``outer`` builds and checks an ``Interface``, so only the message does.
     if f.place.outer != g.place.inner or f.link.outer != g.link.inner:
         raise InterfaceMismatchError(f"interface mismatch: expected {f.outer}, got {g.inner}")
     try:
-        return cls._trusted(compose_place(g.place, f.place), compose_link(g.link, f.link))
+        place = compose_place(g.place, f.place)
+        return cls._trusted(place, compose_link(g.link, f.link, _shared=(place.nodes, place.ctrl)))
     except ModelError:
         _require_disjoint_support(*map(_ids, (f.nodes, f.edges, g.nodes, g.edges)))
         raise
@@ -430,8 +437,9 @@ def tensor_fuzzy_place(f: FuzzyPlaceGraph, g: FuzzyPlaceGraph) -> FuzzyPlaceGrap
     )
 
 
-def tensor_fuzzy_link(f: FuzzyLinkGraph, g: FuzzyLinkGraph) -> FuzzyLinkGraph:
-    """Tensor ``f ⊗ g``: disjoint union of every component."""
+def tensor_fuzzy_link(f: FuzzyLinkGraph, g: FuzzyLinkGraph, *, _shared=()) -> FuzzyLinkGraph:
+    """Tensor ``f ⊗ g``: disjoint union of every component.  ``_shared``, if
+    given, is the place tensor's nodes and controls."""
     _require_compatible(g, f)
     _require_disjoint_support(f.nodes, f.edges, g.nodes, g.edges)
     clash = f.inner & g.inner
@@ -445,14 +453,15 @@ def tensor_fuzzy_link(f: FuzzyLinkGraph, g: FuzzyLinkGraph) -> FuzzyLinkGraph:
         raise NameClashError(
             f"edge identifiers collide with outer names: {sorted(clash)}"
         )
+    nodes, ctrl = _shared or (f.nodes | g.nodes, f.ctrl.union(g.ctrl))
     return FuzzyLinkGraph._trusted(
         f.frame,
         f.signature,
         f.inner | g.inner,
         f.outer | g.outer,
-        f.nodes | g.nodes,
+        nodes,
         f.edges | g.edges,
-        f.ctrl.union(g.ctrl),
+        ctrl,
         f.link.union(g.link),
         f.ports | g.ports,
     )
@@ -460,10 +469,9 @@ def tensor_fuzzy_link(f: FuzzyLinkGraph, g: FuzzyLinkGraph) -> FuzzyLinkGraph:
 
 def tensor_fuzzy(f: FuzzyBigraph, g: FuzzyBigraph) -> FuzzyBigraph:
     """Tensor product of fuzzy bigraphs; its unit is the empty interface ⟨0,∅⟩."""
-    return FuzzyBigraph._trusted(
-        tensor_fuzzy_place(f.place, g.place),
-        tensor_fuzzy_link(f.link, g.link),
-    )
+    place = tensor_fuzzy_place(f.place, g.place)
+    link = tensor_fuzzy_link(f.link, g.link, _shared=(place.nodes, place.ctrl))
+    return FuzzyBigraph._trusted(place, link)
 
 
 # --- identities --------------------------------------------------------------
@@ -485,22 +493,23 @@ def identity_place(width: int, frame: Frame, signature: Signature) -> FuzzyPlace
     )
 
 
-def identity_link(names, frame: Frame, signature: Signature) -> FuzzyLinkGraph:
+def identity_link(names, frame: Frame, signature: Signature, *, _shared=()) -> FuzzyLinkGraph:
+    """``_shared``, if given, is the identity place graph's nodes and controls."""
     names = _freeze_ids(names, "inner name")
     ident = identity_relation(frame, names)
-    ctrl, none = _no_controls(frame, signature), frozenset()
+    none = frozenset()
+    nodes, ctrl = _shared or (none, _no_controls(frame, signature))
     return FuzzyLinkGraph._trusted(
-        frame, signature, names, names, none, none, ctrl, ident, none
+        frame, signature, names, names, nodes, none, ctrl, ident, none
     )
 
 
 def identity_bigraph(
     interface: Interface, frame: Frame, signature: Signature
 ) -> FuzzyBigraph:
-    return FuzzyBigraph._trusted(
-        identity_place(interface.width, frame, signature),
-        identity_link(interface.names, frame, signature),
-    )
+    place = identity_place(interface.width, frame, signature)
+    link = identity_link(interface.names, frame, signature, _shared=(place.nodes, place.ctrl))
+    return FuzzyBigraph._trusted(place, link)
 
 
 # --- support and support translation ----------------------------------------

@@ -290,21 +290,26 @@ def _clear(k, held) -> bool:
     return held.frame._leq(k, floor)
 
 
-def _leaving(entries: dict, internal) -> list:
-    """The keys of f whose target is an interface position."""
-    return [key for key in entries if key[1] not in internal]
+def _crossing(at: int):
+    """The split of a relation at the end ``at`` of its keys (1 for f,
+    whose targets may be interface positions; 0 for g, whose sources may):
+    the keys whose end ``at`` lies outside the internal set, and their legs
+    ``(other end, degree, raw degree)`` grouped by that position."""
+    other = 1 - at
+
+    def split(entries: dict, internal) -> tuple:
+        walk, legs = [], {}
+        for key, d in entries.items():
+            b = key[at]
+            if b not in internal:
+                walk.append(key)
+                legs.setdefault(b, []).append((key[other], d, d.raw))
+        return walk, legs
+
+    return split
 
 
-def _entering(entries: dict, internal) -> tuple:
-    """The keys of g whose source is an interface position, and their legs
-    ``(target, degree, raw degree)`` grouped by that position."""
-    walk, legs = [], {}
-    for key, d in entries.items():
-        b = key[0]
-        if b not in internal:
-            walk.append(key)
-            legs.setdefault(b, []).append((key[1], d, d.raw))
-    return walk, legs
+_leaving, _entering = _crossing(1), _crossing(0)
 
 
 def _route(f_rel, g_rel, f_internal, g_internal, kappa, f_drop, g_drop) -> dict:
@@ -325,8 +330,10 @@ def _route(f_rel, g_rel, f_internal, g_internal, kappa, f_drop, g_drop) -> dict:
     entries that are routed or dropped are then deleted from them.  The
     callers' composability checks keep every copied key apart from every
     routed one: f's copies end in f's nodes or edges, g's start at g's.
-    Which keys cross is kept on each relation for its internal set (see
-    ``_kept``), so a relation composed again in a role walks only those.
+    Which keys cross, and their legs grouped by interface position, is
+    kept on each relation for its internal set (see ``_kept``), so a
+    relation composed again in a role walks only those, and each position
+    routes f's legs into it through g's legs out of it.
     A guard runs unless the kept floor shows kappa below every degree it
     would test (see ``_clear``); then f's split is the kept one too.
 
@@ -343,15 +350,22 @@ def _route(f_rel, g_rel, f_internal, g_internal, kappa, f_drop, g_drop) -> dict:
     guarded = k != bottom
     f_entries, g_entries = f_rel._entries, g_rel._entries
     # No guard on f can fire when nothing is dropped and kappa lies below
-    # f's floor; then f's split is the kept one.  Otherwise f is walked whole.
-    f_guarded = guarded and (bool(f_drop) or not _clear(k, f_rel))
-    if f_guarded:
-        f_walk = [
-            key for key, d in f_entries.items()
-            if key[1] not in f_internal or key[0] in f_drop or not leq(k, d.raw)
-        ]
+    # f's floor; then f's split is the kept one.  Otherwise f is walked
+    # whole: its crossing keys leave the copy, and so do the internal keys
+    # the guard drops; only the crossing legs the guard keeps are routed.
+    if guarded and (f_drop or not _clear(k, f_rel)):
+        f_walk, f_legs = [], {}
+        for key, d in f_entries.items():
+            a, b = key
+            r = d.raw
+            if b not in f_internal:
+                f_walk.append(key)
+                if a not in f_drop and leq(k, r):
+                    f_legs.setdefault(b, []).append((a, d, r))
+            elif a in f_drop or not leq(k, r):
+                f_walk.append(key)
     else:
-        f_walk = _kept(f_rel, _AS_F, f_internal, _leaving)
+        f_walk, f_legs = _kept(f_rel, _AS_F, f_internal, _leaving)
     g_walk, legs = _kept(g_rel, _AS_G, g_internal, _entering)
     if guarded and not _clear(k, g_rel):
         legs = {b: [leg for leg in row if leq(k, leg[2])] for b, row in legs.items()}
@@ -367,33 +381,34 @@ def _route(f_rel, g_rel, f_internal, g_internal, kappa, f_drop, g_drop) -> dict:
         out.update(g_entries)
         for key in g_gone:
             del out[key]
-    for key in f_walk:
-        d1 = f_entries[key]
-        a, b = key
-        r1 = d1.raw
-        if f_guarded and (a in f_drop or not leq(k, r1)):
+    # At each interface position, every leg of f into it meets every leg
+    # of g out of it.
+    for b, f_row in f_legs.items():
+        g_row = legs.get(b)
+        if not g_row:
             continue
-        for c, d2, r2 in legs.get(b, ()):
-            # A hook that returns an operand's raw value keeps that
-            # operand's degree.  On a chain it always does; off a chain a
-            # new meet is checked, and dropped if it falls to bottom.
-            r = meet(r1, r2)
-            if r is r1:
-                deg = d1
-            elif r is r2:
-                deg = d2
-            elif r == bottom:
-                continue
-            else:
-                deg = frame.value(r)
-            ac = (a, c)
-            prev = out.setdefault(ac, deg)
-            if prev is deg:
-                continue
-            p = prev.raw
-            r = join(p, deg.raw)
-            if r is not p:
-                out[ac] = deg if r is deg.raw else frame.value(r)
+        for a, d1, r1 in f_row:
+            for c, d2, r2 in g_row:
+                # A hook that returns an operand's raw value keeps that
+                # operand's degree.  On a chain it always does; off a chain
+                # a new meet is checked, and dropped if it falls to bottom.
+                r = meet(r1, r2)
+                if r is r1:
+                    deg = d1
+                elif r is r2:
+                    deg = d2
+                elif r == bottom:
+                    continue
+                else:
+                    deg = frame.value(r)
+                ac = (a, c)
+                prev = out.setdefault(ac, deg)
+                if prev is deg:
+                    continue
+                p = prev.raw
+                r = join(p, deg.raw)
+                if r is not p:
+                    out[ac] = deg if r is deg.raw else frame.value(r)
     return out
 
 

@@ -224,10 +224,14 @@ def embed_place(f: FuzzyPlaceGraph, degree: FrameValue | None = None) -> Type2Fu
     )
 
 
-def embed_link(f: FuzzyLinkGraph, degree: FrameValue | None = None) -> Type2FuzzyLinkGraph:
+def embed_link(
+    f: FuzzyLinkGraph, degree: FrameValue | None = None, *, _shared=()
+) -> Type2FuzzyLinkGraph:
+    """``_shared``, if given, is the embedded place part's nodes and controls."""
     frame = f.frame
-    nodes, degree = _full_set(frame, f.nodes), _embedding_degree(frame, degree)
-    ports = type2_ports(f.signature, nodes, f.ctrl)
+    nodes, ctrl = _shared or (_full_set(frame, f.nodes), f.ctrl)
+    degree = _embedding_degree(frame, degree)
+    ports = type2_ports(f.signature, nodes, ctrl)
     link = f.link
     # The type-2 rule never counts more ports than the widest control has.
     if len(ports) != len(f.ports):
@@ -235,7 +239,7 @@ def embed_link(f: FuzzyLinkGraph, degree: FrameValue | None = None) -> Type2Fuzz
         link = FuzzyRelation._trusted(frame, f.inner | ports, link.codomain, link.entry_dict())
     edges = _full_set(frame, f.edges)
     return Type2FuzzyLinkGraph._trusted(
-        frame, f.signature, f.inner, f.outer, nodes, edges, f.ctrl, link, ports, degree
+        frame, f.signature, f.inner, f.outer, nodes, edges, ctrl, link, ports, degree
     )
 
 
@@ -268,9 +272,9 @@ def embed_bigraph(
     that one and one of the ports it loses is linked, the embedding raises
     ``ValueError`` naming the node.
     """
-    return Type2FuzzyBigraph._trusted(
-        embed_place(f.place, place_degree), embed_link(f.link, link_degree)
-    )
+    place = embed_place(f.place, place_degree)
+    link = embed_link(f.link, link_degree, _shared=(place.nodes, place.ctrl))
+    return Type2FuzzyBigraph._trusted(place, link)
 
 
 # --- composition ----------------------------------------------------------------
@@ -307,7 +311,7 @@ def compose_type2_place(
 
 
 def compose_type2_link(
-    g: Type2FuzzyLinkGraph, f: Type2FuzzyLinkGraph
+    g: Type2FuzzyLinkGraph, f: Type2FuzzyLinkGraph, *, _shared=()
 ) -> Type2FuzzyLinkGraph:
     """Threshold-guarded composite of type-2 fuzzy link graphs.
 
@@ -317,7 +321,7 @@ def compose_type2_link(
     """
     _require_link_composable(g, f)
     kappa = f.degree.meet(g.degree)
-    return Type2FuzzyLinkGraph._trusted(*_composed_link(g, f, kappa), kappa)
+    return Type2FuzzyLinkGraph._trusted(*_composed_link(g, f, kappa, _shared), kappa)
 
 
 def compose_type2(g: Type2FuzzyBigraph, f: Type2FuzzyBigraph) -> Type2FuzzyBigraph:

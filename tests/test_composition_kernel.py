@@ -17,12 +17,15 @@ outer names, where a routed key can equal a walked one.
 The precondition tests pin the support-overlap message for every pairing
 of an f node or edge with a g node or edge, and that an overlap is named
 before any other fault of the pair, and check that a composite's controls
-are its operands' controls together.  A composite's domains, codomains and
-supports are built when first read; the next tests read them first and
-compare them with the sets the checked constructors derive.  The last
-tests compose operands again, with other partners, in both roles and
-between guards that fire and guards that cannot, where each relation
-routes through the split and the floor it kept, and compare every
+are its operands' controls together, and that each composite, tensor,
+identity and embedding holds one node set and one control relation for
+both parts, which equal the parts built alone.  A composite's domains,
+codomains and supports are built when first read; the next tests read
+them first and compare them with the sets the checked constructors
+derive.  The last tests compose operands again, with other partners, in
+both roles and between guards that fire and guards that cannot, where
+each relation routes through the split and the floor it kept (as f, its
+crossing legs grouped by interface position), and compare every
 composite with that of freshly rebuilt operands.
 """
 
@@ -53,6 +56,10 @@ from fuzzybig import (
     embed_bigraph,
     embed_link,
     embed_place,
+    identity_bigraph,
+    identity_link,
+    identity_place,
+    identity_type2_bigraph,
     tensor_fuzzy,
     tensor_fuzzy_link,
     tensor_fuzzy_place,
@@ -129,7 +136,9 @@ def _fuzzy(rng, frame, inner, outer, prefix) -> FuzzyBigraph:
     )
 
 
-def _type2(rng, frame, inner, outer, prefix) -> Type2FuzzyBigraph:
+def _type2(rng, frame, inner, outer, prefix, degree=None) -> Type2FuzzyBigraph:
+    """Random type-2 rows; both parts at ``degree`` if it is given, else
+    each at a degree drawn from the pool and bottom."""
     nodes, edges, ctrl, prnt, link = _parts(rng, frame, inner, outer, prefix)
     pool = _pool(frame)
     members = FuzzySet(frame, {v: rng.choice(pool) for v in nodes})
@@ -137,11 +146,12 @@ def _type2(rng, frame, inner, outer, prefix) -> Type2FuzzyBigraph:
     degrees = pool + [frame.bottom]
     return Type2FuzzyBigraph(
         Type2FuzzyPlaceGraph(
-            frame, SIG, inner.width, outer.width, members, ctrl, prnt, rng.choice(degrees)
+            frame, SIG, inner.width, outer.width, members, ctrl, prnt,
+            rng.choice(degrees) if degree is None else degree,
         ),
         Type2FuzzyLinkGraph(
             frame, SIG, inner.names, outer.names, members, edge_members, ctrl, link,
-            rng.choice(degrees),
+            rng.choice(degrees) if degree is None else degree,
         ),
     )
 
@@ -411,6 +421,51 @@ def test_a_composite_holds_its_operands_controls_together(frame):
             assert composite.link.ctrl == expected
 
 
+def _holds_one_node_set_and_control(h, place, link) -> None:
+    """``h``'s parts hold one node set and one control relation, and equal
+    ``place`` and ``link``, built alone from the same operands."""
+    assert h.link.nodes is h.place.nodes and h.link.ctrl is h.place.ctrl
+    assert h.place == place and h.link == link
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=lambda frame: frame.name)
+def test_every_graded_bigraph_built_holds_one_node_set_and_control_relation(frame):
+    """Composites, tensors, identities and embeddings build the node set
+    and control relation once, for both parts; each part equals what its
+    public part function builds alone."""
+    rng = random.Random(36)
+    pool = _pool(frame)
+    for trial in range(20):
+        f, g = _pair(rng, frame, _fuzzy, trial)
+        _holds_one_node_set_and_control(
+            compose_fuzzy(g, f),
+            compose_fuzzy_place(g.place, f.place), compose_fuzzy_link(g.link, f.link),
+        )
+        x, y = _pair(rng, frame, _type2, trial)
+        _holds_one_node_set_and_control(
+            compose_type2(y, x),
+            compose_type2_place(y.place, x.place), compose_type2_link(y.link, x.link),
+        )
+        a = _fuzzy(rng, frame, *_apart_interface(rng, "p", "q"), f"a{trial}_")
+        b = _fuzzy(rng, frame, *_apart_interface(rng, "r", "s"), f"b{trial}_")
+        _holds_one_node_set_and_control(
+            tensor_fuzzy(a, b), tensor_fuzzy_place(a.place, b.place), tensor_fuzzy_link(a.link, b.link)
+        )
+        place_degree, link_degree = rng.choice(pool), rng.choice(pool)
+        for embedded in (a, tensor_fuzzy(a, b), compose_fuzzy(g, f)):
+            _holds_one_node_set_and_control(
+                embed_bigraph(embedded, place_degree, link_degree),
+                embed_place(embedded.place, place_degree), embed_link(embedded.link, link_degree),
+            )
+        interface = _interfaces(rng)[1]
+        place = identity_place(interface.width, frame, SIG)
+        link = identity_link(interface.names, frame, SIG)
+        _holds_one_node_set_and_control(identity_bigraph(interface, frame, SIG), place, link)
+        _holds_one_node_set_and_control(
+            identity_type2_bigraph(interface, frame, SIG), embed_place(place), embed_link(link)
+        )
+
+
 # --- sets built when first read --------------------------------------------------
 
 
@@ -592,6 +647,41 @@ def test_a_guard_that_fires_between_reuses_leaves_the_kept_split_sound(frame):
     # g2's kappa drops entries of f, and every parent entry of the node v.
     assert dropped[2] < dropped[0] == dropped[1] == dropped[3]
     assert not any(child == "v" for child, _ in compose_type2(g2, f).place.prnt.entry_dict())
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=lambda frame: frame.name)
+def test_f_legs_kept_grouped_route_again_after_a_guard_that_fires(frame):
+    """f, at degree top, is composed as f three times with g1, whose kappa
+    is the meet of the degree pool, so no guard can fire and from the
+    second compose on f's relations keep their crossing legs grouped by
+    interface position; then with g2, at top, whose guard drops f's entries
+    and nodes below top; then with g1 again, through the kept legs.  Each
+    composite is that of rebuilt operands, with the refilter oracles'
+    entries."""
+    rng = random.Random(36)
+    pool = _pool(frame)
+    low = pool[0]
+    for other in pool:
+        low = low.meet(other)
+    kept = drops = 0
+    for trial in range(25):
+        inner, mid, outer = _interfaces(rng)
+        f = _type2(rng, frame, inner, mid, f"f{trial}_", frame.top)
+        g1, g2 = (
+            _type2(rng, frame, mid, outer, f"g{trial}{i}_", degree)
+            for i, degree in ((1, low), (2, frame.top))
+        )
+        for step, g in enumerate((g1, g1, g1, g2, g1)):
+            if step in (2, 4):
+                kept += _has_kept_split(f.place.prnt, _AS_F) + _has_kept_split(f.link.link, _AS_F)
+            composite = compose_type2(g, f)
+            assert composite == compose_type2(_rebuilt(g), _rebuilt(f))
+            assert composite.place.prnt.entry_dict() == refilter_place(g.place, f.place)
+            assert composite.link.link.entry_dict() == refilter_link(g.link, f.link)
+        drops += any(m != frame.top for _v, m in f.nodes.items())
+    assert kept >= 50
+    if frame.name != "two-point":
+        assert drops >= 12
 
 
 def test_a_link_relation_two_graphs_split_differently_is_split_for_each():

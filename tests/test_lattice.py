@@ -136,6 +136,12 @@ def test_mixed_frames_rejected():
         UNIT_INTERVAL.join_all([TWO_POINT.top])
 
 
+def test_a_chain_needs_two_elements():
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="a finite chain needs at least two elements"):
+            chain(n)
+
+
 def test_degree_parsing_is_exact():
     assert d("3/10") == d("0.3")
     assert d("0.3").raw == Fraction(3, 10)
