@@ -23,8 +23,6 @@ from .errors import FrameMismatchError
 
 
 _MAX_SHARED = 4096  # degrees per frame; past it, each ``value`` is a new object
-_MAX_TEXTS = 256  # degree texts of at most ``_SHORT_TEXT`` characters kept per frame
-_SHORT_TEXT = 32
 
 
 class FrameValue:
@@ -211,22 +209,10 @@ class Frame:
         self.check_value(a)
         return a.leq(b)
 
-    # Model files repeat a handful of short degree texts, and every read
-    # parses them: each frame keeps the degrees of a bounded number of them.
-    @cached_property
-    def _parsed(self) -> dict:
-        return {}
-
     def parse_degree(self, text: str) -> FrameValue:
         if not isinstance(text, str):
             raise ValueError(f"degree must be a string, got {text!r}")
-        parsed = self._parsed
-        degree = parsed.get(text) if type(text) is str else None
-        if degree is None:
-            degree = self.value(self._parse(text))
-            if type(text) is str and len(text) <= _SHORT_TEXT and len(parsed) < _MAX_TEXTS:
-                parsed[text] = degree
-        return degree
+        return self.value(self._parse(text))
 
     def format_degree(self, v: FrameValue) -> str:
         self.check_value(v)

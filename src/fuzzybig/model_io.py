@@ -180,12 +180,12 @@ class _Degrees:
     A model file repeats a handful of degree texts thousands of times, so
     each distinct text goes through the frame's parser once per call.  Only
     texts that parsed are kept: a bad text fails, with the same message, at
-    every occurrence.  The text table lives for one call only, because the
-    input is untrusted and a table kept across calls would grow with every
-    file read; the frame keeps a bounded one of short texts.  The degrees it
-    holds are the frame's shared ones, whose table is bounded, so two reads
-    of one file share their degree objects while that table has room.
-    Bottom is stored as the frame's own bottom, so that memberships at
+    every occurrence.  This is the one table of degree texts, and it lives
+    for one call only, because the input is untrusted and a table kept
+    across calls would grow with every file read.  The degrees it holds are
+    the frame's shared ones, whose table is bounded, so two reads of one
+    file share their degree objects while that table has room.  Bottom is
+    stored as the frame's own bottom, so that rows and memberships at
     bottom are found by identity.
     """
 
@@ -211,20 +211,23 @@ class _Degrees:
         return degree
 
     def meet(self, texts):
-        """The raw meet of the degrees the distinct ``texts`` name, each
-        parsed once; top if there are none.  ``None`` if one is bottom or no
-        degree text: that field is left to its row loop and constructor."""
+        """The raw meet of the degrees above bottom that the distinct
+        ``texts`` name, each parsed once (top if there are none), and
+        whether one of them is bottom.  ``None`` if one is no degree text:
+        that field is left to its row loop."""
         frame = self.frame
         meet, floor, bottom = frame._meet, frame._top_raw(), frame.bottom
+        at_bottom = False
         for text in texts:
             try:
                 degree = self.parse(text)
             except _Fault:
                 return None
             if degree is bottom:
-                return None
-            floor = meet(floor, degree.raw)
-        return floor
+                at_bottom = True
+            else:
+                floor = meet(floor, degree.raw)
+        return floor, at_bottom
 
 
 def _decode_degree(degrees: _Degrees, value, path: str):
@@ -308,9 +311,10 @@ def _bulk_pairs(rows: list, decode_a, decode_b):
 
 def _bulk_triples(rows: list, degrees: _Degrees, decode_a, within):
     """Graded rows as the relation that a graph constructor builds from
-    them, when it would refuse and drop none: no degree is bottom, every
-    pair lies in the relation's domain and codomain, and none repeats.  The
-    relation keeps the meet of its degrees as its floor.
+    them, when it would refuse none: every pair lies in the relation's
+    domain and codomain, and none repeats.  Rows at bottom pass those
+    checks, and are then dropped, as the constructor drops them (normal
+    form).  The relation keeps the meet of its degrees as its floor.
 
     ``within`` holds the domain and codomain, or for parent rows the node
     identifiers and the place widths that make them.  Membership proves an
@@ -321,8 +325,8 @@ def _bulk_triples(rows: list, degrees: _Degrees, decode_a, within):
     if within is None:
         return None
     try:  # ``list.__getitem__`` refuses a row that is no list
-        floor = degrees.meet(set(map(list.__getitem__, rows, repeat(2))))
-        if floor is None:
+        met = degrees.meet(set(map(list.__getitem__, rows, repeat(2))))
+        if met is None:
             return None
         known = degrees.known
         if decode_a is _place_elem:
@@ -349,15 +353,21 @@ def _bulk_triples(rows: list, degrees: _Degrees, decode_a, within):
         return None
     if len(entries) != len(rows):  # a pair outside the sets, or one repeated
         return None
+    floor, at_bottom = met
+    if at_bottom:
+        bottom = degrees.frame.bottom
+        entries = {key: d for key, d in entries.items() if d is not bottom}
     return FuzzyRelation._trusted(degrees.frame, domain, codomain, entries, floor)
 
 
 def _bulk_graded_ids(rows: list, degrees: _Degrees):
-    """``[id, degree]`` rows as the fuzzy set they list, its floor kept."""
+    """``[id, degree]`` rows as the fuzzy set they list, its floor kept.  A
+    membership at bottom is a fault, which the row loop names."""
     try:  # ``list.__getitem__`` refuses a row that is no list
-        floor = degrees.meet(set(map(list.__getitem__, rows, repeat(1))))
-        if floor is None:
+        met = degrees.meet(set(map(list.__getitem__, rows, repeat(1))))
+        if met is None or met[1]:
             return None
+        floor = met[0]
         known = degrees.known
         entries = {ident: known[t] for ident, t in rows}
     except _MALFORMED:
@@ -483,16 +493,15 @@ def _walk_pairs(rows: list, decode_a, decode_b, path: str) -> dict:
 
 def _decode_triples(value, degrees: _Degrees, decode_a, decode_b, path: str, within=None):
     """A graded field as its relation where the bulk path builds it;
-    otherwise its rows by their pair, rows at bottom included (the pairs
-    still count as duplicates and are checked against the relation's
-    domain), for the graph constructor to check."""
+    otherwise its rows by their pair, rows at bottom included, for the
+    graph constructor to check: their pairs still count as duplicates, and
+    are checked against the relation's domain."""
     rows = _expect_array(value, path)
     relation = _bulk_triples(rows, degrees, decode_a, within)
     return relation if relation is not None else _walk_triples(rows, degrees, decode_a, decode_b, path)
 
 
 def _walk_triples(rows: list, degrees: _Degrees, decode_a, decode_b, path: str) -> dict:
-    known, parse_degree = degrees.known, degrees.parse
     ports = decode_a is _point
     out: dict = {}
     try:
@@ -506,10 +515,7 @@ def _walk_triples(rows: list, degrees: _Degrees, decode_a, decode_b, path: str) 
             key = a, b if type(b) is str else decode_b(b)
             if key in out:
                 raise _Fault(f"duplicate entry for {key!r}")
-            try:
-                out[key] = known[text]
-            except (KeyError, TypeError):  # a text not seen yet, or no string
-                out[key] = parse_degree(text)
+            out[key] = degrees.parse(text)
     except _Fault as fault:
         raise ParseError(str(fault), f"{path}[{i}]") from None
     return out
@@ -956,39 +962,36 @@ def _decode_record(kind: str, obj: dict, degrees: _Degrees, signature: Signature
 
     # Crisp parts are wrapped as they stand, each with its own control map:
     # their constructors would only re-freeze and copy what the decoder
-    # built.  So is a graded part whose relations the bulk path built: the
-    # decoder has made every check of its constructor but the link part's
-    # ``_require_apart``.  Other graded parts go through their constructors,
-    # whose faults are the record's; a bigraph's link part takes the place
+    # built.  So is a graded record all of whose relations the bulk path
+    # built: the decoder has made every check of its constructors but the
+    # link part's ``_require_apart``.  Any other graded record went to a row
+    # loop, so holds a fault; it goes whole through the checked
+    # constructors, which name it.  A bigraph's link part takes the place
     # part's control relation as it stands.
+    wrap = not fl.ctrl or all(isinstance(fields[key], FuzzyRelation) for key in fl.ctrl + relations)
     head = (degrees.frame, signature) if fl.ctrl else (signature,)
     place_cls, link_cls = _CLASS_OF[f"{flavour}-place"], _CLASS_OF[f"{flavour}-link"]
     ctrl = fields["ctrl"]
     parts = []
     try:
         if "prnt" in fields:
-            prnt = fields["prnt"]
-            wrap = not fl.ctrl or isinstance(ctrl, FuzzyRelation) and isinstance(prnt, FuzzyRelation)
             parts.append((place_cls._trusted if wrap else place_cls)(
-                *head, inner.width, outer.width, nodes, ctrl, prnt,
+                *head, inner.width, outer.width, nodes, ctrl, fields["prnt"],
                 *[fields[key] for key in place_degree],
             ))
             ctrl = parts[0].ctrl if fl.ctrl else dict(ctrl)
         if "link" in fields:
-            link, degree = fields["link"], [fields[key] for key in link_degree]
-            args = (*head, inner.names, outer.names, nodes, fields["edges"], ctrl, link)
-            if not fl.ctrl:
-                parts.append(link_cls._trusted(*args))
-            elif isinstance(link, FuzzyRelation):
+            args = [*head, inner.names, outer.names, nodes, fields["edges"], ctrl, fields["link"]]
+            if wrap and fl.ctrl:
                 _require_apart(node_ids, _ids(fields["edges"]), outer.names)
-                parts.append(link_cls._trusted(*args, ports, *degree))
-            else:
-                parts.append(link_cls(*args, *degree))
+                args.append(ports)
+            args += [fields[key] for key in link_degree]
+            parts.append((link_cls._trusted if wrap else link_cls)(*args))
         if not fl.ctrl:
             _check_crisp_refs(nodes, dict(zip(relations, parts)), path)
         if len(parts) == 1:
             return parts[0]
-        bigraph = _CLASS_OF[kind](*parts)
+        bigraph = (_CLASS_OF[kind]._trusted if wrap and fl.ctrl else _CLASS_OF[kind])(*parts)
     except ValueError as exc:
         raise ParseError(str(exc), path) from None
     for key in meet_degree:

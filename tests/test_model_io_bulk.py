@@ -1,12 +1,17 @@
 """The model-file decoder's bulk path.
 
 A clean field is decoded in one comprehension once set operations show it
-clean, and a graded part is wrapped without its checked constructor; any
-other field goes to its row loop, which names the first fault.  So:
+clean, rows at bottom dropped, and a graded record is wrapped whole without
+its checked constructors; any other field goes to its row loop, which names
+the first fault.  So:
 
 * a clean file of every kind, at benchmark size, never enters a row loop or
   a checked relation or fuzzy-set constructor, and reads back as the graphs
   its constructors build, field for field and floor for floor;
+* nor does a valid file with rows at bottom, which reads back as the same
+  file without them, floors included; a row at bottom that repeats a pair,
+  lies outside its relation or has an end of another sort is refused as
+  the same row above bottom is;
 * with the bulk path switched off, every parse-fault mutant of
   ``test_parse_faults`` has the same outcome (its pinned digest), and every
   document of the round-trip fuzz reads back the same, floors included.
@@ -41,6 +46,7 @@ from fuzzybig import (
 )
 from fuzzybig.generators import random_fuzzy_bigraph, random_type2_bigraph
 from fuzzybig.model_io import ModelDocument
+from fuzzybig.relations import element_sort_key
 
 import test_parse_faults
 import test_round_trip_fuzz
@@ -48,6 +54,8 @@ from helpers import H_SIGNATURE, random_crisp_bigraph
 
 BULK_PATHS = ("_bulk_crisp_nodes", "_bulk_graded_ids", "_bulk_pairs", "_bulk_triples")
 ROW_LOOPS = ("_walk_names", "_walk_crisp_nodes", "_walk_graded_ids", "_walk_pairs", "_walk_triples")
+CHECKED = (FuzzyRelation, FuzzySet, FuzzyPlaceGraph, FuzzyLinkGraph, FuzzyBigraph,
+           Type2FuzzyPlaceGraph, Type2FuzzyLinkGraph, Type2FuzzyBigraph)
 
 INNER = Interface(3, frozenset({"x0", "x1"}))
 OUTER = Interface(4, frozenset({"y0", "y1", "y2"}))
@@ -66,6 +74,18 @@ def _counted(calls: list, name: str, fn):
         calls.append(name)
         return fn(*args)
     return counted
+
+
+def count_entries(monkeypatch, classes: tuple = CHECKED) -> list:
+    """The names of the row loops and of the ``classes`` whose checked
+    constructors are entered from now until ``monkeypatch.undo()``, in call
+    order."""
+    calls: list = []
+    for name in ROW_LOOPS:
+        monkeypatch.setattr(model_io, name, _counted(calls, name, getattr(model_io, name)))
+    for cls in classes:
+        monkeypatch.setattr(cls, "__init__", _counted(calls, cls.__name__, cls.__init__))
+    return calls
 
 
 def floors(graph) -> dict:
@@ -124,11 +144,7 @@ def test_clean_files_decode_in_bulk_to_the_built_graphs(monkeypatch, label, flav
     assert len(whole.place.nodes) == (DEPTH if part == "deep" else NODES)
     text = serialize(ModelDocument(UNIT_INTERVAL, H_SIGNATURE, {"g": built}))
 
-    calls: list = []
-    for name in ROW_LOOPS:
-        monkeypatch.setattr(model_io, name, _counted(calls, name, getattr(model_io, name)))
-    for cls in (FuzzyRelation, FuzzySet):
-        monkeypatch.setattr(cls, "__init__", _counted(calls, cls.__name__, cls.__init__))
+    calls = count_entries(monkeypatch, (FuzzyRelation, FuzzySet))
     decoded = parse(text).graphs["g"]
     monkeypatch.undo()
 
@@ -164,22 +180,67 @@ def test_every_fuzzed_document_reads_back_the_same_both_ways(monkeypatch):
     assert read >= test_round_trip_fuzz.MIN_INPUTS // 10
 
 
-def test_rows_at_bottom_go_to_the_loop_and_their_constructor_drops_them(monkeypatch):
-    """A row at bottom is no fault, but its relation is the constructor's to
-    build: the loop reads the field, and the row is dropped."""
+def test_rows_at_bottom_decode_in_bulk_and_are_dropped(monkeypatch):
+    """A row at bottom is no fault, and no entry (normal form): the bulk
+    path checks its pair as any other row's, then drops it."""
     built = _benchmark_size("fuzzy")
     data = json.loads(serialize(ModelDocument(UNIT_INTERVAL, H_SIGNATURE, {"g": built})))
     prnt = built.prnt
     pair = next((c, p) for c in sorted(prnt.domain, key=str) for p in sorted(prnt.codomain, key=str)
                 if prnt.degree(c, p).is_bottom())
     data["graphs"]["g"]["prnt"].append([*pair, "0"])
-    loops: list = []
-    monkeypatch.setattr(model_io, "_walk_triples", _counted(loops, "_walk_triples", model_io._walk_triples))
+    calls = count_entries(monkeypatch)
     decoded = parse(json.dumps(data)).graphs["g"]
-    assert loops == ["_walk_triples"]  # the parent rows; the others decode in bulk
+    monkeypatch.undo()
+    assert calls == []
     assert decoded == built
-    rows = {**prnt.entry_dict(), pair: UNIT_INTERVAL.bottom}
-    assert decoded.prnt._floor == FuzzyRelation(UNIT_INTERVAL, prnt.domain, prnt.codomain, rows)._floor
+    # A constructor that sees a row at bottom leaves the floor unknown, so
+    # the floors are those of the file without the row.
+    assert floors(decoded) == floors(built)
+
+
+def _rows_at_bottom(data: dict, doc: ModelDocument) -> int:
+    """Adds to each graded relation field of each record of ``data``, the
+    JSON of ``doc``, one row at bottom on the first pair its relation lacks,
+    in the middle of its rows; the number of rows added."""
+    frame, added = doc.frame, 0
+    bottom = ".0e0" if frame is UNIT_INTERVAL else frame.format_degree(frame.bottom)
+    for name, graph in doc.graphs.items():
+        if not hasattr(graph, "frame"):
+            continue  # a crisp graph, which has no graded field
+        parts = (graph.place, graph.link) if hasattr(graph, "place") else (graph,)
+        fields = {key: getattr(p, key) for p in parts for key in ("ctrl", "prnt", "link") if hasattr(p, key)}
+        for key, rel in fields.items():
+            entries = rel.entry_dict()
+            pair = next(((a, b) for a in sorted(rel.domain, key=element_sort_key)
+                         for b in sorted(rel.codomain, key=element_sort_key) if (a, b) not in entries), None)
+            if pair is not None:
+                rows = data["graphs"][name][key]
+                rows.insert(len(rows) // 2, [*(list(x) if isinstance(x, tuple) else x for x in pair), bottom])
+                added += 1
+    return added
+
+
+def test_fuzzed_documents_with_rows_at_bottom_decode_in_bulk(monkeypatch):
+    read = 0
+    for doc in test_round_trip_fuzz.mutants(time_box=2.0):
+        try:
+            text = serialize(doc)
+        except ValueError:
+            continue
+        clean = parse(text)
+        data = json.loads(text)
+        if not _rows_at_bottom(data, clean):
+            continue
+        calls = count_entries(monkeypatch)
+        decoded = parse(json.dumps(data))
+        monkeypatch.undo()
+        assert calls == [], text
+        assert decoded == clean
+        for name, graph in decoded.graphs.items():
+            assert floors(graph) == floors(clean.graphs[name]), name
+        read += 1
+    assert read >= test_round_trip_fuzz.MIN_INPUTS // 10
 
 
 # Rows that membership alone would take for clean ones: a string row unpacks
@@ -197,6 +258,16 @@ IMPOSTERS = [
 @pytest.mark.parametrize("flavour, key, index, row, message", IMPOSTERS,
                          ids=[f"{f}-{k}-{m}" for f, k, _i, _r, m in IMPOSTERS])
 def test_rows_equal_to_clean_ones_are_named_by_the_loop(flavour, key, index, row, message):
+    doc, record = _small_document(flavour)
+    assert len(parse(json.dumps(doc)).graphs["g"].place.prnt) == 4
+    record[key][index] = row
+    with pytest.raises(ParseError) as caught:
+        parse(json.dumps(doc))
+    assert (caught.value.path, caught.value.message) == (f"$.graphs.g.{key}[{index}]", message)
+
+
+def _small_document(flavour: str) -> tuple:
+    """A valid document's JSON holding one graded bigraph, and its record."""
     record = {
         "ctrl": [["v", "K", "1"], ["w", "M", "1"]], "edges": ["e"], "kind": f"{flavour}-bigraph",
         "inner": {"names": ["x"], "width": 2}, "outer": {"names": ["y"], "width": 2},
@@ -205,12 +276,40 @@ def test_rows_equal_to_clean_ones_are_named_by_the_loop(flavour, key, index, row
     }
     if flavour == "type2":
         record.update(nodes=[["v", "1"], ["w", "1"]], edges=[["e", "1"]], beta="1/3", delta="1/2")
-    doc = {"frame": "unit-interval", "graphs": {"g": record}, "signature": {"controls": {"K": 2, "M": 0}}}
-    assert len(parse(json.dumps(doc)).graphs["g"].place.prnt) == 4
-    record[key][index] = row
-    with pytest.raises(ParseError) as caught:
-        parse(json.dumps(doc))
-    assert (caught.value.path, caught.value.message) == (f"$.graphs.g.{key}[{index}]", message)
+    return {"frame": "unit-interval", "graphs": {"g": record}, "signature": {"controls": {"K": 2, "M": 0}}}, record
+
+
+# Rows that are faults at any degree, appended to a field of
+# ``_small_document``: where the fault is named (below the record), and how.
+FAULTS_AT_ANY_DEGREE = [
+    ("ctrl", ["v", "K"], ".ctrl[2]", "duplicate entry for ('v', 'K')"),
+    ("prnt", ["v", 1], ".prnt[4]", "duplicate entry for ('v', 1)"),
+    ("link", [["v", 1], "y"], ".link[3]", "duplicate entry for (('v', 1), 'y')"),
+    ("ctrl", ["ghost", "K"], ".ctrl", "undeclared node 'ghost'"),
+    ("ctrl", ["v", "Z"], "", "relation entry ('v', 'Z') lies outside its domain/codomain"),
+    ("prnt", ["v", 2], "", "relation entry ('v', 2) lies outside its domain/codomain"),
+    ("link", [["v", 2], "y"], "", "relation entry (('v', 2), 'y') lies outside its domain/codomain"),
+    ("link", ["x", "ghost"], "", "relation entry ('x', 'ghost') lies outside its domain/codomain"),
+    ("ctrl", [1, "K"], ".ctrl[2]", "expected a string"),
+    ("prnt", [True, "w"], ".prnt[4]", "booleans are not model elements"),
+    ("link", [["v", True], "y"], ".link[3]", "a port is written [node, index]"),
+]
+
+
+@pytest.mark.parametrize("flavour", ("fuzzy", "type2"))
+@pytest.mark.parametrize("key, pair, at, message", FAULTS_AT_ANY_DEGREE,
+                         ids=[f"{k}-{m}" for k, _p, _a, m in FAULTS_AT_ANY_DEGREE])
+def test_a_row_at_bottom_is_checked_before_it_is_dropped(flavour, key, pair, at, message):
+    """A repeated pair, a pair outside its relation and an end of another
+    sort are refused at bottom with the message and path they have above it."""
+    refused = []
+    for text in (".0e0", "1/2"):
+        doc, record = _small_document(flavour)
+        record[key].append([*pair, text])
+        with pytest.raises(ParseError) as caught:
+            parse(json.dumps(doc))
+        refused.append((caught.value.path, caught.value.message))
+    assert refused == [(f"$.graphs.g{at}", message)] * 2
 
 
 @pytest.mark.parametrize("edges, message", [
