@@ -39,7 +39,7 @@ from .errors import (
     ValidationReport,
 )
 from .lattice import TWO_POINT, Frame
-from .relations import FuzzyRelation, FuzzySet, _route, identity_relation
+from .relations import FuzzyRelation, FuzzySet, _built, _route, _Union, identity_relation
 
 
 def derive_ports(signature: Signature, ctrl: FuzzyRelation) -> frozenset[Port]:
@@ -64,13 +64,12 @@ def _as_relation(frame: Frame, entries, domain, codomain) -> FuzzyRelation:
     """The checked relation for a graph component.
 
     A relation already over this very frame and exactly this domain and
-    codomain was checked when it was built and is returned unchanged.
+    codomain (as held, or as built and then dropped) was checked: it is reused.
     """
     if isinstance(entries, FuzzyRelation):
-        if (
-            entries.frame is frame
-            and entries.domain == domain
-            and entries.codomain == codomain
+        if entries.frame is frame and all(
+            held == given or _built(held) == _built(given)
+            for held, given in ((entries._domain, domain), (entries._codomain, codomain))
         ):
             return entries
         entries = entries.entry_dict()
@@ -85,14 +84,11 @@ def _widths(inner, outer) -> tuple[int, int]:
     return inner, outer
 
 
-def _prnt_domain(inner: int, outer: int, carrier) -> tuple:
+def _prnt_domain(inner: int, outer: int, nodes) -> tuple:
     """Children (sites and nodes) and parents (nodes and roots) of a parent
-    relation.  ``carrier`` is the node identifiers, or a function of no
-    arguments that gives them; then both sets are such functions too."""
-    if callable(carrier):
-        return (lambda: frozenset(range(inner)) | carrier(),
-                lambda: carrier() | frozenset(range(outer)))
-    return frozenset(range(inner)) | carrier, carrier | frozenset(range(outer))
+    relation, as parts; a fuzzy node set as its membership dict, unbuilt."""
+    nodes = nodes._entries if isinstance(nodes, FuzzySet) else nodes
+    return _Union((range(inner), nodes)), _Union((nodes, range(outer)))
 
 
 def _ids(field) -> frozenset:
@@ -202,7 +198,7 @@ class FuzzyLinkGraph(_Graph):
         _require_apart(nodes, edges, outer)
         ctrl = _as_relation(frame, ctrl, nodes, signature.controls)
         ports = derive_ports(signature, ctrl)
-        link = _as_relation(frame, link, inner | ports, edges | outer)
+        link = _as_relation(frame, link, _Union((inner, ports)), _Union((edges, outer)))
         self._store(frame, signature, inner, outer, nodes, edges, ctrl, link, ports)
 
     @property
@@ -333,7 +329,8 @@ def _composed_ctrl(g, f, nodes) -> FuzzyRelation:
     the composers have required those disjoint, which ``union`` would repeat."""
     entries = f.ctrl.entry_dict()
     entries.update(g.ctrl._entries)
-    return FuzzyRelation._trusted(f.frame, lambda: _ids(nodes), f.ctrl.codomain, entries)
+    domain = nodes if type(nodes) is frozenset else _Union((nodes._entries,))
+    return FuzzyRelation._trusted(f.frame, domain, f.ctrl._codomain, entries)
 
 
 def _composed_place(g, f, kappa, f_drop, g_drop) -> tuple:
@@ -344,14 +341,14 @@ def _composed_place(g, f, kappa, f_drop, g_drop) -> tuple:
     parent mass sits on a root j of f is routed into g through site j, at
     the join over j of the meet of the two legs.  ``kappa`` and the drops
     guard the route (see ``relations._route``); a fuzzy composite is
-    unguarded.  The composite's sets are built when first read.
+    unguarded.  The composite's relations hold its fields as parts.
     """
     f_ids, g_ids = _ids(f.nodes), _ids(g.nodes)
     nodes = _joined(f.nodes, g.nodes)
     if nodes is None:
         _require_disjoint_nodes(f_ids, g_ids)
     entries = _route(f.prnt, g.prnt, f_ids, g_ids, kappa, f_drop, g_drop)
-    domains = _prnt_domain(f.inner, g.outer, lambda: _ids(nodes))
+    domains = _prnt_domain(f.inner, g.outer, nodes)
     prnt = FuzzyRelation._trusted(f.frame, *domains, entries)
     return f.frame, f.signature, f.inner, g.outer, nodes, _composed_ctrl(g, f, nodes), prnt
 
@@ -376,9 +373,8 @@ def _composed_link(g, f, kappa, shared) -> tuple:
     # the node sets are disjoint, so the composite's ports are f's and g's.
     inner, outer, ports = f.inner, g.outer, f.ports | g.ports
     entries = _route(f.link, g.link, f_edge_ids, g.ports, kappa, (), ())
-    link = FuzzyRelation._trusted(
-        f.frame, lambda: inner | ports, lambda: _ids(edges) | outer, entries
-    )
+    ids = edges._entries if isinstance(edges, FuzzySet) else edges
+    link = FuzzyRelation._trusted(f.frame, _Union((inner, ports)), _Union((ids, outer)), entries)
     ctrl = shared[1] if shared else _composed_ctrl(g, f, nodes)
     return f.frame, f.signature, inner, outer, nodes, edges, ctrl, link, ports
 
@@ -431,7 +427,7 @@ def tensor_fuzzy_place(f: FuzzyPlaceGraph, g: FuzzyPlaceGraph) -> FuzzyPlaceGrap
         parent2 = parent + l if isinstance(parent, int) else parent
         entries[(child2, parent2)] = degree
     inner, outer, nodes = k + g.inner, l + g.outer, f.nodes | g.nodes
-    prnt = FuzzyRelation._trusted(f.frame, *_prnt_domain(inner, outer, lambda: nodes), entries)
+    prnt = FuzzyRelation._trusted(f.frame, *_prnt_domain(inner, outer, nodes), entries)
     return FuzzyPlaceGraph._trusted(
         f.frame, f.signature, inner, outer, nodes, f.ctrl.union(g.ctrl), prnt
     )
@@ -598,14 +594,13 @@ def _transported(f, rho: SupportTranslation, nodes, edges):
         ((node_map[q[0]], q[1]) if isinstance(q, tuple) else q, target(t, t)): d
         for (q, t), d in link.link.items()
     }
+    link_sets = _Union((link.inner, ports)), _Union((edge_ids, link.outer))
     renamed = {
         "nodes": nodes,
         "edges": edges,
-        "ctrl": FuzzyRelation._trusted(frame, node_ids, f.ctrl.codomain, ctrl),
-        "prnt": FuzzyRelation._trusted(
-            frame, *_prnt_domain(place.inner, place.outer, node_ids), prnt
-        ),
-        "link": FuzzyRelation._trusted(frame, link.inner | ports, edge_ids | link.outer, links),
+        "ctrl": FuzzyRelation._trusted(frame, node_ids, f.ctrl._codomain, ctrl),
+        "prnt": FuzzyRelation._trusted(frame, *_prnt_domain(place.inner, place.outer, node_ids), prnt),
+        "link": FuzzyRelation._trusted(frame, *link_sets, links),
         "ports": ports,
     }
     parts = []

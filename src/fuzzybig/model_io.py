@@ -49,7 +49,7 @@ from .fuzzy import (
     validate_fuzzy_place,
 )
 from .lattice import Frame, frame_from_name
-from .relations import FuzzyRelation, FuzzySet, element_sort_key
+from .relations import FuzzyRelation, FuzzySet, _Union, element_sort_key
 from .type2 import (
     Type2FuzzyBigraph,
     Type2FuzzyLinkGraph,
@@ -336,7 +336,7 @@ def _bulk_triples(rows: list, degrees: _Degrees, decode_a, within):
                 if (a in nodes or type(a) is int and 0 <= a < inner)
                 and (b in nodes or type(b) is int and 0 <= b < outer)
             }
-            domain, codomain = _prnt_domain(inner, outer, lambda: nodes)
+            domain, codomain = _prnt_domain(inner, outer, nodes)
         elif decode_a is _point:
             domain, codomain = within
             entries = {
@@ -952,7 +952,7 @@ def _decode_record(kind: str, obj: dict, degrees: _Degrees, signature: Signature
     for key in fl.ctrl + relations:
         if key == "link" and isinstance(fields["ctrl"], FuzzyRelation):
             ports = fl.ports(signature, nodes, fields["ctrl"])
-            within["link"] = inner.names | ports, _ids(fields["edges"]) | outer.names
+            within["link"] = _Union((inner.names, ports)), _Union((_ids(fields["edges"]), outer.names))
         sets = (within.get(key),) if fl.ctrl else ()
         fields[key] = fl.entries(obj[key], degrees, *_ENDPOINTS[key], at(key), *sets)
     if fl.ctrl and not isinstance(fields["ctrl"], FuzzyRelation):  # it may name an undeclared node

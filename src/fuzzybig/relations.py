@@ -38,6 +38,30 @@ def _as_entries(entries) -> Iterable[tuple]:
     return entries
 
 
+class _Union(tuple):
+    """A domain or codomain held, until first read, as its disjoint parts:
+    frozensets, fuzzy sets' membership dicts, or positions ``range(width)``.
+    ``in`` and ``issuperset`` answer as the union would (``True`` is 1)."""
+
+    __slots__ = ()
+
+    def issuperset(self, elements) -> bool:
+        rest = set(elements).difference(*(p for p in self if type(p) is not range))
+        return all(hash(x) == x and any(hash(x) in p for p in self if type(p) is range) for x in rest)
+
+    def __contains__(self, x) -> bool:
+        return self.issuperset((x,))
+
+
+def _built(held) -> frozenset:
+    """A domain or codomain as a frozenset: held so, or its parts' union."""
+    return frozenset(held[0]).union(*held[1:]) if type(held) is _Union else held
+
+
+def _parts(held) -> tuple:
+    return held if type(held) is _Union else (held,)
+
+
 def _entry_dict(entries) -> dict:
     """Relation entries given as a mapping or as ``((a, b), degree)`` pairs,
     as a dict; pairs may not repeat."""
@@ -60,22 +84,23 @@ class FuzzyRelation:
 
     def __init__(self, frame: Frame, domain, codomain, entries=()):
         self.frame = frame
-        self._domain = domain = frozenset(domain)
-        self._codomain = codomain = frozenset(codomain)
+        self._domain = domain = domain if type(domain) is _Union else frozenset(domain)
+        self._codomain = codomain = codomain if type(codomain) is _Union else frozenset(codomain)
         if type(entries) is not dict:
             entries = _entry_dict(entries)
         # Entries are checked in entry order, each degree's frame before its
-        # pair's domain; ``check_value``'s fast path is inlined, as this runs
-        # per entry.  The walk meets every degree through the frame's hook,
-        # which also serves frames off a chain: that meet is the relation's
-        # floor (see ``_clear``), and only where it reaches bottom can an
-        # entry be bottom.
+        # pair's domain (tested one by one if a bulk test fails); the fast
+        # path of ``check_value`` is inlined.  The walk meets every degree
+        # through the frame's hook, which also serves frames off a chain:
+        # that meet is the relation's floor (see ``_clear``), and only where
+        # it reaches bottom can an entry be bottom.
+        clean = domain.issuperset(a for a, _ in entries) and codomain.issuperset(b for _, b in entries)
         leq, meet, bottom = frame._leq, frame._meet, frame.bottom.raw
         floor = frame._top_raw()
         for (a, b), degree in entries.items():
             if type(degree) is not FrameValue or degree.frame is not frame:
                 frame.check_value(degree)
-            if a not in domain or b not in codomain:
+            if not clean and (a not in domain or b not in codomain):
                 raise ValueError(
                     f"relation entry ({a!r}, {b!r}) lies outside its domain/codomain"
                 )
@@ -96,28 +121,25 @@ class FuzzyRelation:
 
         For results built from validated relations of ``frame``: every
         degree belongs to the frame and lies strictly above bottom, and
-        every key lies in ``domain x codomain``.  Nothing is re-checked.
-        Either set may be a function of no arguments, called when first read.
-        ``floor``, if given, is the raw meet of the stored degrees.
+        every key lies in ``domain x codomain``, each a frozenset or parts.
+        Nothing is re-checked.  ``floor``, if given, is the raw meet of the
+        stored degrees.
         """
         rel = cls.__new__(cls)
         rel.frame = frame
         rel._floor, rel._kept = floor, None
-        rel._domain = domain if callable(domain) else frozenset(domain)
-        rel._codomain = codomain if callable(codomain) else frozenset(codomain)
+        rel._domain, rel._codomain = domain, codomain
         rel._entries = store
         return rel
 
     @property
     def domain(self) -> frozenset:
-        if type(self._domain) is not frozenset:
-            self._domain = frozenset(self._domain())
+        self._domain = _built(self._domain)
         return self._domain
 
     @property
     def codomain(self) -> frozenset:
-        if type(self._codomain) is not frozenset:
-            self._codomain = frozenset(self._codomain())
+        self._codomain = _built(self._codomain)
         return self._codomain
 
     def __len__(self) -> int:
@@ -151,18 +173,23 @@ class FuzzyRelation:
                 f"cannot compose relations over {self.frame.name} and {other.frame.name}"
             )
         out = _route(self, other, (), (), self.frame.bottom, (), ())
-        return FuzzyRelation._trusted(self.frame, self.domain, other.codomain, out)
+        return FuzzyRelation._trusted(self.frame, self._domain, other._codomain, out)
 
     def union(self, other: "FuzzyRelation") -> "FuzzyRelation":
-        """Disjoint union: domains must not overlap, entries are merged."""
+        """Disjoint union: the domains' parts must not overlap; entries are merged."""
         if self.frame != other.frame:
             raise FrameMismatchError("cannot union relations over different frames")
-        a, b, c, d = self.domain, other.domain, self.codomain, other.codomain
-        if not a.isdisjoint(b):
-            raise ValueError(f"relation domains overlap on {sorted(map(repr, a & b))}")
+        a, b = _parts(self._domain), _parts(other._domain)
+        for p in a:  # each part of a against b's
+            p = p.keys() if type(p) is dict else set(p) if type(p) is range else p
+            if not all(map(p.isdisjoint, b)):
+                shared = self.domain & other.domain
+                raise ValueError(f"relation domains overlap on {sorted(map(repr, shared))}")
         merged = dict(self._entries)
         merged.update(other._entries)
-        return FuzzyRelation._trusted(self.frame, lambda: a | b, lambda: c | d, merged)
+        c, d = self._codomain, other._codomain
+        codomain = c if c is d else _Union(_parts(c) + _parts(d))
+        return FuzzyRelation._trusted(self.frame, _Union(a + b), codomain, merged)
 
     def leq(self, other: "FuzzyRelation") -> bool:
         """Pointwise order: every degree of ``self`` lies below ``other``'s."""
@@ -192,8 +219,8 @@ class FuzzyRelation:
         cm = cod_map or (lambda e: e)
         return FuzzyRelation._trusted(
             self.frame,
-            map(dm, self.domain),
-            map(cm, self.codomain),
+            frozenset(map(dm, self.domain)),
+            frozenset(map(cm, self.codomain)),
             {(dm(a), cm(b)): d for (a, b), d in self._entries.items()},
         )
 
@@ -201,7 +228,7 @@ class FuzzyRelation:
         """Copy with one entry replaced (bottom removes the entry)."""
         entries = dict(self._entries)
         entries[(a, b)] = degree
-        return FuzzyRelation(self.frame, self.domain, self.codomain, entries)
+        return FuzzyRelation(self.frame, self._domain, self._codomain, entries)
 
     def __eq__(self, other) -> bool:
         return self is other or (

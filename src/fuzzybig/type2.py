@@ -46,7 +46,7 @@ from .fuzzy import (
     skeleton_is_acyclic,
 )
 from .lattice import Frame, FrameValue
-from .relations import FuzzyRelation, FuzzySet, _clear
+from .relations import FuzzyRelation, FuzzySet, _clear, _Union
 
 
 def type2_ports(signature: Signature, nodes: FuzzySet, ctrl: FuzzyRelation) -> frozenset[Port]:
@@ -135,7 +135,7 @@ class Type2FuzzyLinkGraph(_Graph):
         _require_apart(nodes.support, edges.support, outer)
         ctrl = _as_relation(frame, ctrl, nodes.support, signature.controls)
         ports = type2_ports(signature, nodes, ctrl)
-        link = _as_relation(frame, link, inner | ports, edges.support | outer)
+        link = _as_relation(frame, link, _Union((inner, ports)), _Union((edges.support, outer)))
         self._store(frame, signature, inner, outer, nodes, edges, ctrl, link, ports, degree)
 
     @property
@@ -236,7 +236,7 @@ def embed_link(
     # The type-2 rule never counts more ports than the widest control has.
     if len(ports) != len(f.ports):
         _require_linked_ports_kept(f, ports)
-        link = FuzzyRelation._trusted(frame, f.inner | ports, link.codomain, link.entry_dict())
+        link = FuzzyRelation._trusted(frame, _Union((f.inner, ports)), link._codomain, link._entries)
     edges = _full_set(frame, f.edges)
     return Type2FuzzyLinkGraph._trusted(
         frame, f.signature, f.inner, f.outer, nodes, edges, ctrl, link, ports, degree

@@ -20,9 +20,11 @@ before any other fault of the pair, and check that a composite's controls
 are its operands' controls together, and that each composite, tensor,
 identity and embedding holds one node set and one control relation for
 both parts, which equal the parts built alone.  A composite's domains,
-codomains and supports are built when first read; the next tests read
-them first and compare them with the sets the checked constructors
-derive.  The last tests compose operands again, with other partners, in
+codomains and supports are built when first read, and so are those of
+the parent and link relations of a graph built through its checked
+constructor, which hold the graph's own sets and positions until then;
+the next tests read them first and compare them with the sets the
+checked constructors derive.  The last tests compose operands again, with other partners, in
 both roles and between guards that fire and guards that cannot, where
 each relation routes through the split and the floor it kept (as f, its
 crossing legs grouped by interface position), and compare every
@@ -538,6 +540,49 @@ def test_sets_built_on_first_read_are_the_derived_ones(frame):
             _read_once(union, "support", frozenset(dict(union.items())))
             assert union.support == r.support | s.support
             assert repr(union).startswith("FuzzySet(")
+
+
+def _held_parts(part) -> tuple:
+    """The parts the checked constructors give the parent or link relation
+    of ``part``: its own sets (a type-2 graph's supports), and its widths
+    as positions; and the sets their unions must be."""
+    nodes = part.nodes.support if isinstance(part.nodes, FuzzySet) else part.nodes
+    if hasattr(part, "prnt"):
+        sites, roots = range(part.inner), range(part.outer)
+        parts = (sites, nodes), (nodes, roots)
+        return part.prnt, parts, (frozenset(sites) | nodes, nodes | frozenset(roots))
+    edges = part.edges.support if isinstance(part.edges, FuzzySet) else part.edges
+    parts = (part.inner, part.ports), (edges, part.outer)
+    return part.link, parts, (part.inner | part.ports, edges | part.outer)
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=lambda frame: frame.name)
+def test_checked_graphs_hold_their_parts_until_a_relation_set_is_read(frame):
+    """Every graded kind, built through its checked constructor, holds its
+    parent and link relations' domains and codomains as the graph's own
+    parts, no union built; the first read builds and keeps the union."""
+    rng = random.Random(39)
+    for trial in range(12):
+        inner, outer = _interfaces(rng)[:2]
+        for make in (_fuzzy, _type2):
+            b = make(rng, frame, inner, outer, f"h{trial}_")
+            # Each part again, built alone from entry dicts.
+            alone = [
+                type(part)(*[
+                    getattr(part, n).entry_dict() if n in ("ctrl", "prnt", "link") else getattr(part, n)
+                    for n in part._fields if n != "ports"
+                ])
+                for part in (b.place, b.link)
+            ]
+            for part in (b.place, b.link, *alone):
+                rel, parts, unions = _held_parts(part)
+                for held, expected in zip((rel._domain, rel._codomain), parts):
+                    assert type(held) is not frozenset, type(part).__name__
+                    assert tuple(held) == expected
+                    assert all(p is e for p, e in zip(held, expected) if type(p) is not range)
+                assert (rel.domain, rel.codomain) == unions
+                assert type(rel._domain) is type(rel._codomain) is frozenset
+                assert (rel.domain, rel.codomain) == unions
 
 
 # --- what an operand keeps between composes ----------------------------------------

@@ -1,6 +1,10 @@
 """Fuzzy bigraphs: ports, composition, tensor, support, translations, bridge."""
 
 import random
+import re
+import time
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from fuzzybig import (
     FuzzyLinkGraph,
     FuzzyPlaceGraph,
     FuzzyRelation,
+    FuzzySet,
     Interface,
     Signature,
     TWO_POINT,
@@ -31,6 +36,7 @@ from fuzzybig import (
     tensor_fuzzy_link,
     tensor_fuzzy_place,
     translate_fuzzy,
+    Type2FuzzyPlaceGraph,
     validate_fuzzy_bigraph,
     validate_fuzzy_link,
     validate_fuzzy_place,
@@ -641,6 +647,120 @@ def test_relation_over_another_domain_is_still_checked():
     ok = FuzzyRelation(U, {"a", "x"}, {"a", 0}, {("a", 0): U.top})
     p = place(0, 1, ("a",), {("a", "K"): U.top}, ok)
     assert p.prnt == FuzzyRelation(U, {"a"}, {"a", 0}, {("a", 0): U.top})
+
+
+# Each end of a parent or link entry is accepted or refused as membership in
+# the built union (sites and nodes, nodes and roots, inner names and ports)
+# would: what equals position 1 and hashes as 1 is site 1, and an
+# unhashable end is refused while the entries are read.
+OUTSIDE = ValueError, "lies outside its domain/codomain"
+MEMBERSHIP = [
+    (True, None),
+    (1.0, None),
+    (Fraction(1), None),
+    (1, None),
+    (2, OUTSIDE),
+    (-1, OUTSIDE),
+    (2.5, OUTSIDE),
+    ("w", OUTSIDE),
+    (("v", 1), OUTSIDE),
+    ([1], (TypeError, "unhashable type: 'list'")),
+]
+
+
+def _refused_as(fault, build, pair):
+    if fault is None:
+        return build()
+    kind, text = fault
+    if kind is ValueError:
+        text = f"relation entry ({pair[0]!r}, {pair[1]!r}) {text}"
+    with pytest.raises(kind, match=f"^{re.escape(text)}$"):
+        build()
+
+
+@pytest.mark.parametrize("end, fault", MEMBERSHIP, ids=lambda x: repr(x))
+def test_each_end_is_refused_as_membership_in_the_built_union_refuses(end, fault):
+    sites_and_nodes = frozenset(range(2)) | {"v"}
+    try:
+        inside = end in sites_and_nodes
+    except TypeError:
+        inside = None
+    assert (fault is None) is (inside is True), "the table follows frozenset membership"
+    nodes, ctrl = ("v",), {("v", "K"): U.top}
+    for pair in ((end, "v"), ("v", end)):
+        entries = [(pair, U.top)]
+        for build in (
+            lambda: place(2, 2, nodes, ctrl, entries),
+            lambda: Type2FuzzyPlaceGraph(
+                U, SIG, 2, 2, FuzzySet(U, {"v": U.top}), ctrl, entries, U.top
+            ),
+        ):
+            graph = _refused_as(fault, build, pair)
+            if graph is not None:
+                assert graph.prnt.degree(*[1 if x == end else x for x in pair]) == U.top
+    # A port's index is an end too: ("v", True) is port ("v", 1).
+    port = ("v", end)
+    try:
+        inside = port in frozenset({("v", 0), ("v", 1)}) | {"x"}
+    except TypeError:
+        inside = None
+    assert (fault is None) is (inside is True)
+    graph = _refused_as(
+        fault, lambda: link_graph(("x",), ("y",), nodes, (), ctrl, [((port, "y"), U.top)]),
+        (port, "y"),
+    )
+    if graph is not None:
+        assert graph.link.degree(("v", 1), "y") == U.top
+
+
+def test_a_relation_of_the_same_parts_is_reused_and_builds_no_union():
+    p = place(1, 1, ("a",), {("a", "K"): U.top}, {(0, "a"): U.top, ("a", 0): U.top})
+    again = place(1, 1, ("a",), p.ctrl, p.prnt)
+    assert again.prnt is p.prnt and again.ctrl is p.ctrl
+    assert type(p.prnt._domain) is not frozenset and type(p.prnt._codomain) is not frozenset
+    # A relation whose sets are built is compared by them, and reused too.
+    assert p.prnt.domain == {0, "a"}
+    assert place(1, 1, ("a",), p.ctrl, p.prnt).prnt is p.prnt
+    l = link_graph(("x",), ("y",), ("v",), ("e",), {("v", "L"): U.top},
+                   {("x", "e"): U.top, (("v", 0), "y"): U.top})
+    assert link_graph(("x",), ("y",), ("v",), ("e",), l.ctrl, l.link).link is l.link
+    assert type(l.link._domain) is not frozenset and type(l.link._codomain) is not frozenset
+
+
+def test_parent_relations_union_part_by_part_and_name_an_overlap_as_the_built_sets_do():
+    p = place(2, 1, ("a",), {("a", "K"): U.top}, {(0, "a"): U.top, (1, 0): U.top, ("a", 0): U.top})
+    q = place(1, 0, ("b",), {("b", "K"): U.top}, {(0, "b"): U.top})
+    r = place(0, 1, ("c",), {("c", "K"): U.top}, {("c", 0): U.top})
+    for other, shared in ((q, {0}), (p, {0, 1, "a"})):
+        message = f"relation domains overlap on {sorted(map(repr, shared))}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            p.prnt.union(other.prnt)
+    union = p.prnt.union(r.prnt)
+    assert type(union._domain) is not frozenset and type(union._codomain) is not frozenset
+    assert union.domain == {0, 1, "a", "c"} and union.codomain == {"a", "c", 0}
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["fuzzy", "type2"])
+def test_a_wide_place_graph_costs_nothing_until_its_relation_sets_are_read(graded):
+    """Width 65,536, the model-file bound, with one node and two entries:
+    the parent relation holds the widths as positions, so the graph holds
+    a few KB and builds in well under a millisecond (building both
+    position sets took ~12 MB and 110-160 ms)."""
+    width, top = 65_536, U.top
+    nodes = FuzzySet(U, {"v": top}) if graded else ("v",)
+    args = (nodes, {("v", "K"): top}, {(width - 1, "v"): top, ("v", 0): top})
+    cls = Type2FuzzyPlaceGraph if graded else FuzzyPlaceGraph
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        graph = cls(U, SIG, width, width, *args, *([top] if graded else []))
+        elapsed = time.perf_counter() - started
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20, f"{held / 2**20:.1f} MiB held"
+    assert elapsed < 0.05, f"{elapsed * 1e3:.0f} ms"
+    assert len(graph.prnt.domain) == len(graph.prnt.codomain) == width + 1
 
 
 def test_relation_over_an_equal_but_separate_frame_is_rebuilt():
