@@ -70,6 +70,15 @@ def _count(text: str) -> int:
     return value
 
 
+def _arrows(text: str) -> int:
+    """An argparse type: a count of arrows, at most the width limit.  Each
+    arrow costs ~5 KB and ~0.3 ms, so the count bounds memory and time."""
+    value = _count(text)
+    if value > model_io._MAX_WIDTH:
+        raise argparse.ArgumentTypeError(f"{value} exceeds the limit of {model_io._MAX_WIDTH}")
+    return value
+
+
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``fbg`` parser.
 
@@ -127,7 +136,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if "laws" in wanted:
         p = sub.add_parser("laws", help="run the fuzzy-category law suite")
         p.add_argument("file", help="model file providing the frame and signature")
-        p.add_argument("--arrows", type=_count, default=20)
+        p.add_argument("--arrows", type=_arrows, default=20)
         p.add_argument("--samples", type=_count, default=None)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--format", choices=("text", "json"), default="text")

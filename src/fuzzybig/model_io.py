@@ -112,11 +112,6 @@ class _Fault(Exception):
     item's path, so no path text is built for the items that are fine."""
 
 
-def _shape(row, message: str) -> str:
-    """The fault of a row that is not a list of the expected length."""
-    return message if isinstance(row, list) else "expected an array"
-
-
 def _expect_object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ParseError("expected an object", path)
@@ -229,6 +224,13 @@ class _Degrees:
                 floor = meet(floor, degree.raw)
         return floor, at_bottom
 
+    def membership(self, row):
+        """The degree of a graded identifier row, which must be above bottom."""
+        degree = self.parse(row[1])
+        if degree is self.frame.bottom:
+            raise _Fault(f"graded identifier {row[0]!r} has membership bottom; list only positive ones")
+        return degree
+
 
 def _decode_degree(degrees: _Degrees, value, path: str):
     try:
@@ -237,9 +239,14 @@ def _decode_degree(degrees: _Degrees, value, path: str):
         raise ParseError(str(fault), path) from None
 
 
-# Row endpoints.  The row loops take a string as it stands, and in link rows
-# a well-formed port, and call these for other values; JSON decodes to exact
-# ``str``, ``int`` and ``list`` values, so ``type(...) is`` checks suffice.
+# Row endpoints.  The row loop takes a string as it stands (``_end``) and
+# calls these for other values: ``_point`` reads a well-formed port, and
+# each refuses the rest.  JSON decodes to exact ``str``, ``int`` and
+# ``list`` values, so ``type(...) is`` checks suffice.
+
+
+def _end(decode, value):
+    return value if type(value) is str else decode(value)
 
 
 def _string(value):
@@ -255,9 +262,11 @@ def _place_elem(value):
 
 
 def _point(value):
-    if isinstance(value, list):
-        raise _Fault("a port is written [node, index]")
-    raise _Fault("expected an inner name or a port [node, index]")
+    if type(value) is not list:
+        raise _Fault("expected an inner name or a port [node, index]")
+    if len(value) == 2 and type(value[0]) is str and type(value[1]) is int and value[1] >= 0:
+        return tuple(value)
+    raise _Fault("a port is written [node, index]")
 
 
 # --- bulk paths -----------------------------------------------------------------
@@ -265,27 +274,14 @@ def _point(value):
 # A clean field is decoded in one comprehension, once set operations, which
 # run in C, show that its row loop would read every row and refuse none.  On
 # any anomaly the bulk path returns ``None``, and the field goes, unchanged,
-# to the row loop, which names the first fault with its path: the loops stay
+# to the row loop, which names the first fault with its path: the loop stays
 # the one place that names a fault.  A comprehension over a malformed row
 # raises (a row of another length, an unhashable item), and that, too, only
-# sends the field to its loop.  The sorts are those of ``_ENDPOINTS``: a port
-# is a tuple made by the loop's own test, and other lists are no key.
+# sends the field to the loop.  The sorts are those of ``_ENDPOINTS``: a port
+# is a tuple made by ``_point``'s own test, and other lists are no key.
 
 _MALFORMED = (IndexError, KeyError, TypeError, ValueError)
 _SORTS = {_string: {str}, _place_elem: {str, int}, _point: {str, tuple}}
-
-
-def _bulk_crisp_nodes(rows: list, signature: Signature):
-    """``[id, control]`` rows as the control map: no id repeats, and every
-    control is the signature's, so a string."""
-    if not {list}.issuperset(map(type, rows)):
-        return None
-    try:
-        ctrl = dict(rows)
-        clean = signature.controls.issuperset(ctrl.values())
-    except _MALFORMED:
-        return None
-    return ctrl if clean and len(ctrl) == len(rows) and {str}.issuperset(map(type, ctrl)) else None
 
 
 def _bulk_pairs(rows: list, decode_a, decode_b):
@@ -409,85 +405,60 @@ def _decode_interface(value, path: str) -> Interface:
     )
 
 
-def _decode_crisp_nodes(value, degrees: _Degrees, signature: Signature, path: str):
-    rows = _expect_array(value, path)
-    ctrl = _bulk_crisp_nodes(rows, signature)
-    if ctrl is None:
-        ctrl = _walk_crisp_nodes(rows, signature, path)
-    return frozenset(ctrl), ctrl
-
-
-def _walk_crisp_nodes(rows: list, signature: Signature, path: str) -> dict:
-    ctrl: dict = {}
+def _walk(rows: list, path: str, size: int, shape: str, key, duplicate: str, value) -> dict:
+    """The row loop: rows of ``size`` items as a dict from ``key(row)`` to
+    ``value(row)``, no key repeated.  The readers refuse a row by raising
+    ``_Fault``, and the first fault met is named at its row's path."""
+    out: dict = {}
     try:
         for i, row in enumerate(rows):
-            if type(row) is not list or len(row) != 2:
-                raise _Fault(_shape(row, "a crisp node is written [id, control]"))
-            ident, control = row
-            if type(ident) is not str or type(control) is not str:
-                raise _Fault("expected a string")
-            if ident in ctrl:
-                raise _Fault(f"duplicate node {ident!r}")
-            if control not in signature.arity:
-                raise _Fault(f"unknown control {control!r}")
-            ctrl[ident] = control
+            if type(row) is not list or len(row) != size:
+                raise _Fault(shape if type(row) is list else "expected an array")
+            k = key(row)
+            if k in out:
+                raise _Fault(f"duplicate {duplicate} {k!r}")
+            out[k] = value(row)
     except _Fault as fault:
         raise ParseError(str(fault), f"{path}[{i}]") from None
-    return ctrl
+    return out
+
+
+def _crisp_node(row) -> str:
+    if type(row[0]) is not str or type(row[1]) is not str:
+        raise _Fault("expected a string")
+    return row[0]
+
+
+def _decode_crisp_nodes(value, degrees: _Degrees, signature: Signature, path: str):
+    rows = _expect_array(value, path)
+    ctrl = _bulk_pairs(rows, _string, _string)
+    if ctrl is None or not signature.controls.issuperset(ctrl.values()):
+
+        def control(row) -> str:
+            if row[1] not in signature.arity:
+                raise _Fault(f"unknown control {row[1]!r}")
+            return row[1]
+
+        ctrl = _walk(rows, path, 2, "a crisp node is written [id, control]", _crisp_node, "node", control)
+    return frozenset(ctrl), ctrl
 
 
 def _decode_graded_ids(value, degrees: _Degrees, path: str) -> FuzzySet:
     rows = _expect_array(value, path)
     fset = _bulk_graded_ids(rows, degrees)
-    return fset if fset is not None else _walk_graded_ids(rows, degrees, path)
-
-
-def _walk_graded_ids(rows: list, degrees: _Degrees, path: str) -> FuzzySet:
-    bottom = degrees.frame.bottom
-    entries: dict = {}
-    try:
-        for i, row in enumerate(rows):
-            if type(row) is not list or len(row) != 2:
-                raise _Fault(_shape(row, "a graded identifier is written [id, degree]"))
-            ident = row[0]
-            if type(ident) is not str:
-                raise _Fault("expected a string")
-            if ident in entries:
-                raise _Fault(f"duplicate identifier {ident!r}")
-            degree = degrees.parse(row[1])
-            if degree is bottom:
-                raise _Fault(
-                    f"graded identifier {ident!r} has membership bottom; "
-                    "list only positive ones"
-                )
-            entries[ident] = degree
-    except _Fault as fault:
-        raise ParseError(str(fault), f"{path}[{i}]") from None
-    return FuzzySet(degrees.frame, entries)
+    if fset is None:
+        entries = _walk(rows, path, 2, "a graded identifier is written [id, degree]",
+                        lambda row: _end(_string, row[0]), "identifier", degrees.membership)
+        fset = FuzzySet(degrees.frame, entries)
+    return fset
 
 
 def _decode_pairs(value, degrees: _Degrees, decode_a, decode_b, path: str) -> dict:
     rows = _expect_array(value, path)
     out = _bulk_pairs(rows, decode_a, decode_b)
-    return out if out is not None else _walk_pairs(rows, decode_a, decode_b, path)
-
-
-def _walk_pairs(rows: list, decode_a, decode_b, path: str) -> dict:
-    ports = decode_a is _point
-    out: dict = {}
-    try:
-        for i, row in enumerate(rows):
-            if type(row) is not list or len(row) != 2:
-                raise _Fault(_shape(row, "expected [from, to]"))
-            a, b = row
-            if type(a) is not str:
-                port = ports and type(a) is list and len(a) == 2 and type(a[0]) is str
-                a = tuple(a) if port and type(a[1]) is int and a[1] >= 0 else decode_a(a)
-            if a in out:
-                raise _Fault(f"duplicate entry for {a!r}")
-            out[a] = b if type(b) is str else decode_b(b)
-    except _Fault as fault:
-        raise ParseError(str(fault), f"{path}[{i}]") from None
+    if out is None:
+        out = _walk(rows, path, 2, "expected [from, to]", lambda row: _end(decode_a, row[0]),
+                    "entry for", lambda row: _end(decode_b, row[1]))
     return out
 
 
@@ -498,27 +469,11 @@ def _decode_triples(value, degrees: _Degrees, decode_a, decode_b, path: str, wit
     are checked against the relation's domain."""
     rows = _expect_array(value, path)
     relation = _bulk_triples(rows, degrees, decode_a, within)
-    return relation if relation is not None else _walk_triples(rows, degrees, decode_a, decode_b, path)
-
-
-def _walk_triples(rows: list, degrees: _Degrees, decode_a, decode_b, path: str) -> dict:
-    ports = decode_a is _point
-    out: dict = {}
-    try:
-        for i, row in enumerate(rows):
-            if type(row) is not list or len(row) != 3:
-                raise _Fault(_shape(row, "expected [from, to, degree]"))
-            a, b, text = row
-            if type(a) is not str:
-                port = ports and type(a) is list and len(a) == 2 and type(a[0]) is str
-                a = tuple(a) if port and type(a[1]) is int and a[1] >= 0 else decode_a(a)
-            key = a, b if type(b) is str else decode_b(b)
-            if key in out:
-                raise _Fault(f"duplicate entry for {key!r}")
-            out[key] = degrees.parse(text)
-    except _Fault as fault:
-        raise ParseError(str(fault), f"{path}[{i}]") from None
-    return out
+    if relation is None:
+        relation = _walk(rows, path, 3, "expected [from, to, degree]",
+                         lambda row: (_end(decode_a, row[0]), _end(decode_b, row[1])),
+                         "entry for", lambda row: degrees.parse(row[2]))
+    return relation
 
 
 def _place_refs_hold(prnt, nodes: frozenset) -> bool:
@@ -810,7 +765,7 @@ def _refs_hold(nodes: frozenset, parts: dict, ctrl) -> bool:
 def _write_crisp_map(w: _Writer, mapping, key: str, checked: bool) -> str:
     """A crisp map's rows.  An int or a port is written only where ``parse``
     reads it back: the reader's decoder for its end of a ``key`` row takes
-    it (``_ENDPOINTS``), or it is a port that a link row's loop takes first.
+    it (``_ENDPOINTS``), and only ``_point`` takes a port, from its list.
     A ``checked`` map's ends are known to be of those sorts."""
     ends = () if checked else zip(_ENDPOINTS[key], (mapping, mapping.values()))
     for decode, side in ends:

@@ -209,6 +209,13 @@ def test_laws_rejects_a_count_that_is_no_int_as_a_usage_error(capsys):
     assert err.endswith("fbg laws: error: argument --arrows: invalid int value: 'abc'\n")
 
 
+def test_laws_refuses_more_arrows_than_the_limit_before_generating_any(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "random_arrow_system", lambda *args, **kwargs: pytest.fail("generated"))
+    status, out, err = invoke(capsys, "laws", H_PATH, "--arrows", "65537")
+    assert (status, out) == (2, "")
+    assert err.endswith("fbg laws: error: argument --arrows: 65537 exceeds the limit of 65536\n")
+
+
 def test_export_dot_views(capsys):
     status, out, _err = invoke(capsys, "export-dot", H_PATH, "--view", "place")
     assert status == 0 and out.startswith("digraph place {")

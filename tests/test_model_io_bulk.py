@@ -52,8 +52,8 @@ import test_parse_faults
 import test_round_trip_fuzz
 from helpers import H_SIGNATURE, random_crisp_bigraph
 
-BULK_PATHS = ("_bulk_crisp_nodes", "_bulk_graded_ids", "_bulk_pairs", "_bulk_triples")
-ROW_LOOPS = ("_walk_names", "_walk_crisp_nodes", "_walk_graded_ids", "_walk_pairs", "_walk_triples")
+BULK_PATHS = ("_bulk_graded_ids", "_bulk_pairs", "_bulk_triples")
+ROW_LOOPS = ("_walk_names", "_walk")
 CHECKED = (FuzzyRelation, FuzzySet, FuzzyPlaceGraph, FuzzyLinkGraph, FuzzyBigraph,
            Type2FuzzyPlaceGraph, Type2FuzzyLinkGraph, Type2FuzzyBigraph)
 
@@ -310,6 +310,21 @@ def test_a_row_at_bottom_is_checked_before_it_is_dropped(flavour, key, pair, at,
             parse(json.dumps(doc))
         refused.append((caught.value.path, caught.value.message))
     assert refused == [(f"$.graphs.g{at}", message)] * 2
+
+
+@pytest.mark.parametrize("flavour", ("fuzzy", "type2"))
+def test_a_site_at_the_inner_width_lies_outside_the_parent_relation(flavour):
+    """Sites are tested in bulk as ints below the inner width (roots, in
+    ``FAULTS_AT_ANY_DEGREE``, below the outer one): a row whose site is the
+    width is refused by the constructor at any degree, at the record's path."""
+    refused = []
+    for text in (".0e0", "1/2"):
+        doc, record = _small_document(flavour)
+        record["prnt"].append([2, "w", text])
+        with pytest.raises(ParseError) as caught:
+            parse(json.dumps(doc))
+        refused.append((caught.value.path, caught.value.message))
+    assert refused == [("$.graphs.g", "relation entry (2, 'w') lies outside its domain/codomain")] * 2
 
 
 @pytest.mark.parametrize("edges, message", [
